@@ -68,10 +68,7 @@ pub struct IngestReport {
     /// Full threaded topology with channel batching and vectorized
     /// (batch-at-a-time) operator execution, docs/sec.
     pub e2e_batched_docs_per_sec: f64,
-    /// Full threaded topology without batching (per-tuple delivery),
-    /// docs/sec.
-    pub e2e_unbatched_docs_per_sec: f64,
-    /// Full threaded topology under the supervised runtime with an empty
+    /// Full threaded topology under supervision with an empty
     /// fault plan (catch-unwind wrappers, checkpoint capture and replay
     /// buffering armed but never exercised), docs/sec. The recorded ratio
     /// against `e2e_batched_docs_per_sec` is the supervision overhead on
@@ -120,7 +117,6 @@ impl IngestReport {
                 "\"docs_per_sec\":{:.1},\"speedup\":{:.3},",
                 "\"subsets_per_sec\":{:.1},\"route_docs_per_sec\":{:.1},",
                 "\"e2e_batched_docs_per_sec\":{:.1},",
-                "\"e2e_unbatched_docs_per_sec\":{:.1},",
                 "\"e2e_supervised_docs_per_sec\":{:.1},",
                 "\"faults\":{},\"batch\":{},",
                 "\"e2e_operator_seconds\":{},\"parallelism\":{},",
@@ -136,7 +132,6 @@ impl IngestReport {
             self.subsets_per_sec,
             self.route_docs_per_sec,
             self.e2e_batched_docs_per_sec,
-            self.e2e_unbatched_docs_per_sec,
             self.e2e_supervised_docs_per_sec,
             self.faults,
             THREADED_BATCH,
@@ -158,7 +153,6 @@ impl IngestReport {
                 "  observe cycle (current)          {:>12.0} docs/s   ({:.2}x)\n",
                 "  observe subset updates           {:>12.0} subsets/s\n",
                 "  route_into                       {:>12.0} docs/s\n",
-                "  e2e threaded ×{} (per-tuple)      {:>12.0} docs/s\n",
                 "  e2e threaded ×{} (vector., b={})  {:>12.0} docs/s\n",
                 "  e2e supervised ×{} (fault-free)   {:>12.0} docs/s\n",
                 "  heap allocs avoided/pass         {:>12}\n"
@@ -170,8 +164,6 @@ impl IngestReport {
             self.speedup,
             self.subsets_per_sec,
             self.route_docs_per_sec,
-            self.parallelism,
-            self.e2e_unbatched_docs_per_sec,
             self.parallelism,
             THREADED_BATCH,
             self.e2e_batched_docs_per_sec,
@@ -433,7 +425,7 @@ pub fn measure(quick: bool, parallelism: usize) -> IngestReport {
     }
     let route_docs_per_sec = tagged.len() as f64 / best_route.max(1e-9);
 
-    // -- end-to-end threaded topology, batched vs not ----------------------
+    // -- end-to-end threaded topology, bare vs supervised -------------------
     let e2e_n = if quick { 30_000 } else { 100_000 };
     let e2e_docs = fixtures::stream(23, e2e_n, 1300);
     // The centralized exact baseline is a measurement instrument, not part
@@ -455,8 +447,7 @@ pub fn measure(quick: bool, parallelism: usize) -> IngestReport {
     // Two reps even in quick mode: the e2e pair is best-of, and a single
     // rep is noisy enough on a busy CI box to trip the regression gate.
     let e2e_reps = 2;
-    let (mut best_batched, mut best_unbatched, mut best_supervised) =
-        (f64::MAX, f64::MAX, f64::MAX);
+    let (mut best_batched, mut best_supervised) = (f64::MAX, f64::MAX);
     let mut e2e_documents = 0u64;
     let mut e2e_operator_seconds: Vec<(String, f64)> = Vec::new();
     let (mut e2e_send_waits, mut e2e_recv_waits) = (0u64, 0u64);
@@ -488,17 +479,7 @@ pub fn measure(quick: bool, parallelism: usize) -> IngestReport {
         }
         e2e_documents = stats.processed[1];
 
-        let recorder = RunRecorder::shared(config.k);
-        let topology = build_topology(
-            &config,
-            Box::new(e2e_docs.clone().into_iter()),
-            recorder.clone(),
-        );
-        let start = Instant::now();
-        std::hint::black_box(setcorr_engine::run_threaded(topology));
-        best_unbatched = best_unbatched.min(start.elapsed().as_secs_f64());
-
-        // supervised runtime, empty fault plan: the wrappers are the only
+        // supervision armed, empty fault plan: the wrappers are the only
         // difference from the batched run above
         let recorder = RunRecorder::shared(config.k);
         let topology = build_topology(
@@ -507,18 +488,18 @@ pub fn measure(quick: bool, parallelism: usize) -> IngestReport {
             recorder.clone(),
         );
         let start = Instant::now();
-        let stats = setcorr_engine::run_threaded_supervised(
+        let stats = setcorr_engine::run_threaded_batched(
             topology,
-            setcorr_engine::ThreadedConfig::default(),
+            setcorr_engine::ThreadedConfig {
+                supervision: Some(setcorr_engine::SuperviseConfig::default()),
+                ..setcorr_engine::ThreadedConfig::default()
+            },
             setcorr_topology::batch_policy(),
-            setcorr_engine::SuperviseConfig::default(),
-        )
-        .expect("fault-free supervised e2e run failed");
+        );
         best_supervised = best_supervised.min(start.elapsed().as_secs_f64());
         assert_eq!(stats.faults_injected, 0, "bench runs must be fault-free");
     }
     let e2e_batched_docs_per_sec = e2e_documents as f64 / best_batched.max(1e-9);
-    let e2e_unbatched_docs_per_sec = e2e_documents as f64 / best_unbatched.max(1e-9);
     let e2e_supervised_docs_per_sec = e2e_documents as f64 / best_supervised.max(1e-9);
 
     IngestReport {
@@ -531,7 +512,6 @@ pub fn measure(quick: bool, parallelism: usize) -> IngestReport {
         subsets_per_sec: docs_per_sec * subsets as f64 / docs.max(1) as f64,
         route_docs_per_sec,
         e2e_batched_docs_per_sec,
-        e2e_unbatched_docs_per_sec,
         e2e_supervised_docs_per_sec,
         faults: 0,
         e2e_operator_seconds,
@@ -672,7 +652,6 @@ mod tests {
             subsets_per_sec: 5.0,
             route_docs_per_sec: 3.0,
             e2e_batched_docs_per_sec: 4.0,
-            e2e_unbatched_docs_per_sec: 3.5,
             e2e_supervised_docs_per_sec: 3.9,
             faults: 0,
             e2e_operator_seconds: vec![("parser".to_string(), 0.25), ("baseline".to_string(), 1.5)],

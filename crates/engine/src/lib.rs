@@ -5,10 +5,16 @@
 //! parallelism and the full set of groupings (shuffle / all / fields /
 //! global / direct), executable on two runtimes:
 //!
-//! * [`run_sim`] — deterministic single-threaded discrete-event execution;
-//!   every run is exactly reproducible (the experiment harness uses this),
-//! * [`run_threaded`] — one OS thread per task over crossbeam channels, the
-//!   "real" parallel mode with Storm-like nondeterministic interleaving.
+//! * [`run_sim`] / [`run_sim_batched`] — deterministic single-threaded
+//!   discrete-event execution; every run is exactly reproducible (the
+//!   experiment harness and the equivalence suites use this as the oracle),
+//! * [`run_threaded_batched`] / [`try_run_threaded_batched`] — one OS thread
+//!   per task over crossbeam channels with per-destination batch envelopes,
+//!   the "real" parallel mode with Storm-like nondeterministic
+//!   interleaving. One task loop runs every bolt; setting
+//!   [`ThreadedConfig::supervision`] makes that loop consult a supervisor
+//!   (`catch_unwind`, checkpointed restarts, fault injection, graceful
+//!   degradation — see [`supervise`]) instead of calling callbacks bare.
 //!
 //! Topologies process *finite* streams: when upstream producers finish, each
 //! bolt's [`Bolt::on_flush`] runs (declaration order in sim; Eos-quota
@@ -24,12 +30,9 @@ pub mod threaded;
 pub mod topology;
 
 pub use sim::{run_sim, run_sim_batched, SimStats};
-pub use supervise::{
-    run_threaded_supervised, FaultSpec, RestartPolicy, SuperviseConfig, SupervisedStats,
-};
+pub use supervise::{FaultSpec, RestartPolicy, SuperviseConfig};
 pub use threaded::{
-    run_threaded, run_threaded_batched, run_threaded_with, try_run_threaded,
-    try_run_threaded_batched, try_run_threaded_with, BatchPolicy, RunError, ThreadStats,
+    run_threaded_batched, try_run_threaded_batched, BatchPolicy, RunError, ThreadStats,
     ThreadedConfig,
 };
 pub use topology::{Bolt, ComponentId, Emitter, Grouping, Spout, Topology, TopologyBuilder};

@@ -1,10 +1,11 @@
-//! Supervised threaded runtime: fault injection, checkpointed recovery,
-//! graceful degradation.
+//! Supervision of the threaded runtime: fault injection, checkpointed
+//! recovery, graceful degradation.
 //!
-//! The bare threaded runtime treats a panicking task as fatal: the panic
-//! propagates out of the join path and the run is lost. This module wraps
-//! every operator callback in `catch_unwind` and puts a *supervisor* around
-//! each task's message loop:
+//! Unsupervised, the runtime treats a panicking task as fatal: the panic
+//! propagates out of the join path and the run is lost. With
+//! [`ThreadedConfig::supervision`](crate::ThreadedConfig::supervision) set,
+//! the task loop routes every envelope through a per-task supervisor, which
+//! wraps the operator callback in `catch_unwind`:
 //!
 //! 1. **Detect** — a panic inside `on_message`/`on_batch` is caught; the
 //!    message loop, channels and emitter survive.
@@ -39,21 +40,15 @@
 //! 1st control envelope into task 0". Counts, not timers: the same plan on
 //! the same input produces the same fault at the same point in the stream,
 //! every run. Injected panics carry an `"injected fault"` payload prefix so
-//! [`SupervisedStats::faults_injected`] can tell them apart from genuine
-//! bugs surfacing mid-test.
+//! [`ThreadStats::faults_injected`] can tell them apart from genuine bugs
+//! surfacing mid-test.
 
-use crate::threaded::{
-    decode_panic, slot_capacity, wire, BatchPolicy, BatchPool, Envelope, RunError, ThreadStats,
-    ThreadedConfig, ThreadedEmitter, Wiring, DRAIN_BURST,
-};
-use crate::topology::{Bolt, ComponentId, ComponentKind, Emitter, Topology};
-use crossbeam::channel::{Receiver, TryRecvError};
+use crate::threaded::{decode_panic, feed, Envelope, RunError, ThreadStats, ThreadedEmitter};
+use crate::topology::{Bolt, BoltFactory, ComponentId, Emitter};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::Instant;
 
 /// How often a failing task may be restarted, and how long it must behave
 /// before its failure count resets.
@@ -104,7 +99,8 @@ pub enum FaultSpec {
     },
 }
 
-/// Configuration of the supervised runtime.
+/// Configuration of supervised execution
+/// ([`ThreadedConfig::supervision`](crate::ThreadedConfig::supervision)).
 #[derive(Clone)]
 pub struct SuperviseConfig {
     /// Restart policy applied to every component.
@@ -150,25 +146,6 @@ impl std::fmt::Debug for SuperviseConfig {
     }
 }
 
-/// What a supervised run reports beyond the usual [`ThreadStats`].
-#[derive(Debug, Clone, Default)]
-pub struct SupervisedStats {
-    /// The per-component processing statistics of the run.
-    pub stats: ThreadStats,
-    /// Faults fired by the [`FaultSpec`] schedule (kills, drops) plus any
-    /// topology-level injected panics (payload prefixed `"injected fault"`).
-    pub faults_injected: u64,
-    /// Successful restarts (rebuild + restore) performed.
-    pub tasks_restarted: u64,
-    /// Recoveries that re-fed a replay buffer (one open round's tail each).
-    pub rounds_replayed: u64,
-    /// Tasks that exhausted their restart budget (or starved in the drain)
-    /// and were tombstoned.
-    pub degraded_tasks: Vec<(ComponentId, usize)>,
-    /// Send-timeout faults absorbed by supervision.
-    pub send_timeouts: u64,
-}
-
 /// Default tombstone: drops every message, emits nothing, always drained.
 struct Blackhole;
 
@@ -187,91 +164,221 @@ struct Ledger {
     degraded: Mutex<Vec<(ComponentId, usize)>>,
 }
 
-/// True when a panic payload is one of our scheduled faults.
-fn is_injected(payload: &(dyn std::any::Any + Send)) -> bool {
-    let rendered = match payload.downcast_ref::<String>() {
-        Some(s) => s.as_str(),
-        None => match payload.downcast_ref::<&str>() {
-            Some(s) => s,
-            None => return false,
-        },
-    };
-    rendered.starts_with("injected fault")
+/// Run-wide supervision state: the configuration every task consults and
+/// the ledger they report into.
+pub(crate) struct Supervisor {
+    config: SuperviseConfig,
+    ledger: Ledger,
 }
 
-/// Per-task supervisor state for one bolt task.
-struct TaskSupervisor<M> {
+impl Supervisor {
+    pub(crate) fn new(config: SuperviseConfig) -> Arc<Self> {
+        Arc::new(Supervisor {
+            config,
+            ledger: Ledger::default(),
+        })
+    }
+
+    /// The kill threshold scheduled for (component, task), if any.
+    pub(crate) fn kill_for(&self, component: ComponentId, task: usize) -> Option<u64> {
+        self.config.faults.iter().find_map(|f| match f {
+            FaultSpec::KillTask {
+                component: fc,
+                task: ft,
+                after_messages,
+            } if *fc == component && *ft == task => Some(*after_messages),
+            _ => None,
+        })
+    }
+
+    /// The control-envelope ordinals scheduled to be dropped for
+    /// (component, task).
+    fn drops_for(&self, component: ComponentId, task: usize) -> Vec<u64> {
+        self.config
+            .faults
+            .iter()
+            .filter_map(|f| match f {
+                FaultSpec::DropControl {
+                    component: fc,
+                    task: ft,
+                    nth,
+                } if *fc == component && *ft == task => Some(*nth),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Count one caught panic by kind: a scheduled fault (payload prefixed
+    /// `"injected fault"`), a send timeout, or neither.
+    fn note_panic(&self, payload: &(dyn std::any::Any + Send)) {
+        let (structured, message) = decode_panic(payload);
+        if message.starts_with("injected fault") {
+            self.ledger.faults_injected.fetch_add(1, Ordering::Relaxed);
+        }
+        if matches!(structured, Some(RunError::SendTimeout { .. })) {
+            self.ledger.send_timeouts.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Record (component, task) as degraded and tell the embedding.
+    fn note_degraded(&self, component: ComponentId, task: usize) {
+        self.ledger
+            .degraded
+            .lock()
+            .expect("ledger lock")
+            .push((component, task));
+        if let Some(cb) = &self.config.on_degrade {
+            cb(component, task);
+        }
+    }
+
+    /// A panic nothing can retry (a spout's stream, a bolt's final flush):
+    /// count it and disclose the task as degraded.
+    pub(crate) fn task_lost(
+        &self,
+        component: ComponentId,
+        task: usize,
+        payload: &(dyn std::any::Any + Send),
+    ) {
+        self.note_panic(payload);
+        self.note_degraded(component, task);
+    }
+
+    /// Fold the ledger into the run's stats (after every task joined).
+    pub(crate) fn fold_into(&self, stats: &mut ThreadStats) {
+        stats.faults_injected = self.ledger.faults_injected.load(Ordering::Relaxed);
+        stats.tasks_restarted = self.ledger.tasks_restarted.load(Ordering::Relaxed);
+        stats.rounds_replayed = self.ledger.rounds_replayed.load(Ordering::Relaxed);
+        stats.send_timeouts = self.ledger.send_timeouts.load(Ordering::Relaxed);
+        let mut degraded = self.ledger.degraded.lock().expect("ledger lock").clone();
+        degraded.sort_unstable();
+        degraded.dedup();
+        stats.degraded_tasks = degraded;
+    }
+}
+
+/// Per-task supervisor state for one bolt task. The task loop owns the
+/// bolt and the redelivery queue; this owns everything recovery needs.
+pub(crate) struct TaskSupervisor<M> {
+    run: Arc<Supervisor>,
     component: ComponentId,
     task: usize,
-    factory: Arc<Mutex<crate::topology::BoltFactory<M>>>,
-    bolt: Box<dyn Bolt<M>>,
+    factory: Arc<Mutex<BoltFactory<M>>>,
+    /// The batching policy's barrier predicate: a barrier message marks a
+    /// checkpointable cut.
+    barrier: Arc<dyn Fn(&M) -> bool + Send + Sync>,
     /// Latest barrier checkpoint (None until the bolt produces one).
     checkpoint: Option<Box<dyn std::any::Any + Send>>,
     /// Envelopes since the last checkpoint, for replayable bolts.
     replay: Vec<Envelope<M>>,
     replay_overflow: bool,
     can_replay: bool,
-    /// Envelopes awaiting (re)delivery ahead of the channels.
-    pending: VecDeque<Envelope<M>>,
-    policy_restart: RestartPolicy,
-    replay_cap: usize,
     /// Messages successfully processed (drives kill scheduling + backoff).
     msgs_seen: u64,
     consecutive_failures: u32,
     cooldown: u64,
     kill_at: Option<u64>,
+    /// Control-envelope ordinals still scheduled to be dropped.
+    drop_nths: Vec<u64>,
+    ctl_seen: u64,
     degraded: bool,
-    ledger: Arc<Ledger>,
-    on_degrade: Option<Arc<dyn Fn(ComponentId, usize) + Send + Sync>>,
 }
 
 impl<M: Clone + Send + 'static> TaskSupervisor<M> {
+    pub(crate) fn new(
+        run: Arc<Supervisor>,
+        component: ComponentId,
+        task: usize,
+        factory: Arc<Mutex<BoltFactory<M>>>,
+        bolt: &dyn Bolt<M>,
+        barrier: Arc<dyn Fn(&M) -> bool + Send + Sync>,
+    ) -> Self {
+        let checkpoint = bolt.checkpoint();
+        TaskSupervisor {
+            kill_at: run.kill_for(component, task),
+            drop_nths: run.drops_for(component, task),
+            run,
+            component,
+            task,
+            factory,
+            barrier,
+            can_replay: bolt.replayable() && checkpoint.is_some(),
+            checkpoint,
+            replay: Vec::new(),
+            replay_overflow: false,
+            msgs_seen: 0,
+            consecutive_failures: 0,
+            cooldown: 0,
+            ctl_seen: 0,
+            degraded: false,
+        }
+    }
+
+    /// Empty polls the post-Eos drain tolerates before force-degrading.
+    pub(crate) fn drain_patience(&self) -> u64 {
+        self.run.config.drain_patience
+    }
+
+    /// Count one control-inbox envelope; true when the fault schedule says
+    /// to swallow it (the scheduled lost message — the starvation detector
+    /// is what digs the topology out of the resulting wedge).
+    pub(crate) fn drops_control(&mut self) -> bool {
+        self.ctl_seen += 1;
+        let Some(pos) = self.drop_nths.iter().position(|&nth| nth == self.ctl_seen) else {
+            return false;
+        };
+        self.drop_nths.swap_remove(pos);
+        self.run
+            .ledger
+            .faults_injected
+            .fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
     /// Install the tombstone stand-in; the message loop keeps running so
     /// the control protocols (fences, barriers) stay live downstream.
-    fn degrade(&mut self) {
+    pub(crate) fn degrade(&mut self, bolt: &mut Box<dyn Bolt<M>>) {
         if self.degraded {
             return;
         }
         self.degraded = true;
-        self.bolt = self.bolt.tombstone().unwrap_or_else(|| Box::new(Blackhole));
+        *bolt = bolt.tombstone().unwrap_or_else(|| Box::new(Blackhole));
         self.checkpoint = None;
         self.replay.clear();
         self.can_replay = false;
         self.kill_at = None;
-        self.ledger
-            .degraded
-            .lock()
-            .expect("ledger lock")
-            .push((self.component, self.task));
-        if let Some(cb) = &self.on_degrade {
-            cb(self.component, self.task);
-        }
+        self.run.note_degraded(self.component, self.task);
     }
 
     /// Handle one panic out of a callback: count it, then restart (rebuild
     /// + restore + queue the replay buffer) or degrade per policy.
-    fn recover(&mut self, payload: Box<dyn std::any::Any + Send>) {
-        if is_injected(&*payload) {
-            self.ledger.faults_injected.fetch_add(1, Ordering::Relaxed);
-        }
-        let (structured, _) = decode_panic(&*payload);
-        if matches!(structured, Some(RunError::SendTimeout { .. })) {
-            self.ledger.send_timeouts.fetch_add(1, Ordering::Relaxed);
-        }
+    fn recover(
+        &mut self,
+        bolt: &mut Box<dyn Bolt<M>>,
+        payload: Box<dyn std::any::Any + Send>,
+        pending: &mut VecDeque<Envelope<M>>,
+    ) {
+        self.run.note_panic(&*payload);
+        let policy = self.run.config.restart;
         self.consecutive_failures += 1;
-        if self.consecutive_failures > self.policy_restart.max_restarts {
-            self.degrade();
+        if self.consecutive_failures > policy.max_restarts {
+            self.degrade(bolt);
             return;
         }
-        self.ledger.tasks_restarted.fetch_add(1, Ordering::Relaxed);
-        self.cooldown = self
-            .policy_restart
+        self.run
+            .ledger
+            .tasks_restarted
+            .fetch_add(1, Ordering::Relaxed);
+        // A backoff of `2^64` messages just means "never resets within
+        // this run".
+        self.cooldown = policy
             .backoff_base
-            .saturating_shl(self.consecutive_failures - 1);
+            .checked_shl(self.consecutive_failures - 1)
+            .unwrap_or(u64::MAX);
         // Rebuild from the factory, rewind to the latest barrier cut...
-        self.bolt = (self.factory.lock().expect("factory lock"))(self.task);
+        *bolt = (self.factory.lock().expect("factory lock"))(self.task);
         if let Some(cp) = &self.checkpoint {
-            self.bolt.restore(&**cp);
+            bolt.restore(&**cp);
         }
         // ...and re-feed everything since it. The buffer includes the
         // envelope whose processing just failed (pushed before delivery),
@@ -280,9 +387,12 @@ impl<M: Clone + Send + 'static> TaskSupervisor<M> {
         if self.can_replay && !self.replay_overflow {
             let buffered = std::mem::take(&mut self.replay);
             if !buffered.is_empty() {
-                self.ledger.rounds_replayed.fetch_add(1, Ordering::Relaxed);
+                self.run
+                    .ledger
+                    .rounds_replayed
+                    .fetch_add(1, Ordering::Relaxed);
                 for env in buffered.into_iter().rev() {
-                    self.pending.push_front(env);
+                    pending.push_front(env);
                 }
             }
         } else {
@@ -291,20 +401,21 @@ impl<M: Clone + Send + 'static> TaskSupervisor<M> {
         }
     }
 
-    /// Process one data-path envelope under supervision. Returns the number
-    /// of messages successfully processed (0 if the callback panicked).
-    fn process(
+    /// Process one envelope under supervision. Returns the number of
+    /// messages successfully processed (0 if the callback panicked, in
+    /// which case any redeliveries were queued onto `pending`).
+    pub(crate) fn process(
         &mut self,
+        bolt: &mut Box<dyn Bolt<M>>,
         env: Envelope<M>,
         emitter: &mut ThreadedEmitter<M>,
-        barrier: bool,
+        pending: &mut VecDeque<Envelope<M>>,
     ) -> u64 {
-        let n = match &env {
-            Envelope::Data(_) => 1,
-            Envelope::Batch(msgs) => msgs.len() as u64,
-            Envelope::Eos => return 0,
-        };
-        let inject = !self.degraded && self.kill_at.map(|at| self.msgs_seen >= at).unwrap_or(false);
+        if matches!(env, Envelope::Eos) {
+            return 0;
+        }
+        let barrier = matches!(&env, Envelope::Data(m) if (self.barrier)(m));
+        let inject = !self.degraded && self.kill_at.is_some_and(|at| self.msgs_seen >= at);
         if inject {
             self.kill_at = None;
         }
@@ -314,7 +425,7 @@ impl<M: Clone + Send + 'static> TaskSupervisor<M> {
         // kills, which fire before the callback touches anything.
         let mut redeliver: Option<Envelope<M>> = None;
         if self.can_replay {
-            if self.replay.len() >= self.replay_cap {
+            if self.replay.len() >= self.run.config.replay_cap {
                 self.replay_overflow = true;
                 self.replay.clear();
             } else {
@@ -323,19 +434,14 @@ impl<M: Clone + Send + 'static> TaskSupervisor<M> {
         } else if inject {
             redeliver = Some(env.clone());
         }
-        let bolt = &mut self.bolt;
         let result = catch_unwind(AssertUnwindSafe(|| {
             if inject {
                 std::panic::panic_any("injected fault: kill-task".to_string());
             }
-            match env {
-                Envelope::Data(msg) => bolt.on_message(msg, emitter),
-                Envelope::Batch(msgs) => bolt.on_batch(msgs, emitter),
-                Envelope::Eos => unreachable!("handled above"),
-            }
+            feed(&mut **bolt, env, emitter)
         }));
         match result {
-            Ok(()) => {
+            Ok(n) => {
                 self.msgs_seen += n;
                 if self.cooldown > 0 {
                     self.cooldown = self.cooldown.saturating_sub(n);
@@ -345,7 +451,7 @@ impl<M: Clone + Send + 'static> TaskSupervisor<M> {
                 }
                 if (barrier || emitter.barrier_emitted) && !self.degraded {
                     emitter.barrier_emitted = false;
-                    if let Some(cp) = self.bolt.checkpoint() {
+                    if let Some(cp) = bolt.checkpoint() {
                         self.checkpoint = Some(cp);
                         self.replay.clear();
                         self.replay_overflow = false;
@@ -354,472 +460,58 @@ impl<M: Clone + Send + 'static> TaskSupervisor<M> {
                 n
             }
             Err(payload) => {
-                self.recover(payload);
+                self.recover(bolt, payload, pending);
                 if let Some(env) = redeliver {
-                    self.pending.push_front(env);
+                    pending.push_front(env);
                 }
                 0
             }
         }
     }
-}
 
-/// `u64::checked_shl` that saturates instead of wrapping (a backoff of
-/// `2^64` messages just means "never resets within this run").
-trait SaturatingShl {
-    fn saturating_shl(self, shift: u32) -> u64;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, shift: u32) -> u64 {
-        self.checked_shl(shift).unwrap_or(u64::MAX)
-    }
-}
-
-/// Run `topology` under supervision: every callback in `catch_unwind`,
-/// bounded restarts from barrier checkpoints, graceful degradation, and the
-/// deterministic fault schedule of `sup.faults` applied along the way.
-///
-/// Returns [`SupervisedStats`] on any *supervised* outcome — including runs
-/// that degraded operators. `Err` is reserved for failures the supervisor
-/// cannot absorb (today: none on the bolt path; kept for parity with the
-/// fallible bare runtime and for spout-side invariants).
-pub fn run_threaded_supervised<M: Clone + Send + 'static>(
-    mut topology: Topology<M>,
-    config: ThreadedConfig,
-    policy: BatchPolicy<M>,
-    sup: SuperviseConfig,
-) -> Result<SupervisedStats, RunError> {
-    let n = topology.components.len();
-    let capacity = slot_capacity(&config, Some(&policy));
-    let send_tries = config.send_tries;
-    let Wiring {
-        mut receivers,
-        expected_eos,
-        edges_of,
-        counters,
-    } = wire(&mut topology, capacity);
-    let pool = BatchPool::new(policy.max_batch);
-
-    let ledger = Arc::new(Ledger::default());
-    let parallelism_of: Vec<usize> = topology.components.iter().map(|s| s.parallelism).collect();
-    let component_names: Vec<String> = topology.components.iter().map(|s| s.name.clone()).collect();
-
-    type TaskResult = (ComponentId, usize, u64, u64, f64);
-    let mut handles: Vec<thread::JoinHandle<TaskResult>> = Vec::new();
-    let mut identities: Vec<(ComponentId, usize)> = Vec::new();
-
-    for (c, spec) in topology.components.into_iter().enumerate() {
-        let parallelism = spec.parallelism;
-        match spec.kind {
-            ComponentKind::Spout(mut factory) => {
-                for t in 0..parallelism {
-                    let mut spout = factory(t);
-                    let edges = edges_of[c].clone();
-                    let policy = policy.clone();
-                    let kill_at = kill_for(&sup.faults, c, t);
-                    let ledger = ledger.clone();
-                    let on_degrade = sup.on_degrade.clone();
-                    let pool = pool.clone();
-                    identities.push((c, t));
-                    handles.push(thread::spawn(move || {
-                        let mut emitter =
-                            ThreadedEmitter::new(edges, t, Some(&policy), send_tries, Some(pool));
-                        let mut produced = 0u64;
-                        let start = Instant::now();
-                        // A spout has no upstream to replay it, so its
-                        // supervision is detect-and-degrade: a panic (or an
-                        // injected kill) truncates the stream, Eos still
-                        // goes out, and the run finishes partial-but-honest.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            while let Some(msg) = spout.next() {
-                                if kill_at.map(|at| produced >= at).unwrap_or(false) {
-                                    std::panic::panic_any("injected fault: kill-task".to_string());
-                                }
-                                produced += 1;
-                                let stream =
-                                    emitter.edges.first().map(|e| e.stream).unwrap_or("out");
-                                emitter.emit(stream, msg);
-                            }
-                        }));
-                        if let Err(payload) = outcome {
-                            if is_injected(&*payload) {
-                                ledger.faults_injected.fetch_add(1, Ordering::Relaxed);
-                            }
-                            ledger.degraded.lock().expect("ledger lock").push((c, t));
-                            if let Some(cb) = &on_degrade {
-                                cb(c, t);
-                            }
-                        }
-                        let busy = start.elapsed().as_secs_f64();
-                        emitter.send_eos();
-                        (c, t, produced, emitter.emitted, busy)
-                    }));
-                }
-            }
-            ComponentKind::Bolt(factory) => {
-                let factory: Arc<Mutex<crate::topology::BoltFactory<M>>> =
-                    Arc::new(Mutex::new(factory));
-                for (t, slot) in receivers[c].iter_mut().enumerate() {
-                    let bolt = (factory.lock().expect("factory lock"))(t);
-                    let Some((data_rx, ctl_rx)) = slot.take() else {
-                        return Err(RunError::ReceiverTaken { id: c, task: t });
-                    };
-                    let edges = edges_of[c].clone();
-                    let policy = policy.clone();
-                    let quota = expected_eos[c];
-                    let factory = factory.clone();
-                    let ledger = ledger.clone();
-                    let sup = sup.clone();
-                    let pool = pool.clone();
-                    identities.push((c, t));
-                    handles.push(thread::spawn(move || {
-                        run_supervised_bolt_task(
-                            c, t, bolt, factory, data_rx, ctl_rx, edges, policy, quota, send_tries,
-                            pool, ledger, sup,
-                        )
-                    }));
-                }
-            }
+    /// The final flush under supervision: a panic here can no longer be
+    /// retried, so it is counted and the task disclosed as degraded.
+    pub(crate) fn flush(&self, bolt: &mut dyn Bolt<M>, emitter: &mut ThreadedEmitter<M>) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| bolt.on_flush(emitter))) {
+            self.run.task_lost(self.component, self.task, &*payload);
         }
     }
-
-    drop(edges_of);
-    drop(receivers);
-
-    let mut stats = ThreadStats {
-        processed: vec![0; n],
-        emitted: vec![0; n],
-        busy_seconds: vec![0.0; n],
-        task_busy_seconds: parallelism_of.iter().map(|&p| vec![0.0; p]).collect(),
-        channel_send_waits: vec![0; n],
-        channel_recv_waits: vec![0; n],
-    };
-    let mut first_error: Option<RunError> = None;
-    for (h, (hc, ht)) in handles.into_iter().zip(identities) {
-        match h.join() {
-            Ok((c, t, processed, emitted, busy)) => {
-                stats.processed[c] += processed;
-                stats.emitted[c] += emitted;
-                stats.busy_seconds[c] += busy;
-                stats.task_busy_seconds[c][t] = busy;
-            }
-            Err(payload) => {
-                if first_error.is_none() {
-                    let (structured, message) = decode_panic(&*payload);
-                    first_error = Some(structured.unwrap_or(RunError::TaskPanicked {
-                        component: component_names[hc].clone(),
-                        id: hc,
-                        task: ht,
-                        message,
-                    }));
-                }
-            }
-        }
-    }
-    for (c, task_counters) in counters.iter().enumerate() {
-        for (data, ctl) in task_counters {
-            stats.channel_send_waits[c] += data.send_waits() + ctl.send_waits();
-            stats.channel_recv_waits[c] += data.recv_waits() + ctl.recv_waits();
-        }
-    }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-
-    let degraded_tasks = {
-        let mut d = ledger.degraded.lock().expect("ledger lock").clone();
-        d.sort_unstable();
-        d.dedup();
-        d
-    };
-    Ok(SupervisedStats {
-        stats,
-        faults_injected: ledger.faults_injected.load(Ordering::Relaxed),
-        tasks_restarted: ledger.tasks_restarted.load(Ordering::Relaxed),
-        rounds_replayed: ledger.rounds_replayed.load(Ordering::Relaxed),
-        degraded_tasks,
-        send_timeouts: ledger.send_timeouts.load(Ordering::Relaxed),
-    })
-}
-
-/// The kill threshold scheduled for (component, task), if any.
-fn kill_for(faults: &[FaultSpec], component: ComponentId, task: usize) -> Option<u64> {
-    faults.iter().find_map(|f| match f {
-        FaultSpec::KillTask {
-            component: fc,
-            task: ft,
-            after_messages,
-        } if *fc == component && *ft == task => Some(*after_messages),
-        _ => None,
-    })
-}
-
-/// The control-envelope ordinals scheduled to be dropped for (component, task).
-fn drops_for(faults: &[FaultSpec], component: ComponentId, task: usize) -> Vec<u64> {
-    faults
-        .iter()
-        .filter_map(|f| match f {
-            FaultSpec::DropControl {
-                component: fc,
-                task: ft,
-                nth,
-            } if *fc == component && *ft == task => Some(*nth),
-            _ => None,
-        })
-        .collect()
-}
-
-/// The supervised message loop of one bolt task. Mirrors the bare runtime's
-/// loop (Eos quota, event-driven `select!` receives with burst drains,
-/// post-Eos control drain gated on `drained()`), with three changes: the
-/// post-Eos drain polls (so drain starvation is observable), every
-/// callback is supervised through [`TaskSupervisor::process`], and the
-/// fault schedule is applied to the task's own message/control counts.
-#[allow(clippy::too_many_arguments)]
-fn run_supervised_bolt_task<M: Clone + Send + 'static>(
-    c: ComponentId,
-    t: usize,
-    bolt: Box<dyn Bolt<M>>,
-    factory: Arc<Mutex<crate::topology::BoltFactory<M>>>,
-    mut data_rx: Receiver<Envelope<M>>,
-    mut ctl_rx: Receiver<Envelope<M>>,
-    edges: Arc<Vec<crate::threaded::EdgeRt<M>>>,
-    policy: BatchPolicy<M>,
-    quota: usize,
-    send_tries: Option<u64>,
-    pool: std::sync::Arc<BatchPool<M>>,
-    ledger: Arc<Ledger>,
-    sup: SuperviseConfig,
-) -> (ComponentId, usize, u64, u64, f64) {
-    let mut emitter = ThreadedEmitter::new(edges, t, Some(&policy), send_tries, Some(pool));
-    let barrier_of = policy.barrier.clone();
-    let can_replay = bolt.replayable() && bolt.checkpoint().is_some();
-    let mut supervisor = TaskSupervisor {
-        component: c,
-        task: t,
-        factory,
-        checkpoint: bolt.checkpoint(),
-        bolt,
-        replay: Vec::new(),
-        replay_overflow: false,
-        can_replay,
-        pending: VecDeque::new(),
-        policy_restart: sup.restart,
-        replay_cap: sup.replay_cap,
-        msgs_seen: 0,
-        consecutive_failures: 0,
-        cooldown: 0,
-        kill_at: kill_for(&sup.faults, c, t),
-        degraded: false,
-        ledger: ledger.clone(),
-        on_degrade: sup.on_degrade.clone(),
-    };
-    let mut drop_nths = drops_for(&sup.faults, c, t);
-
-    let mut processed = 0u64;
-    let mut busy = std::time::Duration::ZERO;
-    let mut eos_seen = 0usize;
-    let mut data_open = true;
-    let mut ctl_open = true;
-    let mut ctl_seen = 0u64;
-    let mut empty_polls = 0u64;
-    let mut burst: Vec<Envelope<M>> = Vec::new();
-
-    loop {
-        let data_done = eos_seen >= quota || !data_open;
-        if data_done && (supervisor.bolt.drained() || !ctl_open) && supervisor.pending.is_empty() {
-            break;
-        }
-
-        // Redeliveries (replay after a restart) run ahead of the channels,
-        // preserving the task's original FIFO order.
-        if let Some(env) = supervisor.pending.pop_front() {
-            let barrier = matches!(&env, Envelope::Data(m) if (barrier_of)(m));
-            let t0 = Instant::now();
-            processed += supervisor.process(env, &mut emitter, barrier);
-            busy += t0.elapsed();
-            empty_polls = 0;
-            continue;
-        }
-
-        if !data_done {
-            // Hot path: park on the channels exactly like the bare
-            // runtime's loop — event-driven wakeups, and after each
-            // select-returned envelope a burst drain pulls the rest of the
-            // queued run with one synchronisation point. Every envelope
-            // still runs through the supervisor, so fault positions in
-            // message counts are unaffected by how it was received.
-            crossbeam::channel::select! {
-                recv(data_rx) -> m => match m {
-                    Ok(Envelope::Eos) => eos_seen += 1,
-                    Ok(env) => {
-                        let barrier = matches!(&env, Envelope::Data(m) if (barrier_of)(m));
-                        let t0 = Instant::now();
-                        processed += supervisor.process(env, &mut emitter, barrier);
-                        busy += t0.elapsed();
-                        if data_rx.recv_drain(&mut burst, DRAIN_BURST) > 0 {
-                            for env in burst.drain(..) {
-                                if matches!(env, Envelope::Eos) {
-                                    eos_seen += 1;
-                                    continue;
-                                }
-                                if !supervisor.pending.is_empty() {
-                                    // A panic queued redeliveries, and they
-                                    // must run before anything received after
-                                    // them: park the rest of the burst behind
-                                    // the replay queue, preserving FIFO.
-                                    supervisor.pending.push_back(env);
-                                    continue;
-                                }
-                                let barrier =
-                                    matches!(&env, Envelope::Data(m) if (barrier_of)(m));
-                                let t0 = Instant::now();
-                                processed += supervisor.process(env, &mut emitter, barrier);
-                                busy += t0.elapsed();
-                            }
-                        }
-                    }
-                    // park the disconnected side so the select does not
-                    // spin on its error
-                    Err(_) => {
-                        data_open = false;
-                        data_rx = crossbeam::channel::never();
-                    }
-                },
-                recv(ctl_rx) -> m => match m {
-                    Ok(Envelope::Eos) => {}
-                    Ok(env) => {
-                        ctl_seen += 1;
-                        if let Some(pos) = drop_nths.iter().position(|&nth| nth == ctl_seen) {
-                            // The scheduled lost message: swallow it. The
-                            // starvation detector below is what digs the
-                            // topology out of the resulting wedge.
-                            drop_nths.swap_remove(pos);
-                            ledger.faults_injected.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            let barrier = matches!(&env, Envelope::Data(m) if (barrier_of)(m));
-                            let t0 = Instant::now();
-                            processed += supervisor.process(env, &mut emitter, barrier);
-                            busy += t0.elapsed();
-                        }
-                    }
-                    Err(_) => {
-                        ctl_open = false;
-                        ctl_rx = crossbeam::channel::never();
-                    }
-                },
-            }
-            continue;
-        }
-
-        // Post-Eos control drain: polling receives, so a starved drain (a
-        // lost control message nothing will ever send) is observable as
-        // `drain_patience` consecutive empty polls rather than an
-        // indefinite park.
-        let mut progressed = false;
-        if data_open {
-            match data_rx.try_recv() {
-                Ok(Envelope::Eos) => {
-                    eos_seen += 1;
-                    progressed = true;
-                }
-                Ok(env) => {
-                    let barrier = matches!(&env, Envelope::Data(m) if (barrier_of)(m));
-                    let t0 = Instant::now();
-                    processed += supervisor.process(env, &mut emitter, barrier);
-                    busy += t0.elapsed();
-                    progressed = true;
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => {
-                    data_open = false;
-                    progressed = true;
-                }
-            }
-        }
-        if !progressed && ctl_open {
-            match ctl_rx.try_recv() {
-                Ok(Envelope::Eos) => progressed = true,
-                Ok(env) => {
-                    progressed = true;
-                    ctl_seen += 1;
-                    if let Some(pos) = drop_nths.iter().position(|&nth| nth == ctl_seen) {
-                        // The scheduled lost message: swallow it. The
-                        // starvation detector below is what digs the
-                        // topology out of the resulting wedge.
-                        drop_nths.swap_remove(pos);
-                        ledger.faults_injected.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        let barrier = matches!(&env, Envelope::Data(m) if (barrier_of)(m));
-                        let t0 = Instant::now();
-                        processed += supervisor.process(env, &mut emitter, barrier);
-                        busy += t0.elapsed();
-                    }
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => {
-                    ctl_open = false;
-                    progressed = true;
-                }
-            }
-        }
-        if progressed {
-            empty_polls = 0;
-        } else {
-            empty_polls += 1;
-            let data_done = eos_seen >= quota || !data_open;
-            if data_done
-                && !supervisor.bolt.drained()
-                && ctl_open
-                && empty_polls > sup.drain_patience
-            {
-                // Drain starvation: the control message this bolt is owed
-                // was lost (dropped by the fault plan, or its sender died).
-                // Waiting longer cannot help — degrade so the run ends.
-                supervisor.degrade();
-                empty_polls = 0;
-            }
-            thread::sleep(std::time::Duration::from_micros(50));
-        }
-    }
-
-    drop((data_rx, ctl_rx));
-    let t0 = Instant::now();
-    let bolt = &mut supervisor.bolt;
-    let flush = catch_unwind(AssertUnwindSafe(|| bolt.on_flush(&mut emitter)));
-    busy += t0.elapsed();
-    if let Err(payload) = flush {
-        if is_injected(&*payload) {
-            ledger.faults_injected.fetch_add(1, Ordering::Relaxed);
-        }
-        ledger.degraded.lock().expect("ledger lock").push((c, t));
-        if let Some(cb) = &supervisor.on_degrade {
-            cb(c, t);
-        }
-    }
-    emitter.send_eos();
-    (c, t, processed, emitter.emitted, busy.as_secs_f64())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::threaded::{try_run_threaded_batched, BatchPolicy, ThreadedConfig, DRAIN_BURST};
     use crate::topology::{Grouping, TopologyBuilder};
+    use std::sync::mpsc;
     use std::sync::Mutex as StdMutex;
 
-    /// A checkpointable, replayable accumulator: sums values, emits the
-    /// running total on each barrier (multiples of 100), and can be killed.
+    /// Closed once the spout has emitted its whole stream; see [`Acc`].
+    type Gate = Arc<StdMutex<mpsc::Receiver<()>>>;
+
+    /// A checkpointable, replayable accumulator: folds values into an
+    /// *order-sensitive* running hash, emits it on each barrier (multiples
+    /// of 100), and can be killed. Any reordering or loss of its input
+    /// changes every later emission.
+    ///
+    /// Each instance holds its first message until the gate closes, so the
+    /// whole stream is queued in its inbox before anything is processed:
+    /// every receive then drains a full burst, whatever the scheduler does.
     struct Acc {
         sum: u64,
+        gate: Option<Gate>,
     }
 
     impl Bolt<u64> for Acc {
         fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
+            if let Some(gate) = self.gate.take() {
+                // Err = sender dropped = stream fully emitted
+                let _ = gate.lock().unwrap().recv();
+            }
             if m.is_multiple_of(100) {
                 out.emit("totals", self.sum);
             } else {
-                self.sum += m;
+                self.sum = self.sum.wrapping_mul(31).wrapping_add(m);
             }
         }
         fn checkpoint(&self) -> Option<Box<dyn std::any::Any + Send>> {
@@ -845,10 +537,6 @@ mod tests {
         }
     }
 
-    fn barrier_policy() -> BatchPolicy<u64> {
-        BatchPolicy::new(8, |m: &u64| m.is_multiple_of(100))
-    }
-
     /// The barrier-emitting totals an unfaulted run produces for 1..=500.
     fn oracle_totals() -> Vec<u64> {
         let mut acc = 0u64;
@@ -857,17 +545,38 @@ mod tests {
             if m.is_multiple_of(100) {
                 out.push(acc);
             } else {
-                acc += m;
+                acc = acc.wrapping_mul(31).wrapping_add(m);
             }
         }
         out
     }
 
-    fn faulted_run(faults: Vec<FaultSpec>, restart: RestartPolicy) -> (Vec<u64>, SupervisedStats) {
+    /// src (1..=500) → acc → sink at batch depth `depth`; returns what the
+    /// sink saw, in order, and the run's stats.
+    fn acc_run(depth: usize, supervision: Option<SuperviseConfig>) -> (Vec<u64>, ThreadStats) {
         let seen: Arc<StdMutex<Vec<u64>>> = Arc::new(StdMutex::new(Vec::new()));
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let gate: Gate = Arc::new(StdMutex::new(gate_rx));
         let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 1, |_| Box::new(1u64..=500));
-        let acc = tb.add_bolt("acc", 1, |_| Box::new(Acc { sum: 0 }) as Box<dyn Bolt<u64>>);
+        let mut gate_tx = Some(gate_tx);
+        let src = tb.add_spout("src", 1, move |_| {
+            // Pulling past the last message closes the gate. 500 is a
+            // barrier, so by then every message has left the emitter's
+            // buffers for acc's inbox.
+            let mut gate_tx = gate_tx.take();
+            Box::new((1u64..).take_while(move |&m| {
+                if m > 500 {
+                    gate_tx.take();
+                }
+                m <= 500
+            }))
+        });
+        let acc = tb.add_bolt("acc", 1, move |_| {
+            Box::new(Acc {
+                sum: 0,
+                gate: Some(gate.clone()),
+            }) as Box<dyn Bolt<u64>>
+        });
         let sink = {
             let seen = seen.clone();
             tb.add_bolt("sink", 1, move |_| {
@@ -877,36 +586,61 @@ mod tests {
         assert_eq!(acc, 1);
         tb.connect(src, "out", acc, Grouping::Shuffle);
         tb.connect(acc, "totals", sink, Grouping::Global);
-        let result = run_threaded_supervised(
+        let stats = try_run_threaded_batched(
             tb.build(),
-            ThreadedConfig::default(),
-            barrier_policy(),
-            SuperviseConfig {
-                restart,
-                faults,
-                ..SuperviseConfig::default()
+            ThreadedConfig {
+                supervision,
+                ..ThreadedConfig::default()
             },
+            BatchPolicy::new(depth, |m: &u64| m.is_multiple_of(100)),
         )
-        .expect("supervised run");
+        .expect("run");
         let totals = seen.lock().unwrap().clone();
-        (totals, result)
+        (totals, stats)
+    }
+
+    fn kill_acc_after(after_messages: u64) -> Option<SuperviseConfig> {
+        Some(SuperviseConfig {
+            faults: vec![FaultSpec::KillTask {
+                component: 1,
+                task: 0,
+                after_messages,
+            }],
+            ..SuperviseConfig::default()
+        })
     }
 
     #[test]
     fn kill_recovers_from_checkpoint_and_replay_byte_identically() {
-        let (totals, stats) = faulted_run(
-            vec![FaultSpec::KillTask {
-                component: 1,
-                task: 0,
-                after_messages: 250,
-            }],
-            RestartPolicy::default(),
-        );
+        let (totals, stats) = acc_run(8, kill_acc_after(250));
         assert_eq!(totals, oracle_totals(), "replayed run must match oracle");
         assert_eq!(stats.faults_injected, 1);
         assert_eq!(stats.tasks_restarted, 1);
         assert!(stats.rounds_replayed >= 1);
         assert!(stats.degraded_tasks.is_empty());
+    }
+
+    #[test]
+    fn kill_anywhere_in_a_drained_burst_preserves_fifo_order() {
+        // The whole stream sits in acc's inbox before it processes anything
+        // (see `Acc`), so each receive drains a full burst and a kill
+        // position swept over one burst window lands mid-burst: the restart
+        // queues the replay, and the rest of the burst must park *behind*
+        // it. Processing it first would reorder acc's input, which the
+        // order-sensitive hash shows in every later total.
+        let kills = 201..=200 + DRAIN_BURST as u64;
+        assert_eq!(kills.clone().count(), DRAIN_BURST);
+        for depth in [1usize, 8, 32] {
+            for after in kills.clone() {
+                let (totals, stats) = acc_run(depth, kill_acc_after(after));
+                assert_eq!(
+                    totals,
+                    oracle_totals(),
+                    "depth {depth}, kill after {after}: sink sequence diverged"
+                );
+                assert_eq!((stats.faults_injected, stats.tasks_restarted), (1, 1));
+            }
+        }
     }
 
     #[test]
@@ -923,17 +657,19 @@ mod tests {
         let src = tb.add_spout("src", 1, |_| Box::new(0u64..50));
         let bad = tb.add_bolt("bad", 1, |_| Box::new(Always) as Box<dyn Bolt<u64>>);
         tb.connect(src, "out", bad, Grouping::Shuffle);
-        let stats = run_threaded_supervised(
+        let stats = try_run_threaded_batched(
             tb.build(),
-            ThreadedConfig::default(),
-            BatchPolicy::new(1, |_| false),
-            SuperviseConfig {
-                restart: RestartPolicy {
-                    max_restarts: 1,
-                    backoff_base: 4,
-                },
-                ..SuperviseConfig::default()
+            ThreadedConfig {
+                supervision: Some(SuperviseConfig {
+                    restart: RestartPolicy {
+                        max_restarts: 1,
+                        backoff_base: 4,
+                    },
+                    ..SuperviseConfig::default()
+                }),
+                ..ThreadedConfig::default()
             },
+            BatchPolicy::new(1, |_| false),
         )
         .expect("supervised run");
         assert_eq!(stats.degraded_tasks, vec![(bad, 0)]);
@@ -978,19 +714,21 @@ mod tests {
         tb.connect(src, "out", waiter, Grouping::Shuffle);
         tb.connect(waiter, "ask", replier, Grouping::Shuffle);
         tb.connect_feedback(replier, "reply", waiter, Grouping::Shuffle);
-        let stats = run_threaded_supervised(
+        let stats = try_run_threaded_batched(
             tb.build(),
-            ThreadedConfig::default(),
-            BatchPolicy::new(1, |_| false),
-            SuperviseConfig {
-                faults: vec![FaultSpec::DropControl {
-                    component: waiter,
-                    task: 0,
-                    nth: 1,
-                }],
-                drain_patience: 200, // ≈10ms of silence, keeps the test fast
-                ..SuperviseConfig::default()
+            ThreadedConfig {
+                supervision: Some(SuperviseConfig {
+                    faults: vec![FaultSpec::DropControl {
+                        component: waiter,
+                        task: 0,
+                        nth: 1,
+                    }],
+                    drain_patience: 200, // ≈10ms of silence, keeps the test fast
+                    ..SuperviseConfig::default()
+                }),
+                ..ThreadedConfig::default()
             },
+            BatchPolicy::new(1, |_| false),
         )
         .expect("supervised run");
         assert_eq!(stats.faults_injected, 1);
@@ -999,13 +737,25 @@ mod tests {
 
     #[test]
     fn fault_free_supervised_run_matches_the_bare_runtime() {
-        let (totals, stats) = faulted_run(Vec::new(), RestartPolicy::default());
+        let (bare_totals, bare) = acc_run(8, None);
+        let (totals, supervised) = acc_run(8, Some(SuperviseConfig::default()));
+        assert_eq!(bare_totals, oracle_totals());
         assert_eq!(totals, oracle_totals());
-        assert_eq!(stats.faults_injected, 0);
-        assert_eq!(stats.tasks_restarted, 0);
-        assert_eq!(stats.rounds_replayed, 0);
-        assert!(stats.degraded_tasks.is_empty());
-        assert_eq!(stats.stats.processed[1], 500);
+        assert_eq!(supervised.processed, vec![500, 500, 5]);
+        for stats in [&bare, &supervised] {
+            assert_eq!(stats.processed, bare.processed);
+            assert_eq!(stats.emitted, bare.emitted);
+            assert_eq!(
+                (
+                    stats.faults_injected,
+                    stats.tasks_restarted,
+                    stats.rounds_replayed,
+                    stats.send_timeouts,
+                ),
+                (0, 0, 0, 0)
+            );
+            assert!(stats.degraded_tasks.is_empty());
+        }
     }
 
     /// A spout kill truncates the stream but the run still terminates with
@@ -1022,18 +772,20 @@ mod tests {
             })
         };
         tb.connect(src, "out", sink, Grouping::Shuffle);
-        let stats = run_threaded_supervised(
+        let stats = try_run_threaded_batched(
             tb.build(),
-            ThreadedConfig::default(),
-            BatchPolicy::new(8, |_| false),
-            SuperviseConfig {
-                faults: vec![FaultSpec::KillTask {
-                    component: src,
-                    task: 0,
-                    after_messages: 100,
-                }],
-                ..SuperviseConfig::default()
+            ThreadedConfig {
+                supervision: Some(SuperviseConfig {
+                    faults: vec![FaultSpec::KillTask {
+                        component: src,
+                        task: 0,
+                        after_messages: 100,
+                    }],
+                    ..SuperviseConfig::default()
+                }),
+                ..ThreadedConfig::default()
             },
+            BatchPolicy::new(8, |_| false),
         )
         .expect("supervised run");
         assert_eq!(stats.faults_injected, 1);

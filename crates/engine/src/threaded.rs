@@ -9,7 +9,7 @@
 //! flushed (bolt), broadcasts one `Eos` marker over each *non-feedback*
 //! outgoing edge. A bolt task flushes after collecting `Eos` from every
 //! upstream producer task — then keeps draining its feedback inbox until
-//! [`Bolt::drained`](crate::topology::Bolt::drained) holds, so in-flight peer-to-peer control exchanges
+//! [`Bolt::drained`] holds, so in-flight peer-to-peer control exchanges
 //! (live state migrations) finish before the flush. Feedback edges never
 //! carry `Eos` (they'd form a cycle) — messages arriving on them after a
 //! task finally shuts down are dropped, mirroring a Storm worker ignoring
@@ -17,10 +17,10 @@
 //!
 //! # Channel batching
 //!
-//! With a [`BatchPolicy`] (see [`run_threaded_batched`]), high-volume data
-//! messages are accumulated into per-destination batch envelopes instead of
-//! paying one channel send per message. Correctness is preserved by the
-//! flush rules:
+//! Every run carries a [`BatchPolicy`] (see [`run_threaded_batched`]):
+//! high-volume data messages are accumulated into per-destination batch
+//! envelopes instead of paying one channel send per message (depth 1 sends
+//! one message per envelope). Correctness is preserved by the flush rules:
 //!
 //! * all edges from one producer task to one consumer task share a single
 //!   batch buffer (they already share the consumer's FIFO inbox), so batching
@@ -32,20 +32,32 @@
 //! * `Eos` flushes everything, so shutdown sees the complete stream;
 //! * feedback edges never batch — they carry low-volume control messages
 //!   whose latency bounds the repartition/migration protocols.
+//!
+//! # Supervision
+//!
+//! There is one task loop (`BoltTask::run`). With
+//! [`ThreadedConfig::supervision`] unset it calls the operator callbacks
+//! directly and a panic unwinds to the join path, failing the run with a
+//! [`RunError`]. With it set, the same loop routes every envelope through a
+//! per-task supervisor (`catch_unwind`, checkpointed restarts, replay,
+//! degradation — see [`crate::supervise`]).
 
-use crate::topology::{ComponentId, ComponentKind, Emitter, Grouping, Topology};
-use crossbeam::channel::{bounded, unbounded, ChannelCounters, Receiver, Sender, TrySendError};
-use std::sync::Arc;
+use crate::supervise::{SuperviseConfig, Supervisor, TaskSupervisor};
+use crate::topology::{Bolt, ComponentId, ComponentKind, Emitter, Grouping, Spout, Topology};
+use crossbeam::channel::{
+    bounded, unbounded, ChannelCounters, Receiver, Sender, TryRecvError, TrySendError,
+};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// Structured failure of a threaded run — *which* operator died and why,
 /// instead of a bare panic message out of a `join().expect(..)`.
 ///
-/// Returned by the fallible entry points ([`try_run_threaded`],
-/// [`try_run_threaded_with`], [`try_run_threaded_batched`]) and by the
-/// supervised runtime when a failure exhausts its handling. The infallible
-/// `run_threaded*` wrappers panic with the `Display` rendering.
+/// Returned by [`try_run_threaded_batched`]; [`run_threaded_batched`]
+/// panics with the `Display` rendering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// A task thread panicked (and no supervisor absorbed it).
@@ -75,13 +87,6 @@ pub enum RunError {
         /// The configured number of tries that were exhausted.
         tries: u64,
     },
-    /// Internal invariant: a task's receiver pair was claimed twice.
-    ReceiverTaken {
-        /// Component id.
-        id: ComponentId,
-        /// Task index.
-        task: usize,
-    },
 }
 
 impl std::fmt::Display for RunError {
@@ -104,9 +109,6 @@ impl std::fmt::Display for RunError {
                 "send into component {to}'s inbox timed out after {tries} tries \
                  (downstream task wedged?)"
             ),
-            RunError::ReceiverTaken { id, task } => {
-                write!(f, "receiver of component {id} task {task} taken twice")
-            }
         }
     }
 }
@@ -157,10 +159,24 @@ pub struct ThreadStats {
     /// tasks parked waiting for input (empty inboxes). A `select!` park
     /// observing both inboxes counts once per observed channel.
     pub channel_recv_waits: Vec<u64>,
+    /// Faults fired by the [`FaultSpec`](crate::FaultSpec) schedule (kills,
+    /// drops) plus any topology-level injected panics (payload prefixed
+    /// `"injected fault"`). This and the four counters below stay zero
+    /// (empty) when [`ThreadedConfig::supervision`] is unset.
+    pub faults_injected: u64,
+    /// Successful restarts (rebuild + restore) performed.
+    pub tasks_restarted: u64,
+    /// Recoveries that re-fed a replay buffer (one open round's tail each).
+    pub rounds_replayed: u64,
+    /// Tasks that exhausted their restart budget (or starved in the drain)
+    /// and were tombstoned; sorted, distinct.
+    pub degraded_tasks: Vec<(ComponentId, usize)>,
+    /// Send-timeout faults absorbed by supervision.
+    pub send_timeouts: u64,
 }
 
 /// Tunables of the threaded runtime.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ThreadedConfig {
     /// Capacity of each bolt task's inbox. Bounded inboxes give
     /// *backpressure*: fast producers block until consumers catch up, like a
@@ -177,6 +193,12 @@ pub struct ThreadedConfig {
     /// lock-acquiring retries. `None` (the default) blocks forever, the
     /// classical backpressure behaviour.
     pub send_tries: Option<u64>,
+    /// `Some` runs every task under supervision: callbacks in
+    /// `catch_unwind`, bounded restarts from barrier checkpoints, graceful
+    /// degradation, and the config's deterministic fault schedule. `None`
+    /// (the default) calls the callbacks bare — a panicking task fails the
+    /// run with a [`RunError`].
+    pub supervision: Option<SuperviseConfig>,
 }
 
 impl Default for ThreadedConfig {
@@ -184,6 +206,7 @@ impl Default for ThreadedConfig {
         ThreadedConfig {
             inbox_capacity: 1024,
             send_tries: None,
+            supervision: None,
         }
     }
 }
@@ -204,12 +227,7 @@ pub(crate) enum Envelope<M> {
 /// turns into a structured failure. The budgeted path rides the channel's
 /// wait-set primitive: one registration, woken when a slot frees, instead
 /// of `tries` lock-acquiring retry rounds.
-pub(crate) fn deliver<M>(
-    tries: Option<u64>,
-    to: ComponentId,
-    sender: &Sender<Envelope<M>>,
-    env: Envelope<M>,
-) {
+fn deliver<M>(tries: Option<u64>, to: ComponentId, sender: &Sender<Envelope<M>>, env: Envelope<M>) {
     let Some(tries) = tries else {
         let _ = sender.send(env);
         return;
@@ -262,7 +280,7 @@ impl<M> BatchPolicy<M> {
 /// bounded lock-free channel (the same MPMC ring as the data edges), so a
 /// get/put is one CAS; an empty pool falls back to a fresh allocation and a
 /// full pool lets the returned vector drop.
-pub(crate) struct BatchPool<M> {
+struct BatchPool<M> {
     tx: Sender<Vec<M>>,
     rx: Receiver<Vec<M>>,
     max_batch: usize,
@@ -273,18 +291,18 @@ impl<M> BatchPool<M> {
     /// vectors are simply freed.
     const POOL_SLOTS: usize = 256;
 
-    pub(crate) fn new(max_batch: usize) -> Arc<Self> {
+    fn new(max_batch: usize) -> Arc<Self> {
         let (tx, rx) = bounded(Self::POOL_SLOTS);
         Arc::new(BatchPool { tx, rx, max_batch })
     }
 
-    pub(crate) fn get(&self) -> Vec<M> {
+    fn get(&self) -> Vec<M> {
         self.rx
             .try_recv()
             .unwrap_or_else(|_| Vec::with_capacity(self.max_batch))
     }
 
-    pub(crate) fn put(&self, mut spent: Vec<M>) {
+    fn put(&self, mut spent: Vec<M>) {
         spent.clear();
         if spent.capacity() == 0 {
             return;
@@ -293,14 +311,17 @@ impl<M> BatchPool<M> {
     }
 }
 
-pub(crate) struct EdgeRt<M> {
-    pub(crate) stream: &'static str,
-    pub(crate) to: ComponentId,
-    pub(crate) grouping: Grouping<M>,
-    pub(crate) feedback: bool,
+struct EdgeRt<M> {
+    stream: &'static str,
+    to: ComponentId,
+    grouping: Grouping<M>,
+    feedback: bool,
     /// One sender per consumer task.
-    pub(crate) senders: Vec<Sender<Envelope<M>>>,
+    senders: Vec<Sender<Envelope<M>>>,
 }
+
+/// One producer component's routing table, shared across its tasks.
+type Routes<M> = Arc<Vec<EdgeRt<M>>>;
 
 /// One destination's (consumer task's) outgoing batch accumulator.
 struct BatchBuf<M> {
@@ -309,55 +330,99 @@ struct BatchBuf<M> {
     buf: Vec<M>,
 }
 
-/// Task-local batching state: one buffer per *distinct* non-feedback
-/// destination task, shared by every edge pointing at it.
-struct Batching<M> {
+/// Slot marker for destinations that never batch (feedback edges).
+const UNBATCHED: usize = usize::MAX;
+
+/// A task's outgoing side: one batch buffer per *distinct* non-feedback
+/// destination task (shared by every edge pointing at it), the send mode,
+/// and the count of messages sent.
+struct Outbox<M> {
     max_batch: usize,
     barrier: Arc<dyn Fn(&M) -> bool + Send + Sync>,
     bufs: Vec<BatchBuf<M>>,
     /// Topology-wide recycler the flush paths draw replacement buffers
     /// from, fed by consumers returning spent batch vectors.
     pool: Arc<BatchPool<M>>,
+    /// Send-timeout mode ([`ThreadedConfig::send_tries`]).
+    tries: Option<u64>,
+    /// Data messages sent (buffered or delivered).
+    emitted: u64,
 }
 
-/// Flush every pending batch buffer (barrier messages and Eos call this).
-fn flush_all_batches<M>(tries: Option<u64>, batching: &mut Option<Batching<M>>) {
-    if let Some(b) = batching {
-        for d in &mut b.bufs {
-            if !d.buf.is_empty() {
-                let batch = std::mem::replace(&mut d.buf, b.pool.get());
-                deliver(tries, d.to, &d.sender, Envelope::Batch(batch));
+impl<M> Outbox<M> {
+    /// Send buffer `slot` as one batch envelope.
+    fn flush(&mut self, slot: usize) {
+        let dest = &mut self.bufs[slot];
+        let batch = std::mem::replace(&mut dest.buf, self.pool.get());
+        deliver(self.tries, dest.to, &dest.sender, Envelope::Batch(batch));
+    }
+
+    /// Flush every pending batch buffer (barrier messages and Eos call this).
+    fn flush_all(&mut self) {
+        for slot in 0..self.bufs.len() {
+            if !self.bufs[slot].buf.is_empty() {
+                self.flush(slot);
             }
         }
     }
-}
 
-/// Send `msg` to one destination: buffered when batching applies to this
-/// destination (`slot`), directly otherwise. Send errors mean the consumer
-/// already shut down (possible only on feedback paths) — dropped silently,
-/// mirroring a Storm worker ignoring tuples for a dead executor.
-#[allow(clippy::too_many_arguments)]
-fn dispatch<M>(
-    tries: Option<u64>,
-    to: ComponentId,
-    batching: &mut Option<Batching<M>>,
-    slot: usize,
-    sender: &Sender<Envelope<M>>,
-    msg: M,
-    batch_this: bool,
-) {
-    if batch_this && slot != UNBATCHED {
-        if let Some(b) = batching {
-            let dest = &mut b.bufs[slot];
-            dest.buf.push(msg);
-            if dest.buf.len() >= b.max_batch {
-                let batch = std::mem::replace(&mut dest.buf, b.pool.get());
-                deliver(tries, dest.to, &dest.sender, Envelope::Batch(batch));
+    /// Send `msg` to one destination: buffered when batching applies to this
+    /// destination (`slot`), directly otherwise. Send errors mean the
+    /// consumer already shut down (possible only on feedback paths) —
+    /// dropped silently, mirroring a Storm worker ignoring tuples for a dead
+    /// executor.
+    fn send(
+        &mut self,
+        to: ComponentId,
+        slot: usize,
+        sender: &Sender<Envelope<M>>,
+        msg: M,
+        batch_this: bool,
+    ) {
+        self.emitted += 1;
+        if batch_this && slot != UNBATCHED {
+            let buf = &mut self.bufs[slot].buf;
+            buf.push(msg);
+            if buf.len() >= self.max_batch {
+                self.flush(slot);
             }
+        } else {
+            deliver(self.tries, to, sender, Envelope::Data(msg));
+        }
+    }
+
+    /// Send a whole batch to one destination: full batches bypass the
+    /// buffer as one envelope; partial ones append to it (one `extend`, no
+    /// per-message dispatch), flushing first if they would overflow it.
+    /// Keeps the channel-operation count of the buffered path while
+    /// skipping its per-message barrier checks and pushes.
+    fn send_batch(
+        &mut self,
+        to: ComponentId,
+        slot: usize,
+        sender: &Sender<Envelope<M>>,
+        mut msgs: Vec<M>,
+    ) {
+        self.emitted += msgs.len() as u64;
+        if slot == UNBATCHED {
+            deliver(self.tries, to, sender, Envelope::Batch(msgs));
             return;
         }
+        let pending = self.bufs[slot].buf.len();
+        if pending > 0 && pending + msgs.len() > self.max_batch {
+            self.flush(slot);
+        }
+        if msgs.len() >= self.max_batch {
+            deliver_chunked(self.tries, to, sender, msgs, self.max_batch);
+        } else {
+            let buf = &mut self.bufs[slot].buf;
+            buf.append(&mut msgs);
+            self.pool.put(msgs);
+            if buf.len() >= self.max_batch {
+                self.flush(slot);
+            }
+        }
     }
-    deliver(tries, to, sender, Envelope::Data(msg));
 }
 
 /// Deliver an oversized batch as a burst of `max_batch`-sized envelopes
@@ -378,15 +443,6 @@ fn deliver_chunked<M>(
         return;
     }
     let mut iter = msgs.into_iter();
-    if tries.is_some() {
-        loop {
-            let chunk: Vec<M> = iter.by_ref().take(max_batch).collect();
-            if chunk.is_empty() {
-                return;
-            }
-            deliver(tries, to, sender, Envelope::Batch(chunk));
-        }
-    }
     let mut envs: Vec<Envelope<M>> = Vec::with_capacity(iter.len() / max_batch + 1);
     loop {
         let chunk: Vec<M> = iter.by_ref().take(max_batch).collect();
@@ -395,58 +451,25 @@ fn deliver_chunked<M>(
         }
         envs.push(Envelope::Batch(chunk));
     }
-    // A disconnect mid-burst means the consumer shut down: dropped
-    // silently, exactly like the single-envelope path.
-    let _ = sender.send_many(envs);
-}
-
-/// Deliver a whole batch to one destination: full batches bypass the
-/// buffer as one envelope; partial ones append to it (one `extend`, no
-/// per-message dispatch), flushing first if they would overflow it. Keeps
-/// the channel-operation count of the buffered path while skipping its
-/// per-message barrier checks and pushes.
-fn dispatch_batch<M>(
-    tries: Option<u64>,
-    to: ComponentId,
-    batching: &mut Option<Batching<M>>,
-    slot: usize,
-    sender: &Sender<Envelope<M>>,
-    mut msgs: Vec<M>,
-) {
-    if slot != UNBATCHED {
-        if let Some(b) = batching {
-            let dest = &mut b.bufs[slot];
-            if !dest.buf.is_empty() && dest.buf.len() + msgs.len() > b.max_batch {
-                let batch = std::mem::replace(&mut dest.buf, b.pool.get());
-                deliver(tries, dest.to, &dest.sender, Envelope::Batch(batch));
-            }
-            if msgs.len() >= b.max_batch {
-                deliver_chunked(tries, dest.to, &dest.sender, msgs, b.max_batch);
-            } else {
-                dest.buf.append(&mut msgs);
-                b.pool.put(msgs);
-                if dest.buf.len() >= b.max_batch {
-                    let batch = std::mem::replace(&mut dest.buf, b.pool.get());
-                    deliver(tries, dest.to, &dest.sender, Envelope::Batch(batch));
-                }
-            }
-            return;
+    if tries.is_some() {
+        for env in envs {
+            deliver(tries, to, sender, env);
         }
+    } else {
+        // A disconnect mid-burst means the consumer shut down: dropped
+        // silently, exactly like the single-envelope path.
+        let _ = sender.send_many(envs);
     }
-    deliver(tries, to, sender, Envelope::Batch(msgs));
 }
 
 /// Route one message over one non-direct edge, honouring per-destination
 /// batching — the shared per-message path of [`Emitter::emit`] and the
 /// spread-grouping arm of [`Emitter::emit_batch`].
-#[allow(clippy::too_many_arguments)]
 fn route_one<M: Clone>(
-    tries: Option<u64>,
     e: &EdgeRt<M>,
-    edge_slots: Option<&Vec<usize>>,
+    edge_slots: &[usize],
     counter: &mut usize,
-    batching: &mut Option<Batching<M>>,
-    emitted: &mut u64,
+    outbox: &mut Outbox<M>,
     msg: &M,
     barrier: bool,
 ) {
@@ -460,36 +483,16 @@ fn route_one<M: Clone>(
         Grouping::Global => 0,
         Grouping::Fields(f) => (f(msg) % p as u64) as usize,
         Grouping::All => {
-            for (task, s) in e.senders.iter().enumerate() {
-                let slot = edge_slots
-                    .and_then(|sl| sl.get(task))
-                    .copied()
-                    .unwrap_or(UNBATCHED);
-                dispatch(tries, e.to, batching, slot, s, msg.clone(), !barrier);
-                *emitted += 1;
+            for (s, &slot) in e.senders.iter().zip(edge_slots) {
+                outbox.send(e.to, slot, s, msg.clone(), !barrier);
             }
             return;
         }
         Grouping::Direct => unreachable!("filtered by callers"),
     };
-    let slot = edge_slots
-        .and_then(|sl| sl.get(task))
-        .copied()
-        .unwrap_or(UNBATCHED);
-    dispatch(
-        tries,
-        e.to,
-        batching,
-        slot,
-        &e.senders[task],
-        msg.clone(),
-        !barrier,
-    );
-    *emitted += 1;
+    let (slot, sender) = (edge_slots[task], &e.senders[task]);
+    outbox.send(e.to, slot, sender, msg.clone(), !barrier);
 }
-
-/// Slot marker for destinations that never batch (feedback edges).
-const UNBATCHED: usize = usize::MAX;
 
 /// Envelopes a bolt task drains from its data inbox per `select!` wakeup
 /// beyond the one the select returned: enough to empty a whole inbox of
@@ -498,17 +501,14 @@ const UNBATCHED: usize = usize::MAX;
 pub(crate) const DRAIN_BURST: usize = 32;
 
 pub(crate) struct ThreadedEmitter<M> {
-    pub(crate) edges: Arc<Vec<EdgeRt<M>>>,
+    edges: Routes<M>,
     /// Per-edge, per-consumer-task batch buffer index ([`UNBATCHED`] for
-    /// feedback edges). Empty when batching is off.
+    /// feedback edges).
     slots: Vec<Vec<usize>>,
-    batching: Option<Batching<M>>,
+    outbox: Outbox<M>,
     /// Per-edge round-robin counters (task-local; seeded by task index so
     /// parallel producers interleave over consumers).
     shuffle_counters: Vec<usize>,
-    pub(crate) emitted: u64,
-    /// Send-timeout mode ([`ThreadedConfig::send_tries`]).
-    send_tries: Option<u64>,
     /// Set whenever this emitter sends a barrier message (per the batching
     /// policy); the supervisor reads-and-clears it to learn that the bolt
     /// just completed a checkpointable unit of progress (e.g. a parser
@@ -517,111 +517,117 @@ pub(crate) struct ThreadedEmitter<M> {
 }
 
 impl<M> ThreadedEmitter<M> {
-    pub(crate) fn new(
-        edges: Arc<Vec<EdgeRt<M>>>,
+    fn new(
+        edges: Routes<M>,
         task: usize,
-        policy: Option<&BatchPolicy<M>>,
+        policy: &BatchPolicy<M>,
         send_tries: Option<u64>,
-        pool: Option<Arc<BatchPool<M>>>,
+        pool: Arc<BatchPool<M>>,
     ) -> Self {
         let n_edges = edges.len();
-        let (slots, batching) = match policy {
-            None => (Vec::new(), None),
-            Some(policy) => {
-                let pool = pool.unwrap_or_else(|| BatchPool::new(policy.max_batch));
-                let mut slots: Vec<Vec<usize>> = Vec::with_capacity(n_edges);
-                let mut bufs: Vec<BatchBuf<M>> = Vec::new();
-                let mut slot_of: std::collections::HashMap<(ComponentId, usize), usize> =
-                    std::collections::HashMap::new();
-                for e in edges.iter() {
-                    let mut edge_slots = Vec::with_capacity(e.senders.len());
-                    for (t, s) in e.senders.iter().enumerate() {
-                        if e.feedback {
-                            edge_slots.push(UNBATCHED);
-                            continue;
-                        }
-                        let slot = *slot_of.entry((e.to, t)).or_insert_with(|| {
-                            bufs.push(BatchBuf {
-                                to: e.to,
-                                sender: s.clone(),
-                                buf: pool.get(),
-                            });
-                            bufs.len() - 1
-                        });
-                        edge_slots.push(slot);
-                    }
-                    slots.push(edge_slots);
+        let mut slots: Vec<Vec<usize>> = Vec::with_capacity(n_edges);
+        let mut bufs: Vec<BatchBuf<M>> = Vec::new();
+        let mut slot_of: std::collections::HashMap<(ComponentId, usize), usize> =
+            std::collections::HashMap::new();
+        for e in edges.iter() {
+            let mut edge_slots = Vec::with_capacity(e.senders.len());
+            for (t, s) in e.senders.iter().enumerate() {
+                if e.feedback {
+                    edge_slots.push(UNBATCHED);
+                    continue;
                 }
-                (
-                    slots,
-                    Some(Batching {
-                        max_batch: policy.max_batch,
-                        barrier: policy.barrier.clone(),
-                        bufs,
-                        pool,
-                    }),
-                )
+                let slot = *slot_of.entry((e.to, t)).or_insert_with(|| {
+                    bufs.push(BatchBuf {
+                        to: e.to,
+                        sender: s.clone(),
+                        buf: pool.get(),
+                    });
+                    bufs.len() - 1
+                });
+                edge_slots.push(slot);
             }
-        };
+            slots.push(edge_slots);
+        }
         ThreadedEmitter {
             edges,
             slots,
-            batching,
+            outbox: Outbox {
+                max_batch: policy.max_batch,
+                barrier: policy.barrier.clone(),
+                bufs,
+                pool,
+                tries: send_tries,
+                emitted: 0,
+            },
             shuffle_counters: vec![task; n_edges],
-            emitted: 0,
-            send_tries,
             barrier_emitted: false,
         }
     }
 
-    fn slot(&self, edge: usize, task: usize) -> usize {
-        self.slots
-            .get(edge)
-            .and_then(|s| s.get(task))
-            .copied()
-            .unwrap_or(UNBATCHED)
+    /// True for a barrier message, which first flushes every buffer this
+    /// emitter holds (so nothing it must causally follow is left behind)
+    /// and then travels unbatched.
+    fn flush_if_barrier(&mut self, msg: &M) -> bool {
+        let barrier = (self.outbox.barrier)(msg);
+        if barrier {
+            self.barrier_emitted = true;
+            self.outbox.flush_all();
+        }
+        barrier
+    }
+
+    /// Index of the declared Direct edge `stream` → `to`; an undeclared one
+    /// fails the task with [`RunError::UndeclaredDirectEdge`].
+    fn direct_edge(&self, stream: &'static str, to: ComponentId) -> usize {
+        self.edges
+            .iter()
+            .position(|e| {
+                e.stream == stream && e.to == to && matches!(e.grouping, Grouping::Direct)
+            })
+            .unwrap_or_else(|| std::panic::panic_any(RunError::UndeclaredDirectEdge { stream, to }))
+    }
+
+    /// Flush pending batches, then broadcast `Eos` over all non-feedback
+    /// edges; returns the number of data messages this emitter sent. Eos
+    /// delivery always blocks (never times out): shutdown correctness must
+    /// not depend on the send-timeout tuning.
+    fn send_eos(mut self) -> u64 {
+        self.outbox.tries = None;
+        self.outbox.flush_all();
+        for e in self.edges.iter().filter(|e| !e.feedback) {
+            for s in &e.senders {
+                let _ = s.send(Envelope::Eos);
+            }
+        }
+        self.outbox.emitted
     }
 }
 
 impl<M: Clone> Emitter<M> for ThreadedEmitter<M> {
     fn recycle(&mut self, spent: Vec<M>) {
-        if let Some(b) = &self.batching {
-            b.pool.put(spent);
-        }
+        self.outbox.pool.put(spent);
     }
 
     fn emit(&mut self, stream: &'static str, msg: M) {
-        let barrier = match &self.batching {
-            Some(b) => (b.barrier)(&msg),
-            None => false,
-        };
-        if barrier {
-            self.barrier_emitted = true;
-            flush_all_batches(self.send_tries, &mut self.batching);
-        }
+        let barrier = self.flush_if_barrier(&msg);
         let ThreadedEmitter {
             edges,
             slots,
-            batching,
+            outbox,
             shuffle_counters,
-            emitted,
-            send_tries,
             ..
         } = self;
         for (i, e) in edges.iter().enumerate() {
-            if e.stream != stream || matches!(e.grouping, Grouping::Direct) {
-                continue;
+            if e.stream == stream && !matches!(e.grouping, Grouping::Direct) {
+                route_one(
+                    e,
+                    &slots[i],
+                    &mut shuffle_counters[i],
+                    outbox,
+                    &msg,
+                    barrier,
+                );
             }
-            route_one(
-                *send_tries,
-                e,
-                slots.get(i),
-                &mut shuffle_counters[i],
-                batching,
-                emitted,
-                &msg,
-                barrier,
-            );
         }
     }
 
@@ -631,11 +637,7 @@ impl<M: Clone> Emitter<M> for ThreadedEmitter<M> {
         }
         // The fast path requires every message to be batchable; callers
         // only pass per-tuple data, but fall back rather than trust them.
-        let fallback = match &self.batching {
-            Some(b) => msgs.iter().any(|m| (b.barrier)(m)),
-            None => true, // unbatched runtime: keep per-message envelopes
-        };
-        if fallback {
+        if msgs.iter().any(|m| (self.outbox.barrier)(m)) {
             for m in msgs {
                 self.emit(stream, m);
             }
@@ -644,10 +646,8 @@ impl<M: Clone> Emitter<M> for ThreadedEmitter<M> {
         let ThreadedEmitter {
             edges,
             slots,
-            batching,
+            outbox,
             shuffle_counters,
-            emitted,
-            send_tries,
             ..
         } = self;
         let matching: Vec<usize> = edges
@@ -674,25 +674,10 @@ impl<M: Clone> Emitter<M> for ThreadedEmitter<M> {
                 if matches!(e.grouping, Grouping::Shuffle) {
                     shuffle_counters[i] += batch.len();
                 }
-                *emitted += batch.len() as u64;
-                let slot = slots
-                    .get(i)
-                    .and_then(|s| s.first())
-                    .copied()
-                    .unwrap_or(UNBATCHED);
-                dispatch_batch(*send_tries, e.to, batching, slot, &e.senders[0], batch);
+                outbox.send_batch(e.to, slots[i][0], &e.senders[0], batch);
             } else {
                 for m in remaining.as_ref().expect("present until last").iter() {
-                    route_one(
-                        *send_tries,
-                        e,
-                        slots.get(i),
-                        &mut shuffle_counters[i],
-                        batching,
-                        emitted,
-                        m,
-                        false,
-                    );
+                    route_one(e, &slots[i], &mut shuffle_counters[i], outbox, m, false);
                 }
                 if last {
                     remaining = None;
@@ -711,418 +696,132 @@ impl<M: Clone> Emitter<M> for ThreadedEmitter<M> {
         if msgs.is_empty() {
             return;
         }
-        let fallback = match &self.batching {
-            Some(b) => msgs.iter().any(|m| (b.barrier)(m)),
-            None => false, // direct batches are fine unbatched: one envelope
-        };
-        if fallback {
+        if msgs.iter().any(|m| (self.outbox.barrier)(m)) {
             for m in msgs {
                 self.emit_direct(stream, to, task, m);
             }
             return;
         }
-        let edge_idx = self
-            .edges
-            .iter()
-            .position(|e| {
-                e.stream == stream && e.to == to && matches!(e.grouping, Grouping::Direct)
-            })
-            .unwrap_or_else(|| {
-                std::panic::panic_any(RunError::UndeclaredDirectEdge { stream, to })
-            });
-        self.emitted += msgs.len() as u64;
-        let slot = self.slot(edge_idx, task);
-        dispatch_batch(
-            self.send_tries,
-            to,
-            &mut self.batching,
-            slot,
-            &self.edges[edge_idx].senders[task],
-            msgs,
-        );
+        let edge = self.direct_edge(stream, to);
+        let (slot, sender) = (self.slots[edge][task], &self.edges[edge].senders[task]);
+        self.outbox.send_batch(to, slot, sender, msgs);
     }
 
     fn emit_direct(&mut self, stream: &'static str, to: ComponentId, task: usize, msg: M) {
-        let edge_idx = self
-            .edges
-            .iter()
-            .position(|e| {
-                e.stream == stream && e.to == to && matches!(e.grouping, Grouping::Direct)
-            })
-            .unwrap_or_else(|| {
-                std::panic::panic_any(RunError::UndeclaredDirectEdge { stream, to })
-            });
-        let barrier = match &self.batching {
-            Some(b) => (b.barrier)(&msg),
-            None => false,
-        };
-        if barrier {
-            self.barrier_emitted = true;
-            flush_all_batches(self.send_tries, &mut self.batching);
-        }
-        let slot = self.slot(edge_idx, task);
-        dispatch(
-            self.send_tries,
-            to,
-            &mut self.batching,
-            slot,
-            &self.edges[edge_idx].senders[task],
-            msg,
-            !barrier,
-        );
-        self.emitted += 1;
+        let edge = self.direct_edge(stream, to);
+        let barrier = self.flush_if_barrier(&msg);
+        let (slot, sender) = (self.slots[edge][task], &self.edges[edge].senders[task]);
+        self.outbox.send(to, slot, sender, msg, !barrier);
     }
 }
 
-impl<M> ThreadedEmitter<M> {
-    /// Flush pending batches, then broadcast `Eos` over all non-feedback
-    /// edges. Eos delivery always blocks (never times out): shutdown
-    /// correctness must not depend on the send-timeout tuning.
-    pub(crate) fn send_eos(&mut self) {
-        flush_all_batches(None, &mut self.batching);
-        for e in self.edges.iter().filter(|e| !e.feedback) {
-            for s in &e.senders {
-                let _ = s.send(Envelope::Eos);
-            }
-        }
-    }
-}
-
-/// Run `topology` to completion with one thread per task (default config).
-pub fn run_threaded<M: Clone + Send + 'static>(topology: Topology<M>) -> ThreadStats {
-    run_threaded_with(topology, ThreadedConfig::default())
-}
-
-/// Run `topology` with explicit runtime tunables (no channel batching).
-pub fn run_threaded_with<M: Clone + Send + 'static>(
-    topology: Topology<M>,
-    config: ThreadedConfig,
-) -> ThreadStats {
-    match run_threaded_inner(topology, config, None) {
-        Ok(stats) => stats,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Run `topology` with per-destination channel batching: data messages
-/// accumulate into batch envelopes, flushed on size (`policy.max_batch`),
-/// on every barrier message (`policy.barrier` — ticks, fences, control
-/// traffic), and at end-of-stream. See the module docs for why this cannot
-/// reorder a producer→consumer FIFO.
+/// Run `topology` to completion with one thread per task and
+/// per-destination channel batching: data messages accumulate into batch
+/// envelopes, flushed on size (`policy.max_batch`), on every barrier
+/// message (`policy.barrier` — ticks, fences, control traffic), and at
+/// end-of-stream. See the module docs for why this cannot reorder a
+/// producer→consumer FIFO. Panics with the [`RunError`] rendering if a
+/// task dies unabsorbed.
 pub fn run_threaded_batched<M: Clone + Send + 'static>(
     topology: Topology<M>,
     config: ThreadedConfig,
     policy: BatchPolicy<M>,
 ) -> ThreadStats {
-    match run_threaded_inner(topology, config, Some(policy)) {
+    match try_run_threaded_batched(topology, config, policy) {
         Ok(stats) => stats,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// Fallible [`run_threaded`]: a dead task surfaces as [`RunError`] naming
-/// the operator instead of a bare panic out of the join path.
-pub fn try_run_threaded<M: Clone + Send + 'static>(
-    topology: Topology<M>,
-) -> Result<ThreadStats, RunError> {
-    run_threaded_inner(topology, ThreadedConfig::default(), None)
-}
-
-/// Fallible [`run_threaded_with`].
-pub fn try_run_threaded_with<M: Clone + Send + 'static>(
-    topology: Topology<M>,
-    config: ThreadedConfig,
-) -> Result<ThreadStats, RunError> {
-    run_threaded_inner(topology, config, None)
-}
-
-/// Fallible [`run_threaded_batched`].
+/// Fallible [`run_threaded_batched`]: a dead task surfaces as [`RunError`]
+/// naming the operator instead of a bare panic out of the join path. Under
+/// [`ThreadedConfig::supervision`] every *supervised* outcome — including
+/// runs that degraded operators — is `Ok`.
+///
+/// This is the runtime: wire the topology, spawn one thread per task, join
+/// them all, and fold the per-task results, the channel counters and (when
+/// supervised) the supervisor's ledger into one [`ThreadStats`].
 pub fn try_run_threaded_batched<M: Clone + Send + 'static>(
-    topology: Topology<M>,
+    mut topology: Topology<M>,
     config: ThreadedConfig,
     policy: BatchPolicy<M>,
 ) -> Result<ThreadStats, RunError> {
-    run_threaded_inner(topology, config, Some(policy))
-}
-
-/// Per-task (data, control) inbox pairs, indexed `[component][task]`;
-/// `None` for spouts, taken exactly once by the task's thread.
-pub(crate) type InboxReceivers<M> =
-    Vec<Vec<Option<(Receiver<Envelope<M>>, Receiver<Envelope<M>>)>>>;
-
-/// Everything a runtime needs to execute a wired topology: per-task inbox
-/// receivers, per-task Eos quotas, and per-producer routing tables. Shared
-/// between the bare threaded runtime and the supervised one.
-pub(crate) struct Wiring<M> {
-    /// `receivers[c][t]`: the bolt task's (data, control) inbox pair,
-    /// `None` for spouts; taken exactly once by the task's thread.
-    pub(crate) receivers: InboxReceivers<M>,
-    /// Expected Eos per bolt task = Σ over non-feedback in-edges of the
-    /// producer's parallelism.
-    pub(crate) expected_eos: Vec<usize>,
-    /// Per-producer routing tables (shared across its tasks).
-    pub(crate) edges_of: Vec<Arc<Vec<EdgeRt<M>>>>,
-    /// Per-task (data inbox, control inbox) contention counter handles,
-    /// indexed like `receivers` (empty for spouts). Arc'd snapshots of the
-    /// channels' own counters: they stay readable after every endpoint is
-    /// dropped, which is how the run folds transport contention into
-    /// [`ThreadStats`] post-join.
-    pub(crate) counters: Vec<Vec<(ChannelCounters, ChannelCounters)>>,
-}
-
-/// Build channels and routing tables for `topology` (draining its edge
-/// list). Feedback edges send into the unbounded control inboxes;
-/// everything else into the bounded data inboxes.
-pub(crate) fn wire<M>(topology: &mut Topology<M>, capacity: usize) -> Wiring<M> {
     let n = topology.components.len();
-
-    // Two channels per bolt task: a bounded *data* inbox (backpressure) and
-    // an unbounded *control* inbox for feedback-edge messages.
-    type Outboxes<M> = Vec<Vec<(Sender<Envelope<M>>, Sender<Envelope<M>>)>>;
-    let mut receivers: InboxReceivers<M> = Vec::with_capacity(n);
-    let mut senders: Outboxes<M> = Vec::with_capacity(n);
-    let mut counters: Vec<Vec<(ChannelCounters, ChannelCounters)>> = Vec::with_capacity(n);
-    for spec in &topology.components {
-        let is_bolt = matches!(spec.kind, ComponentKind::Bolt(_));
-        let mut rx = Vec::new();
-        let mut tx = Vec::new();
-        let mut ct = Vec::new();
-        if is_bolt {
-            for _ in 0..spec.parallelism {
-                let (ds, dr) = bounded(capacity);
-                let (cs, cr) = unbounded();
-                ct.push((dr.counters(), cr.counters()));
-                tx.push((ds, cs));
-                rx.push(Some((dr, cr)));
-            }
-        }
-        receivers.push(rx);
-        senders.push(tx);
-        counters.push(ct);
-    }
-
+    // `inbox_capacity` is denominated in *messages*: each bounded-channel
+    // slot can carry up to `max_batch` of them, so the slot count shrinks
+    // accordingly. Otherwise batching would multiply the in-flight volume
+    // by the batch depth and control responses (partition installs,
+    // addition verdicts) would queue behind tens of thousands of buffered
+    // tuples instead of ~one inbox's worth.
+    let capacity = (config.inbox_capacity / policy.max_batch).max(1);
+    // Expected Eos per bolt task = Σ over non-feedback in-edges of the
+    // producer's parallelism.
     let mut expected_eos = vec![0usize; n];
     for e in topology.edges.iter().filter(|e| !e.feedback) {
         expected_eos[e.to] += topology.components[e.from].parallelism;
     }
-
-    let mut edges_of: Vec<Vec<EdgeRt<M>>> = (0..n).map(|_| Vec::new()).collect();
-    for e in topology.edges.drain(..) {
-        let feedback = e.feedback;
-        let routed: Vec<Sender<Envelope<M>>> = senders[e.to]
-            .iter()
-            .map(|pair| {
-                if feedback {
-                    pair.1.clone()
-                } else {
-                    pair.0.clone()
-                }
-            })
-            .collect();
-        edges_of[e.from].push(EdgeRt {
-            stream: e.stream,
-            to: e.to,
-            senders: routed,
-            grouping: e.grouping,
-            feedback,
-        });
-    }
-    let edges_of: Vec<Arc<Vec<EdgeRt<M>>>> = edges_of.into_iter().map(Arc::new).collect();
-
-    // `senders` must drop before the caller joins so channels disconnect
-    // when all producer threads finish.
-    drop(senders);
-
-    Wiring {
-        receivers,
-        expected_eos,
-        edges_of,
-        counters,
-    }
-}
-
-/// Derive the bounded-channel slot count from the configured capacity.
-/// `inbox_capacity` is denominated in *messages*: with batching, each
-/// bounded-channel slot can carry up to `max_batch` of them, so the slot
-/// count shrinks accordingly. Otherwise batching would multiply the
-/// in-flight volume by the batch depth and control responses (partition
-/// installs, addition verdicts) would queue behind tens of thousands of
-/// buffered tuples instead of ~one inbox's worth.
-pub(crate) fn slot_capacity<M>(config: &ThreadedConfig, policy: Option<&BatchPolicy<M>>) -> usize {
-    let per_slot = policy.map(|p| p.max_batch).unwrap_or(1);
-    (config.inbox_capacity / per_slot).max(1)
-}
-
-fn run_threaded_inner<M: Clone + Send + 'static>(
-    mut topology: Topology<M>,
-    config: ThreadedConfig,
-    policy: Option<BatchPolicy<M>>,
-) -> Result<ThreadStats, RunError> {
-    let n = topology.components.len();
-    let capacity = slot_capacity(&config, policy.as_ref());
-    let send_tries = config.send_tries;
-    let Wiring {
-        mut receivers,
-        expected_eos,
-        edges_of,
-        counters,
-    } = wire(&mut topology, capacity);
+    let (inboxes, edges_of) = wire(&mut topology, capacity);
     // One topology-wide recycler: spent batch vectors returned by consumers
     // become the producers' next flush buffers.
-    let pool = policy.as_ref().map(|p| BatchPool::new(p.max_batch));
+    let pool = BatchPool::new(policy.max_batch);
+    let supervisor = config.supervision.map(Supervisor::new);
 
-    // What each task thread reports back: (component, task, processed,
-    // emitted, busy seconds).
-    type TaskResult = (ComponentId, usize, u64, u64, f64);
-    let parallelism_of: Vec<usize> = topology.components.iter().map(|s| s.parallelism).collect();
-    let component_names: Vec<String> = topology
-        .components
-        .iter()
-        .map(|s| s.name.to_string())
-        .collect();
-    let mut handles: Vec<thread::JoinHandle<TaskResult>> = Vec::new();
-    // Identity of handles[i], for attributing a panicked join.
-    let mut identities: Vec<(ComponentId, usize)> = Vec::new();
-    for (c, spec) in topology.components.iter_mut().enumerate() {
-        let parallelism = spec.parallelism;
-        match &mut spec.kind {
-            ComponentKind::Spout(factory) => {
-                for t in 0..parallelism {
-                    let mut spout = factory(t);
-                    let edges = edges_of[c].clone();
-                    let policy = policy.clone();
-                    let pool = pool.clone();
-                    identities.push((c, t));
-                    handles.push(thread::spawn(move || {
-                        let mut emitter =
-                            ThreadedEmitter::new(edges, t, policy.as_ref(), send_tries, pool);
-                        let mut produced = 0u64;
-                        let start = Instant::now();
-                        while let Some(msg) = spout.next() {
-                            produced += 1;
-                            // spouts use their single declared stream
-                            let stream = emitter.edges.first().map(|e| e.stream).unwrap_or("out");
-                            debug_assert!(
-                                emitter.edges.iter().all(|e| e.stream == stream),
-                                "spouts must use a single stream"
-                            );
-                            emitter.emit(stream, msg);
-                        }
-                        let busy = start.elapsed().as_secs_f64();
-                        emitter.send_eos();
-                        (c, t, produced, emitter.emitted, busy)
-                    }));
+    let mut stats = ThreadStats {
+        processed: vec![0; n],
+        emitted: vec![0; n],
+        busy_seconds: vec![0.0; n],
+        task_busy_seconds: topology
+            .components
+            .iter()
+            .map(|s| vec![0.0; s.parallelism])
+            .collect(),
+        channel_send_waits: vec![0; n],
+        channel_recv_waits: vec![0; n],
+        ..ThreadStats::default()
+    };
+    let names: Vec<String> = topology.components.iter().map(|s| s.name.clone()).collect();
+
+    // (component, task, thread) per spawned task.
+    let mut handles: Vec<(ComponentId, usize, thread::JoinHandle<TaskResult>)> = Vec::new();
+    // Contention counter handles of every inbox, by component. Arc'd
+    // snapshots of the channels' own counters: they stay readable after
+    // every endpoint is dropped, which is how the run folds transport
+    // contention into the stats post-join.
+    let mut counters: Vec<(ComponentId, ChannelCounters)> = Vec::new();
+    for (c, (spec, task_inboxes)) in topology.components.into_iter().zip(inboxes).enumerate() {
+        let emitter_for = |t: usize| {
+            ThreadedEmitter::new(
+                edges_of[c].clone(),
+                t,
+                &policy,
+                config.send_tries,
+                pool.clone(),
+            )
+        };
+        match spec.kind {
+            ComponentKind::Spout(mut factory) => {
+                for t in 0..spec.parallelism {
+                    let (spout, emitter) = (factory(t), emitter_for(t));
+                    let supervisor = supervisor.clone();
+                    let body = move || run_spout_task(c, t, spout, emitter, supervisor);
+                    handles.push((c, t, thread::spawn(body)));
                 }
             }
             ComponentKind::Bolt(factory) => {
-                #[allow(clippy::needless_range_loop)] // t also names the task
-                for t in 0..parallelism {
-                    let mut bolt = factory(t);
-                    let Some((data_rx, ctl_rx)) = receivers[c][t].take() else {
-                        return Err(RunError::ReceiverTaken { id: c, task: t });
-                    };
-                    let edges = edges_of[c].clone();
-                    let policy = policy.clone();
-                    let pool = pool.clone();
+                // Shared with the task supervisors, which rebuild a failed
+                // task's bolt from it.
+                let factory = Arc::new(Mutex::new(factory));
+                for (t, inbox) in task_inboxes.into_iter().enumerate() {
+                    counters.push((c, inbox.0.counters()));
+                    counters.push((c, inbox.1.counters()));
+                    let bolt = (factory.lock().expect("factory lock"))(t);
+                    let supervisor = supervisor.as_ref().map(|s| {
+                        let barrier = policy.barrier.clone();
+                        TaskSupervisor::new(s.clone(), c, t, factory.clone(), &*bolt, barrier)
+                    });
+                    let task = BoltTask::new(bolt, emitter_for(t), supervisor);
                     let quota = expected_eos[c];
-                    identities.push((c, t));
-                    handles.push(thread::spawn(move || {
-                        let mut emitter =
-                            ThreadedEmitter::new(edges, t, policy.as_ref(), send_tries, pool);
-                        let mut processed = 0u64;
-                        let mut busy = std::time::Duration::ZERO;
-                        let mut eos_seen = 0usize;
-                        let mut data_rx = data_rx;
-                        let mut ctl_rx = ctl_rx;
-                        let mut data_open = true;
-                        let mut ctl_open = true;
-                        // Reused drain buffer: after `select!` yields one
-                        // data envelope, everything else already queued is
-                        // pulled with a single `recv_drain` synchronisation
-                        // point and processed in the same pass.
-                        let mut burst: Vec<Envelope<M>> = Vec::new();
-                        // Eos travels only on data inboxes; control inboxes
-                        // carry feedback messages until their senders drop.
-                        // After the data side finishes, the loop keeps
-                        // draining feedback messages until the bolt reports
-                        // `drained()` — the migration barrier: a peer bolt
-                        // that owes us control messages cannot itself
-                        // terminate before sending them (they are triggered
-                        // by data messages preceding its own Eos), so this
-                        // wait always ends.
-                        // One data envelope's worth of work, shared by the
-                        // select arm and the post-select burst drain.
-                        macro_rules! handle_data_env {
-                            ($env:expr) => {
-                                match $env {
-                                    Envelope::Data(msg) => {
-                                        processed += 1;
-                                        let t0 = Instant::now();
-                                        bolt.on_message(msg, &mut emitter);
-                                        busy += t0.elapsed();
-                                    }
-                                    Envelope::Batch(msgs) => {
-                                        processed += msgs.len() as u64;
-                                        let t0 = Instant::now();
-                                        bolt.on_batch(msgs, &mut emitter);
-                                        busy += t0.elapsed();
-                                    }
-                                    Envelope::Eos => eos_seen += 1,
-                                }
-                            };
-                        }
-                        loop {
-                            let data_done = eos_seen >= quota || !data_open;
-                            if data_done && (bolt.drained() || !ctl_open) {
-                                break;
-                            }
-                            crossbeam::channel::select! {
-                                recv(data_rx) -> m => match m {
-                                    Ok(env) => {
-                                        handle_data_env!(env);
-                                        // Pull the rest of the queued burst
-                                        // with one synchronisation point.
-                                        if data_rx.recv_drain(&mut burst, DRAIN_BURST) > 0 {
-                                            for env in burst.drain(..) {
-                                                handle_data_env!(env);
-                                            }
-                                        }
-                                    }
-                                    // park the disconnected side so the
-                                    // select does not spin on its error
-                                    Err(_) => {
-                                        data_open = false;
-                                        data_rx = crossbeam::channel::never();
-                                    }
-                                },
-                                recv(ctl_rx) -> m => match m {
-                                    Ok(Envelope::Data(msg)) => {
-                                        processed += 1;
-                                        let t0 = Instant::now();
-                                        bolt.on_message(msg, &mut emitter);
-                                        busy += t0.elapsed();
-                                    }
-                                    Ok(Envelope::Batch(msgs)) => {
-                                        processed += msgs.len() as u64;
-                                        let t0 = Instant::now();
-                                        bolt.on_batch(msgs, &mut emitter);
-                                        busy += t0.elapsed();
-                                    }
-                                    Ok(Envelope::Eos) => {}
-                                    Err(_) => {
-                                        ctl_open = false;
-                                        ctl_rx = crossbeam::channel::never();
-                                    }
-                                },
-                            }
-                        }
-                        drop((data_rx, ctl_rx));
-                        let t0 = Instant::now();
-                        bolt.on_flush(&mut emitter);
-                        busy += t0.elapsed();
-                        emitter.send_eos();
-                        (c, t, processed, emitter.emitted, busy.as_secs_f64())
-                    }));
+                    handles.push((c, t, thread::spawn(move || task.run(inbox, quota))));
                 }
             }
         }
@@ -1133,24 +832,16 @@ fn run_threaded_inner<M: Clone + Send + 'static>(
     // terminate by observing channel disconnection, which needs every
     // producer-side sender — including these — gone.
     drop(edges_of);
-    drop(receivers);
 
-    let mut stats = ThreadStats {
-        processed: vec![0; n],
-        emitted: vec![0; n],
-        busy_seconds: vec![0.0; n],
-        task_busy_seconds: parallelism_of.iter().map(|&p| vec![0.0; p]).collect(),
-        channel_send_waits: vec![0; n],
-        channel_recv_waits: vec![0; n],
-    };
     // Join every handle (so no thread is leaked) before reporting the first
     // failure, structured with the identity of the operator that died.
     let mut first_error: Option<RunError> = None;
-    for (h, (hc, ht)) in handles.into_iter().zip(identities) {
-        match h.join() {
-            Ok((c, t, processed, emitted, busy)) => {
-                stats.processed[c] += processed;
-                stats.emitted[c] += emitted;
+    for (c, t, handle) in handles {
+        match handle.join() {
+            Ok(result) => {
+                let busy = result.busy.as_secs_f64();
+                stats.processed[c] += result.processed;
+                stats.emitted[c] += result.emitted;
                 stats.busy_seconds[c] += busy;
                 stats.task_busy_seconds[c][t] = busy;
             }
@@ -1158,26 +849,331 @@ fn run_threaded_inner<M: Clone + Send + 'static>(
                 if first_error.is_none() {
                     let (structured, message) = decode_panic(&*payload);
                     first_error = Some(structured.unwrap_or(RunError::TaskPanicked {
-                        component: component_names[hc].clone(),
-                        id: hc,
-                        task: ht,
+                        component: names[c].clone(),
+                        id: c,
+                        task: t,
                         message,
                     }));
                 }
             }
         }
     }
-    // Fold per-inbox transport contention into the per-component stats
-    // (the Arc'd counter handles outlive their channels).
-    for (c, task_counters) in counters.iter().enumerate() {
-        for (data, ctl) in task_counters {
-            stats.channel_send_waits[c] += data.send_waits() + ctl.send_waits();
-            stats.channel_recv_waits[c] += data.recv_waits() + ctl.recv_waits();
+    if let Some(e) = first_error {
+        return Err(e);
+    }
+    for (c, inbox) in &counters {
+        stats.channel_send_waits[*c] += inbox.send_waits();
+        stats.channel_recv_waits[*c] += inbox.recv_waits();
+    }
+    if let Some(supervisor) = supervisor {
+        supervisor.fold_into(&mut stats);
+    }
+    Ok(stats)
+}
+
+/// A bolt task's (data, control) inbox pair: a bounded *data* inbox
+/// (backpressure) and an unbounded *control* inbox for feedback-edge
+/// messages.
+type Inbox<M> = (Receiver<Envelope<M>>, Receiver<Envelope<M>>);
+
+/// Build channels and routing tables for `topology` (draining its edge
+/// list): the inbox pairs, indexed `[component][task]` (empty for spouts),
+/// and each producer's routing table. Feedback edges send into the control
+/// inboxes; everything else into the data inboxes.
+fn wire<M>(topology: &mut Topology<M>, capacity: usize) -> (Vec<Vec<Inbox<M>>>, Vec<Routes<M>>) {
+    let mut inboxes = Vec::new();
+    let mut outboxes = Vec::new();
+    for spec in &topology.components {
+        let tasks = match spec.kind {
+            ComponentKind::Bolt(_) => spec.parallelism,
+            ComponentKind::Spout(_) => 0,
+        };
+        let (tx, rx): (Vec<_>, Vec<Inbox<M>>) = (0..tasks)
+            .map(|_| {
+                let (ds, dr) = bounded(capacity);
+                let (cs, cr) = unbounded();
+                ((ds, cs), (dr, cr))
+            })
+            .unzip();
+        outboxes.push(tx);
+        inboxes.push(rx);
+    }
+
+    let mut edges_of: Vec<Vec<EdgeRt<M>>> =
+        topology.components.iter().map(|_| Vec::new()).collect();
+    for e in topology.edges.drain(..) {
+        let senders = outboxes[e.to]
+            .iter()
+            .map(|(data, ctl)| if e.feedback { ctl } else { data }.clone())
+            .collect();
+        edges_of[e.from].push(EdgeRt {
+            stream: e.stream,
+            to: e.to,
+            senders,
+            grouping: e.grouping,
+            feedback: e.feedback,
+        });
+    }
+    // `outboxes` drops here, so the channels disconnect once all producer
+    // threads finish.
+    (inboxes, edges_of.into_iter().map(Arc::new).collect())
+}
+
+/// What each task thread reports back.
+struct TaskResult {
+    processed: u64,
+    emitted: u64,
+    busy: Duration,
+}
+
+/// The body of one spout task: pull the spout dry into the emitter, then
+/// broadcast `Eos`. A spout has no upstream to replay it, so its
+/// supervision is detect-and-degrade: a panic (or an injected kill)
+/// truncates the stream, Eos still goes out, and the run finishes
+/// partial-but-honest. Unsupervised, the panic unwinds to the join path.
+fn run_spout_task<M: Clone>(
+    c: ComponentId,
+    t: usize,
+    mut spout: Box<dyn Spout<M>>,
+    mut emitter: ThreadedEmitter<M>,
+    supervisor: Option<Arc<Supervisor>>,
+) -> TaskResult {
+    // spouts use their single declared stream
+    let stream = emitter.edges.first().map(|e| e.stream).unwrap_or("out");
+    debug_assert!(
+        emitter.edges.iter().all(|e| e.stream == stream),
+        "spouts must use a single stream"
+    );
+    let kill_at = supervisor.as_ref().and_then(|s| s.kill_for(c, t));
+    let mut produced = 0u64;
+    let start = Instant::now();
+    let mut pump = || {
+        while let Some(msg) = spout.next() {
+            if kill_at.is_some_and(|at| produced >= at) {
+                std::panic::panic_any("injected fault: kill-task".to_string());
+            }
+            produced += 1;
+            emitter.emit(stream, msg);
+        }
+    };
+    match &supervisor {
+        None => pump(),
+        Some(supervisor) => {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(pump)) {
+                supervisor.task_lost(c, t, &*payload);
+            }
         }
     }
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok(stats),
+    let busy = start.elapsed();
+    TaskResult {
+        processed: produced,
+        emitted: emitter.send_eos(),
+        busy,
+    }
+}
+
+/// Hand one envelope to the bolt; returns the number of messages it
+/// carried.
+pub(crate) fn feed<M: Clone>(
+    bolt: &mut dyn Bolt<M>,
+    env: Envelope<M>,
+    out: &mut ThreadedEmitter<M>,
+) -> u64 {
+    match env {
+        Envelope::Data(msg) => {
+            bolt.on_message(msg, out);
+            1
+        }
+        Envelope::Batch(msgs) => {
+            let n = msgs.len() as u64;
+            bolt.on_batch(msgs, out);
+            n
+        }
+        Envelope::Eos => 0,
+    }
+}
+
+/// One bolt task: the operator, its emitter, and the message loop state.
+struct BoltTask<M> {
+    bolt: Box<dyn Bolt<M>>,
+    emitter: ThreadedEmitter<M>,
+    /// `None` runs the callbacks bare: no envelope clone, no checkpoint,
+    /// no starvation clock, and a panic unwinds out of [`BoltTask::run`].
+    supervisor: Option<TaskSupervisor<M>>,
+    /// Envelopes awaiting (re)delivery ahead of the inboxes. Only a
+    /// supervisor's recovery ever fills it (the replay after a restart).
+    pending: VecDeque<Envelope<M>>,
+    processed: u64,
+    eos_seen: usize,
+    busy: Duration,
+}
+
+impl<M: Clone + Send + 'static> BoltTask<M> {
+    fn new(
+        bolt: Box<dyn Bolt<M>>,
+        emitter: ThreadedEmitter<M>,
+        supervisor: Option<TaskSupervisor<M>>,
+    ) -> Self {
+        BoltTask {
+            bolt,
+            emitter,
+            supervisor,
+            pending: VecDeque::new(),
+            processed: 0,
+            eos_seen: 0,
+            busy: Duration::ZERO,
+        }
+    }
+
+    /// Run one envelope through the operator — directly, or under the
+    /// supervisor when there is one (which may queue redeliveries into
+    /// `pending` instead of counting the envelope processed).
+    fn handle(&mut self, env: Envelope<M>) {
+        let t0 = Instant::now();
+        self.processed += match &mut self.supervisor {
+            None => feed(&mut *self.bolt, env, &mut self.emitter),
+            Some(sup) => sup.process(&mut self.bolt, env, &mut self.emitter, &mut self.pending),
+        };
+        self.busy += t0.elapsed();
+    }
+
+    /// One envelope off the data inbox.
+    fn on_data(&mut self, env: Envelope<M>) {
+        match env {
+            Envelope::Eos => self.eos_seen += 1,
+            env => self.handle(env),
+        }
+    }
+
+    /// One envelope off the control inbox (which never carries `Eos`),
+    /// unless the fault schedule swallows it.
+    fn on_control(&mut self, env: Envelope<M>) {
+        let dropped = self.supervisor.as_mut().is_some_and(|s| s.drops_control());
+        if !dropped {
+            self.handle(env);
+        }
+    }
+
+    /// The message loop of one bolt task. Eos travels only on data inboxes;
+    /// control inboxes carry feedback messages until their senders drop.
+    /// After the data side finishes, the loop keeps draining feedback
+    /// messages until the bolt reports `drained()` — the migration barrier:
+    /// a peer bolt that owes us control messages cannot itself terminate
+    /// before sending them (they are triggered by data messages preceding
+    /// its own Eos), so unsupervised this wait always ends; supervised, a
+    /// control message can be lost to a fault, and the starvation clock
+    /// below ends the wait instead.
+    fn run(mut self, (mut data_rx, mut ctl_rx): Inbox<M>, quota: usize) -> TaskResult {
+        let (mut data_open, mut ctl_open) = (true, true);
+        // Reused drain buffer: after `select!` yields one data envelope,
+        // everything else already queued is pulled with a single
+        // `recv_drain` synchronisation point and processed in the same pass.
+        let mut burst: Vec<Envelope<M>> = Vec::new();
+        let mut empty_polls = 0u64;
+        loop {
+            let data_done = self.eos_seen >= quota || !data_open;
+            if data_done && (self.bolt.drained() || !ctl_open) && self.pending.is_empty() {
+                break;
+            }
+
+            // Redeliveries (replay after a restart) run ahead of the
+            // inboxes, preserving the task's original FIFO order.
+            if let Some(env) = self.pending.pop_front() {
+                self.handle(env);
+                empty_polls = 0;
+                continue;
+            }
+
+            if !data_done || self.supervisor.is_none() {
+                // Park on the inboxes: event-driven wakeups, no polling.
+                crossbeam::channel::select! {
+                    recv(data_rx) -> m => match m {
+                        Ok(env) => {
+                            self.on_data(env);
+                            // Pull the rest of the queued burst with one
+                            // synchronisation point.
+                            if data_rx.recv_drain(&mut burst, DRAIN_BURST) > 0 {
+                                for env in burst.drain(..) {
+                                    if self.pending.is_empty() || matches!(env, Envelope::Eos) {
+                                        self.on_data(env);
+                                    } else {
+                                        // A panic queued redeliveries, and
+                                        // they must run before anything
+                                        // received after them: park the rest
+                                        // of the burst behind the replay
+                                        // queue, preserving FIFO.
+                                        self.pending.push_back(env);
+                                    }
+                                }
+                            }
+                        }
+                        // park the disconnected side so the select does not
+                        // spin on its error
+                        Err(_) => {
+                            data_open = false;
+                            data_rx = crossbeam::channel::never();
+                        }
+                    },
+                    recv(ctl_rx) -> m => match m {
+                        Ok(env) => self.on_control(env),
+                        Err(_) => {
+                            ctl_open = false;
+                            ctl_rx = crossbeam::channel::never();
+                        }
+                    },
+                }
+                continue;
+            }
+
+            // Supervised post-Eos control drain: polling receives, so a
+            // starved drain (a lost control message nothing will ever send)
+            // is observable as `drain_patience` consecutive empty polls
+            // rather than an indefinite park.
+            match data_rx.try_recv() {
+                Ok(env) => self.on_data(env),
+                Err(TryRecvError::Disconnected) => {
+                    data_open = false;
+                    data_rx = crossbeam::channel::never();
+                }
+                Err(TryRecvError::Empty) => match ctl_rx.try_recv() {
+                    Ok(env) => self.on_control(env),
+                    Err(TryRecvError::Disconnected) => ctl_open = false,
+                    Err(TryRecvError::Empty) => {
+                        // Still owed a control message (the exit test above
+                        // failed) and nothing arrived.
+                        empty_polls += 1;
+                        let sup = self
+                            .supervisor
+                            .as_mut()
+                            .expect("polling implies supervised");
+                        if empty_polls > sup.drain_patience() {
+                            // Drain starvation: the message was lost
+                            // (dropped by the fault plan, or its sender
+                            // died). Waiting longer cannot help — degrade
+                            // so the run ends.
+                            sup.degrade(&mut self.bolt);
+                            empty_polls = 0;
+                        }
+                        thread::sleep(Duration::from_micros(50));
+                        continue;
+                    }
+                },
+            }
+            empty_polls = 0;
+        }
+
+        drop((data_rx, ctl_rx));
+        let t0 = Instant::now();
+        match &self.supervisor {
+            None => self.bolt.on_flush(&mut self.emitter),
+            Some(sup) => sup.flush(&mut *self.bolt, &mut self.emitter),
+        }
+        self.busy += t0.elapsed();
+        TaskResult {
+            processed: self.processed,
+            emitted: self.emitter.send_eos(),
+            busy: self.busy,
+        }
     }
 }
 
@@ -1187,6 +1183,20 @@ mod tests {
     use crate::topology::{Bolt, Emitter, TopologyBuilder};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc as StdArc, Mutex};
+
+    /// Batch depths the per-message suites run at: 1 (one message per
+    /// envelope) and 8.
+    const DEPTHS: [usize; 2] = [1, 8];
+
+    /// Run through the one entry point at batch depth `depth`, with no
+    /// message acting as a barrier.
+    fn run(
+        topology: Topology<u64>,
+        config: ThreadedConfig,
+        depth: usize,
+    ) -> Result<ThreadStats, RunError> {
+        try_run_threaded_batched(topology, config, BatchPolicy::new(depth, |_| false))
+    }
 
     struct Summer {
         total: StdArc<AtomicU64>,
@@ -1204,237 +1214,249 @@ mod tests {
 
     #[test]
     fn all_messages_are_delivered() {
-        let total = StdArc::new(AtomicU64::new(0));
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 2, |task| {
-            let base = task as u64 * 100;
-            Box::new(base..base + 100)
-        });
-        let sink = {
-            let total = total.clone();
-            tb.add_bolt("sink", 4, move |_| {
-                Box::new(Summer {
-                    total: total.clone(),
-                    local: 0,
-                }) as Box<dyn Bolt<u64>>
-            })
-        };
-        tb.connect(src, "out", sink, Grouping::Shuffle);
-        let stats = run_threaded(tb.build());
-        assert_eq!(total.load(Ordering::SeqCst), (0..200).sum::<u64>());
-        assert_eq!(stats.processed[sink], 200);
+        for depth in DEPTHS {
+            let total = StdArc::new(AtomicU64::new(0));
+            let mut tb = TopologyBuilder::new();
+            let src = tb.add_spout("src", 2, |task| {
+                let base = task as u64 * 100;
+                Box::new(base..base + 100)
+            });
+            let sink = {
+                let total = total.clone();
+                tb.add_bolt("sink", 4, move |_| {
+                    Box::new(Summer {
+                        total: total.clone(),
+                        local: 0,
+                    }) as Box<dyn Bolt<u64>>
+                })
+            };
+            tb.connect(src, "out", sink, Grouping::Shuffle);
+            let stats = run(tb.build(), ThreadedConfig::default(), depth).unwrap();
+            assert_eq!(total.load(Ordering::SeqCst), (0..200).sum::<u64>());
+            assert_eq!(stats.processed[sink], 200);
+        }
     }
 
     #[test]
     fn fields_grouping_is_sticky_threaded() {
-        let seen: StdArc<Mutex<Vec<(usize, u64)>>> = StdArc::new(Mutex::new(Vec::new()));
-        struct Rec {
-            task: usize,
-            seen: StdArc<Mutex<Vec<(usize, u64)>>>,
-        }
-        impl Bolt<u64> for Rec {
-            fn on_message(&mut self, msg: u64, _out: &mut dyn Emitter<u64>) {
-                self.seen.lock().unwrap().push((self.task, msg));
+        for depth in DEPTHS {
+            let seen: StdArc<Mutex<Vec<(usize, u64)>>> = StdArc::new(Mutex::new(Vec::new()));
+            struct Rec {
+                task: usize,
+                seen: StdArc<Mutex<Vec<(usize, u64)>>>,
             }
-        }
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 2, |task| {
-            Box::new((0..100u64).map(move |i| {
-                let _ = task;
-                i % 10
-            }))
-        });
-        let sink = {
-            let seen = seen.clone();
-            tb.add_bolt("sink", 3, move |task| {
-                Box::new(Rec {
-                    task,
-                    seen: seen.clone(),
-                }) as Box<dyn Bolt<u64>>
-            })
-        };
-        tb.connect(src, "out", sink, Grouping::Fields(Arc::new(|m: &u64| *m)));
-        run_threaded(tb.build());
-        let seen = seen.lock().unwrap();
-        let mut owner = std::collections::HashMap::new();
-        for &(t, m) in seen.iter() {
-            if let Some(prev) = owner.insert(m, t) {
-                assert_eq!(prev, t, "key {m} moved tasks");
+            impl Bolt<u64> for Rec {
+                fn on_message(&mut self, msg: u64, _out: &mut dyn Emitter<u64>) {
+                    self.seen.lock().unwrap().push((self.task, msg));
+                }
             }
+            let mut tb = TopologyBuilder::new();
+            let src = tb.add_spout("src", 2, |task| {
+                Box::new((0..100u64).map(move |i| {
+                    let _ = task;
+                    i % 10
+                }))
+            });
+            let sink = {
+                let seen = seen.clone();
+                tb.add_bolt("sink", 3, move |task| {
+                    Box::new(Rec {
+                        task,
+                        seen: seen.clone(),
+                    }) as Box<dyn Bolt<u64>>
+                })
+            };
+            tb.connect(src, "out", sink, Grouping::Fields(Arc::new(|m: &u64| *m)));
+            run(tb.build(), ThreadedConfig::default(), depth).unwrap();
+            let seen = seen.lock().unwrap();
+            let mut owner = std::collections::HashMap::new();
+            for &(t, m) in seen.iter() {
+                if let Some(prev) = owner.insert(m, t) {
+                    assert_eq!(prev, t, "key {m} moved tasks");
+                }
+            }
+            assert_eq!(seen.len(), 200);
         }
-        assert_eq!(seen.len(), 200);
     }
 
     #[test]
     fn flush_happens_after_all_upstream_eos() {
-        // two-stage pipeline: counter flush-emits its count, recorder sums.
-        let total = StdArc::new(AtomicU64::new(0));
-        struct Counter {
-            n: u64,
-        }
-        impl Bolt<u64> for Counter {
-            fn on_message(&mut self, _m: u64, _o: &mut dyn Emitter<u64>) {
-                self.n += 1;
+        for depth in DEPTHS {
+            // two-stage pipeline: counter flush-emits its count, recorder sums.
+            let total = StdArc::new(AtomicU64::new(0));
+            struct Counter {
+                n: u64,
             }
-            fn on_flush(&mut self, out: &mut dyn Emitter<u64>) {
-                out.emit("count", self.n);
+            impl Bolt<u64> for Counter {
+                fn on_message(&mut self, _m: u64, _o: &mut dyn Emitter<u64>) {
+                    self.n += 1;
+                }
+                fn on_flush(&mut self, out: &mut dyn Emitter<u64>) {
+                    out.emit("count", self.n);
+                }
             }
+            let mut tb = TopologyBuilder::new();
+            let src = tb.add_spout("src", 3, |_| Box::new(0u64..50));
+            let mid = tb.add_bolt("mid", 2, |_| {
+                Box::new(Counter { n: 0 }) as Box<dyn Bolt<u64>>
+            });
+            let sink = {
+                let total = total.clone();
+                tb.add_bolt("sink", 1, move |_| {
+                    Box::new(Summer {
+                        total: total.clone(),
+                        local: 0,
+                    }) as Box<dyn Bolt<u64>>
+                })
+            };
+            tb.connect(src, "out", mid, Grouping::Shuffle);
+            tb.connect(mid, "count", sink, Grouping::Global);
+            run(tb.build(), ThreadedConfig::default(), depth).unwrap();
+            // 3 spouts × 50 messages counted across the two mid tasks
+            assert_eq!(total.load(Ordering::SeqCst), 150);
         }
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 3, |_| Box::new(0u64..50));
-        let mid = tb.add_bolt("mid", 2, |_| {
-            Box::new(Counter { n: 0 }) as Box<dyn Bolt<u64>>
-        });
-        let sink = {
-            let total = total.clone();
-            tb.add_bolt("sink", 1, move |_| {
-                Box::new(Summer {
-                    total: total.clone(),
-                    local: 0,
-                }) as Box<dyn Bolt<u64>>
-            })
-        };
-        tb.connect(src, "out", mid, Grouping::Shuffle);
-        tb.connect(mid, "count", sink, Grouping::Global);
-        run_threaded(tb.build());
-        // 3 spouts × 50 messages counted across the two mid tasks
-        assert_eq!(total.load(Ordering::SeqCst), 150);
     }
 
     #[test]
     fn feedback_cycles_do_not_deadlock() {
-        struct Echo;
-        impl Bolt<u64> for Echo {
-            fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
-                out.emit("fwd", m);
-            }
-        }
-        struct Replier {
-            sent: bool,
-        }
-        impl Bolt<u64> for Replier {
-            fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
-                if !self.sent && m < 100 {
-                    self.sent = true;
-                    out.emit("back", m + 100);
+        for depth in DEPTHS {
+            struct Echo;
+            impl Bolt<u64> for Echo {
+                fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
+                    out.emit("fwd", m);
                 }
             }
+            struct Replier {
+                sent: bool,
+            }
+            impl Bolt<u64> for Replier {
+                fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
+                    if !self.sent && m < 100 {
+                        self.sent = true;
+                        out.emit("back", m + 100);
+                    }
+                }
+            }
+            let mut tb = TopologyBuilder::new();
+            let src = tb.add_spout("src", 1, |_| Box::new(0u64..10));
+            let a = tb.add_bolt("a", 1, |_| Box::new(Echo) as Box<dyn Bolt<u64>>);
+            let b = tb.add_bolt("b", 1, |_| {
+                Box::new(Replier { sent: false }) as Box<dyn Bolt<u64>>
+            });
+            tb.connect(src, "out", a, Grouping::Shuffle);
+            tb.connect(a, "fwd", b, Grouping::Shuffle);
+            tb.connect_feedback(b, "back", a, Grouping::Shuffle);
+            // must terminate
+            let stats = run(tb.build(), ThreadedConfig::default(), depth).unwrap();
+            assert!(stats.processed[a] >= 10);
         }
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 1, |_| Box::new(0u64..10));
-        let a = tb.add_bolt("a", 1, |_| Box::new(Echo) as Box<dyn Bolt<u64>>);
-        let b = tb.add_bolt("b", 1, |_| {
-            Box::new(Replier { sent: false }) as Box<dyn Bolt<u64>>
-        });
-        tb.connect(src, "out", a, Grouping::Shuffle);
-        tb.connect(a, "fwd", b, Grouping::Shuffle);
-        tb.connect_feedback(b, "back", a, Grouping::Shuffle);
-        // must terminate
-        let stats = run_threaded(tb.build());
-        assert!(stats.processed[a] >= 10);
     }
 
     #[test]
     fn migration_during_drain_completes_cleanly() {
-        // Two peer tasks of one component exchange one handoff message each
-        // when a "fence" arrives as the very last data message before Eos.
-        // One task can reach its Eos quota before the other has sent; the
-        // post-Eos control drain (gated on `Bolt::drained`) must still
-        // deliver both handoffs before either task flushes.
-        let got: StdArc<Mutex<Vec<(usize, u64)>>> = StdArc::new(Mutex::new(Vec::new()));
-        struct Peer {
-            task: usize,
-            component: ComponentId,
-            expected: u64,
-            received: u64,
-            got: StdArc<Mutex<Vec<(usize, u64)>>>,
-        }
-        impl Bolt<u64> for Peer {
-            fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
-                if m == 1 {
-                    // the fence: owe one handoff to the other task
-                    self.expected += 1;
-                    out.emit_direct(
-                        "hand",
-                        self.component,
-                        1 - self.task,
-                        100 + self.task as u64,
-                    );
-                } else {
-                    self.received += 1;
-                    self.got.lock().unwrap().push((self.task, m));
+        for depth in DEPTHS {
+            // Two peer tasks of one component exchange one handoff message each
+            // when a "fence" arrives as the very last data message before Eos.
+            // One task can reach its Eos quota before the other has sent; the
+            // post-Eos control drain (gated on `Bolt::drained`) must still
+            // deliver both handoffs before either task flushes.
+            let got: StdArc<Mutex<Vec<(usize, u64)>>> = StdArc::new(Mutex::new(Vec::new()));
+            struct Peer {
+                task: usize,
+                component: ComponentId,
+                expected: u64,
+                received: u64,
+                got: StdArc<Mutex<Vec<(usize, u64)>>>,
+            }
+            impl Bolt<u64> for Peer {
+                fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
+                    if m == 1 {
+                        // the fence: owe one handoff to the other task
+                        self.expected += 1;
+                        out.emit_direct(
+                            "hand",
+                            self.component,
+                            1 - self.task,
+                            100 + self.task as u64,
+                        );
+                    } else {
+                        self.received += 1;
+                        self.got.lock().unwrap().push((self.task, m));
+                    }
+                }
+                fn drained(&self) -> bool {
+                    self.received >= self.expected
                 }
             }
-            fn drained(&self) -> bool {
-                self.received >= self.expected
-            }
-        }
-        for _ in 0..20 {
-            // scheduling-sensitive: repeat to exercise different interleavings
-            let got = got.clone();
-            got.lock().unwrap().clear();
-            let mut tb = TopologyBuilder::new();
-            let src = tb.add_spout("src", 1, |_| Box::new(std::iter::once(1u64)));
-            let peers = {
+            for _ in 0..20 {
+                // scheduling-sensitive: repeat to exercise different interleavings
                 let got = got.clone();
-                tb.add_bolt("peers", 2, move |task| {
-                    Box::new(Peer {
-                        task,
-                        component: 1, // own component id
-                        expected: 0,
-                        received: 0,
-                        got: got.clone(),
-                    }) as Box<dyn Bolt<u64>>
-                })
-            };
-            assert_eq!(peers, 1);
-            tb.connect(src, "out", peers, Grouping::All);
-            tb.connect_feedback(peers, "hand", peers, Grouping::Direct);
-            run_threaded(tb.build());
-            let mut seen = got.lock().unwrap().clone();
-            seen.sort_unstable();
-            assert_eq!(
-                seen,
-                vec![(0, 101), (1, 100)],
-                "both handoffs must land before shutdown"
-            );
+                got.lock().unwrap().clear();
+                let mut tb = TopologyBuilder::new();
+                let src = tb.add_spout("src", 1, |_| Box::new(std::iter::once(1u64)));
+                let peers = {
+                    let got = got.clone();
+                    tb.add_bolt("peers", 2, move |task| {
+                        Box::new(Peer {
+                            task,
+                            component: 1, // own component id
+                            expected: 0,
+                            received: 0,
+                            got: got.clone(),
+                        }) as Box<dyn Bolt<u64>>
+                    })
+                };
+                assert_eq!(peers, 1);
+                tb.connect(src, "out", peers, Grouping::All);
+                tb.connect_feedback(peers, "hand", peers, Grouping::Direct);
+                run(tb.build(), ThreadedConfig::default(), depth).unwrap();
+                let mut seen = got.lock().unwrap().clone();
+                seen.sort_unstable();
+                assert_eq!(
+                    seen,
+                    vec![(0, 101), (1, 100)],
+                    "both handoffs must land before shutdown"
+                );
+            }
         }
     }
 
     #[test]
     fn feedback_after_consumer_shutdown_is_dropped_without_deadlock() {
-        // `late` replies on a feedback edge only at flush time — after the
-        // upstream `early` bolt has terminated. The send hits a closed
-        // inbox and is dropped silently; the run must still terminate.
-        struct Early;
-        impl Bolt<u64> for Early {
-            fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
-                out.emit("fwd", m);
+        for depth in DEPTHS {
+            // `late` replies on a feedback edge only at flush time — after the
+            // upstream `early` bolt has terminated. The send hits a closed
+            // inbox and is dropped silently; the run must still terminate.
+            struct Early;
+            impl Bolt<u64> for Early {
+                fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
+                    out.emit("fwd", m);
+                }
             }
-        }
-        struct Late {
-            n: u64,
-        }
-        impl Bolt<u64> for Late {
-            fn on_message(&mut self, _m: u64, _out: &mut dyn Emitter<u64>) {
-                self.n += 1;
+            struct Late {
+                n: u64,
             }
-            fn on_flush(&mut self, out: &mut dyn Emitter<u64>) {
-                // early has flushed and exited by now (its Eos preceded ours)
-                out.emit("back", self.n);
+            impl Bolt<u64> for Late {
+                fn on_message(&mut self, _m: u64, _out: &mut dyn Emitter<u64>) {
+                    self.n += 1;
+                }
+                fn on_flush(&mut self, out: &mut dyn Emitter<u64>) {
+                    // early has flushed and exited by now (its Eos preceded ours)
+                    out.emit("back", self.n);
+                }
             }
+            let mut tb = TopologyBuilder::new();
+            let src = tb.add_spout("src", 1, |_| Box::new(0u64..25));
+            let early = tb.add_bolt("early", 1, |_| Box::new(Early) as Box<dyn Bolt<u64>>);
+            let late = tb.add_bolt("late", 1, |_| Box::new(Late { n: 0 }) as Box<dyn Bolt<u64>>);
+            tb.connect(src, "out", early, Grouping::Shuffle);
+            tb.connect(early, "fwd", late, Grouping::Shuffle);
+            tb.connect_feedback(late, "back", early, Grouping::Shuffle);
+            let stats = run(tb.build(), ThreadedConfig::default(), depth).unwrap();
+            assert_eq!(stats.processed[late], 25);
+            // the flush-time reply was emitted into the void, not processed
+            assert_eq!(stats.processed[early], 25);
         }
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 1, |_| Box::new(0u64..25));
-        let early = tb.add_bolt("early", 1, |_| Box::new(Early) as Box<dyn Bolt<u64>>);
-        let late = tb.add_bolt("late", 1, |_| Box::new(Late { n: 0 }) as Box<dyn Bolt<u64>>);
-        tb.connect(src, "out", early, Grouping::Shuffle);
-        tb.connect(early, "fwd", late, Grouping::Shuffle);
-        tb.connect_feedback(late, "back", early, Grouping::Shuffle);
-        let stats = run_threaded(tb.build());
-        assert_eq!(stats.processed[late], 25);
-        // the flush-time reply was emitted into the void, not processed
-        assert_eq!(stats.processed[early], 25);
     }
 
     #[test]
@@ -1592,133 +1614,143 @@ mod tests {
 
     #[test]
     fn direct_emission_reaches_exact_task() {
-        let seen: StdArc<Mutex<Vec<(usize, u64)>>> = StdArc::new(Mutex::new(Vec::new()));
-        struct Router;
-        impl Bolt<u64> for Router {
-            fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
-                out.emit_direct("d", 2, (m % 3) as usize, m);
+        for depth in DEPTHS {
+            let seen: StdArc<Mutex<Vec<(usize, u64)>>> = StdArc::new(Mutex::new(Vec::new()));
+            struct Router;
+            impl Bolt<u64> for Router {
+                fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
+                    out.emit_direct("d", 2, (m % 3) as usize, m);
+                }
             }
-        }
-        struct Rec {
-            task: usize,
-            seen: StdArc<Mutex<Vec<(usize, u64)>>>,
-        }
-        impl Bolt<u64> for Rec {
-            fn on_message(&mut self, m: u64, _o: &mut dyn Emitter<u64>) {
-                self.seen.lock().unwrap().push((self.task, m));
+            struct Rec {
+                task: usize,
+                seen: StdArc<Mutex<Vec<(usize, u64)>>>,
             }
-        }
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 1, |_| Box::new(0u64..9));
-        let router = tb.add_bolt("router", 1, |_| Box::new(Router) as Box<dyn Bolt<u64>>);
-        let sink = {
-            let seen = seen.clone();
-            tb.add_bolt("sink", 3, move |task| {
-                Box::new(Rec {
-                    task,
-                    seen: seen.clone(),
-                }) as Box<dyn Bolt<u64>>
-            })
-        };
-        assert_eq!(sink, 2);
-        tb.connect(src, "out", router, Grouping::Shuffle);
-        tb.connect(router, "d", sink, Grouping::Direct);
-        run_threaded(tb.build());
-        for &(t, m) in seen.lock().unwrap().iter() {
-            assert_eq!(t as u64, m % 3);
+            impl Bolt<u64> for Rec {
+                fn on_message(&mut self, m: u64, _o: &mut dyn Emitter<u64>) {
+                    self.seen.lock().unwrap().push((self.task, m));
+                }
+            }
+            let mut tb = TopologyBuilder::new();
+            let src = tb.add_spout("src", 1, |_| Box::new(0u64..9));
+            let router = tb.add_bolt("router", 1, |_| Box::new(Router) as Box<dyn Bolt<u64>>);
+            let sink = {
+                let seen = seen.clone();
+                tb.add_bolt("sink", 3, move |task| {
+                    Box::new(Rec {
+                        task,
+                        seen: seen.clone(),
+                    }) as Box<dyn Bolt<u64>>
+                })
+            };
+            assert_eq!(sink, 2);
+            tb.connect(src, "out", router, Grouping::Shuffle);
+            tb.connect(router, "d", sink, Grouping::Direct);
+            run(tb.build(), ThreadedConfig::default(), depth).unwrap();
+            for &(t, m) in seen.lock().unwrap().iter() {
+                assert_eq!(t as u64, m % 3);
+            }
         }
     }
 
     #[test]
     fn task_panic_surfaces_as_structured_run_error() {
-        struct Bomb;
-        impl Bolt<u64> for Bomb {
-            fn on_message(&mut self, m: u64, _o: &mut dyn Emitter<u64>) {
-                if m == 7 {
-                    panic!("boom at {m}");
+        for depth in DEPTHS {
+            struct Bomb;
+            impl Bolt<u64> for Bomb {
+                fn on_message(&mut self, m: u64, _o: &mut dyn Emitter<u64>) {
+                    if m == 7 {
+                        panic!("boom at {m}");
+                    }
                 }
             }
-        }
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 1, |_| Box::new(0u64..20));
-        let bomb = tb.add_bolt("bomb", 1, |_| Box::new(Bomb) as Box<dyn Bolt<u64>>);
-        tb.connect(src, "out", bomb, Grouping::Shuffle);
-        let err = try_run_threaded(tb.build()).unwrap_err();
-        match err {
-            RunError::TaskPanicked {
-                component,
-                id,
-                task,
-                message,
-            } => {
-                assert_eq!(component, "bomb");
-                assert_eq!(id, bomb);
-                assert_eq!(task, 0);
-                assert!(message.contains("boom at 7"), "message was {message:?}");
+            let mut tb = TopologyBuilder::new();
+            let src = tb.add_spout("src", 1, |_| Box::new(0u64..20));
+            let bomb = tb.add_bolt("bomb", 1, |_| Box::new(Bomb) as Box<dyn Bolt<u64>>);
+            tb.connect(src, "out", bomb, Grouping::Shuffle);
+            let err = run(tb.build(), ThreadedConfig::default(), depth).unwrap_err();
+            match err {
+                RunError::TaskPanicked {
+                    component,
+                    id,
+                    task,
+                    message,
+                } => {
+                    assert_eq!(component, "bomb");
+                    assert_eq!(id, bomb);
+                    assert_eq!(task, 0);
+                    assert!(message.contains("boom at 7"), "message was {message:?}");
+                }
+                other => panic!("expected TaskPanicked, got {other:?}"),
             }
-            other => panic!("expected TaskPanicked, got {other:?}"),
         }
     }
 
     #[test]
     fn undeclared_direct_edge_is_a_structured_error() {
-        struct BadRouter;
-        impl Bolt<u64> for BadRouter {
-            fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
-                out.emit_direct("nope", 9, 0, m);
+        for depth in DEPTHS {
+            struct BadRouter;
+            impl Bolt<u64> for BadRouter {
+                fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
+                    out.emit_direct("nope", 9, 0, m);
+                }
             }
+            let mut tb = TopologyBuilder::new();
+            let src = tb.add_spout("src", 1, |_| Box::new(0u64..3));
+            let bad = tb.add_bolt("bad", 1, |_| Box::new(BadRouter) as Box<dyn Bolt<u64>>);
+            tb.connect(src, "out", bad, Grouping::Shuffle);
+            let err = run(tb.build(), ThreadedConfig::default(), depth).unwrap_err();
+            assert_eq!(
+                err,
+                RunError::UndeclaredDirectEdge {
+                    stream: "nope",
+                    to: 9
+                }
+            );
         }
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 1, |_| Box::new(0u64..3));
-        let bad = tb.add_bolt("bad", 1, |_| Box::new(BadRouter) as Box<dyn Bolt<u64>>);
-        tb.connect(src, "out", bad, Grouping::Shuffle);
-        let err = try_run_threaded(tb.build()).unwrap_err();
-        assert_eq!(
-            err,
-            RunError::UndeclaredDirectEdge {
-                stream: "nope",
-                to: 9
-            }
-        );
     }
 
     #[test]
     fn wedged_downstream_trips_the_send_timeout() {
-        // The sink stalls long inside its first callback, so the producer's
-        // bounded sends stop draining; with `send_tries` set the run must
-        // fail with a SendTimeout naming the wedged consumer instead of
-        // deadlocking. The stall is finite (it ends on its own) so the
-        // join path — which waits for every thread — still completes.
-        struct Wedge {
-            stalled: bool,
-        }
-        impl Bolt<u64> for Wedge {
-            fn on_message(&mut self, _m: u64, _o: &mut dyn Emitter<u64>) {
-                if !self.stalled {
-                    self.stalled = true;
-                    thread::sleep(std::time::Duration::from_millis(500));
+        for depth in DEPTHS {
+            // The sink stalls long inside its first callback, so the producer's
+            // bounded sends stop draining; with `send_tries` set the run must
+            // fail with a SendTimeout naming the wedged consumer instead of
+            // deadlocking. The stall is finite (it ends on its own) so the
+            // join path — which waits for every thread — still completes.
+            struct Wedge {
+                stalled: bool,
+            }
+            impl Bolt<u64> for Wedge {
+                fn on_message(&mut self, _m: u64, _o: &mut dyn Emitter<u64>) {
+                    if !self.stalled {
+                        self.stalled = true;
+                        thread::sleep(std::time::Duration::from_millis(500));
+                    }
                 }
             }
+            let mut tb = TopologyBuilder::new();
+            let src = tb.add_spout("src", 1, |_| Box::new(0u64..10_000));
+            let sink = tb.add_bolt("sink", 1, |_| {
+                Box::new(Wedge { stalled: false }) as Box<dyn Bolt<u64>>
+            });
+            tb.connect(src, "out", sink, Grouping::Shuffle);
+            let err = run(
+                tb.build(),
+                ThreadedConfig {
+                    inbox_capacity: 1,
+                    send_tries: Some(20),
+                    ..ThreadedConfig::default()
+                },
+                depth,
+            );
+            assert_eq!(
+                err.unwrap_err(),
+                RunError::SendTimeout {
+                    to: sink,
+                    tries: 20
+                }
+            );
         }
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 1, |_| Box::new(0u64..10_000));
-        let sink = tb.add_bolt("sink", 1, |_| {
-            Box::new(Wedge { stalled: false }) as Box<dyn Bolt<u64>>
-        });
-        tb.connect(src, "out", sink, Grouping::Shuffle);
-        let err = try_run_threaded_with(
-            tb.build(),
-            ThreadedConfig {
-                inbox_capacity: 1,
-                send_tries: Some(20),
-            },
-        );
-        assert_eq!(
-            err.unwrap_err(),
-            RunError::SendTimeout {
-                to: sink,
-                tries: 20
-            }
-        );
     }
 }

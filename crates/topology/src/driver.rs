@@ -15,9 +15,8 @@ use setcorr_core::{
     SetCoverVariant,
 };
 use setcorr_engine::{
-    run_sim_batched, run_threaded_batched, run_threaded_supervised, BatchPolicy, Bolt, FaultSpec,
-    Grouping, RestartPolicy, Spout, SuperviseConfig, SupervisedStats, ThreadedConfig, Topology,
-    TopologyBuilder,
+    run_sim_batched, run_threaded_batched, BatchPolicy, Bolt, FaultSpec, Grouping, RestartPolicy,
+    Spout, SuperviseConfig, ThreadStats, ThreadedConfig, Topology, TopologyBuilder,
 };
 use setcorr_model::{fx, Document, TagSetWindow, TimeDelta, WindowKind};
 use std::sync::Arc;
@@ -695,108 +694,26 @@ fn run_with_publisher(
         .iter()
         .map(|s| s.to_string())
         .collect();
-    let mut supervised: Option<SupervisedStats> = None;
-    let (documents, busy, waits) = match mode {
+    // Sim runs fault-free and unattributed: only a threaded run has stats
+    // beyond the document count.
+    let (documents, threaded): (u64, Option<ThreadStats>) = match mode {
         RunMode::Sim => {
             let stats = run_sim_batched(topology, batch_policy());
-            (stats.processed[1], None, None) // parser input = documents
+            (stats.processed[PARSER_COMPONENT], None) // parser input = documents
         }
-        RunMode::Threaded => match &config.supervision {
-            None => {
-                let mut threaded = ThreadedConfig::default();
-                if let Some(capacity) = config.inbox_capacity {
-                    threaded.inbox_capacity = capacity;
-                }
-                let stats = run_threaded_batched(topology, threaded, batch_policy());
-                (
-                    stats.processed[1],
-                    Some((stats.busy_seconds, stats.task_busy_seconds)),
-                    Some((stats.channel_send_waits, stats.channel_recv_waits)),
-                )
-            }
-            Some(sup) => {
-                let mut threaded = ThreadedConfig {
-                    send_tries: sup.send_tries,
-                    ..ThreadedConfig::default()
-                };
-                if let Some(capacity) = config.inbox_capacity {
-                    threaded.inbox_capacity = capacity;
-                }
-                // Runtime-level faults; PoisonLock is armed inside the bolt
-                // (see `build_served_topology`) and surfaces to the
-                // supervisor as an injected panic like the others.
-                let faults = sup
-                    .faults
-                    .iter()
-                    .filter_map(|f| match *f {
-                        Fault::KillParser {
-                            task,
-                            after_messages,
-                        } => Some(FaultSpec::KillTask {
-                            component: PARSER_COMPONENT,
-                            task,
-                            after_messages,
-                        }),
-                        Fault::KillCalculator {
-                            task,
-                            after_messages,
-                        } => Some(FaultSpec::KillTask {
-                            component: CALCULATOR_COMPONENT,
-                            task,
-                            after_messages,
-                        }),
-                        Fault::DropAdopt { calculator, nth } => Some(FaultSpec::DropControl {
-                            component: CALCULATOR_COMPONENT,
-                            task: calculator,
-                            nth,
-                        }),
-                        Fault::PoisonLock { .. } => None,
-                    })
-                    .collect();
-                // Degradations fan out to the route-around machinery: the
-                // recorder bitmask (Disseminator repartitions around the
-                // dead Calculator, the Merger stops assigning it tags) and
-                // the serving store's honesty marker.
-                let on_degrade = {
-                    let recorder = recorder.clone();
-                    let flag = degrade_flag.clone();
-                    Arc::new(move |component: usize, task: usize| {
-                        if component == CALCULATOR_COMPONENT {
-                            recorder.lock().degraded_calcs |= 1u64 << task.min(63);
-                        }
-                        if let Some(flag) = &flag {
-                            flag.set();
-                        }
-                    }) as Arc<dyn Fn(usize, usize) + Send + Sync>
-                };
-                let supervise = SuperviseConfig {
-                    restart: RestartPolicy {
-                        max_restarts: sup.max_restarts,
-                        backoff_base: sup.backoff_base,
-                    },
-                    faults,
-                    drain_patience: sup.drain_patience,
-                    on_degrade: Some(on_degrade),
-                    ..SuperviseConfig::default()
-                };
-                let stats =
-                    match run_threaded_supervised(topology, threaded, batch_policy(), supervise) {
-                        Ok(stats) => stats,
-                        Err(e) => panic!("{e}"),
-                    };
-                let documents = stats.stats.processed[1];
-                let busy = (
-                    stats.stats.busy_seconds.clone(),
-                    stats.stats.task_busy_seconds.clone(),
-                );
-                let waits = (
-                    stats.stats.channel_send_waits.clone(),
-                    stats.stats.channel_recv_waits.clone(),
-                );
-                supervised = Some(stats);
-                (documents, Some(busy), Some(waits))
-            }
-        },
+        RunMode::Threaded => {
+            let defaults = ThreadedConfig::default();
+            let threaded = ThreadedConfig {
+                inbox_capacity: config.inbox_capacity.unwrap_or(defaults.inbox_capacity),
+                send_tries: config.supervision.as_ref().and_then(|s| s.send_tries),
+                supervision: config
+                    .supervision
+                    .as_ref()
+                    .map(|s| supervise_config(s, &recorder, degrade_flag)),
+            };
+            let stats = run_threaded_batched(topology, threaded, batch_policy());
+            (stats.processed[PARSER_COMPONENT], Some(stats))
+        }
     };
     let rec = recorder.lock();
     let mut report = RunReport::from_recorder(
@@ -809,26 +726,22 @@ fn run_with_publisher(
         &rec,
     );
     report.backend = config.backend.name().to_string();
-    if let Some((send_waits, recv_waits)) = waits {
+    if let Some(stats) = threaded {
         report.channel_waits = names
             .iter()
             .cloned()
-            .zip(send_waits.into_iter().zip(recv_waits))
+            .zip(
+                stats
+                    .channel_send_waits
+                    .into_iter()
+                    .zip(stats.channel_recv_waits),
+            )
             .map(|(name, (s, r))| (name, s, r))
             .collect();
-    }
-    if let Some((busy, per_task)) = busy {
         // per-instance attribution aggregates into the per-component total:
         // `operator_seconds[c]` is the sum of `operator_task_seconds[c]`
-        report.operator_seconds = names.iter().cloned().zip(busy).collect();
-        report.operator_task_seconds = names.into_iter().zip(per_task).collect();
-    }
-    if let Some(counters) = serve_counters {
-        report.snapshots_published = counters.snapshots_published();
-        report.reader_acquisitions = counters.reader_acquisitions();
-        report.snapshot_build_seconds = counters.build_seconds();
-    }
-    if let Some(stats) = supervised {
+        report.operator_seconds = names.iter().cloned().zip(stats.busy_seconds).collect();
+        report.operator_task_seconds = names.into_iter().zip(stats.task_busy_seconds).collect();
         report.faults_injected = stats.faults_injected;
         report.tasks_restarted = stats.tasks_restarted;
         report.rounds_replayed = stats.rounds_replayed;
@@ -838,7 +751,74 @@ fn run_with_publisher(
         components.dedup();
         report.degraded_components = components.len() as u64;
     }
+    if let Some(counters) = serve_counters {
+        report.snapshots_published = counters.snapshots_published();
+        report.reader_acquisitions = counters.reader_acquisitions();
+        report.snapshot_build_seconds = counters.build_seconds();
+    }
     report
+}
+
+/// Translate a [`Supervision`] plan into the runtime's terms.
+fn supervise_config(
+    sup: &Supervision,
+    recorder: &SharedRecorder,
+    degrade_flag: Option<setcorr_serve::DegradeFlag>,
+) -> SuperviseConfig {
+    // Runtime-level faults; PoisonLock is armed inside the bolt (see
+    // `build_served_topology`) and surfaces to the supervisor as an
+    // injected panic like the others.
+    let faults = sup
+        .faults
+        .iter()
+        .filter_map(|f| match *f {
+            Fault::KillParser {
+                task,
+                after_messages,
+            } => Some(FaultSpec::KillTask {
+                component: PARSER_COMPONENT,
+                task,
+                after_messages,
+            }),
+            Fault::KillCalculator {
+                task,
+                after_messages,
+            } => Some(FaultSpec::KillTask {
+                component: CALCULATOR_COMPONENT,
+                task,
+                after_messages,
+            }),
+            Fault::DropAdopt { calculator, nth } => Some(FaultSpec::DropControl {
+                component: CALCULATOR_COMPONENT,
+                task: calculator,
+                nth,
+            }),
+            Fault::PoisonLock { .. } => None,
+        })
+        .collect();
+    // Degradations fan out to the route-around machinery: the recorder's
+    // degraded set (Disseminator repartitions around the dead Calculator,
+    // the Merger stops assigning it tags) and the serving store's honesty
+    // marker.
+    let recorder = recorder.clone();
+    let on_degrade = move |component: usize, task: usize| {
+        if component == CALCULATOR_COMPONENT {
+            recorder.lock().mark_degraded(task);
+        }
+        if let Some(flag) = &degrade_flag {
+            flag.set();
+        }
+    };
+    SuperviseConfig {
+        restart: RestartPolicy {
+            max_restarts: sup.max_restarts,
+            backoff_base: sup.backoff_base,
+        },
+        faults,
+        drain_patience: sup.drain_patience,
+        on_degrade: Some(Arc::new(on_degrade)),
+        ..SuperviseConfig::default()
+    }
 }
 
 /// Convenience: run over a vector of documents.

@@ -27,16 +27,15 @@
 //! closes it (single FIFO channel per Disseminator → Calculator pair).
 //!
 //! With a data-parallel front (`N` Parser instances), every Parser emits its
-//! own tick per round boundary, so the Disseminator and the Baseline run a
-//! *tick fan-in barrier*: round `r` closes downstream only after all `N`
-//! ticks for `r` arrived, and tagsets of later rounds wait in a per-round
-//! buffer behind the barrier. Per-parser FIFO order guarantees a round-`r`
-//! tagset always precedes that parser's tick `r`, so a complete fan-in
-//! implies the round's evidence is complete — exactly the degree-1 round
-//! semantics, for any `N`.
+//! own tick per round boundary, so the Disseminator and the Baseline each
+//! run a *tick fan-in barrier* (`RoundBarrier`): round `r` closes
+//! downstream only after all `N` ticks for `r` arrived, and tagsets of
+//! later rounds wait in a per-round buffer behind the barrier — exactly the
+//! degree-1 round semantics, for any `N`.
 
 use crate::messages::Msg;
 use crate::recorder::SharedRecorder;
+use crate::round_barrier::{RoundBarrier, RoundEvent};
 use setcorr_core::{
     disjoint_sets, partition_setcover, plan_handoff, AlgorithmKind, Calculator, CorrelationBackend,
     Disseminator, DisseminatorAction, DisseminatorConfig, Merger, MigrationBundle, PartitionInput,
@@ -341,14 +340,12 @@ impl Bolt<Msg> for MergerBolt {
                 let dead = {
                     let mut rec = self.recorder.lock();
                     rec.merges += 1;
-                    rec.degraded_calcs
+                    rec.degraded_calcs().clone()
                 };
-                if dead != 0 {
-                    for (i, part) in partitions.parts.iter_mut().enumerate() {
-                        if i < 64 && dead & (1u64 << i) != 0 {
-                            part.tags.clear();
-                            part.load = 0;
-                        }
+                for task in dead {
+                    if let Some(part) = partitions.parts.get_mut(task) {
+                        part.tags.clear();
+                        part.load = 0;
                     }
                 }
                 out.emit(
@@ -418,26 +415,14 @@ pub struct DisseminatorBolt {
     /// whole incoming batch routes into these, then leaves as one
     /// `emit_direct_batch` per touched Calculator.
     notif_batch: Vec<Vec<Msg>>,
-    /// Parser instances feeding this bolt — the tick fan-in width. At 1
-    /// (the default) every fan-in structure below stays untouched and the
-    /// behaviour is bit-for-bit the single-parser protocol.
-    n_parsers: usize,
-    /// Report period `y`, for deriving a tagset's round from its event
-    /// timestamp (consulted only when `n_parsers > 1`).
-    report_period: TimeDelta,
-    /// Next round to relay downstream = rounds whose fan-in completed.
-    relay_round: u64,
-    /// Tick arrivals per not-yet-closed round.
-    ticks_seen: FxHashMap<u64, usize>,
-    /// Tagsets of rounds beyond `relay_round`, held (in arrival order) until
-    /// every intervening round's fan-in completes — no evidence may cross a
-    /// round barrier.
-    round_buffer: std::collections::BTreeMap<u64, Vec<TagSet>>,
-    /// Calculator tasks this bolt already knows are degraded — the last
-    /// [`crate::recorder::RunRecorder::degraded_calcs`] snapshot it acted
-    /// on. Compared at every round close; new bits trigger the route-around
+    /// Tick fan-in over the Parser instances feeding this bolt (width 1 by
+    /// default: the single-parser protocol).
+    barrier: RoundBarrier,
+    /// How many degraded Calculator tasks this bolt has already reacted to
+    /// — the last [`crate::recorder::RunRecorder::degraded_count`] it saw.
+    /// Compared at every round close; growth triggers the route-around
     /// repartition (see [`Self::relay_tick`]).
-    known_degraded: u64,
+    known_degraded: usize,
     recorder: SharedRecorder,
 }
 
@@ -478,11 +463,7 @@ impl DisseminatorBolt {
             bootstrap_buffer: std::collections::VecDeque::new(),
             route_scratch: setcorr_core::RouteResult::default(),
             notif_batch: (0..k).map(|_| Vec::new()).collect(),
-            n_parsers: 1,
-            report_period: TimeDelta::from_secs(1),
-            relay_round: 0,
-            ticks_seen: FxHashMap::default(),
-            round_buffer: std::collections::BTreeMap::new(),
+            barrier: RoundBarrier::new(1, TimeDelta::from_secs(1)),
             known_degraded: 0,
             recorder,
         }
@@ -501,8 +482,7 @@ impl DisseminatorBolt {
     /// Parsers' period `y`, used to derive a tagset's round from its event
     /// timestamp for the fan-in buffer.
     pub fn with_parser_fanin(mut self, n: usize, report_period: TimeDelta) -> Self {
-        self.n_parsers = n.max(1);
-        self.report_period = report_period;
+        self.barrier = RoundBarrier::new(n, report_period);
         self
     }
 
@@ -645,13 +625,7 @@ impl Bolt<Msg> for DisseminatorBolt {
             match msg {
                 Msg::TagSet { time, tags } => {
                     if self.dissem.has_partitions() {
-                        if self.n_parsers > 1 && self.tagset_round(time) > self.relay_round {
-                            // ahead of an open round's fan-in barrier
-                            self.round_buffer
-                                .entry(self.tagset_round(time))
-                                .or_default()
-                                .push(tags);
-                        } else {
+                        if let Some(tags) = self.barrier.admit(time, tags) {
                             self.route_tagset_inner(tags, out, true);
                         }
                     } else {
@@ -679,23 +653,8 @@ impl Bolt<Msg> for DisseminatorBolt {
                 _ => {}
             }
         }
-        // Data-parallel front: shards end at different max rounds, so the
-        // last rounds never complete their fan-in. Force-close them in
-        // ascending round order — held tagsets route first, then the tick
-        // relays, preserving the degree-1 round/evidence order exactly.
-        while !self.ticks_seen.is_empty() || !self.round_buffer.is_empty() {
-            let r = self.relay_round;
-            if let Some(held) = self.round_buffer.remove(&r) {
-                for tags in held {
-                    self.route_tagset(tags, out);
-                }
-            }
-            if self.ticks_seen.remove(&r).is_some() {
-                let time = Timestamp((r + 1) * self.report_period.millis());
-                self.relay_tick(r, time, out);
-            }
-            self.relay_round = r + 1;
-        }
+        let events = self.barrier.force_close();
+        self.apply_round_events(events, out);
         self.flush_sample();
     }
 }
@@ -784,73 +743,48 @@ impl DisseminatorBolt {
     }
 
     /// Route around Calculators the supervised runtime has permanently
-    /// degraded: when the recorder's bitmask shows tasks this bolt has not
-    /// reacted to yet, request a fresh repartition. The Merger strips the
-    /// dead tasks' partitions from the new map, and the install's fence
+    /// degraded: when the recorder's degraded set shows tasks this bolt has
+    /// not reacted to yet, request a fresh repartition. The Merger strips
+    /// the dead tasks' partitions from the new map, and the install's fence
     /// migrates the surviving state to live owners via the normal handoff
     /// protocol. Polled at round boundaries — ticks are rare, so the lock
     /// stays off the per-document hot path.
     fn check_degraded(&mut self, out: &mut dyn Emitter<Msg>) {
-        let degraded = self.recorder.lock().degraded_calcs;
-        let newly = degraded & !self.known_degraded;
-        if newly == 0 {
+        let degraded = self.recorder.lock().degraded_count();
+        if degraded == self.known_degraded {
             return;
         }
         self.known_degraded = degraded;
         if self.installed_epoch.is_none() {
-            return; // bootstrap still in flight; the install will use a fresh mask
+            return; // bootstrap still in flight; the install will use a fresh set
         }
         let epoch = self.epoch;
         self.epoch += 1;
         out.emit("repart", Msg::RepartitionRequest { epoch, cause: None });
     }
 
-    /// The report round a tagset's event timestamp falls into.
-    fn tagset_round(&self, time: Timestamp) -> u64 {
-        time.millis() / self.report_period.millis()
-    }
-
-    /// Route a live tagset, or hold it behind the fan-in barrier when its
-    /// round is still waiting on ticks from slower Parser instances.
+    /// Route a live tagset, or leave it held behind the fan-in barrier when
+    /// its round is still waiting on ticks from slower Parser instances.
     fn admit_tagset(&mut self, time: Timestamp, tags: TagSet, out: &mut dyn Emitter<Msg>) {
-        if self.n_parsers > 1 {
-            let round = self.tagset_round(time);
-            if round > self.relay_round {
-                self.round_buffer.entry(round).or_default().push(tags);
-                return;
-            }
+        if let Some(tags) = self.barrier.admit(time, tags) {
+            self.route_tagset(tags, out);
         }
-        self.route_tagset(tags, out);
     }
 
-    /// Tick fan-in: with one Parser this relays immediately (the historical
-    /// protocol); with `N` Parsers each round closes once, when its `N`th
-    /// tick arrives, and the next round's held tagsets route right after.
-    /// Per-parser FIFO order means a complete fan-in implies every round-`r`
-    /// tagset was already admitted — the barrier can never close early.
+    /// Feed one Parser's tick into the fan-in barrier and act on what it
+    /// closed.
     fn ingest_tick(&mut self, round: u64, time: Timestamp, out: &mut dyn Emitter<Msg>) {
-        if self.n_parsers <= 1 {
-            self.relay_tick(round, time, out);
-            return;
-        }
-        if round < self.relay_round {
-            return; // round already force-closed (possible only at shutdown)
-        }
-        *self.ticks_seen.entry(round).or_insert(0) += 1;
-        while self
-            .ticks_seen
-            .get(&self.relay_round)
-            .is_some_and(|&n| n >= self.n_parsers)
-        {
-            let r = self.relay_round;
-            self.ticks_seen.remove(&r);
-            let time = Timestamp((r + 1) * self.report_period.millis());
-            self.relay_tick(r, time, out);
-            self.relay_round = r + 1;
-            if let Some(held) = self.round_buffer.remove(&self.relay_round) {
-                for tags in held {
-                    self.route_tagset(tags, out);
-                }
+        let events = self.barrier.tick(round, time);
+        self.apply_round_events(events, out);
+    }
+
+    /// Relay the closed rounds' ticks and route the released tagsets, in
+    /// barrier order.
+    fn apply_round_events(&mut self, events: Vec<RoundEvent>, out: &mut dyn Emitter<Msg>) {
+        for event in events {
+            match event {
+                RoundEvent::Close { round, time } => self.relay_tick(round, time, out),
+                RoundEvent::Held(tags) => self.route_tagset(tags, out),
             }
         }
     }
@@ -1272,6 +1206,15 @@ impl Bolt<Msg> for CalculatorBolt {
             component: self.component,
             k: self.k,
             live_migration: self.live_migration,
+            // Ticks and fences this task took off its inbox but never
+            // answered (stalled behind a barrier that will not close now):
+            // the Tracker and the peers are still waiting on each of them.
+            unanswered: self
+                .pending
+                .iter()
+                .filter(|m| matches!(m, Msg::Tick { .. } | Msg::Fence { .. }))
+                .cloned()
+                .collect(),
         }))
     }
 }
@@ -1286,6 +1229,13 @@ impl Bolt<Msg> for CalculatorBolt {
 /// * every fence still sends one empty [`Msg::Adopt`] per peer, so the
 ///   surviving Calculators' migration barriers keep closing.
 ///
+/// That includes the ticks and fences the dead task had already consumed
+/// and left stalled behind its migration barrier (`unanswered`): they are
+/// answered first, at the stand-in's next callback or final flush. Without
+/// that, a fence queued behind a barrier wedged by a lost `Adopt` would
+/// never be answered, every peer would starve on it in turn, and no round
+/// after it would close.
+///
 /// Notifications and incoming adopts are dropped — their evidence is lost,
 /// which the run report discloses via its degraded-component counters.
 struct DegradedCalculator {
@@ -1293,10 +1243,17 @@ struct DegradedCalculator {
     component: ComponentId,
     k: usize,
     live_migration: bool,
+    unanswered: Vec<Msg>,
 }
 
-impl Bolt<Msg> for DegradedCalculator {
-    fn on_message(&mut self, msg: Msg, out: &mut dyn Emitter<Msg>) {
+impl DegradedCalculator {
+    fn answer_unanswered(&mut self, out: &mut dyn Emitter<Msg>) {
+        for msg in std::mem::take(&mut self.unanswered) {
+            self.answer(msg, out);
+        }
+    }
+
+    fn answer(&mut self, msg: Msg, out: &mut dyn Emitter<Msg>) {
         match msg {
             Msg::Tick { round, .. } => out.emit(
                 "coeffs",
@@ -1327,12 +1284,23 @@ impl Bolt<Msg> for DegradedCalculator {
             _ => {}
         }
     }
+}
+
+impl Bolt<Msg> for DegradedCalculator {
+    fn on_message(&mut self, msg: Msg, out: &mut dyn Emitter<Msg>) {
+        self.answer_unanswered(out);
+        self.answer(msg, out);
+    }
 
     fn on_batch(&mut self, mut msgs: Vec<Msg>, out: &mut dyn Emitter<Msg>) {
         for msg in msgs.drain(..) {
             self.on_message(msg, out);
         }
         out.recycle(msgs);
+    }
+
+    fn on_flush(&mut self, out: &mut dyn Emitter<Msg>) {
+        self.answer_unanswered(out);
     }
 }
 
@@ -1435,19 +1403,9 @@ pub struct BaselineBolt {
     round_occurrences: FxHashMap<TagSet, u64>,
     /// Occurrences across the whole run (≥ 2 tags only).
     run_occurrences: FxHashMap<TagSet, u64>,
-    /// Parser instances feeding this bolt (tick fan-in width; 1 = the
-    /// historical single-parser protocol, no fan-in structures touched).
-    n_parsers: usize,
-    /// Report period, for deriving a tagset's round from its timestamp
-    /// (consulted only when `n_parsers > 1`).
-    report_period: TimeDelta,
-    /// Next round to close = rounds whose tick fan-in completed.
-    relay_round: u64,
-    /// Tick arrivals per open round.
-    ticks_seen: FxHashMap<u64, usize>,
-    /// Tagsets of rounds beyond `relay_round`, observed only once every
-    /// intervening round has closed.
-    round_buffer: std::collections::BTreeMap<u64, Vec<TagSet>>,
+    /// Tick fan-in over the Parser instances feeding this bolt (width 1 by
+    /// default: the single-parser protocol).
+    barrier: RoundBarrier,
     recorder: SharedRecorder,
 }
 
@@ -1458,11 +1416,7 @@ impl BaselineBolt {
             calc: Calculator::new(),
             round_occurrences: FxHashMap::default(),
             run_occurrences: FxHashMap::default(),
-            n_parsers: 1,
-            report_period: TimeDelta::from_secs(1),
-            relay_round: 0,
-            ticks_seen: FxHashMap::default(),
-            round_buffer: std::collections::BTreeMap::new(),
+            barrier: RoundBarrier::new(1, TimeDelta::from_secs(1)),
             recorder,
         }
     }
@@ -1470,8 +1424,7 @@ impl BaselineBolt {
     /// Data-parallel front: `n` Parser instances feed this bolt, each with
     /// its own per-round tick (see [`DisseminatorBolt::with_parser_fanin`]).
     pub fn with_parser_fanin(mut self, n: usize, report_period: TimeDelta) -> Self {
-        self.n_parsers = n.max(1);
-        self.report_period = report_period;
+        self.barrier = RoundBarrier::new(n, report_period);
         self
     }
 }
@@ -1485,17 +1438,12 @@ impl BaselineBolt {
         self.calc.observe_n(&tags, n);
     }
 
-    /// Observe a tagset, or hold it when its round is still behind the tick
-    /// fan-in barrier.
+    /// Observe a tagset, or leave it held when its round is still behind
+    /// the tick fan-in barrier.
     fn admit_tagset(&mut self, time: Timestamp, tags: TagSet) {
-        if self.n_parsers > 1 {
-            let round = time.millis() / self.report_period.millis();
-            if round > self.relay_round {
-                self.round_buffer.entry(round).or_default().push(tags);
-                return;
-            }
+        if let Some(tags) = self.barrier.admit(time, tags) {
+            self.observe_tagset(tags, 1);
         }
-        self.observe_tagset(tags, 1);
     }
 
     /// Report and reset the round's exact coefficients.
@@ -1521,31 +1469,13 @@ impl BaselineBolt {
         self.round_occurrences.clear();
     }
 
-    /// Tick fan-in, mirroring [`DisseminatorBolt::ingest_tick`]: each round
-    /// closes once all `n_parsers` ticks for it arrived, then the next
-    /// round's held tagsets are observed.
-    fn ingest_tick(&mut self, round: u64) {
-        if self.n_parsers <= 1 {
-            self.close_round(round);
-            return;
-        }
-        if round < self.relay_round {
-            return; // round already force-closed (possible only at shutdown)
-        }
-        *self.ticks_seen.entry(round).or_insert(0) += 1;
-        while self
-            .ticks_seen
-            .get(&self.relay_round)
-            .is_some_and(|&n| n >= self.n_parsers)
-        {
-            let r = self.relay_round;
-            self.ticks_seen.remove(&r);
-            self.close_round(r);
-            self.relay_round = r + 1;
-            if let Some(held) = self.round_buffer.remove(&self.relay_round) {
-                for tags in held {
-                    self.observe_tagset(tags, 1);
-                }
+    /// Close the completed rounds and observe the released tagsets, in
+    /// barrier order.
+    fn apply_round_events(&mut self, events: Vec<RoundEvent>) {
+        for event in events {
+            match event {
+                RoundEvent::Close { round, .. } => self.close_round(round),
+                RoundEvent::Held(tags) => self.observe_tagset(tags, 1),
             }
         }
     }
@@ -1555,7 +1485,10 @@ impl Bolt<Msg> for BaselineBolt {
     fn on_message(&mut self, msg: Msg, _out: &mut dyn Emitter<Msg>) {
         match msg {
             Msg::TagSet { time, tags } => self.admit_tagset(time, tags),
-            Msg::Tick { round, .. } => self.ingest_tick(round),
+            Msg::Tick { round, time } => {
+                let events = self.barrier.tick(round, time);
+                self.apply_round_events(events);
+            }
             _ => {}
         }
     }
@@ -1574,21 +1507,8 @@ impl Bolt<Msg> for BaselineBolt {
     }
 
     fn on_flush(&mut self, _out: &mut dyn Emitter<Msg>) {
-        // Data-parallel front: the last rounds never complete their fan-in
-        // (shards end at different max rounds) — force-close them in
-        // ascending order, observing each round's held tagsets first.
-        while !self.ticks_seen.is_empty() || !self.round_buffer.is_empty() {
-            let r = self.relay_round;
-            if let Some(held) = self.round_buffer.remove(&r) {
-                for tags in held {
-                    self.observe_tagset(tags, 1);
-                }
-            }
-            if self.ticks_seen.remove(&r).is_some() {
-                self.close_round(r);
-            }
-            self.relay_round = r + 1;
-        }
+        let events = self.barrier.force_close();
+        self.apply_round_events(events);
         let mut rec = self.recorder.lock();
         for (tags, n) in self.run_occurrences.drain() {
             *rec.baseline_occurrences.entry(tags).or_insert(0) += n;
@@ -1727,6 +1647,51 @@ mod tests {
             Msg::NewPartitions { epoch: 0, .. }
         ));
         assert_eq!(recorder.lock().merges, 1);
+    }
+
+    #[test]
+    fn merger_strips_exactly_the_degraded_calculators_partition_beyond_task_63() {
+        // 66 disjoint singleton sets over k = 66: every partition gets one.
+        let k = 66;
+        let recorder = RunRecorder::shared(k);
+        recorder.lock().mark_degraded(65);
+        let mut m = MergerBolt::new(AlgorithmKind::Ds, k, 1, 3, recorder);
+        let mut cap = Capture::default();
+        let ids: Vec<u32> = (1..=k as u32).collect();
+        m.on_message(
+            Msg::PartitionerParts {
+                epoch: 0,
+                partitioner: 0,
+                output: Arc::new(PartitionerOutput::DisjointSets(
+                    ids.iter()
+                        .map(|&i| setcorr_core::WeightedTagList {
+                            tags: vec![setcorr_model::Tag(i)],
+                            load: 1,
+                        })
+                        .collect(),
+                )),
+                snapshot: Arc::new(
+                    ids.iter()
+                        .map(|&i| TagSetStat {
+                            tags: ts(&[i]),
+                            count: 1,
+                        })
+                        .collect(),
+                ),
+            },
+            &mut cap,
+        );
+        let Msg::NewPartitions { partitions, .. } = &cap.emitted[0].1 else {
+            panic!("expected NewPartitions");
+        };
+        assert!(partitions.parts[65].tags.is_empty(), "dead task stripped");
+        assert_eq!(partitions.parts[65].load, 0);
+        for live in (0..k).filter(|&i| i != 65) {
+            assert!(
+                !partitions.parts[live].tags.is_empty(),
+                "live calculator {live} must keep its partition"
+            );
+        }
     }
 
     #[test]
@@ -2054,6 +2019,66 @@ mod tests {
             reports[0].counter, 3,
             "2 migrated + 1 stalled-then-replayed"
         );
+    }
+
+    #[test]
+    fn tombstone_answers_the_ticks_and_fences_stalled_behind_a_wedged_barrier() {
+        // The owed Adopt for fence 0 never arrives (lost), so a tick and a
+        // second fence stall behind the barrier. When the starvation
+        // detector degrades the task, the Tracker still waits on that tick
+        // and both peers on that fence's Adopt: the stand-in must answer
+        // them — in stream order, before anything new — or the peers starve
+        // in turn.
+        let recorder = RunRecorder::shared(3);
+        let mut calc = CalculatorBolt::new(1).with_migration(9, 3, recorder);
+        let mut cap = Capture::default();
+        let fence = |epoch| Msg::Fence {
+            epoch,
+            partitions: Arc::new(setcorr_core::PartitionSet::empty(3)),
+        };
+        let tick = |round| Msg::Tick {
+            round,
+            time: Timestamp(1),
+        };
+        calc.on_message(fence(0), &mut cap);
+        cap.direct.clear(); // this task's own answer to fence 0
+        calc.on_message(
+            Msg::Notification {
+                doc: 0,
+                tags: ts(&[1, 2]),
+            },
+            &mut cap,
+        );
+        calc.on_message(tick(0), &mut cap);
+        calc.on_message(fence(1), &mut cap);
+        assert!(!calc.drained() && cap.emitted.is_empty() && cap.direct.is_empty());
+
+        let mut stand_in = calc.tombstone().expect("calculators have a tombstone");
+        assert!(stand_in.drained(), "the stand-in owes its barrier nothing");
+        stand_in.on_message(tick(1), &mut cap);
+        stand_in.on_flush(&mut cap);
+        let rounds: Vec<u64> = cap
+            .emitted
+            .iter()
+            .map(|(_, m)| match m {
+                Msg::CalcReport { round, reports, .. } if reports.is_empty() => *round,
+                other => panic!("expected an empty CalcReport, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            rounds,
+            [0, 1],
+            "stalled tick first, then the live one, once"
+        );
+        let adopts: Vec<(usize, u64)> = cap
+            .direct
+            .iter()
+            .map(|(_, _, peer, m)| match m {
+                Msg::Adopt { epoch, from: 1, .. } => (*peer, *epoch),
+                other => panic!("expected an Adopt from task 1, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(adopts, [(0, 1), (2, 1)], "one Adopt per peer for fence 1");
     }
 
     #[test]

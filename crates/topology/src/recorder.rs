@@ -9,6 +9,7 @@ use parking_lot::Mutex;
 use setcorr_core::{CoefficientReport, RepartitionCause, TrackedCoefficient};
 use setcorr_metrics::{Chart, Series};
 use setcorr_model::FxHashMap;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Everything measured during one experiment run.
@@ -52,12 +53,9 @@ pub struct RunRecorder {
     /// `Arc`-held: the same storage backs the serving layer's published
     /// snapshots, so recording a round never copies it.
     pub tracked_rounds: FxHashMap<u64, Arc<Vec<TrackedCoefficient>>>,
-    /// Bitmask of Calculator tasks the supervised runtime has permanently
-    /// degraded (bit `i` = task `i`, tasks ≥ 64 saturate into bit 63). Set
-    /// from the supervisor's on-degrade hook; the Disseminator polls it at
-    /// round boundaries to trigger a route-around repartition, and the
-    /// Merger strips dead tasks' partitions from every map it emits.
-    pub degraded_calcs: u64,
+    /// Calculator tasks the supervised runtime has permanently degraded
+    /// (see [`Self::mark_degraded`]).
+    degraded_calcs: BTreeSet<usize>,
 }
 
 impl RunRecorder {
@@ -74,6 +72,26 @@ impl RunRecorder {
     /// Wrap in the shared handle the bolts take.
     pub fn shared(k: usize) -> SharedRecorder {
         Arc::new(Mutex::new(Self::new(k)))
+    }
+
+    /// Record Calculator `task` as permanently degraded (the supervisor's
+    /// on-degrade hook). The set grows only — a degraded task never comes
+    /// back — so a change in [`Self::degraded_count`] always means new dead
+    /// tasks: the Disseminator polls the count at round boundaries to
+    /// trigger a route-around repartition, and the Merger strips
+    /// [`Self::degraded_calcs`]' partitions from every map it emits.
+    pub fn mark_degraded(&mut self, task: usize) {
+        self.degraded_calcs.insert(task);
+    }
+
+    /// The degraded Calculator tasks, ascending.
+    pub fn degraded_calcs(&self) -> &BTreeSet<usize> {
+        &self.degraded_calcs
+    }
+
+    /// How many Calculator tasks are degraded (monotone over a run).
+    pub fn degraded_count(&self) -> usize {
+        self.degraded_calcs.len()
     }
 
     /// Lifetime average communication (notifications per routed tagset).

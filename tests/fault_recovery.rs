@@ -313,6 +313,50 @@ fn dropped_adopt_starves_then_degrades_instead_of_hanging() {
     );
 }
 
+/// The same lost `Adopt`, with drift repartitions forced (`thr: 0`) so that
+/// later fences queue *behind* the victim's wedged barrier. The victim has
+/// consumed those fences but cannot answer them, so every peer ends up
+/// waiting on an `Adopt` only the victim could send: unless its tombstone
+/// answers what the victim left stalled, no round after the wedge closes
+/// (the default-`thr` test above hits this only when the scheduler lets a
+/// drift repartition land before the first round does).
+#[test]
+fn dropped_adopt_with_fences_queued_behind_the_wedge_still_closes_rounds() {
+    let config = ExperimentConfig {
+        algorithm: AlgorithmKind::Ds,
+        k: 5,
+        partitioners: 3,
+        thr: 0.0,
+        bootstrap_after: 500,
+        report_period: TimeDelta::from_secs(10),
+        window: WindowKind::Time(TimeDelta::from_secs(10)),
+        ..ExperimentConfig::for_algorithm(AlgorithmKind::Ds)
+    };
+    let supervision = Supervision {
+        drain_patience: 2_000,
+        faults: vec![Fault::DropAdopt {
+            calculator: 3,
+            nth: 1,
+        }],
+        ..Supervision::default()
+    };
+    let report = supervised_run(
+        "drop-adopt-queued-fence".to_string(),
+        config.with_supervision(supervision),
+        stream(SEEDS[1], 20_000),
+    );
+    assert_eq!(report.faults_injected, 1, "exactly one Adopt dropped");
+    assert!(
+        report.degraded_components >= 1,
+        "the wedged Calculator must be degraded, not waited on forever"
+    );
+    assert_eq!(report.documents, 20_000, "ingest must still complete");
+    assert!(
+        !report.tracked_rounds.is_empty(),
+        "the peers must get their Adopts from the tombstone and close rounds"
+    );
+}
+
 /// Fault-free supervised run: the supervision wrappers alone must not
 /// change a single byte of output relative to the sim oracle, and every
 /// fault counter must read zero.
