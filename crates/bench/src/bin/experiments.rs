@@ -15,12 +15,6 @@
 //!   theory    Section 5 analytic models
 //!   ablation  DS vs DS+SCL hybrid (the §8.3 outlook, implemented)
 //!   sketch    the §2 sketch-overhead argument, quantified
-//!   ingest    per-tuple hot-path throughput (observe / route / e2e),
-//!             recorded to BENCH_ingest.json at the workspace root
-//!   channel   transport microbenchmark (ring vs Mutex baseline, SPSC /
-//!             MPMC at bursts 1/8/128), recorded to BENCH_channel.json
-//!   serve     serving layer under concurrent query load (reader qps,
-//!             ingest slowdown), recorded to BENCH_serve.json
 //!   all       Everything above
 //!
 //! options:
@@ -31,91 +25,33 @@
 //!   --fig7-minutes <m>  stream length for fig7           (default 84)
 //!   --out <dir>         also write JSON reports          (default results)
 //!   --quick             shorthand for --duration 120 --fig7-minutes 42
-//!   --degree <n>        front parallelism (spout shards + parser
-//!                       instances) of the ingest e2e runs   (default 1)
 //! ```
 
 use setcorr_bench::harness::{self, Grid, Scale};
-use setcorr_bench::{channel, ingest, serving};
 use setcorr_topology::RunMode;
 use std::io::Write;
 
-/// Run the ingest hot-path measurement, append a run record (git rev +
-/// mode) to `BENCH_ingest.json` at the workspace root (the perf trajectory
-/// the CI smoke job uploads and diffs), and return the rendered summary.
-fn run_ingest(quick: bool, degree: usize) -> String {
-    eprintln!("measuring ingest hot-path throughput (quick={quick}, degree={degree})...");
-    let report = ingest::measure(quick, degree);
-    let root = ingest::workspace_root();
-    match ingest::write_json(&report, &root) {
-        Ok(()) => eprintln!(
-            "appended run record ({}, {}) to {}",
-            report.git_rev,
-            report.mode,
-            root.join("BENCH_ingest.json").display()
-        ),
-        Err(e) => eprintln!("could not write BENCH_ingest.json: {e}"),
-    }
-    report.render()
-}
-
-/// Run the channel transport microbenchmark, append a run record (git
-/// rev + mode) to `BENCH_channel.json` at the workspace root, and return
-/// the rendered summary.
-fn run_channel(quick: bool) -> String {
-    eprintln!("measuring channel transport vs the Mutex baseline (quick={quick})...");
-    let report = channel::measure(quick);
-    let root = channel::root();
-    match channel::write_json(&report, &root) {
-        Ok(()) => eprintln!(
-            "appended run record ({}, {}) to {}",
-            report.git_rev,
-            report.mode,
-            root.join("BENCH_channel.json").display()
-        ),
-        Err(e) => eprintln!("could not write BENCH_channel.json: {e}"),
-    }
-    report.render()
-}
-
-/// Run the serving query-load measurement, append a run record (git rev +
-/// mode) to `BENCH_serve.json` at the workspace root, and return the
-/// rendered summary.
-fn run_serve(quick: bool) -> String {
-    eprintln!("measuring serving under query load (quick={quick})...");
-    let report = serving::measure(quick);
-    let root = serving::root();
-    match serving::write_json(&report, &root) {
-        Ok(()) => eprintln!(
-            "appended run record ({}, {}) to {}",
-            report.git_rev,
-            report.mode,
-            root.join("BENCH_serve.json").display()
-        ),
-        Err(e) => eprintln!("could not write BENCH_serve.json: {e}"),
-    }
-    report.render()
-}
+/// Every target, as the usage line and the unknown-target error print it.
+const TARGETS: &str = "figs|fig3..fig9|theory|ablation|sketch|all";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: experiments <figs|fig3..fig9|theory|all> [options]");
+        eprintln!("usage: experiments <{TARGETS}> [options]");
         std::process::exit(2);
     }
     let target = args[0].clone();
     let mut scale = Scale::default();
     let mut out_dir = Some("results".to_string());
-    let mut quick = false;
-    let mut degree = 1usize;
 
     let mut i = 1;
     while i < args.len() {
         let take_value = |i: &mut usize| -> String {
+            let flag = &args[*i];
             *i += 1;
             args.get(*i)
                 .unwrap_or_else(|| {
-                    eprintln!("missing value for option");
+                    eprintln!("missing value for option {flag}");
                     std::process::exit(2);
                 })
                 .clone()
@@ -129,9 +65,7 @@ fn main() {
             "--quick" => {
                 scale.duration_secs = 120;
                 scale.fig7_minutes = 42;
-                quick = true;
             }
-            "--degree" => degree = take_value(&mut i).parse().expect("degree"),
             "--out" => out_dir = Some(take_value(&mut i)),
             "--no-out" => out_dir = None,
             other => {
@@ -171,9 +105,6 @@ fn main() {
         "fig7" => rendered.push(("fig7".into(), harness::fig7(&scale))),
         "ablation" => rendered.push(("ablation".into(), harness::ablation(&scale))),
         "sketch" => rendered.push(("sketch".into(), harness::sketch_overhead(&scale))),
-        "ingest" => rendered.push(("ingest".into(), run_ingest(quick, degree))),
-        "channel" => rendered.push(("channel".into(), run_channel(quick))),
-        "serve" => rendered.push(("serve".into(), run_serve(quick))),
         "fig8" => {
             let (f8, _) = harness::fig8_fig9(grid.as_ref().unwrap());
             rendered.push(("fig8".into(), f8));
@@ -196,12 +127,9 @@ fn main() {
             rendered.push(("theory".into(), harness::theory()));
             rendered.push(("ablation".into(), harness::ablation(&scale)));
             rendered.push(("sketch".into(), harness::sketch_overhead(&scale)));
-            rendered.push(("ingest".into(), run_ingest(quick, degree)));
-            rendered.push(("channel".into(), run_channel(quick)));
-            rendered.push(("serve".into(), run_serve(quick)));
         }
         other => {
-            eprintln!("unknown target {other}");
+            eprintln!("unknown target {other}; targets: {TARGETS}");
             std::process::exit(2);
         }
     }

@@ -84,34 +84,21 @@ impl Tracker {
     /// Close `round` and emit its deduplicated coefficients, sorted by
     /// tagset. Returns an empty vector for unknown rounds.
     pub fn finish_round(&mut self, round: u64) -> Vec<TrackedCoefficient> {
-        let mut out = Vec::new();
-        self.finish_round_into(round, &mut out);
-        out
-    }
-
-    /// Close `round` into a caller-owned buffer, clearing it first.
-    ///
-    /// This is the hot publish path: the per-round map drains into `out`
-    /// without an intermediate allocation, so a caller that recycles one
-    /// scratch buffer per round pays nothing beyond occasional growth.
-    pub fn finish_round_into(&mut self, round: u64, out: &mut Vec<TrackedCoefficient>) {
-        out.clear();
         let Some(entries) = self.rounds.remove(&round) else {
-            return;
+            return Vec::new();
         };
-        out.reserve(entries.len());
-        out.extend(
-            entries
-                .into_iter()
-                .map(|(tags, (jaccard, counter, reporters))| TrackedCoefficient {
-                    tags,
-                    jaccard,
-                    counter,
-                    reporters,
-                }),
-        );
+        let mut out: Vec<TrackedCoefficient> = entries
+            .into_iter()
+            .map(|(tags, (jaccard, counter, reporters))| TrackedCoefficient {
+                tags,
+                jaccard,
+                counter,
+                reporters,
+            })
+            .collect();
         out.sort_unstable_by(|a, b| a.tags.cmp(&b.tags));
         self.published += out.len() as u64;
+        out
     }
 }
 
@@ -190,25 +177,5 @@ mod tests {
         t.observe(0, &report(&[1, 2], 0.6, 5));
         t.observe(0, &report(&[1, 2], 0.4, 5));
         assert_eq!(t.finish_round(0)[0].jaccard, 0.6);
-    }
-
-    #[test]
-    fn finish_round_into_reuses_the_scratch_buffer() {
-        let mut t = Tracker::new();
-        t.observe(0, &report(&[1, 2], 0.4, 5));
-        t.observe(1, &report(&[3, 4], 0.5, 5));
-        let mut scratch = Vec::new();
-        t.finish_round_into(0, &mut scratch);
-        assert_eq!(scratch.len(), 1);
-        assert_eq!(scratch[0].tags, TagSet::from_ids(&[1, 2]));
-        t.finish_round_into(1, &mut scratch);
-        assert_eq!(scratch.len(), 1, "buffer is cleared before refill");
-        assert_eq!(scratch[0].tags, TagSet::from_ids(&[3, 4]));
-        t.finish_round_into(99, &mut scratch);
-        assert!(
-            scratch.is_empty(),
-            "unknown round clears and yields nothing"
-        );
-        assert_eq!(t.published(), 2);
     }
 }

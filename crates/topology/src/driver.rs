@@ -444,7 +444,7 @@ pub fn build_topology(
 
 /// [`build_topology`], optionally attaching a serving-layer [`Publisher`](setcorr_serve::Publisher)
 /// to the Tracker so every closed round becomes a queryable snapshot.
-pub fn build_served_topology(
+fn build_served_topology(
     config: &ExperimentConfig,
     docs: Box<dyn Iterator<Item = Document> + Send>,
     recorder: SharedRecorder,
@@ -824,22 +824,6 @@ fn supervise_config(
 /// Convenience: run over a vector of documents.
 pub fn run_docs(config: &ExperimentConfig, docs: Vec<Document>, mode: RunMode) -> RunReport {
     run(config, Box::new(docs.into_iter()), mode)
-}
-
-/// Run one experiment with the serving layer attached: every report round
-/// the Tracker closes is published as an immutable snapshot, and the
-/// returned [`setcorr_serve::QueryHandle`] answers queries against the
-/// final published state (and collected serve counters land in the report).
-///
-/// For queries *while the run is still ingesting*, use [`spawn_served`].
-pub fn run_served(
-    config: &ExperimentConfig,
-    docs: Box<dyn Iterator<Item = Document> + Send>,
-    mode: RunMode,
-) -> (RunReport, setcorr_serve::QueryHandle) {
-    let (publisher, handle) = setcorr_serve::store();
-    let report = run_with_publisher(config, docs, mode, Some(publisher));
-    (report, handle)
 }
 
 /// A served experiment running on a background thread: the query handle is

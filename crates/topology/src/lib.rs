@@ -26,9 +26,8 @@ mod round_barrier;
 
 pub use connectivity::{connectivity, ConnectivitySummary};
 pub use driver::{
-    batch_policy, bootstrap_partitions, build_served_topology, build_topology, run, run_docs,
-    run_served, spawn_served, BackendKind, ExperimentConfig, Fault, LiveRun, PinnedPartitions,
-    RunMode, Supervision, THREADED_BATCH,
+    batch_policy, bootstrap_partitions, build_topology, run, run_docs, spawn_served, BackendKind,
+    ExperimentConfig, Fault, LiveRun, PinnedPartitions, RunMode, Supervision, THREADED_BATCH,
 };
 pub use messages::Msg;
 pub use recorder::{RunRecorder, SharedRecorder};

@@ -1322,12 +1322,6 @@ pub struct TrackerBolt {
     received: FxHashMap<u64, usize>,
     recorder: SharedRecorder,
     publisher: Option<Publisher>,
-    /// Round-close drain buffer, handed to [`Tracker::finish_round_into`].
-    /// Its storage escapes into the shared `Arc` every non-empty round (the
-    /// recorder and the snapshot keep it), so what the reuse buys is the
-    /// empty-round case and the exact-size single allocation on fill —
-    /// not capacity retention.
-    scratch: Vec<setcorr_core::TrackedCoefficient>,
 }
 
 impl TrackerBolt {
@@ -1339,7 +1333,6 @@ impl TrackerBolt {
             received: FxHashMap::default(),
             recorder,
             publisher: None,
-            scratch: Vec::new(),
         }
     }
 
@@ -1350,8 +1343,7 @@ impl TrackerBolt {
     }
 
     fn finalize(&mut self, round: u64) {
-        self.tracker.finish_round_into(round, &mut self.scratch);
-        let coeffs = Arc::new(std::mem::take(&mut self.scratch));
+        let coeffs = Arc::new(self.tracker.finish_round(round));
         if let Some(publisher) = &self.publisher {
             publisher.publish(round, coeffs.clone());
         }

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use setcorr_serve::{DegradeFlag, QueryHandle, Snapshot};
     pub use setcorr_theory::{expected_communication, WindowScenario};
     pub use setcorr_topology::{
-        bootstrap_partitions, connectivity, run, run_docs, run_served, spawn_served, BackendKind,
+        bootstrap_partitions, connectivity, run, run_docs, spawn_served, BackendKind,
         ConnectivitySummary, ExperimentConfig, Fault, LiveRun, PinnedPartitions, RunMode,
         RunReport, Supervision,
     };
