@@ -15,8 +15,8 @@
 //!
 //! # Hot-path organisation
 //!
-//! Two structural optimisations keep the per-tuple and per-report costs
-//! proportional to *distinct* work instead of raw volume; both are exact —
+//! Three structural optimisations keep the per-tuple and per-report costs
+//! proportional to *distinct* work instead of raw volume; all are exact —
 //! every observable result is identical to the naive §3.1 procedure:
 //!
 //! * **Deduplicated subset expansion.** `observe` only bumps a per-round
@@ -28,8 +28,12 @@
 //! * **Batch union computation.** The report-time inclusion–exclusion is a
 //!   signed subset-sum: for each distinct notification set of `m` tags, the
 //!   unions of *all* its `2^m − 1` subsets are computed together by a
-//!   sum-over-subsets transform — `2^m` counter probes plus `m·2^m` adds,
+//!   sum-over-subsets transform — `2^m` counter reads plus `m·2^m` adds,
 //!   instead of the `3^m` probes of per-subset inclusion–exclusion.
+//! * **One hash per subset instance.** Counters live in a flat vector; the
+//!   map only resolves a subset to its slot. Expansion records, per distinct
+//!   set, the slots of its subsets in mask order, so the report reads every
+//!   counter by index instead of hashing each subset a second time.
 
 use setcorr_model::{FxHashMap, FxHashSet, Tag, TagSet, MAX_TAGS_PER_SET};
 use std::cell::RefCell;
@@ -52,15 +56,20 @@ pub struct CoefficientReport {
 /// trigger the lazy subset expansion.
 #[derive(Debug, Default, Clone)]
 struct CalcState {
-    /// Expanded subset counters: `CN(T)` for every tracked subset `T`.
-    counters: FxHashMap<TagSet, u64>,
+    /// Every tracked subset `T` → its slot in `values`.
+    index: FxHashMap<TagSet, u32>,
+    /// Expanded subset counters by slot: `CN(T)`.
+    values: Vec<u64>,
     /// Distinct notification sets observed since the last expansion, with
     /// their occurrence counts — the unexpanded delta.
     pending: FxHashMap<TagSet, u64>,
-    /// Every distinct notification set of the current report period
-    /// (expanded or not): the roots of the report-time batch union
-    /// computation. Values are unused; the keys move here from `pending`.
-    parents: FxHashSet<TagSet>,
+    /// The expanded notification sets of the current report period — the
+    /// roots of the report-time batch union computation — each with the
+    /// start of its run in `root_slots`. A set expanded twice in one period
+    /// is listed twice; the report skips the covered copy.
+    roots: Vec<(TagSet, usize)>,
+    /// Per root, the slots of its `2^m − 1` subsets in mask order.
+    root_slots: Vec<u32>,
 }
 
 /// Counting state of one Calculator.
@@ -116,16 +125,19 @@ impl Calculator {
     pub fn reset(&mut self) {
         self.received = 0;
         let state = self.state.get_mut();
-        state.counters.clear();
         state.pending.clear();
-        state.parents.clear();
+        // capacity stays for the next period
+        state.index.clear();
+        state.values.clear();
+        state.roots.clear();
+        state.root_slots.clear();
     }
 
     /// Number of distinct subset counters currently tracked.
     pub fn tracked(&self) -> usize {
         let mut state = self.state.borrow_mut();
         state.expand();
-        state.counters.len()
+        state.index.len()
     }
 
     /// Notifications received this report period.
@@ -137,7 +149,7 @@ impl Calculator {
     pub fn counter(&self, ts: &TagSet) -> u64 {
         let mut state = self.state.borrow_mut();
         state.expand();
-        state.counters.get(ts).copied().unwrap_or(0)
+        state.counter(ts)
     }
 
     /// `|⋃_{t ∈ ts} T_t|` by inclusion–exclusion over the subset counters.
@@ -156,7 +168,7 @@ impl Calculator {
         let mut union: i64 = 0;
         for mask in ts.subset_masks() {
             let sub = ts.subset(mask);
-            let c = state.counters.get(&sub).copied().unwrap_or(0) as i64;
+            let c = state.counter(&sub) as i64;
             if mask.count_ones() % 2 == 1 {
                 union += c;
             } else {
@@ -190,9 +202,9 @@ impl Calculator {
         let mut state = self.state.borrow_mut();
         state.expand();
         let mut out: Vec<(TagSet, u64)> = state
-            .counters
+            .index
             .iter()
-            .map(|(ts, &n)| (ts.clone(), n))
+            .map(|(ts, &slot)| (ts.clone(), state.values[slot as usize]))
             .collect();
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         out
@@ -204,10 +216,12 @@ impl Calculator {
     pub fn retain_covered(&mut self, keep: &FxHashSet<Tag>) {
         let state = self.state.get_mut();
         state.expand();
-        state.counters.retain(|ts, _| ts.is_covered_by(keep));
-        // departed parents' surviving subsets are handled by the report's
-        // leftover sweep, so parents can be filtered to owned ones
-        state.parents.retain(|ts| ts.is_covered_by(keep));
+        // a dropped subset's slot stays behind unreferenced: every subset of
+        // a surviving root survives with it
+        state.index.retain(|ts, _| ts.is_covered_by(keep));
+        // departed roots' surviving subsets are handled by the report's
+        // leftover sweep, so roots can be filtered to owned ones
+        state.roots.retain(|(ts, _)| ts.is_covered_by(keep));
     }
 
     /// Merge migrated counters additively. The migration protocol
@@ -217,64 +231,65 @@ impl Calculator {
     pub fn absorb_counters(&mut self, counters: &[(TagSet, u64)]) {
         let state = self.state.get_mut();
         for (ts, n) in counters {
-            *state.counters.entry(ts.clone()).or_insert(0) += n;
+            let slot = slot_of(&mut state.index, &mut state.values, ts.clone());
+            state.values[slot as usize] += n;
         }
     }
 
     /// Emit coefficients for every tracked tagset with ≥ 2 tags and clear all
-    /// counters (the "every y time units" step of §6.2). Output is sorted by
-    /// tagset for determinism.
-    ///
-    /// The counter map is *drained* into one sorted vector and the tagset
-    /// keys *move* into the emitted reports instead of being cloned — no
-    /// per-subset key copy (the pre-optimisation path boxed one clone per
-    /// tracked subset per period), no second pass over the map to clear it.
+    /// counters (the "every y time units" step of §6.2). Output is strictly
+    /// ascending by tagset — the Tracker merges it as one sorted run.
     ///
     /// Union cardinalities are computed in batch: every distinct
     /// notification set of the period roots one signed sum-over-subsets
     /// transform that yields the unions of *all* its subsets at once (see
-    /// `sos_emit`); counters that no root covers — possible only for
-    /// state adopted mid-migration — fall back to sweeps rooted at the
-    /// leftover sets themselves.
+    /// `sos_emit`), reading the counters through the slots recorded at
+    /// expansion; counters that no root covers — possible only for state
+    /// adopted mid-migration — fall back to sweeps rooted at the leftover
+    /// sets themselves, which look their slots up once.
     pub fn report_and_reset(&mut self) -> Vec<CoefficientReport> {
-        self.received = 0;
         let state = self.state.get_mut();
         state.expand();
         // Batch union computation + emission, rooted at the period's
         // distinct notification sets. Every emitted counter is tombstoned
         // (high bit) so overlapping roots emit each subset exactly once; a
-        // root wholly contained in an already-processed root is skipped
-        // with a single probe of its full set.
-        let mut out: Vec<(u64, CoefficientReport)> = Vec::with_capacity(state.counters.len());
+        // root wholly contained in an already-processed root is skipped on
+        // the tombstone of its own counter, the last slot of its run.
         let mut scratch = SosScratch::default();
-        for root in state.parents.drain() {
-            let covered =
-                root.len() >= 2 && state.counters.get(&root).is_some_and(|&n| n & EMITTED != 0);
-            if !covered {
-                sos_emit(root.tags(), &mut state.counters, &mut out, &mut scratch);
+        scratch.out.reserve(state.index.len());
+        for (root, start) in &state.roots {
+            let slots = &state.root_slots[*start..][..(1 << root.len()) - 1];
+            if state.values[slots[slots.len() - 1] as usize] & EMITTED == 0 {
+                sos_emit(root.tags(), slots, &mut state.values, &mut scratch);
             }
         }
         // Leftover sweep — counters no local root covers, possible only for
         // state adopted mid-migration: largest-first, so one sweep rooted at
-        // a leftover also covers all its subsets.
-        let mut leftovers: Vec<TagSet> = state
-            .counters
+        // a leftover also covers all its subsets. A leftover looks its
+        // subsets up once; the untracked ones read a spare zero counter.
+        let zero = new_slot(&mut state.values);
+        let mut leftovers: Vec<(&TagSet, u32)> = state
+            .index
             .iter()
-            .filter(|(ts, &n)| ts.len() >= 2 && n & EMITTED == 0)
-            .map(|(ts, _)| ts.clone())
+            .filter(|(ts, &slot)| ts.len() >= 2 && state.values[slot as usize] & EMITTED == 0)
+            .map(|(ts, &slot)| (ts, slot))
             .collect();
-        if !leftovers.is_empty() {
-            leftovers.sort_unstable_by_key(|ts| std::cmp::Reverse(ts.len()));
-            for root in leftovers {
-                let fresh = state.counters.get(&root).is_some_and(|&n| n & EMITTED == 0);
-                if fresh {
-                    sos_emit(root.tags(), &mut state.counters, &mut out, &mut scratch);
-                }
+        leftovers.sort_unstable_by_key(|(ts, _)| std::cmp::Reverse(ts.len()));
+        let mut slots: Vec<u32> = Vec::new();
+        for (root, slot) in leftovers {
+            if state.values[slot as usize] & EMITTED == 0 {
+                slots.clear();
+                slots.extend(root.subset_masks().map(|mask| {
+                    let subset = root.subset(mask);
+                    state.index.get(&subset).copied().unwrap_or(zero)
+                }));
+                sos_emit(root.tags(), &slots, &mut state.values, &mut scratch);
             }
         }
-        state.counters.clear();
+        self.reset();
         // Deterministic output order, via the cached two-tag prefix so
         // almost every comparison is one integer compare.
+        let mut out = scratch.out;
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.tags.cmp(&b.1.tags)));
         out.into_iter().map(|(_, report)| report).collect()
     }
@@ -282,26 +297,50 @@ impl Calculator {
 
 impl CalcState {
     /// Materialise the pending notification sets into subset counters:
-    /// `2^m − 1` weighted map updates per *distinct* pending set, after
-    /// which the set moves into [`CalcState::parents`] as a union root.
+    /// `2^m − 1` weighted updates per *distinct* pending set — the only time
+    /// its subsets are hashed — after which the set becomes a union root
+    /// holding the slots it touched.
     fn expand(&mut self) {
         for (ts, c) in self.pending.drain() {
+            let start = self.root_slots.len();
             for mask in ts.subset_masks() {
-                *self.counters.entry(ts.subset(mask)).or_insert(0) += c;
+                let slot = slot_of(&mut self.index, &mut self.values, ts.subset(mask));
+                self.values[slot as usize] += c;
+                self.root_slots.push(slot);
             }
-            self.parents.insert(ts);
+            self.roots.push((ts, start));
         }
     }
+
+    /// Raw counter for `ts` (0 if untracked).
+    fn counter(&self, ts: &TagSet) -> u64 {
+        self.index
+            .get(ts)
+            .map_or(0, |&slot| self.values[slot as usize])
+    }
+}
+
+/// A fresh slot, its counter at zero.
+fn new_slot(values: &mut Vec<u64>) -> u32 {
+    values.push(0);
+    u32::try_from(values.len() - 1).expect("fewer than 2^32 subsets tracked per period")
+}
+
+/// The slot of `ts`'s counter, allocated on first sight.
+fn slot_of(index: &mut FxHashMap<TagSet, u32>, values: &mut Vec<u64>, ts: TagSet) -> u32 {
+    *index.entry(ts).or_insert_with(|| new_slot(values))
 }
 
 /// Tombstone bit marking a counter whose coefficient has been emitted in
 /// the current report pass (counts never reach this magnitude).
 const EMITTED: u64 = 1 << 63;
 
-/// Reusable buffers of [`sos_emit`] (sized `2^m` for the largest root
-/// seen, capped by [`MAX_TAGS_PER_SET`]).
+/// Output and reusable buffers of [`sos_emit`] (the buffers sized `2^m` for
+/// the largest root seen, capped by [`MAX_TAGS_PER_SET`]).
 #[derive(Default)]
 struct SosScratch {
+    /// The emitted reports, each with its [`sort_prefix`].
+    out: Vec<(u64, CoefficientReport)>,
     /// Per-mask signed counter values, transformed in place into unions.
     acc: Vec<i64>,
     /// Per-mask raw counter value; `-1` for untracked or already-emitted
@@ -310,55 +349,40 @@ struct SosScratch {
 }
 
 /// Compute `|⋃_{t ∈ T} T_t|` for **every** subset `T` of `root` in one
-/// pass over the counter map, and emit the coefficient of each not-yet-
+/// pass over its counters, and emit the coefficient of each not-yet-
 /// emitted subset of ≥ 2 tags (tombstoning its counter).
 ///
 /// The inclusion–exclusion of Eq. 2, `U(T) = Σ_{∅≠R⊆T} (−1)^{|R|+1} CN(R)`,
 /// is a subset-sum of the signed counters `g(R) = (−1)^{|R|+1} CN(R)`: one
 /// sum-over-subsets (zeta) transform computes it for all `2^m` subsets
-/// simultaneously with `2^m` counter probes plus `m·2^{m−1}` additions —
+/// simultaneously with `2^m` counter reads plus `m·2^{m−1}` additions —
 /// per-subset inclusion–exclusion over the same lattice would cost `3^m`
-/// probes instead. Probes hit the counter map directly (inline keys, no
-/// indirection); emission order is irrelevant because the caller sorts.
-fn sos_emit(
-    root_tags: &[Tag],
-    counters: &mut FxHashMap<TagSet, u64>,
-    out: &mut Vec<(u64, CoefficientReport)>,
-    scratch: &mut SosScratch,
-) {
+/// probes instead. `slots[mask − 1]` is the slot of the subset `mask`
+/// selects, so no subset is hashed here; emission order is irrelevant
+/// because the caller sorts.
+fn sos_emit(root_tags: &[Tag], slots: &[u32], values: &mut [u64], scratch: &mut SosScratch) {
     let m = root_tags.len();
     debug_assert!(m <= MAX_TAGS_PER_SET);
     let full = 1usize << m;
+    debug_assert_eq!(slots.len(), full - 1);
     scratch.acc.clear();
     scratch.acc.resize(full, 0);
     scratch.cn.clear();
     scratch.cn.resize(full, -1);
-    // Gather: one probe per subset of the root. Fresh subsets of ≥ 2 tags
-    // are claimed for emission (tombstoned) right here, so the emit loop
-    // below needs no second probe.
-    let mut buf = [Tag(0); MAX_TAGS_PER_SET];
-    for mask in 1..full {
-        let mut n = 0;
-        let mut rest = mask;
-        while rest != 0 {
-            buf[n] = root_tags[rest.trailing_zeros() as usize];
-            n += 1;
-            rest &= rest - 1;
+    // Gather: one read per subset of the root. Fresh subsets of ≥ 2 tags
+    // are claimed for emission (tombstoned) right here; a zero counter is an
+    // untracked subset.
+    for (mask, &slot) in (1..full).zip(slots) {
+        let raw = &mut values[slot as usize];
+        let cn = (*raw & !EMITTED) as i64;
+        let size = mask.count_ones();
+        // the union transform needs every counter; emission only the
+        // fresh (untombstoned) ones of ≥ 2 tags
+        if *raw & EMITTED == 0 && size >= 2 && cn > 0 {
+            scratch.cn[mask] = cn;
+            *raw |= EMITTED;
         }
-        if let Some(raw) = counters.get_mut(&TagSet::from_sorted_slice(&buf[..n])) {
-            let cn = (*raw & !EMITTED) as i64;
-            // the union transform needs every counter; emission only the
-            // fresh (untombstoned) ones of ≥ 2 tags
-            if *raw & EMITTED == 0 && n >= 2 {
-                scratch.cn[mask] = cn;
-                *raw |= EMITTED;
-            }
-            scratch.acc[mask] = if (mask.count_ones()) % 2 == 1 {
-                cn
-            } else {
-                -cn
-            };
-        }
+        scratch.acc[mask] = if size % 2 == 1 { cn } else { -cn };
     }
     // Sum over subsets: acc[mask] becomes Σ_{R ⊆ mask} g(R) = U(mask).
     for bit in 0..m {
@@ -369,7 +393,8 @@ fn sos_emit(
             }
         }
     }
-    // Emit fresh subsets, tombstoning their counters.
+    // Emit the subsets claimed above.
+    let mut buf = [Tag(0); MAX_TAGS_PER_SET];
     for mask in 1..full {
         let inter = scratch.cn[mask];
         if inter < 0 {
@@ -387,7 +412,7 @@ fn sos_emit(
         // clamp as in `union_count`/`jaccard`: transiently inconsistent
         // mid-migration counters must not produce J > 1 or ∞
         let union = (scratch.acc[mask].max(0) as u64).max(inter);
-        out.push((
+        scratch.out.push((
             sort_prefix(&tags),
             CoefficientReport {
                 tags,

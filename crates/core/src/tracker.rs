@@ -6,9 +6,18 @@
 //! computed over data tracked for a longer period" — which guarantees that
 //! tagsets assigned at partition-creation time beat coefficients that started
 //! accumulating only after a partition evolved.
+//!
+//! Every Calculator's per-round report arrives as one run strictly ascending
+//! by tagset, so deduplication is a merge, not a hash join: reports are
+//! buffered in arrival order and [`Tracker::finish_round`] k-way merges the
+//! runs it finds in the buffer. Nothing depends on the senders' order for
+//! correctness — a shuffled feed merely splits into more, shorter runs.
 
 use crate::calculator::CoefficientReport;
 use setcorr_model::{FxHashMap, TagSet};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::mem;
 
 /// One deduplicated coefficient as the Tracker publishes it downstream.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +35,8 @@ pub struct TrackedCoefficient {
 /// Per-round deduplication state.
 #[derive(Debug, Default)]
 pub struct Tracker {
-    rounds: FxHashMap<u64, FxHashMap<TagSet, (f64, u64, u32)>>,
+    /// The reports of every open round, in arrival order.
+    rounds: FxHashMap<u64, Vec<TrackedCoefficient>>,
     published: u64,
 }
 
@@ -36,32 +46,30 @@ impl Tracker {
         Self::default()
     }
 
-    /// Ingest one Calculator report for report-round `round`.
-    ///
-    /// Takes the report by reference: reports fan out from shared
-    /// (`Arc`-held) per-round vectors, and deduplication only needs to
-    /// *read* them — the tagset key is cloned once, for the first reporter
-    /// of a round, instead of copying every report.
+    /// Ingest one Calculator report for report-round `round`: the
+    /// one-element case of [`Tracker::observe_run`].
     pub fn observe(&mut self, round: u64, report: &CoefficientReport) {
-        let entries = self.rounds.entry(round).or_default();
-        match entries.get_mut(&report.tags) {
-            Some(entry) => {
-                entry.2 += 1;
-                // Keep the max-CN coefficient. Ties break toward the larger
-                // Jaccard value so the winner does not depend on the order
-                // reports drained from the per-Calculator channels — the
-                // serving layer pins threaded runs against the sim oracle.
-                if report.counter > entry.1
-                    || (report.counter == entry.1 && report.jaccard > entry.0)
-                {
-                    entry.0 = report.jaccard;
-                    entry.1 = report.counter;
-                }
-            }
-            None => {
-                entries.insert(report.tags.clone(), (report.jaccard, report.counter, 1));
-            }
+        self.observe_run(round, std::slice::from_ref(report));
+    }
+
+    /// Ingest a run of reports for report-round `round` — typically one
+    /// Calculator's whole round, which is sorted by tagset.
+    ///
+    /// Takes the reports by reference (they fan out from shared, `Arc`-held
+    /// per-round vectors) and copies each once into the round's buffer,
+    /// which grows by the run's length up front; arbitration waits for
+    /// [`Tracker::finish_round`]. An empty run does not open its round.
+    pub fn observe_run(&mut self, round: u64, reports: &[CoefficientReport]) {
+        if reports.is_empty() {
+            return;
         }
+        let buffer = self.rounds.entry(round).or_default();
+        buffer.extend(reports.iter().map(|report| TrackedCoefficient {
+            tags: report.tags.clone(),
+            jaccard: report.jaccard,
+            counter: report.counter,
+            reporters: 1,
+        }));
     }
 
     /// Number of rounds currently buffered.
@@ -83,23 +91,64 @@ impl Tracker {
 
     /// Close `round` and emit its deduplicated coefficients, sorted by
     /// tagset. Returns an empty vector for unknown rounds.
+    ///
+    /// The buffer's maximal strictly-ascending runs are merged through a
+    /// heap of one cursor per run, `O(n log r)` for `n` reports in `r`
+    /// runs. Per tagset the max-`CN` report wins; ties break toward the
+    /// larger Jaccard value so the winner does not depend on the order
+    /// reports drained from the per-Calculator channels — the serving layer
+    /// pins threaded runs against the sim oracle.
     pub fn finish_round(&mut self, round: u64) -> Vec<TrackedCoefficient> {
-        let Some(entries) = self.rounds.remove(&round) else {
+        let Some(mut buffer) = self.rounds.remove(&round) else {
             return Vec::new();
         };
-        let mut out: Vec<TrackedCoefficient> = entries
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for end in 1..=buffer.len() {
+            if end == buffer.len() || buffer[end - 1].tags >= buffer[end].tags {
+                runs.push((runs.last().map_or(0, |run| run.1), end));
+            }
+        }
+        let cursor = |buffer: &mut [TrackedCoefficient], pos: usize, end: usize| {
+            let tags = mem::replace(&mut buffer[pos].tags, TagSet::empty());
+            Reverse(Cursor { tags, pos, end })
+        };
+        let mut heads: BinaryHeap<_> = runs
             .into_iter()
-            .map(|(tags, (jaccard, counter, reporters))| TrackedCoefficient {
-                tags,
-                jaccard,
-                counter,
-                reporters,
-            })
+            .map(|(pos, end)| cursor(&mut buffer, pos, end))
             .collect();
-        out.sort_unstable_by(|a, b| a.tags.cmp(&b.tags));
+        let mut out: Vec<TrackedCoefficient> = Vec::with_capacity(buffer.len());
+        while let Some(mut head) = heads.peek_mut() {
+            // step the least cursor along its run, or retire it at the end
+            let (next, end) = (head.0.pos + 1, head.0.end);
+            let Reverse(Cursor { tags, pos, .. }) = if next < end {
+                mem::replace(&mut *head, cursor(&mut buffer, next, end))
+            } else {
+                PeekMut::pop(head)
+            };
+            let report = &buffer[pos];
+            match out.last_mut() {
+                Some(kept) if kept.tags == tags => {
+                    kept.reporters += 1;
+                    if (report.counter, report.jaccard) > (kept.counter, kept.jaccard) {
+                        (kept.counter, kept.jaccard) = (report.counter, report.jaccard);
+                    }
+                }
+                _ => out.push(TrackedCoefficient { tags, ..*report }),
+            }
+        }
+        out.shrink_to_fit(); // a no-op unless duplicates were folded
         self.published += out.len() as u64;
         out
     }
+}
+
+/// The next unmerged report of one run, ordered by its tagset — which the
+/// cursor owns (moved out of the buffer), so the heap compares in place.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Cursor {
+    tags: TagSet,
+    pos: usize,
+    end: usize,
 }
 
 #[cfg(test)]

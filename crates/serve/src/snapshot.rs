@@ -55,22 +55,29 @@ impl Snapshot {
     /// only O(n log n) work of a publication; the swap itself is one
     /// pointer store.
     pub fn build(round: u64, seq: u64, coefficients: Arc<Vec<TrackedCoefficient>>) -> Self {
-        let n = coefficients.len();
         debug_assert!(
             coefficients.windows(2).all(|w| w[0].tags < w[1].tags),
             "tracker output must be strictly sorted by tagset"
         );
-        let mut by_jaccard: Vec<u32> = (0..n as u32).collect();
-        // Descending Jaccard; positions compare equal only for identical
-        // coefficients, and the index tie-break (ascending position ==
-        // ascending tagset) keeps the order total and deterministic.
-        by_jaccard.sort_unstable_by(|&a, &b| {
-            let (ca, cb) = (&coefficients[a as usize], &coefficients[b as usize]);
-            cb.jaccard
-                .partial_cmp(&ca.jaccard)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        debug_assert!(
+            coefficients
+                .iter()
+                .all(|c| c.jaccard.is_finite() && c.jaccard.is_sign_positive()),
+            "a published Jaccard is finite and not negative: its bits order like its value"
+        );
+        // Descending Jaccard on flat keys: for non-negative floats the
+        // complemented bit pattern ascends as the value descends, so the
+        // sort never touches `coefficients`. Keys compare equal only for
+        // equal coefficients, and the position tie-break (ascending
+        // position == ascending tagset) keeps the order total and
+        // deterministic.
+        let mut keyed: Vec<(u64, u32)> = coefficients
+            .iter()
+            .zip(0u32..)
+            .map(|(c, pos)| (!c.jaccard.to_bits(), pos))
+            .collect();
+        keyed.sort_unstable();
+        let by_jaccard: Vec<u32> = keyed.into_iter().map(|(_, pos)| pos).collect();
         let mut neighbors: FxHashMap<Tag, Vec<u32>> = FxHashMap::default();
         // Walking in by_jaccard order makes every per-tag list come out
         // already ordered by descending Jaccard — no per-list sort.
@@ -223,5 +230,42 @@ mod tests {
         let coeffs = Arc::new(vec![coeff(&[1, 2], 0.5)]);
         let s = Snapshot::build(0, 1, coeffs.clone());
         assert!(Arc::ptr_eq(s.coefficients(), &coeffs), "no copy at publish");
+    }
+
+    #[test]
+    fn flat_key_sort_orders_like_the_float_comparator() {
+        // 10 k coefficients dense in exact ties: small-integer ratios, a
+        // quarter of them 1.0, and some 0.0 (an approximate backend's
+        // estimate when no signature slot matches)
+        let mut state = 0x5EED_u64;
+        let mut rnd = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let coeffs: Vec<TrackedCoefficient> = (0..142u32)
+            .flat_map(|a| (a + 1..142).map(move |b| [a, b]))
+            .take(10_000)
+            .map(|pair| {
+                let den = 1 + rnd(8);
+                let num = if rnd(4) == 0 { den } else { rnd(den + 1) };
+                coeff(&pair, num as f64 / den as f64)
+            })
+            .collect();
+        assert_eq!(coeffs.len(), 10_000);
+        // the comparator `build` used before it sorted flat keys
+        let mut expected: Vec<usize> = (0..coeffs.len()).collect();
+        expected.sort_by(|&a, &b| {
+            coeffs[b]
+                .jaccard
+                .partial_cmp(&coeffs[a].jaccard)
+                .unwrap()
+                .then(a.cmp(&b))
+        });
+        let snapshot = Snapshot::build(0, 1, Arc::new(coeffs.clone()));
+        let got: Vec<&TagSet> = snapshot.top_k(usize::MAX).map(|c| &c.tags).collect();
+        let expected: Vec<&TagSet> = expected.iter().map(|&pos| &coeffs[pos].tags).collect();
+        assert_eq!(got, expected);
     }
 }

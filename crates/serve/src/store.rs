@@ -73,10 +73,10 @@ impl Publisher {
         let start = Instant::now();
         let seq = self.0.latest_seq.load(Ordering::Relaxed) + 1;
         let next = Arc::new(Snapshot::build(round, seq, coefficients));
-        {
-            let mut current = self.0.current.write();
-            *current = next.clone();
-        }
+        // the previous snapshot — its whole neighbour index, when no reader
+        // still holds it — is freed after the lock is released, not under it
+        let previous = std::mem::replace(&mut *self.0.current.write(), next.clone());
+        drop(previous);
         // Ordering: the fast-path counters trail the swap, so a reader that
         // observes the new seq is guaranteed to acquire (at least) the new
         // snapshot; a reader racing ahead sees a fresher snapshot than the

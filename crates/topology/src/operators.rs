@@ -1356,11 +1356,9 @@ impl Bolt<Msg> for TrackerBolt {
         let Msg::CalcReport { round, reports, .. } = msg else {
             return;
         };
-        // reports stay behind their Arc: deduplication reads them in place
-        // instead of cloning per-round state once per observe
-        for report in reports.iter() {
-            self.tracker.observe(round, report);
-        }
+        // one Calculator's round is one sorted run: the Tracker buffers it
+        // whole and merges the k runs when the round closes
+        self.tracker.observe_run(round, &reports);
         let seen = self.received.entry(round).or_insert(0);
         *seen += 1;
         if *seen == self.k {

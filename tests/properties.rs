@@ -7,10 +7,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use setcorr::core::{
-    connected_components, partition, AlgorithmKind, Calculator, PartitionInput, UnionFind,
+    connected_components, partition, AlgorithmKind, Calculator, CoefficientReport, PartitionInput,
+    TrackedCoefficient, Tracker, UnionFind,
 };
 use setcorr::metrics::{gini, lorenz_curve};
-use setcorr::model::{TagSet, TagSetStat, TagSetWindow, Timestamp};
+use setcorr::model::{FxHashSet, Tag, TagSet, TagSetStat, TagSetWindow, Timestamp};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// A window of small random tagsets with counts (mirrors the old
@@ -209,6 +210,182 @@ fn calculator_matches_brute_force() {
     }
 }
 
+/// What a whole report must be: every subset of ≥ 2 tags of `universe` with
+/// a non-zero intersection in `docs`, ascending by tagset, with its
+/// brute-force counter and Jaccard coefficient.
+fn brute_force_report(docs: &[Vec<u32>], universe: &[u32]) -> Vec<CoefficientReport> {
+    let mut expected = Vec::new();
+    for mask in 1u32..1 << universe.len() {
+        let subset: Vec<u32> = (0..universe.len())
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| universe[i])
+            .collect();
+        let inter = docs
+            .iter()
+            .filter(|d| subset.iter().all(|t| d.contains(t)))
+            .count();
+        let union = docs
+            .iter()
+            .filter(|d| subset.iter().any(|t| d.contains(t)))
+            .count();
+        if subset.len() >= 2 && inter > 0 {
+            expected.push(CoefficientReport {
+                tags: TagSet::from_ids(&subset),
+                jaccard: inter as f64 / union as f64,
+                counter: inter as u64,
+            });
+        }
+    }
+    expected.sort_by(|a, b| a.tags.cmp(&b.tags));
+    expected
+}
+
+/// `reports` is exactly `expected` — each tagset once — in the strictly
+/// ascending `TagSet::cmp` order the Tracker's run merge relies on.
+fn assert_report_is(reports: &[CoefficientReport], expected: &[CoefficientReport], context: &str) {
+    assert!(
+        reports.windows(2).all(|w| w[0].tags < w[1].tags),
+        "{context}: report not strictly ascending by tagset"
+    );
+    assert_eq!(reports, expected, "{context}");
+}
+
+fn universe_of(docs: &[Vec<u32>]) -> Vec<u32> {
+    let universe: BTreeSet<u32> = docs.iter().flatten().copied().collect();
+    universe.into_iter().collect()
+}
+
+/// A whole `report_and_reset()` equals brute force, also when a mid-round
+/// query expands the same distinct sets twice, and the round after a report
+/// starts from nothing.
+#[test]
+fn whole_report_matches_brute_force() {
+    let mut rng = StdRng::seed_from_u64(112);
+    for case in 0..40 {
+        let docs = random_docs(&mut rng, 8, 60);
+        let universe = universe_of(&docs);
+        let mut calc = Calculator::new();
+        for d in &docs {
+            calc.observe(&TagSet::from_ids(d));
+        }
+        assert_report_is(
+            &calc.report_and_reset(),
+            &brute_force_report(&docs, &universe),
+            &format!("case {case}"),
+        );
+
+        // the same sets observed on both sides of an expansion: every root
+        // is expanded twice and must still be reported once
+        for d in &docs {
+            calc.observe(&TagSet::from_ids(d));
+        }
+        let probe = TagSet::from_ids(&docs[0]);
+        assert!(calc.tracked() > 0 && calc.counter(&probe) > 0);
+        for d in &docs {
+            calc.observe(&TagSet::from_ids(d));
+        }
+        let twice: Vec<Vec<u32>> = docs.iter().chain(&docs).cloned().collect();
+        assert_report_is(
+            &calc.report_and_reset(),
+            &brute_force_report(&twice, &universe),
+            &format!("case {case}, expanded twice"),
+        );
+        assert!(calc.report_and_reset().is_empty(), "case {case}: not reset");
+    }
+}
+
+/// The state handoff of a repartition keeps whole reports exact: the old
+/// owner reports what it kept (partly through the leftover sweep — the
+/// surviving subsets of departed roots), the new owner what it adopted plus
+/// what it observed before and after.
+#[test]
+fn whole_report_matches_brute_force_across_a_handoff() {
+    let mut rng = StdRng::seed_from_u64(113);
+    for case in 0..40 {
+        let before = random_docs(&mut rng, 8, 60);
+        let mut old_owner = Calculator::new();
+        for d in &before {
+            old_owner.observe(&TagSet::from_ids(d));
+        }
+        // tags 0..4 stay, tags 4..8 move to a Calculator that has already
+        // seen documents over them and sees more afterwards
+        let stays: FxHashSet<Tag> = (0..4).map(Tag).collect();
+        let moves: FxHashSet<Tag> = (4..8).map(Tag).collect();
+        let moving_docs = |rng: &mut StdRng| -> Vec<Vec<u32>> {
+            random_docs(rng, 4, 20)
+                .into_iter()
+                .map(|d| d.into_iter().map(|t| t + 4).collect())
+                .collect()
+        };
+        let (early, late) = (moving_docs(&mut rng), moving_docs(&mut rng));
+        let mut new_owner = Calculator::new();
+        for d in &early {
+            new_owner.observe(&TagSet::from_ids(d));
+        }
+        let handed: Vec<(TagSet, u64)> = old_owner
+            .export_counters()
+            .into_iter()
+            .filter(|(ts, _)| ts.is_covered_by(&moves))
+            .collect();
+        old_owner.retain_covered(&stays);
+        new_owner.absorb_counters(&handed);
+        for d in &late {
+            new_owner.observe(&TagSet::from_ids(d));
+        }
+
+        assert_report_is(
+            &old_owner.report_and_reset(),
+            &brute_force_report(&before, &[0, 1, 2, 3]),
+            &format!("case {case}, old owner"),
+        );
+        let seen: Vec<Vec<u32>> = [&before, &early, &late]
+            .into_iter()
+            .flatten()
+            .cloned()
+            .collect();
+        assert_report_is(
+            &new_owner.report_and_reset(),
+            &brute_force_report(&seen, &[4, 5, 6, 7]),
+            &format!("case {case}, new owner"),
+        );
+    }
+}
+
+/// Counters adopted without the subsets their unions need (bundles from
+/// different senders straddling a report boundary) are still reported once
+/// each, in order, with coefficients clamped into (0, 1].
+#[test]
+fn inconsistent_adopted_counters_report_clamped() {
+    let mut rng = StdRng::seed_from_u64(114);
+    for case in 0..40 {
+        let docs = random_docs(&mut rng, 8, 40);
+        let mut donor = Calculator::new();
+        for d in &docs {
+            donor.observe(&TagSet::from_ids(d));
+        }
+        // drop a random half of the counters on the way
+        let adopted: Vec<(TagSet, u64)> = donor
+            .export_counters()
+            .into_iter()
+            .filter(|_| rng.gen_range(0u32..2) == 0)
+            .collect();
+        let mut calc = Calculator::new();
+        calc.absorb_counters(&adopted);
+        let reports = calc.report_and_reset();
+        let expected: Vec<&(TagSet, u64)> =
+            adopted.iter().filter(|(ts, _)| ts.len() >= 2).collect();
+        assert_eq!(reports.len(), expected.len(), "case {case}");
+        for (report, (tags, counter)) in reports.iter().zip(expected) {
+            assert_eq!(
+                (&report.tags, report.counter),
+                (tags, *counter),
+                "case {case}"
+            );
+            assert!(report.jaccard > 0.0 && report.jaccard <= 1.0, "case {case}");
+        }
+    }
+}
+
 /// Jaccard coefficients are always within (0, 1].
 #[test]
 fn reported_coefficients_are_probabilities() {
@@ -223,6 +400,108 @@ fn reported_coefficients_are_probabilities() {
             assert!(report.jaccard > 0.0 && report.jaccard <= 1.0);
             assert!(report.counter >= 1);
         }
+    }
+}
+
+/// The Tracker's run merge equals the hash-map deduplication it replaced
+/// (kept here as the reference): per round and tagset the max-`CN` report
+/// wins, ties go to the larger Jaccard, reporters are counted, output is
+/// sorted by tagset.
+#[test]
+fn tracker_merge_matches_hash_dedup() {
+    fn reference(feed: &[(u64, CoefficientReport)], round: u64) -> Vec<TrackedCoefficient> {
+        let mut entries: HashMap<TagSet, (f64, u64, u32)> = HashMap::new();
+        for (_, report) in feed.iter().filter(|(r, _)| *r == round) {
+            match entries.get_mut(&report.tags) {
+                Some(entry) => {
+                    entry.2 += 1;
+                    if report.counter > entry.1
+                        || (report.counter == entry.1 && report.jaccard > entry.0)
+                    {
+                        entry.0 = report.jaccard;
+                        entry.1 = report.counter;
+                    }
+                }
+                None => {
+                    entries.insert(report.tags.clone(), (report.jaccard, report.counter, 1));
+                }
+            }
+        }
+        let mut out: Vec<TrackedCoefficient> = entries
+            .into_iter()
+            .map(|(tags, (jaccard, counter, reporters))| TrackedCoefficient {
+                tags,
+                jaccard,
+                counter,
+                reporters,
+            })
+            .collect();
+        out.sort_unstable_by(|a, b| a.tags.cmp(&b.tags));
+        out
+    }
+    // a sorted run over a small tagset universe, so runs overlap heavily;
+    // counters and coefficients from small ranges, so ties are common
+    fn random_run(rng: &mut StdRng) -> Vec<CoefficientReport> {
+        let sets: BTreeSet<TagSet> = (0..rng.gen_range(0usize..40))
+            .map(|_| {
+                let len = rng.gen_range(2usize..4);
+                let ids: Vec<u32> = (0..len).map(|_| rng.gen_range(0u32..7)).collect();
+                TagSet::from_ids(&ids)
+            })
+            .filter(|ts| ts.len() >= 2)
+            .collect();
+        sets.into_iter()
+            .map(|tags| CoefficientReport {
+                tags,
+                jaccard: rng.gen_range(1u32..4) as f64 / 4.0,
+                counter: rng.gen_range(1u64..4),
+            })
+            .collect()
+    }
+
+    let mut rng = StdRng::seed_from_u64(115);
+    for case in 0..200 {
+        // two rounds fed interleaved, run by run, each run either whole or
+        // one report at a time
+        let mut feed: Vec<(u64, CoefficientReport)> = Vec::new();
+        let mut tracker = Tracker::new();
+        for _ in 0..rng.gen_range(1usize..8) {
+            for round in [0u64, 1] {
+                let mut run = random_run(&mut rng);
+                match rng.gen_range(0u32..4) {
+                    // the same tagset twice in a row
+                    0 if !run.is_empty() => {
+                        let at = rng.gen_range(0usize..run.len());
+                        let mut twin = run[at].clone();
+                        twin.counter = rng.gen_range(1u64..4);
+                        run.insert(at, twin);
+                    }
+                    // fully descending: every report its own run
+                    1 => run.reverse(),
+                    _ => {}
+                }
+                if rng.gen_range(0u32..2) == 0 {
+                    tracker.observe_run(round, &run);
+                } else {
+                    for report in &run {
+                        tracker.observe(round, report);
+                    }
+                }
+                feed.extend(run.into_iter().map(|report| (round, report)));
+            }
+        }
+        let mut published = 0;
+        for round in [1u64, 0] {
+            let expected = reference(&feed, round);
+            published += expected.len() as u64;
+            assert_eq!(
+                tracker.finish_round(round),
+                expected,
+                "case {case}, round {round}"
+            );
+        }
+        assert_eq!(tracker.published(), published, "case {case}");
+        assert_eq!(tracker.open_rounds(), 0, "case {case}");
     }
 }
 
