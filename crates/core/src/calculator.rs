@@ -15,7 +15,7 @@
 //!
 //! # Hot-path organisation
 //!
-//! Three structural optimisations keep the per-tuple and per-report costs
+//! Four structural optimisations keep the per-tuple and per-report costs
 //! proportional to *distinct* work instead of raw volume; all are exact —
 //! every observable result is identical to the naive §3.1 procedure:
 //!
@@ -30,10 +30,17 @@
 //!   unions of *all* its `2^m − 1` subsets are computed together by a
 //!   sum-over-subsets transform — `2^m` counter reads plus `m·2^m` adds,
 //!   instead of the `3^m` probes of per-subset inclusion–exclusion.
-//! * **One hash per subset instance.** Counters live in a flat vector; the
-//!   map only resolves a subset to its slot. Expansion records, per distinct
-//!   set, the slots of its subsets in mask order, so the report reads every
-//!   counter by index instead of hashing each subset a second time.
+//! * **One word-sized probe per subset instance.** Subsets live in a
+//!   hash-consed trie (`SubsetTrie`): `{t1 < … < tn}` is the node reached
+//!   from the root along `t1 … tn`, a node is a slot into flat vectors, an
+//!   edge the one word `(parent slot) << 32 | tag`. A subset hangs, along
+//!   its largest tag, below the subset without it — the smaller mask — so
+//!   expansion resolves each with one 8-byte-key probe (`subset_slots`),
+//!   builds, hashes and compares no tagset, and records per distinct set
+//!   the slots of its subsets in mask order: the report reads by index.
+//! * **A report that leaves sorted without a sort of tagsets.** Sorting the
+//!   edge words stands each node's children together in tag order; a
+//!   pre-order walk of that is ascending tagset order.
 
 use setcorr_model::{FxHashMap, FxHashSet, Tag, TagSet, MAX_TAGS_PER_SET};
 use std::cell::RefCell;
@@ -51,15 +58,149 @@ pub struct CoefficientReport {
     pub counter: u64,
 }
 
-/// The maps behind one Calculator, behind one [`RefCell`] so the read-only
+/// Slot of the trie's root, the empty set. Nothing counts it: `values[ROOT]`
+/// stays zero.
+const ROOT: u32 = 0;
+
+/// What a lookup returns for a subset with no node. No edge leaves it, so a
+/// lookup below it is absent again, and its counter reads zero.
+const ABSENT: u32 = u32::MAX;
+
+/// The subset counters of one report period, in a hash-consed trie.
+///
+/// A zero counter *is* an untracked subset: interior nodes of a path that
+/// nothing counted, and counters [`Calculator::retain_covered`] dropped,
+/// look the same and are neither reported nor exported.
+#[derive(Debug, Clone)]
+struct SubsetTrie {
+    /// Edge word `(parent slot) << 32 | tag` → child slot.
+    children: FxHashMap<u64, u32>,
+    /// Per slot, the edge that leads to it (nothing leads to the root). A
+    /// parent's slot is smaller than its children's.
+    edges: Vec<u64>,
+    /// Per slot, the counter `CN(T)`.
+    values: Vec<u64>,
+}
+
+impl Default for SubsetTrie {
+    fn default() -> Self {
+        SubsetTrie {
+            children: FxHashMap::default(),
+            edges: vec![0],
+            values: vec![0],
+        }
+    }
+}
+
+impl SubsetTrie {
+    /// The child of `parent` along `tag`, created on first sight.
+    #[inline]
+    fn child(&mut self, parent: u32, tag: Tag) -> u32 {
+        let edge = (parent as u64) << 32 | tag.0 as u64;
+        *self.children.entry(edge).or_insert_with(|| {
+            let slot = self.edges.len();
+            assert!(slot < ABSENT as usize, "too many subsets in one period");
+            self.edges.push(edge);
+            self.values.push(0);
+            slot as u32
+        })
+    }
+
+    /// The child of `parent` along `tag`, or [`ABSENT`].
+    #[inline]
+    fn find(&self, parent: u32, tag: Tag) -> u32 {
+        let edge = (parent as u64) << 32 | tag.0 as u64;
+        self.children.get(&edge).copied().unwrap_or(ABSENT)
+    }
+
+    /// The counter at `slot`; zero at [`ABSENT`].
+    #[inline]
+    fn value(&self, slot: u32) -> u64 {
+        self.values.get(slot as usize).copied().unwrap_or(0)
+    }
+
+    /// The number of non-zero counters, in one pass.
+    fn tracked(&self) -> usize {
+        self.values.iter().filter(|&&cn| cn != 0).count()
+    }
+
+    /// The tags on the path from the root to `slot`, ascending, written to
+    /// the tail of `buf`.
+    fn path<'a>(&self, mut slot: u32, buf: &'a mut [Tag; MAX_TAGS_PER_SET]) -> &'a [Tag] {
+        let mut at = buf.len();
+        while slot != ROOT {
+            let edge = self.edges[slot as usize];
+            at -= 1;
+            buf[at] = Tag(edge as u32);
+            slot = (edge >> 32) as u32;
+        }
+        &buf[at..]
+    }
+
+    /// Visit every node but the root in strictly ascending `TagSet::cmp`
+    /// order of its subset, as `(tags, slot)`.
+    ///
+    /// Sorting the `edge ‖ slot` words — pure integer compares — stands each
+    /// node's children together in tag order; a pre-order walk of that is
+    /// the lexicographic order of the paths, a prefix before its extensions.
+    fn walk_sorted(&self, mut visit: impl FnMut(&[Tag], usize)) {
+        let mut sorted: Vec<u128> = (1..self.edges.len())
+            .map(|slot| (self.edges[slot] as u128) << 32 | slot as u128)
+            .collect();
+        sorted.sort_unstable();
+        // where in `sorted` the children of each slot start; a slot without
+        // children points at someone else's
+        let mut first = vec![0; self.edges.len()];
+        for (at, word) in sorted.iter().enumerate().rev() {
+            first[(word >> 64) as usize] = at;
+        }
+        let mut path = [Tag(0); MAX_TAGS_PER_SET];
+        // per depth, the node being expanded and the next of its children
+        let mut open = [(ROOT as usize, 0); MAX_TAGS_PER_SET + 1];
+        let mut depth = 0;
+        loop {
+            let (parent, next) = &mut open[depth];
+            match sorted.get(*next) {
+                Some(&word) if (word >> 64) as usize == *parent => {
+                    *next += 1;
+                    let slot = word as u32 as usize;
+                    path[depth] = Tag((word >> 32) as u32);
+                    depth += 1;
+                    visit(&path[..depth], slot);
+                    open[depth] = (slot, first[slot]);
+                }
+                _ if depth == 0 => return,
+                _ => depth -= 1,
+            }
+        }
+    }
+}
+
+/// Append to `out` the slots of the `2^m − 1` non-empty subsets of `tags`
+/// in mask order (`out[start + mask − 1]`, LSB = smallest tag), one `child`
+/// step each: the subset `mask` selects hangs, along the tag of its top
+/// bit, below the subset `mask` selects without that bit — already resolved,
+/// since it is the smaller mask.
+#[inline]
+fn subset_slots(tags: &[Tag], out: &mut Vec<u32>, mut child: impl FnMut(u32, Tag) -> u32) {
+    let start = out.len();
+    out.reserve((1 << tags.len()) - 1);
+    for (bit, &tag) in tags.iter().enumerate() {
+        out.push(child(ROOT, tag));
+        for rest in 0..(1usize << bit) - 1 {
+            let parent = out[start + rest];
+            out.push(child(parent, tag));
+        }
+    }
+}
+
+/// The state behind one Calculator, behind one [`RefCell`] so the read-only
 /// query surface (`counter`, `jaccard`, `tracked`, state export) can
 /// trigger the lazy subset expansion.
 #[derive(Debug, Default, Clone)]
 struct CalcState {
-    /// Every tracked subset `T` → its slot in `values`.
-    index: FxHashMap<TagSet, u32>,
-    /// Expanded subset counters by slot: `CN(T)`.
-    values: Vec<u64>,
+    /// Every expanded or adopted subset counter.
+    trie: SubsetTrie,
     /// Distinct notification sets observed since the last expansion, with
     /// their occurrence counts — the unexpanded delta.
     pending: FxHashMap<TagSet, u64>,
@@ -92,9 +233,9 @@ impl Calculator {
     /// materialised lazily (`CalcState::expand`), once per *distinct*
     /// notification set per report period — repeated sightings of a popular
     /// set collapse into a count. `m` is small by the data's nature
-    /// (< 10 tags/tweet) and bounded by [`MAX_TAGS_PER_SET`]; subset keys
-    /// are stored inline (see [`setcorr_model::INLINE_TAGS`]), so the whole
-    /// path is allocation-free for realistic notifications.
+    /// (< 10 tags/tweet) and bounded by [`MAX_TAGS_PER_SET`]; the pending
+    /// keys are stored inline (see [`setcorr_model::INLINE_TAGS`]), so the
+    /// whole path is allocation-free for realistic notifications.
     pub fn observe(&mut self, notification: &TagSet) {
         self.observe_n(notification, 1);
     }
@@ -125,19 +266,21 @@ impl Calculator {
     pub fn reset(&mut self) {
         self.received = 0;
         let state = self.state.get_mut();
+        // capacity stays for the next period; the trie keeps its root
         state.pending.clear();
-        // capacity stays for the next period
-        state.index.clear();
-        state.values.clear();
+        state.trie.children.clear();
+        state.trie.edges.truncate(1);
+        state.trie.values.truncate(1);
         state.roots.clear();
         state.root_slots.clear();
     }
 
-    /// Number of distinct subset counters currently tracked.
+    /// Number of distinct subset counters currently tracked: the non-zero
+    /// ones, counted in one pass over the slots.
     pub fn tracked(&self) -> usize {
         let mut state = self.state.borrow_mut();
         state.expand();
-        state.index.len()
+        state.trie.tracked()
     }
 
     /// Notifications received this report period.
@@ -145,11 +288,12 @@ impl Calculator {
         self.received
     }
 
-    /// Raw counter for `ts` (0 if never seen).
+    /// Raw counter for `ts` (0 if never seen): one probe per tag.
     pub fn counter(&self, ts: &TagSet) -> u64 {
         let mut state = self.state.borrow_mut();
         state.expand();
-        state.counter(ts)
+        let trie = &state.trie;
+        trie.value(ts.iter().fold(ROOT, |slot, tag| trie.find(slot, tag)))
     }
 
     /// `|⋃_{t ∈ ts} T_t|` by inclusion–exclusion over the subset counters.
@@ -165,16 +309,13 @@ impl Calculator {
     pub fn union_count(&self, ts: &TagSet) -> u64 {
         let mut state = self.state.borrow_mut();
         state.expand();
-        let mut union: i64 = 0;
-        for mask in ts.subset_masks() {
-            let sub = ts.subset(mask);
-            let c = state.counter(&sub) as i64;
-            if mask.count_ones() % 2 == 1 {
-                union += c;
-            } else {
-                union -= c;
-            }
-        }
+        let trie = &state.trie;
+        let mut slots = Vec::new();
+        subset_slots(ts.tags(), &mut slots, |parent, tag| trie.find(parent, tag));
+        let union: i64 = (1u32..)
+            .zip(&slots)
+            .map(|(mask, &slot)| signed(mask.count_ones(), trie.value(slot)))
+            .sum();
         union.max(0) as u64
     }
 
@@ -195,30 +336,42 @@ impl Calculator {
         Some(inter as f64 / union as f64)
     }
 
-    /// Export every subset counter, sorted by tagset, for a live-migration
-    /// handoff (the `counters` field of a
-    /// [`crate::migration::MigrationBundle`]).
+    /// Export every tracked (non-zero) subset counter, strictly ascending by
+    /// tagset, for a live-migration handoff (the `counters` field of a
+    /// [`crate::migration::MigrationBundle`]). Shares the report's sorted
+    /// walk, so no tagset is compared.
     pub fn export_counters(&self) -> Vec<(TagSet, u64)> {
         let mut state = self.state.borrow_mut();
         state.expand();
-        let mut out: Vec<(TagSet, u64)> = state
-            .index
-            .iter()
-            .map(|(ts, &slot)| (ts.clone(), state.values[slot as usize]))
-            .collect();
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let trie = &state.trie;
+        let mut out = Vec::with_capacity(trie.tracked());
+        trie.walk_sorted(|tags, slot| {
+            if trie.values[slot] != 0 {
+                out.push((TagSet::from_sorted_slice(tags), trie.values[slot]));
+            }
+        });
         out
     }
 
     /// Drop every counter whose tagset is not fully covered by `keep` — the
     /// Calculator's tag ownership after a repartition. Counters it no
     /// longer owns have been handed to the new owners first.
+    ///
+    /// Dropping is zeroing, in one pass in slot order: a parent precedes its
+    /// children, so each slot extends its parent's verdict by one tag. A
+    /// dropped subset observed again counts from zero.
     pub fn retain_covered(&mut self, keep: &FxHashSet<Tag>) {
         let state = self.state.get_mut();
         state.expand();
-        // a dropped subset's slot stays behind unreferenced: every subset of
-        // a surviving root survives with it
-        state.index.retain(|ts, _| ts.is_covered_by(keep));
+        let trie = &mut state.trie;
+        let mut covered = vec![true; trie.edges.len()];
+        for slot in 1..trie.edges.len() {
+            let edge = trie.edges[slot];
+            covered[slot] = covered[(edge >> 32) as usize] && keep.contains(&Tag(edge as u32));
+            if !covered[slot] {
+                trie.values[slot] = 0;
+            }
+        }
         // departed roots' surviving subsets are handled by the report's
         // leftover sweep, so roots can be filtered to owned ones
         state.roots.retain(|(ts, _)| ts.is_covered_by(keep));
@@ -229,128 +382,115 @@ impl Calculator {
     /// disjoint slice of the stream, so `+` reassembles the single-owner
     /// count exactly.
     pub fn absorb_counters(&mut self, counters: &[(TagSet, u64)]) {
-        let state = self.state.get_mut();
-        for (ts, n) in counters {
-            let slot = slot_of(&mut state.index, &mut state.values, ts.clone());
-            state.values[slot as usize] += n;
+        let trie = &mut self.state.get_mut().trie;
+        for (ts, n) in counters.iter().filter(|(ts, _)| !ts.is_empty()) {
+            let slot = ts.iter().fold(ROOT, |slot, tag| trie.child(slot, tag));
+            trie.values[slot as usize] += n;
         }
     }
 
     /// Emit coefficients for every tracked tagset with ≥ 2 tags and clear all
     /// counters (the "every y time units" step of §6.2). Output is strictly
-    /// ascending by tagset — the Tracker merges it as one sorted run.
+    /// ascending by tagset — the Tracker merges it as one sorted run — and
+    /// comes out of the trie's sorted walk in that order: no tagset is
+    /// compared, and one is built only for each coefficient emitted.
     ///
     /// Union cardinalities are computed in batch: every distinct
     /// notification set of the period roots one signed sum-over-subsets
     /// transform that yields the unions of *all* its subsets at once (see
-    /// `sos_emit`), reading the counters through the slots recorded at
+    /// `sos_claim`), reading the counters through the slots recorded at
     /// expansion; counters that no root covers — possible only for state
     /// adopted mid-migration — fall back to sweeps rooted at the leftover
     /// sets themselves, which look their slots up once.
     pub fn report_and_reset(&mut self) -> Vec<CoefficientReport> {
         let state = self.state.get_mut();
         state.expand();
-        // Batch union computation + emission, rooted at the period's
-        // distinct notification sets. Every emitted counter is tombstoned
-        // (high bit) so overlapping roots emit each subset exactly once; a
-        // root wholly contained in an already-processed root is skipped on
-        // the tombstone of its own counter, the last slot of its run.
-        let mut scratch = SosScratch::default();
-        scratch.out.reserve(state.index.len());
+        let trie = &state.trie;
+        // Per slot, the union cardinality claimed for its coefficient — at
+        // least its counter, so zero is "unclaimed".
+        let mut unions = vec![0u64; trie.values.len()];
+        let mut acc = Vec::new();
+        // Batch union computation, rooted at the period's distinct
+        // notification sets. A subset's union is claimed by the first root
+        // to reach it; a root wholly contained in an already-processed root
+        // is skipped on the claim of its own counter, the last slot of its
+        // run. A single tag has no coefficient to claim.
         for (root, start) in &state.roots {
             let slots = &state.root_slots[*start..][..(1 << root.len()) - 1];
-            if state.values[slots[slots.len() - 1] as usize] & EMITTED == 0 {
-                sos_emit(root.tags(), slots, &mut state.values, &mut scratch);
+            if root.len() >= 2 && unions[slots[slots.len() - 1] as usize] == 0 {
+                sos_claim(slots, trie, &mut unions, &mut acc);
             }
         }
         // Leftover sweep — counters no local root covers, possible only for
         // state adopted mid-migration: largest-first, so one sweep rooted at
         // a leftover also covers all its subsets. A leftover looks its
-        // subsets up once; the untracked ones read a spare zero counter.
-        let zero = new_slot(&mut state.values);
-        let mut leftovers: Vec<(&TagSet, u32)> = state
-            .index
-            .iter()
-            .filter(|(ts, &slot)| ts.len() >= 2 && state.values[slot as usize] & EMITTED == 0)
-            .map(|(ts, &slot)| (ts, slot))
+        // subsets up once; the absent ones read zero.
+        let mut path = [Tag(0); MAX_TAGS_PER_SET];
+        let mut leftovers: Vec<(usize, u32)> = (1..trie.values.len())
+            .filter(|&slot| {
+                trie.values[slot] != 0 && unions[slot] == 0 && trie.edges[slot] >> 32 != 0
+            })
+            .map(|slot| (trie.path(slot as u32, &mut path).len(), slot as u32))
             .collect();
-        leftovers.sort_unstable_by_key(|(ts, _)| std::cmp::Reverse(ts.len()));
+        leftovers.sort_unstable_by_key(|&(len, _)| std::cmp::Reverse(len));
         let mut slots: Vec<u32> = Vec::new();
-        for (root, slot) in leftovers {
-            if state.values[slot as usize] & EMITTED == 0 {
+        for (_, slot) in leftovers {
+            if unions[slot as usize] == 0 {
                 slots.clear();
-                slots.extend(root.subset_masks().map(|mask| {
-                    let subset = root.subset(mask);
-                    state.index.get(&subset).copied().unwrap_or(zero)
-                }));
-                sos_emit(root.tags(), &slots, &mut state.values, &mut scratch);
+                let tags = trie.path(slot, &mut path);
+                subset_slots(tags, &mut slots, |parent, tag| trie.find(parent, tag));
+                sos_claim(&slots, trie, &mut unions, &mut acc);
             }
         }
+        let mut out = Vec::with_capacity(unions.iter().filter(|&&union| union != 0).count());
+        trie.walk_sorted(|tags, slot| {
+            if unions[slot] != 0 {
+                let counter = trie.values[slot];
+                out.push(CoefficientReport {
+                    tags: TagSet::from_sorted_slice(tags),
+                    jaccard: counter as f64 / unions[slot] as f64,
+                    counter,
+                });
+            }
+        });
         self.reset();
-        // Deterministic output order, via the cached two-tag prefix so
-        // almost every comparison is one integer compare.
-        let mut out = scratch.out;
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.tags.cmp(&b.1.tags)));
-        out.into_iter().map(|(_, report)| report).collect()
+        out
     }
 }
 
 impl CalcState {
     /// Materialise the pending notification sets into subset counters:
-    /// `2^m − 1` weighted updates per *distinct* pending set — the only time
-    /// its subsets are hashed — after which the set becomes a union root
-    /// holding the slots it touched.
+    /// `2^m − 1` weighted updates per *distinct* pending set, one trie step
+    /// each, after which the set becomes a union root holding the slots it
+    /// touched.
     fn expand(&mut self) {
+        let trie = &mut self.trie;
         for (ts, c) in self.pending.drain() {
             let start = self.root_slots.len();
-            for mask in ts.subset_masks() {
-                let slot = slot_of(&mut self.index, &mut self.values, ts.subset(mask));
-                self.values[slot as usize] += c;
-                self.root_slots.push(slot);
-            }
+            subset_slots(ts.tags(), &mut self.root_slots, |parent, tag| {
+                let slot = trie.child(parent, tag);
+                trie.values[slot as usize] += c;
+                slot
+            });
             self.roots.push((ts, start));
         }
     }
+}
 
-    /// Raw counter for `ts` (0 if untracked).
-    fn counter(&self, ts: &TagSet) -> u64 {
-        self.index
-            .get(ts)
-            .map_or(0, |&slot| self.values[slot as usize])
+/// `g(R) = (−1)^{|R|+1} CN(R)`, the signed counter of Eq. 2.
+#[inline]
+fn signed(size: u32, cn: u64) -> i64 {
+    if size % 2 == 1 {
+        cn as i64
+    } else {
+        -(cn as i64)
     }
 }
 
-/// A fresh slot, its counter at zero.
-fn new_slot(values: &mut Vec<u64>) -> u32 {
-    values.push(0);
-    u32::try_from(values.len() - 1).expect("fewer than 2^32 subsets tracked per period")
-}
-
-/// The slot of `ts`'s counter, allocated on first sight.
-fn slot_of(index: &mut FxHashMap<TagSet, u32>, values: &mut Vec<u64>, ts: TagSet) -> u32 {
-    *index.entry(ts).or_insert_with(|| new_slot(values))
-}
-
-/// Tombstone bit marking a counter whose coefficient has been emitted in
-/// the current report pass (counts never reach this magnitude).
-const EMITTED: u64 = 1 << 63;
-
-/// Output and reusable buffers of [`sos_emit`] (the buffers sized `2^m` for
-/// the largest root seen, capped by [`MAX_TAGS_PER_SET`]).
-#[derive(Default)]
-struct SosScratch {
-    /// The emitted reports, each with its [`sort_prefix`].
-    out: Vec<(u64, CoefficientReport)>,
-    /// Per-mask signed counter values, transformed in place into unions.
-    acc: Vec<i64>,
-    /// Per-mask raw counter value; `-1` for untracked or already-emitted
-    /// subsets (nothing to emit).
-    cn: Vec<i64>,
-}
-
-/// Compute `|⋃_{t ∈ T} T_t|` for **every** subset `T` of `root` in one
-/// pass over its counters, and emit the coefficient of each not-yet-
-/// emitted subset of ≥ 2 tags (tombstoning its counter).
+/// Compute `|⋃_{t ∈ T} T_t|` for **every** subset `T` of a root in one pass
+/// over its counters, and claim in `unions` that of each tracked, not yet
+/// claimed subset of ≥ 2 tags — the report emits exactly the claimed slots.
+/// `acc` is a reusable buffer (`2^m` words).
 ///
 /// The inclusion–exclusion of Eq. 2, `U(T) = Σ_{∅≠R⊆T} (−1)^{|R|+1} CN(R)`,
 /// is a subset-sum of the signed counters `g(R) = (−1)^{|R|+1} CN(R)`: one
@@ -358,81 +498,38 @@ struct SosScratch {
 /// simultaneously with `2^m` counter reads plus `m·2^{m−1}` additions —
 /// per-subset inclusion–exclusion over the same lattice would cost `3^m`
 /// probes instead. `slots[mask − 1]` is the slot of the subset `mask`
-/// selects, so no subset is hashed here; emission order is irrelevant
-/// because the caller sorts.
-fn sos_emit(root_tags: &[Tag], slots: &[u32], values: &mut [u64], scratch: &mut SosScratch) {
-    let m = root_tags.len();
-    debug_assert!(m <= MAX_TAGS_PER_SET);
-    let full = 1usize << m;
-    debug_assert_eq!(slots.len(), full - 1);
-    scratch.acc.clear();
-    scratch.acc.resize(full, 0);
-    scratch.cn.clear();
-    scratch.cn.resize(full, -1);
-    // Gather: one read per subset of the root. Fresh subsets of ≥ 2 tags
-    // are claimed for emission (tombstoned) right here; a zero counter is an
-    // untracked subset.
-    for (mask, &slot) in (1..full).zip(slots) {
-        let raw = &mut values[slot as usize];
-        let cn = (*raw & !EMITTED) as i64;
-        let size = mask.count_ones();
-        // the union transform needs every counter; emission only the
-        // fresh (untombstoned) ones of ≥ 2 tags
-        if *raw & EMITTED == 0 && size >= 2 && cn > 0 {
-            scratch.cn[mask] = cn;
-            *raw |= EMITTED;
-        }
-        scratch.acc[mask] = if size % 2 == 1 { cn } else { -cn };
-    }
+/// selects, so nothing is hashed here, and no tagset is built: the sorted
+/// walk names what it emits.
+fn sos_claim(slots: &[u32], trie: &SubsetTrie, unions: &mut [u64], acc: &mut Vec<i64>) {
+    let full = slots.len() + 1;
+    debug_assert!(full.is_power_of_two() && full <= 1 << MAX_TAGS_PER_SET);
+    // Gather: one read per subset of the root, signed for the transform.
+    acc.clear();
+    acc.push(0);
+    acc.extend(
+        (1u32..)
+            .zip(slots)
+            .map(|(mask, &slot)| signed(mask.count_ones(), trie.value(slot))),
+    );
     // Sum over subsets: acc[mask] becomes Σ_{R ⊆ mask} g(R) = U(mask).
-    for bit in 0..m {
-        let step = 1usize << bit;
-        for mask in 0..full {
-            if mask & step != 0 {
-                scratch.acc[mask] += scratch.acc[mask ^ step];
+    let mut step = 1;
+    while step < full {
+        for block in acc.chunks_exact_mut(2 * step) {
+            let (without, with) = block.split_at_mut(step);
+            for (sum, part) in with.iter_mut().zip(without) {
+                *sum += *part;
             }
         }
+        step *= 2;
     }
-    // Emit the subsets claimed above.
-    let mut buf = [Tag(0); MAX_TAGS_PER_SET];
-    for mask in 1..full {
-        let inter = scratch.cn[mask];
-        if inter < 0 {
-            continue;
+    for (mask, &slot) in (1..full).zip(slots) {
+        let inter = trie.value(slot);
+        if mask & (mask - 1) != 0 && inter != 0 && unions[slot as usize] == 0 {
+            // clamp as in `union_count`/`jaccard`: transiently inconsistent
+            // mid-migration counters must not produce J > 1 or ∞
+            unions[slot as usize] = (acc[mask].max(0) as u64).max(inter);
         }
-        let mut n = 0;
-        let mut rest = mask;
-        while rest != 0 {
-            buf[n] = root_tags[rest.trailing_zeros() as usize];
-            n += 1;
-            rest &= rest - 1;
-        }
-        let tags = TagSet::from_sorted_slice(&buf[..n]);
-        let inter = inter as u64;
-        // clamp as in `union_count`/`jaccard`: transiently inconsistent
-        // mid-migration counters must not produce J > 1 or ∞
-        let union = (scratch.acc[mask].max(0) as u64).max(inter);
-        scratch.out.push((
-            sort_prefix(&tags),
-            CoefficientReport {
-                tags,
-                jaccard: inter as f64 / union as f64,
-                counter: inter,
-            },
-        ));
     }
-}
-
-/// Packed first-two-tags sort key: orders like the lexicographic tagset
-/// compare for every pair of sets differing within their first two tags
-/// (the `+ 1` offsets make "no tag" sort before every real tag, so prefixes
-/// order before their extensions).
-#[inline]
-fn sort_prefix(ts: &TagSet) -> u64 {
-    let tags = ts.tags();
-    let hi = tags.first().map_or(0, |t| t.0 as u64 + 1);
-    let lo = tags.get(1).map_or(0, |t| t.0 as u64 + 1);
-    hi << 32 | lo
 }
 
 #[cfg(test)]
@@ -569,6 +666,66 @@ mod tests {
         let reports = c.report_and_reset();
         assert_eq!(reports.len(), 1);
         assert!(reports[0].jaccard.is_finite() && reports[0].jaccard <= 1.0);
+    }
+
+    #[test]
+    fn interior_path_nodes_are_not_counters() {
+        // the path to {1,2,3} runs through the nodes of {1} and {1,2};
+        // nothing counted them, so they are not tracked
+        let mut c = Calculator::new();
+        c.absorb_counters(&[(ts(&[1, 2, 3]), 5)]);
+        assert_eq!(c.tracked(), 1);
+        assert_eq!(c.export_counters(), vec![(ts(&[1, 2, 3]), 5)]);
+        assert_eq!(c.counter(&ts(&[1, 2])), 0);
+        assert_eq!(c.counter(&ts(&[1, 2, 3])), 5);
+        let reports = c.report_and_reset();
+        assert_eq!(reports.len(), 1);
+        assert_eq!((&reports[0].tags, reports[0].counter), (&ts(&[1, 2, 3]), 5));
+    }
+
+    #[test]
+    fn a_dropped_subset_counts_from_zero_when_observed_again() {
+        let mut c = Calculator::new();
+        c.observe_n(&ts(&[1, 2, 3]), 4);
+        c.retain_covered(&[Tag(1), Tag(2)].into_iter().collect());
+        assert_eq!(c.tracked(), 3, "{{1}}, {{2}}, {{1,2}} stay");
+        assert_eq!(c.counter(&ts(&[1, 3])), 0);
+        c.observe(&ts(&[1, 3]));
+        assert_eq!(c.counter(&ts(&[1, 3])), 1, "not 5");
+        assert_eq!(c.counter(&ts(&[3])), 1);
+        assert_eq!(c.counter(&ts(&[1])), 5);
+        let reports = c.report_and_reset();
+        let tags: Vec<&TagSet> = reports.iter().map(|r| &r.tags).collect();
+        assert_eq!(tags, [&ts(&[1, 2]), &ts(&[1, 3])], "each once, in order");
+        assert_eq!(reports[0].counter, 4);
+        assert_eq!((reports[1].counter, reports[1].jaccard), (1, 1.0 / 5.0));
+    }
+
+    #[test]
+    fn a_dropped_set_never_seen_again_is_neither_reported_nor_exported() {
+        let mut c = Calculator::new();
+        c.observe(&ts(&[1, 2]));
+        c.observe(&ts(&[7, 8]));
+        c.retain_covered(&[Tag(1), Tag(2)].into_iter().collect());
+        let exported: Vec<TagSet> = c.export_counters().into_iter().map(|(t, _)| t).collect();
+        assert_eq!(exported, [ts(&[1]), ts(&[1, 2]), ts(&[2])]);
+        let reports = c.report_and_reset();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].tags, ts(&[1, 2]));
+    }
+
+    #[test]
+    fn a_set_with_an_untracked_prefix_reads_zero() {
+        let mut c = Calculator::new();
+        c.observe(&ts(&[2, 3]));
+        // {1} has no node at all; {2,9} leaves the trie after a tracked node
+        for unseen in [&[1, 2, 3][..], &[1, 2], &[2, 9], &[0]] {
+            assert_eq!(c.counter(&ts(unseen)), 0, "{unseen:?}");
+            assert_eq!(c.jaccard(&ts(unseen)), None, "{unseen:?}");
+        }
+        assert_eq!(c.union_count(&ts(&[1, 9])), 0);
+        assert_eq!(c.union_count(&ts(&[1, 2, 3])), 1, "the documents of 2 or 3");
+        assert_eq!(c.tracked(), 3, "queries create nothing");
     }
 
     #[test]

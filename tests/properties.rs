@@ -11,7 +11,9 @@ use setcorr::core::{
     TrackedCoefficient, Tracker, UnionFind,
 };
 use setcorr::metrics::{gini, lorenz_curve};
-use setcorr::model::{FxHashSet, Tag, TagSet, TagSetStat, TagSetWindow, Timestamp};
+use setcorr::model::{
+    FxHashSet, Tag, TagSet, TagSetStat, TagSetWindow, Timestamp, MAX_TAGS_PER_SET,
+};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// A window of small random tagsets with counts (mirrors the old
@@ -384,6 +386,258 @@ fn inconsistent_adopted_counters_report_clamped() {
             assert!(report.jaccard > 0.0 && report.jaccard <= 1.0, "case {case}");
         }
     }
+}
+
+/// The naive §3.1 Calculator over one small universe of tags: a dense
+/// counter per subset of the universe, indexed by bitmask (bit `i` selects
+/// `universe[i]`), every subset of a notification bumped one by one, and
+/// Eq. 2 evaluated subset by subset.
+struct BruteCalculator {
+    /// Ascending.
+    universe: Vec<Tag>,
+    counters: Vec<u64>,
+}
+
+/// Every non-empty submask of `mask`.
+fn submasks(mask: usize) -> impl Iterator<Item = usize> {
+    let non_empty = |sub: &usize| *sub != 0;
+    std::iter::successors(Some(mask).filter(non_empty), move |&sub| {
+        Some((sub - 1) & mask).filter(non_empty)
+    })
+}
+
+impl BruteCalculator {
+    fn new(universe: &[Tag]) -> Self {
+        BruteCalculator {
+            universe: universe.to_vec(),
+            counters: vec![0; 1 << universe.len()],
+        }
+    }
+
+    fn tagset(&self, mask: usize) -> TagSet {
+        (0..self.universe.len())
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| self.universe[i])
+            .collect()
+    }
+
+    fn observe_n(&mut self, mask: usize, n: u64) {
+        for sub in submasks(mask) {
+            self.counters[sub] += n;
+        }
+    }
+
+    fn union_count(&self, mask: usize) -> u64 {
+        let union: i64 = submasks(mask)
+            .map(|sub| match sub.count_ones() % 2 {
+                1 => self.counters[sub] as i64,
+                _ => -(self.counters[sub] as i64),
+            })
+            .sum();
+        union.max(0) as u64
+    }
+
+    fn jaccard(&self, mask: usize) -> Option<f64> {
+        let inter = self.counters[mask];
+        (mask.count_ones() >= 2 && inter > 0)
+            .then(|| inter as f64 / self.union_count(mask).max(inter) as f64)
+    }
+
+    fn tracked(&self) -> usize {
+        self.counters.iter().filter(|&&cn| cn != 0).count()
+    }
+
+    /// Every non-zero counter as `(mask, tagset, counter)`, ascending by
+    /// tagset.
+    fn export(&self) -> Vec<(usize, TagSet, u64)> {
+        let mut out: Vec<(usize, TagSet, u64)> = (1..self.counters.len())
+            .filter(|&mask| self.counters[mask] != 0)
+            .map(|mask| (mask, self.tagset(mask), self.counters[mask]))
+            .collect();
+        out.sort_by(|a, b| a.1.cmp(&b.1));
+        out
+    }
+
+    fn retain_covered(&mut self, keep: usize) {
+        for mask in 1..self.counters.len() {
+            if mask & !keep != 0 {
+                self.counters[mask] = 0;
+            }
+        }
+    }
+
+    fn report_and_reset(&mut self) -> Vec<CoefficientReport> {
+        let reports = self
+            .export()
+            .into_iter()
+            .filter_map(|(mask, tags, counter)| {
+                self.jaccard(mask).map(|jaccard| CoefficientReport {
+                    tags,
+                    jaccard,
+                    counter,
+                })
+            })
+            .collect();
+        self.counters.fill(0);
+        reports
+    }
+}
+
+/// Tag ids from both ends of the id space and the middle: a packed or
+/// offset sort key that holds for dense small ids breaks here.
+fn sparse_universe(rng: &mut StdRng, size: usize) -> Vec<Tag> {
+    let mut ids = BTreeSet::new();
+    while ids.len() < size {
+        ids.insert(match rng.gen_range(0u32..3) {
+            0 => rng.gen_range(0u32..4),
+            1 => u32::MAX - rng.gen_range(0u32..4),
+            _ => rng.gen_range(0u32..1 << 20),
+        });
+    }
+    ids.into_iter().map(Tag).collect()
+}
+
+/// Whole reports, exports and mid-round queries equal the naive procedure
+/// bit for bit, and leave strictly ascending, on sparse tag ids — through
+/// weighted observes, sets on both sides of `INLINE_TAGS`, expansions forced
+/// mid-round, full and partial handoffs between two Calculators, and resets.
+#[test]
+fn sparse_id_calculators_match_brute_force_through_handoffs() {
+    let mut rng = StdRng::seed_from_u64(116);
+    for case in 0..1_200 {
+        let size = rng.gen_range(2usize..15);
+        let universe = sparse_universe(&mut rng, size);
+        let everything = (1usize << universe.len()) - 1;
+        let mut calcs = [Calculator::new(), Calculator::new()];
+        let mut brutes = [
+            BruteCalculator::new(&universe),
+            BruteCalculator::new(&universe),
+        ];
+        let mut last_observed = everything;
+        let check_report = |calc: &mut Calculator, brute: &mut BruteCalculator, what: &str| {
+            assert_report_is(
+                &calc.report_and_reset(),
+                &brute.report_and_reset(),
+                &format!("case {case}, {what}"),
+            );
+        };
+        for step in 0..rng.gen_range(4usize..24) {
+            let who = rng.gen_range(0usize..2);
+            let context = format!("case {case}, step {step}");
+            match rng.gen_range(0u32..12) {
+                0..=5 => {
+                    let len = match rng.gen_range(0u32..10) {
+                        0..=5 => rng.gen_range(1usize..5),
+                        6..=7 => rng.gen_range(5usize..7),
+                        _ => rng.gen_range(7usize..13),
+                    };
+                    let mut mask = 0usize;
+                    while mask.count_ones() < len.min(universe.len()) as u32 {
+                        mask |= 1 << rng.gen_range(0usize..universe.len());
+                    }
+                    let n = match rng.gen_range(0u32..4) {
+                        0 => 1,
+                        1 => rng.gen_range(1u64..1 << 40),
+                        _ => rng.gen_range(2u64..20),
+                    };
+                    let notification = brutes[who].tagset(mask);
+                    if n == 1 {
+                        calcs[who].observe(&notification);
+                    } else {
+                        calcs[who].observe_n(&notification, n);
+                    }
+                    brutes[who].observe_n(mask, n);
+                    last_observed = mask;
+                }
+                6..=7 => {
+                    // a subset of something observed, or anything at all
+                    let mask = rng.gen_range(1usize..=everything)
+                        & if rng.gen_bool(0.7) {
+                            last_observed
+                        } else {
+                            everything
+                        };
+                    let (calc, brute) = (&calcs[who], &brutes[who]);
+                    let ts = brute.tagset(mask);
+                    assert_eq!(calc.counter(&ts), brute.counters[mask], "{context}");
+                    assert_eq!(calc.union_count(&ts), brute.union_count(mask), "{context}");
+                    assert_eq!(
+                        calc.jaccard(&ts).map(f64::to_bits),
+                        brute.jaccard(mask).map(f64::to_bits),
+                        "{context}"
+                    );
+                    assert_eq!(calc.tracked(), brute.tracked(), "{context}");
+                }
+                8..=9 => {
+                    // `who` keeps the tags of `keep` and hands the counters it
+                    // no longer covers to the other Calculator — all of them,
+                    // or (a bundle straddling a report boundary) only some
+                    let partial = rng.gen_bool(0.5);
+                    let keep = rng.gen_range(0usize..=everything);
+                    let exported = calcs[who].export_counters();
+                    let expected = brutes[who].export();
+                    assert!(
+                        exported.windows(2).all(|w| w[0].0 < w[1].0),
+                        "{context}: export not strictly ascending by tagset"
+                    );
+                    assert!(
+                        exported
+                            .iter()
+                            .map(|(ts, cn)| (ts, cn))
+                            .eq(expected.iter().map(|(_, ts, cn)| (ts, cn))),
+                        "{context}: exported {exported:?}, expected {expected:?}"
+                    );
+                    let mut handed = Vec::new();
+                    for (mask, ts, cn) in expected {
+                        if mask & !keep != 0 && !(partial && rng.gen_bool(0.3)) {
+                            brutes[1 - who].counters[mask] += cn;
+                            handed.push((ts, cn));
+                        }
+                    }
+                    let keep_tags: FxHashSet<Tag> = brutes[who].tagset(keep).iter().collect();
+                    calcs[who].retain_covered(&keep_tags);
+                    brutes[who].retain_covered(keep);
+                    calcs[1 - who].absorb_counters(&handed);
+                }
+                10 => {
+                    calcs[who].reset();
+                    brutes[who].counters.fill(0);
+                    assert_eq!(calcs[who].tracked(), 0, "{context}");
+                    assert_eq!(calcs[who].received(), 0, "{context}");
+                }
+                _ => check_report(&mut calcs[who], &mut brutes[who], &context),
+            }
+        }
+        for (calc, brute) in calcs.iter_mut().zip(&mut brutes) {
+            check_report(calc, brute, "end");
+            assert!(calc.report_and_reset().is_empty(), "case {case}: not reset");
+            assert_eq!(calc.tracked(), 0, "case {case}");
+        }
+    }
+}
+
+/// One root of `MAX_TAGS_PER_SET` tags: the widest expansion, the deepest
+/// paths, every subset of ≥ 2 tags reported once with `J = 1`, in order.
+#[test]
+fn a_full_size_root_reports_every_subset_in_order() {
+    let ids: Vec<u32> = (0..4)
+        .chain([77, 1 << 10, 1 << 19, 1 << 31])
+        .chain(u32::MAX - 7..=u32::MAX)
+        .collect();
+    let root = TagSet::from_ids(&ids);
+    assert_eq!(root.len(), MAX_TAGS_PER_SET);
+    let mut calc = Calculator::new();
+    calc.observe_n(&root, 3);
+    assert_eq!(calc.tracked(), (1 << MAX_TAGS_PER_SET) - 1);
+    let reports = calc.report_and_reset();
+    assert_eq!(
+        reports.len(),
+        (1 << MAX_TAGS_PER_SET) - 1 - MAX_TAGS_PER_SET
+    );
+    assert!(reports.windows(2).all(|w| w[0].tags < w[1].tags));
+    assert!(reports
+        .iter()
+        .all(|r| r.jaccard == 1.0 && r.counter == 3 && r.tags.is_subset_of(&root)));
 }
 
 /// Jaccard coefficients are always within (0, 1].

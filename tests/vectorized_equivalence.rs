@@ -200,31 +200,58 @@ fn threaded_full_topology_stays_in_the_oracle_quality_band() {
     // threaded runs are compared on the quality envelope, not bytes — the
     // same guardrail the PR 3 batching tests established, now with the
     // vectorized operator path underneath.
+    //
+    // Coverage is counted over the eligible tagsets of the single round
+    // after warm-up and races the live control plane: a run that completes
+    // one live repartition where most complete two reads 0.82–0.85 instead
+    // of 0.90–0.98, about one run in twenty. The envelope is therefore
+    // asserted on the median of five runs, which both modes clear unless
+    // the low one becomes the usual one.
+    const RUNS: usize = 5;
     let docs = stream(103, 30_000);
     let sim = run_docs(&config(), docs.clone(), RunMode::Sim);
-    let threaded = run_docs(&config(), docs, RunMode::Threaded);
-    assert_eq!(sim.documents, threaded.documents);
-    assert_eq!(
-        sim.routed_tagsets + sim.unrouted_tagsets,
-        threaded.routed_tagsets + threaded.unrouted_tagsets,
-        "every tagset reaches the Disseminator"
-    );
-    assert!(threaded.coverage > 0.85, "coverage {}", threaded.coverage);
+    let runs: Vec<RunReport> = (0..RUNS)
+        .map(|_| run_docs(&config(), docs.clone(), RunMode::Threaded))
+        .collect();
+    let median = |of: fn(&RunReport) -> f64| {
+        let mut values: Vec<f64> = runs.iter().map(of).collect();
+        values.sort_by(f64::total_cmp);
+        values[RUNS / 2]
+    };
+    let each: Vec<String> = runs
+        .iter()
+        .map(|r| {
+            format!(
+                "coverage {:.3} error {:.4} live_repartitions {}",
+                r.coverage, r.mean_abs_error, r.live_repartitions
+            )
+        })
+        .collect();
+    let coverage = median(|r| r.coverage);
+    assert!(coverage > 0.85, "median coverage {coverage} of {each:?}");
+    let error = median(|r| r.mean_abs_error);
     assert!(
-        threaded.mean_abs_error < sim.mean_abs_error + 0.02,
-        "error {} vs sim {}",
-        threaded.mean_abs_error,
+        error < sim.mean_abs_error + 0.02,
+        "median error {error} vs sim {} of {each:?}",
         sim.mean_abs_error
     );
-    // the vectorized threaded run carries the per-operator breakdown
-    assert_eq!(
-        threaded.operator_seconds.len(),
-        8,
-        "one entry per component"
-    );
-    assert!(threaded
-        .operator_seconds
-        .iter()
-        .any(|(name, secs)| name == "baseline" && *secs > 0.0));
+    for threaded in &runs {
+        assert_eq!(sim.documents, threaded.documents);
+        assert_eq!(
+            sim.routed_tagsets + sim.unrouted_tagsets,
+            threaded.routed_tagsets + threaded.unrouted_tagsets,
+            "every tagset reaches the Disseminator"
+        );
+        // the vectorized threaded run carries the per-operator breakdown
+        assert_eq!(
+            threaded.operator_seconds.len(),
+            8,
+            "one entry per component"
+        );
+        assert!(threaded
+            .operator_seconds
+            .iter()
+            .any(|(name, secs)| name == "baseline" && *secs > 0.0));
+    }
     assert!(sim.operator_seconds.is_empty(), "sim has no operator clock");
 }
