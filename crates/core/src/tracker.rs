@@ -8,16 +8,18 @@
 //! accumulating only after a partition evolved.
 //!
 //! Every Calculator's per-round report arrives as one run strictly ascending
-//! by tagset, so deduplication is a merge, not a hash join: reports are
-//! buffered in arrival order and [`Tracker::finish_round`] k-way merges the
-//! runs it finds in the buffer. Nothing depends on the senders' order for
-//! correctness — a shuffled feed merely splits into more, shorter runs.
+//! by tagset, so deduplication is a merge, not a hash join: a round keeps the
+//! Calculators' own vectors ([`Tracker::observe_shared`]) beside one staging
+//! vector for reports that came by reference, and [`Tracker::finish_round`]
+//! merges the ascending runs it finds in them, streak by streak. Nothing
+//! depends on the senders' order for correctness — a shuffled feed merely
+//! splits into more, shorter runs.
 
 use crate::calculator::CoefficientReport;
 use setcorr_model::{FxHashMap, TagSet};
 use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::mem;
+use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// One deduplicated coefficient as the Tracker publishes it downstream.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,9 +37,17 @@ pub struct TrackedCoefficient {
 /// Per-round deduplication state.
 #[derive(Debug, Default)]
 pub struct Tracker {
-    /// The reports of every open round, in arrival order.
-    rounds: FxHashMap<u64, Vec<TrackedCoefficient>>,
+    rounds: FxHashMap<u64, OpenRound>,
     published: u64,
+}
+
+/// The reports of one open round.
+#[derive(Debug, Default)]
+struct OpenRound {
+    /// Whole per-round vectors, still owned by whoever else holds them.
+    shared: Vec<Arc<Vec<CoefficientReport>>>,
+    /// Reports that came by reference, copied once, in arrival order.
+    staged: Vec<CoefficientReport>,
 }
 
 impl Tracker {
@@ -52,24 +62,24 @@ impl Tracker {
         self.observe_run(round, std::slice::from_ref(report));
     }
 
-    /// Ingest a run of reports for report-round `round` — typically one
-    /// Calculator's whole round, which is sorted by tagset.
-    ///
-    /// Takes the reports by reference (they fan out from shared, `Arc`-held
-    /// per-round vectors) and copies each once into the round's buffer,
-    /// which grows by the run's length up front; arbitration waits for
-    /// [`Tracker::finish_round`]. An empty run does not open its round.
+    /// Ingest a run of reports for report-round `round` by reference: each
+    /// is copied once onto the round's staging vector. Consecutive calls
+    /// whose tagsets keep ascending stage one run, however they were cut.
+    /// An empty run does not open its round.
     pub fn observe_run(&mut self, round: u64, reports: &[CoefficientReport]) {
-        if reports.is_empty() {
-            return;
+        if !reports.is_empty() {
+            let open = self.rounds.entry(round).or_default();
+            open.staged.extend_from_slice(reports);
         }
-        let buffer = self.rounds.entry(round).or_default();
-        buffer.extend(reports.iter().map(|report| TrackedCoefficient {
-            tags: report.tags.clone(),
-            jaccard: report.jaccard,
-            counter: report.counter,
-            reporters: 1,
-        }));
+    }
+
+    /// Ingest one Calculator's whole round as the `Arc` its `CalcReport`
+    /// carries: the vector is kept and merged where it lies, nothing is
+    /// copied on arrival. An empty run does not open its round.
+    pub fn observe_shared(&mut self, round: u64, reports: Arc<Vec<CoefficientReport>>) {
+        if !reports.is_empty() {
+            self.rounds.entry(round).or_default().shared.push(reports);
+        }
     }
 
     /// Number of rounds currently buffered.
@@ -92,48 +102,59 @@ impl Tracker {
     /// Close `round` and emit its deduplicated coefficients, sorted by
     /// tagset. Returns an empty vector for unknown rounds.
     ///
-    /// The buffer's maximal strictly-ascending runs are merged through a
-    /// heap of one cursor per run, `O(n log r)` for `n` reports in `r`
-    /// runs. Per tagset the max-`CN` report wins; ties break toward the
-    /// larger Jaccard value so the winner does not depend on the order
-    /// reports drained from the per-Calculator channels — the serving layer
-    /// pins threaded runs against the sim oracle.
+    /// Shared vectors and the staging vector are cut at their descents into
+    /// strictly-ascending runs, one borrowing cursor each in a heap. The
+    /// least run gives up its *streak* — all it holds strictly below the
+    /// next run's head, found by exponential search, and at least its own
+    /// head — in one `extend`: `O(s log r + n)` for `n` reports in `r` runs
+    /// that interleave in `s` streaks. Only a streak's head can repeat the
+    /// tagset before it; then the max-`CN` report wins and ties break
+    /// toward the larger Jaccard value, whatever order the reports drained
+    /// from the per-Calculator channels in — the serving layer pins
+    /// threaded runs against the sim oracle.
     pub fn finish_round(&mut self, round: u64) -> Vec<TrackedCoefficient> {
-        let Some(mut buffer) = self.rounds.remove(&round) else {
+        let Some(open) = self.rounds.remove(&round) else {
             return Vec::new();
         };
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        for end in 1..=buffer.len() {
-            if end == buffer.len() || buffer[end - 1].tags >= buffer[end].tags {
-                runs.push((runs.last().map_or(0, |run| run.1), end));
-            }
-        }
-        let cursor = |buffer: &mut [TrackedCoefficient], pos: usize, end: usize| {
-            let tags = mem::replace(&mut buffer[pos].tags, TagSet::empty());
-            Reverse(Cursor { tags, pos, end })
+        let slices = open.shared.len() + 1; // the staging vector comes last
+        let slice = |idx: usize| match open.shared.get(idx) {
+            Some(run) => &run[..],
+            None => &open.staged[..],
         };
-        let mut heads: BinaryHeap<_> = runs
-            .into_iter()
-            .map(|(pos, end)| cursor(&mut buffer, pos, end))
-            .collect();
-        let mut out: Vec<TrackedCoefficient> = Vec::with_capacity(buffer.len());
-        while let Some(mut head) = heads.peek_mut() {
-            // step the least cursor along its run, or retire it at the end
-            let (next, end) = (head.0.pos + 1, head.0.end);
-            let Reverse(Cursor { tags, pos, .. }) = if next < end {
-                mem::replace(&mut *head, cursor(&mut buffer, next, end))
-            } else {
-                PeekMut::pop(head)
-            };
-            let report = &buffer[pos];
+        let mut heads: BinaryHeap<Reverse<Cursor>> = BinaryHeap::with_capacity(slices);
+        let mut total = 0;
+        for idx in 0..slices {
+            let mut pos = 0;
+            for run in ascending_runs(slice(idx)) {
+                heads.push(Reverse((&run[0].tags, idx, pos, pos + run.len())));
+                pos += run.len();
+            }
+            total += pos;
+        }
+        let tracked = |report: &CoefficientReport| TrackedCoefficient {
+            tags: report.tags.clone(),
+            jaccard: report.jaccard,
+            counter: report.counter,
+            reporters: 1,
+        };
+        let mut out: Vec<TrackedCoefficient> = Vec::with_capacity(total);
+        while let Some(Reverse((_, idx, pos, end))) = heads.pop() {
+            let run = &slice(idx)[pos..end];
+            let bound = heads.peek().map(|Reverse(next)| next.0);
+            let len = bound.map_or(run.len(), |bound| streak_len(run, bound));
+            let head = &run[0];
             match out.last_mut() {
-                Some(kept) if kept.tags == tags => {
+                Some(kept) if kept.tags == head.tags => {
                     kept.reporters += 1;
-                    if (report.counter, report.jaccard) > (kept.counter, kept.jaccard) {
-                        (kept.counter, kept.jaccard) = (report.counter, report.jaccard);
+                    if (head.counter, head.jaccard) > (kept.counter, kept.jaccard) {
+                        (kept.counter, kept.jaccard) = (head.counter, head.jaccard);
                     }
                 }
-                _ => out.push(TrackedCoefficient { tags, ..*report }),
+                _ => out.push(tracked(head)),
+            }
+            out.extend(run[1..len].iter().map(tracked));
+            if len < run.len() {
+                heads.push(Reverse((&run[len].tags, idx, pos + len, end)));
             }
         }
         out.shrink_to_fit(); // a no-op unless duplicates were folded
@@ -142,13 +163,27 @@ impl Tracker {
     }
 }
 
-/// The next unmerged report of one run, ordered by its tagset — which the
-/// cursor owns (moved out of the buffer), so the heap compares in place.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct Cursor {
-    tags: TagSet,
-    pos: usize,
-    end: usize,
+/// The unmerged rest of one strictly-ascending run, `[pos, end)` of slice
+/// `idx` of its round, behind the tagset it merges next: the heap compares
+/// cursors through that borrow, and arrival order settles ties.
+type Cursor<'a> = (&'a TagSet, usize, usize, usize);
+
+/// `slice` cut at its descents into maximal strictly-ascending runs.
+fn ascending_runs(slice: &[CoefficientReport]) -> impl Iterator<Item = &[CoefficientReport]> {
+    slice.chunk_by(|a, b| a.tags < b.tags)
+}
+
+/// How many leading reports of `run` lie strictly below `bound`, the head
+/// counted regardless: exponential probes, then a binary search of the gap.
+fn streak_len(run: &[CoefficientReport], bound: &TagSet) -> usize {
+    let below = |report: &CoefficientReport| report.tags < *bound;
+    let mut probe = 1;
+    while probe < run.len() && below(&run[probe]) {
+        probe *= 2;
+    }
+    // `run[probe / 2]` is in (the head, or probed below), `run[probe]` is not
+    let known = probe / 2 + 1;
+    known + run[known..probe.min(run.len())].partition_point(below)
 }
 
 #[cfg(test)]
@@ -212,6 +247,64 @@ mod tests {
                 TagSet::from_ids(&[5, 6])
             ]
         );
+    }
+
+    #[test]
+    fn a_streaks_first_report_folds_and_its_tail_extends() {
+        let long: Vec<CoefficientReport> = (1..=40).map(|i| report(&[i, i + 1], 0.5, 2)).collect();
+        let bound = |i: u32| TagSet::from_ids(&[i, i + 1]);
+        // the head counts even when it is not below the bound; a bound
+        // inside, between two probes, on a probe and past the end
+        assert_eq!(streak_len(&long, &bound(1)), 1);
+        assert_eq!(streak_len(&long, &bound(2)), 1);
+        assert_eq!(streak_len(&long, &bound(7)), 6);
+        assert_eq!(streak_len(&long, &bound(9)), 8);
+        assert_eq!(streak_len(&long, &bound(40)), 39);
+        assert_eq!(streak_len(&long, &bound(99)), 40);
+        assert_eq!(streak_len(&long[..1], &bound(99)), 1);
+
+        // {1,2}…{40,41} against a run that repeats {20,21} and ends past it:
+        // the second streak of `long` opens on the repeated tagset
+        let mut t = Tracker::new();
+        t.observe_shared(0, Arc::new(long.clone()));
+        t.observe_shared(
+            0,
+            Arc::new(vec![report(&[20, 21], 0.9, 7), report(&[50, 51], 0.1, 2)]),
+        );
+        let out = t.finish_round(0);
+        assert_eq!(out.len(), 41);
+        assert!(out.windows(2).all(|w| w[0].tags < w[1].tags));
+        for kept in &out {
+            let folded = kept.tags == bound(20);
+            assert_eq!(
+                kept.reporters,
+                if folded { 2 } else { 1 },
+                "{:?}",
+                kept.tags
+            );
+            assert_eq!(kept.counter, if folded { 7 } else { 2 });
+        }
+        assert_eq!(
+            out[19].jaccard, 0.9,
+            "the larger counter's coefficient wins"
+        );
+    }
+
+    #[test]
+    fn single_observes_in_ascending_order_stage_one_run() {
+        let mut t = Tracker::new();
+        for i in 1..=100 {
+            t.observe(3, &report(&[i, i + 1], 0.5, 1));
+        }
+        t.observe_shared(3, Arc::new(Vec::new()));
+        let staged = &t.rounds[&3].staged;
+        assert_eq!(ascending_runs(staged).count(), 1);
+        assert!(t.rounds[&3].shared.is_empty(), "an empty run is not kept");
+        // a repeat and a descent each open a run
+        t.observe(3, &report(&[100, 101], 0.5, 1));
+        t.observe(3, &report(&[7, 8], 0.5, 1));
+        assert_eq!(ascending_runs(&t.rounds[&3].staged).count(), 3);
+        assert_eq!(t.finish_round(3).len(), 100);
     }
 
     #[test]

@@ -192,3 +192,35 @@ fn boundary_lengths_behave_identically() {
         assert!(natural.is_subset_of(&grown));
     }
 }
+
+#[test]
+fn a_cloned_spilled_set_and_every_spilling_constructor_agree() {
+    // A spilled set shares its tags with its clones, so the clone has to be
+    // indistinguishable from a set built afresh by any constructor.
+    let mut rng = Rng(0xC10E);
+    for _ in 0..200 {
+        let len = INLINE_TAGS + 1 + (rng.next() % (MAX_TAGS_PER_SET - INLINE_TAGS) as u64) as usize;
+        let tags: Vec<Tag> = random_ids(&mut rng, len, 500)
+            .into_iter()
+            .map(Tag)
+            .collect();
+        let owned = TagSet::from_sorted_unchecked(tags.clone());
+        let clone = owned.clone();
+        let variants = [
+            clone.clone(),
+            TagSet::from_sorted_slice(&tags),
+            owned.with_forced_heap_repr(),
+            TagSet::new(tags.iter().rev().copied().collect()),
+        ];
+        drop(owned); // the clones outlive the set they were taken from
+        let smaller = TagSet::from_sorted_slice(&tags[..len - 1]);
+        for variant in &variants {
+            assert!(!variant.is_inline());
+            assert_eq!(variant, &clone);
+            assert_eq!(variant.cmp(&clone), Ordering::Equal);
+            assert_eq!(variant.cmp(&smaller), Ordering::Greater);
+            assert_eq!(fx::hash_one(variant), fx::hash_one(&clone));
+            assert_eq!(variant.tags(), &tags[..]);
+        }
+    }
+}

@@ -1,5 +1,6 @@
 //! Immutable, epoch-stamped views over one report round's deduplicated
-//! coefficients, with the two query indexes built once at publish time.
+//! coefficients, with the two query indexes built once at publish time: the
+//! descending-Jaccard order and one flat array of every tag's neighbour row.
 
 use setcorr_core::TrackedCoefficient;
 use setcorr_model::{FxHashMap, Tag, TagSet};
@@ -15,7 +16,7 @@ use std::sync::Arc;
 /// round's reports, only indexes them.
 ///
 /// Index layout: `coefficients` is sorted by tagset (the Tracker's output
-/// order), `by_jaccard` and the per-tag neighborhood lists hold `u32`
+/// order), `by_jaccard` and the per-tag neighbourhood rows hold `u32`
 /// positions into it, ordered by descending Jaccard (ties broken by tagset,
 /// ascending, so the ordering is total and runs are comparable
 /// byte-for-byte).
@@ -31,9 +32,13 @@ pub struct Snapshot {
     coefficients: Arc<Vec<TrackedCoefficient>>,
     /// All coefficient positions, ordered by descending Jaccard.
     by_jaccard: Vec<u32>,
-    /// Per-tag inverted neighborhood index: for tag `t`, the positions of
-    /// every tracked tagset containing `t`, ordered by descending Jaccard.
-    neighbors: FxHashMap<Tag, Vec<u32>>,
+    /// Per-tag inverted neighbourhood index, every row in one array: for
+    /// tag `t`, the positions of every tracked tagset containing `t`,
+    /// ordered by descending Jaccard.
+    positions: Vec<u32>,
+    /// Where each tag's row lies in `positions`: `(start, len)`, in the map
+    /// value itself so a query pays one dependent miss, not two.
+    rows: FxHashMap<Tag, (u32, u32)>,
 }
 
 impl Snapshot {
@@ -44,7 +49,8 @@ impl Snapshot {
             seq: 0,
             coefficients: Arc::new(Vec::new()),
             by_jaccard: Vec::new(),
-            neighbors: FxHashMap::default(),
+            positions: Vec::new(),
+            rows: FxHashMap::default(),
         }
     }
 
@@ -52,8 +58,10 @@ impl Snapshot {
     /// per-round output: sorted by tagset, one entry per tagset).
     ///
     /// `seq` is the publication sequence the store assigns. Building is the
-    /// only O(n log n) work of a publication; the swap itself is one
-    /// pointer store.
+    /// only O(n log n) work of a publication (one sort of flat keys); the
+    /// neighbour index is counted in one pass — a map probe per coefficient
+    /// and tag — and placed in a second that hashes nothing, into rows that
+    /// never grow. The swap itself is one pointer store.
     pub fn build(round: u64, seq: u64, coefficients: Arc<Vec<TrackedCoefficient>>) -> Self {
         debug_assert!(
             coefficients.windows(2).all(|w| w[0].tags < w[1].tags),
@@ -78,20 +86,51 @@ impl Snapshot {
             .collect();
         keyed.sort_unstable();
         let by_jaccard: Vec<u32> = keyed.into_iter().map(|(_, pos)| pos).collect();
-        let mut neighbors: FxHashMap<Tag, Vec<u32>> = FxHashMap::default();
-        // Walking in by_jaccard order makes every per-tag list come out
-        // already ordered by descending Jaccard — no per-list sort.
-        for &pos in &by_jaccard {
-            for tag in coefficients[pos as usize].tags.iter() {
-                neighbors.entry(tag).or_default().push(pos);
+        // Count: each (coefficient, tag) probes the map once, lengthens its
+        // row and notes the row's id — rows are numbered as first seen, the
+        // id waits where the row's start will go — among its coefficient's,
+        // `row_ids[first[pos]..first[pos + 1]]`.
+        let mut rows: FxHashMap<Tag, (u32, u32)> = FxHashMap::default();
+        let mut row_ids: Vec<u32> = Vec::with_capacity(2 * coefficients.len());
+        let mut first: Vec<usize> = Vec::with_capacity(coefficients.len() + 1);
+        for coefficient in coefficients.iter() {
+            first.push(row_ids.len());
+            for tag in coefficient.tags.iter() {
+                let fresh = rows.len() as u32;
+                let row = rows.entry(tag).or_insert((fresh, 0));
+                row.1 += 1;
+                row_ids.push(row.0);
             }
+        }
+        first.push(row_ids.len());
+        assert!(row_ids.len() <= u32::MAX as usize, "rows are u32-addressed");
+        // Place: a cursor per row, starting where the rows before it end;
+        // by_jaccard order fills every row in descending Jaccard unhashed.
+        let mut cursors = vec![0u32; rows.len()];
+        for &(id, len) in rows.values() {
+            cursors[id as usize] = len;
+        }
+        let mut start = 0;
+        for cursor in &mut cursors {
+            start += std::mem::replace(cursor, start);
+        }
+        let mut positions = vec![0u32; row_ids.len()];
+        for &pos in &by_jaccard {
+            for &id in &row_ids[first[pos as usize]..first[pos as usize + 1]] {
+                positions[cursors[id as usize] as usize] = pos;
+                cursors[id as usize] += 1;
+            }
+        }
+        for row in rows.values_mut() {
+            row.0 = cursors[row.0 as usize] - row.1;
         }
         Snapshot {
             round: Some(round),
             seq,
             coefficients,
             by_jaccard,
-            neighbors,
+            positions,
+            rows,
         }
     }
 
@@ -131,19 +170,17 @@ impl Snapshot {
     }
 
     /// The `k` most correlated tagsets *containing `tag`*, best first —
-    /// the inverted neighborhood index, no scan.
+    /// one map probe for the tag's row, then a slice of it: no scan.
     pub fn neighbors(&self, tag: Tag, k: usize) -> impl Iterator<Item = &TrackedCoefficient> {
-        self.neighbors
-            .get(&tag)
-            .map(|positions| &positions[..positions.len().min(k)])
-            .unwrap_or(&[])
+        let (start, len) = self.rows.get(&tag).copied().unwrap_or((0, 0));
+        self.positions[start as usize..][..k.min(len as usize)]
             .iter()
             .map(|&pos| &self.coefficients[pos as usize])
     }
 
     /// Number of tracked tagsets containing `tag`.
     pub fn neighbor_count(&self, tag: Tag) -> usize {
-        self.neighbors.get(&tag).map_or(0, Vec::len)
+        self.rows.get(&tag).map_or(0, |row| row.1 as usize)
     }
 
     /// This round's coefficient for exactly `tags` (binary search over the
@@ -232,11 +269,10 @@ mod tests {
         assert!(Arc::ptr_eq(s.coefficients(), &coeffs), "no copy at publish");
     }
 
-    #[test]
-    fn flat_key_sort_orders_like_the_float_comparator() {
-        // 10 k coefficients dense in exact ties: small-integer ratios, a
-        // quarter of them 1.0, and some 0.0 (an approximate backend's
-        // estimate when no signature slot matches)
+    /// 10 k coefficients dense in exact ties: small-integer ratios, a
+    /// quarter of them 1.0, and some 0.0 (an approximate backend's estimate
+    /// when no signature slot matches).
+    fn tied_fixture() -> Vec<TrackedCoefficient> {
         let mut state = 0x5EED_u64;
         let mut rnd = |n: u64| {
             state ^= state << 13;
@@ -254,6 +290,12 @@ mod tests {
             })
             .collect();
         assert_eq!(coeffs.len(), 10_000);
+        coeffs
+    }
+
+    #[test]
+    fn flat_key_sort_orders_like_the_float_comparator() {
+        let coeffs = tied_fixture();
         // the comparator `build` used before it sorted flat keys
         let mut expected: Vec<usize> = (0..coeffs.len()).collect();
         expected.sort_by(|&a, &b| {
@@ -267,5 +309,48 @@ mod tests {
         let got: Vec<&TagSet> = snapshot.top_k(usize::MAX).map(|c| &c.tags).collect();
         let expected: Vec<&TagSet> = expected.iter().map(|&pos| &coeffs[pos].tags).collect();
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn every_neighbour_row_is_the_brute_force_filter_in_jaccard_order() {
+        let coeffs = tied_fixture();
+        let snapshot = Snapshot::build(0, 1, Arc::new(coeffs.clone()));
+        // the rows tile `positions`: none overlaps, none is left out
+        let mut rows: Vec<(u32, u32)> = snapshot.rows.values().copied().collect();
+        rows.sort_unstable();
+        assert_eq!(rows.len(), 142);
+        assert_eq!(rows[0].0, 0);
+        assert!(rows.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0));
+        let (start, len) = rows[rows.len() - 1];
+        assert_eq!((start + len) as usize, snapshot.positions.len());
+        assert_eq!(snapshot.positions.len(), 2 * coeffs.len());
+        // every tag, the first row (tag 0) and the last (tag 141) among them
+        for tag in (0..142).map(Tag) {
+            let mut expected: Vec<&TrackedCoefficient> =
+                coeffs.iter().filter(|c| c.tags.contains(tag)).collect();
+            expected.sort_by(|a, b| {
+                b.jaccard
+                    .partial_cmp(&a.jaccard)
+                    .unwrap()
+                    .then_with(|| a.tags.cmp(&b.tags))
+            });
+            let got: Vec<&TrackedCoefficient> = snapshot.neighbors(tag, usize::MAX).collect();
+            assert_eq!(got, expected, "row of {tag:?}");
+            assert_eq!(snapshot.neighbor_count(tag), expected.len());
+            let best: Vec<&TrackedCoefficient> = snapshot.neighbors(tag, 3).collect();
+            assert_eq!(
+                best,
+                expected[..3.min(expected.len())],
+                "k truncates {tag:?}"
+            );
+        }
+        assert_eq!(
+            snapshot.rows[&Tag(0)].0,
+            0,
+            "rows are numbered as first seen"
+        );
+        assert_eq!(snapshot.rows[&Tag(141)], (start, len));
+        assert_eq!(snapshot.neighbors(Tag(142), usize::MAX).count(), 0);
+        assert_eq!(snapshot.neighbor_count(Tag(142)), 0);
     }
 }

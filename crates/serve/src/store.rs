@@ -73,8 +73,9 @@ impl Publisher {
         let start = Instant::now();
         let seq = self.0.latest_seq.load(Ordering::Relaxed) + 1;
         let next = Arc::new(Snapshot::build(round, seq, coefficients));
-        // the previous snapshot — its whole neighbour index, when no reader
-        // still holds it — is freed after the lock is released, not under it
+        // the previous snapshot — when no reader still holds it, its order,
+        // its neighbour rows and their map: three blocks, not one per tag —
+        // is freed after the lock is released, not under it
         let previous = std::mem::replace(&mut *self.0.current.write(), next.clone());
         drop(previous);
         // Ordering: the fast-path counters trail the swap, so a reader that

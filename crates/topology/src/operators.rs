@@ -1356,9 +1356,9 @@ impl Bolt<Msg> for TrackerBolt {
         let Msg::CalcReport { round, reports, .. } = msg else {
             return;
         };
-        // one Calculator's round is one sorted run: the Tracker buffers it
-        // whole and merges the k runs when the round closes
-        self.tracker.observe_run(round, &reports);
+        // one Calculator's round is one sorted run: the Tracker keeps the
+        // vector itself and merges the k runs when the round closes
+        self.tracker.observe_shared(round, reports);
         let seen = self.received.entry(round).or_insert(0);
         *seen += 1;
         if *seen == self.k {

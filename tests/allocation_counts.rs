@@ -1,0 +1,97 @@
+//! The three allocation counts the round-close path is designed around,
+//! read from a counting allocator of this test binary's own: the snapshot
+//! index is a handful of vectors however many tags it serves, the Tracker's
+//! merge allocates its output and its cursor heap and nothing per report,
+//! and a tagset too long for the inline representation clones for free.
+
+use setcorr::core::{CoefficientReport, TrackedCoefficient, Tracker};
+use setcorr::model::{TagSet, INLINE_TAGS};
+use setcorr::serve::Snapshot;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    /// Allocator calls made by this thread (tests run on threads of their own).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// `const`-initialised thread-local `Cell` without a destructor, so touching
+// it allocates nothing and cannot re-enter the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocator calls (`alloc` + `realloc`) this thread makes inside `f`.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
+#[test]
+fn a_snapshot_over_ten_thousand_tags_is_a_handful_of_allocations() {
+    // 5 000 disjoint pairs: every tag has a neighbour row of its own
+    let coefficients: Vec<TrackedCoefficient> = (0..5_000u32)
+        .map(|i| TrackedCoefficient {
+            tags: TagSet::from_ids(&[2 * i, 2 * i + 1]),
+            jaccard: (i % 97) as f64 / 97.0,
+            counter: 1,
+            reporters: 1,
+        })
+        .collect();
+    let coefficients = Arc::new(coefficients);
+    let (count, snapshot) = allocations(|| Snapshot::build(0, 1, coefficients.clone()));
+    assert_eq!(snapshot.neighbor_count(setcorr::model::Tag(9_999)), 1);
+    // six vectors and the doublings of one 10 000-entry map; a vector per
+    // tag would be at least 10 000
+    assert!(count < 40, "Snapshot::build allocated {count} times");
+}
+
+#[test]
+fn closing_a_round_of_shared_runs_allocates_the_output_and_the_cursor_heap() {
+    const K: u32 = 5;
+    let mut tracker = Tracker::new();
+    for calc in 0..K {
+        // disjoint runs of inline tagsets that interleave report by report
+        let run: Vec<CoefficientReport> = (0..2_000u32)
+            .map(|i| CoefficientReport {
+                tags: TagSet::from_ids(&[i, 3_000 + calc]),
+                jaccard: 0.5,
+                counter: 1,
+            })
+            .collect();
+        tracker.observe_shared(0, Arc::new(run));
+    }
+    let (count, out) = allocations(|| tracker.finish_round(0));
+    assert_eq!(out.len() as u32, K * 2_000);
+    assert!(out.windows(2).all(|w| w[0].tags < w[1].tags));
+    // the output vector and the heap of K cursors: nothing per report
+    assert_eq!(count, 2, "finish_round allocated {count} times");
+}
+
+#[test]
+fn cloning_a_spilled_tagset_does_not_allocate() {
+    let ids: Vec<u32> = (0..INLINE_TAGS as u32 + 1).collect();
+    let spilled = TagSet::from_ids(&ids);
+    assert!(!spilled.is_inline());
+    let (count, clones) = allocations(|| [spilled.clone(), spilled.clone(), spilled.clone()]);
+    assert!(clones.iter().all(|clone| *clone == spilled));
+    assert_eq!(count, 0, "a clone of a 6-tag set called the allocator");
+}

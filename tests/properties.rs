@@ -15,6 +15,7 @@ use setcorr::model::{
     FxHashSet, Tag, TagSet, TagSetStat, TagSetWindow, Timestamp, MAX_TAGS_PER_SET,
 };
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 /// A window of small random tagsets with counts (mirrors the old
 /// `tagset_window()` proptest strategy).
@@ -657,15 +658,20 @@ fn reported_coefficients_are_probabilities() {
     }
 }
 
-/// The Tracker's run merge equals the hash-map deduplication it replaced
+/// The Tracker's streak merge equals the hash-map deduplication it replaced
 /// (kept here as the reference): per round and tagset the max-`CN` report
 /// wins, ties go to the larger Jaccard, reporters are counted, output is
-/// sorted by tagset.
+/// sorted by tagset. Every case is fed three ways — every run shared, every
+/// run staged by reference, and a mix within one round.
 #[test]
 fn tracker_merge_matches_hash_dedup() {
-    fn reference(feed: &[(u64, CoefficientReport)], round: u64) -> Vec<TrackedCoefficient> {
+    /// `(round, run)` in arrival order.
+    type Run = (u64, Vec<CoefficientReport>);
+    type Feed = [Run];
+    fn reference(feed: &Feed, round: u64) -> Vec<TrackedCoefficient> {
         let mut entries: HashMap<TagSet, (f64, u64, u32)> = HashMap::new();
-        for (_, report) in feed.iter().filter(|(r, _)| *r == round) {
+        let runs = feed.iter().filter(|(r, _)| *r == round);
+        for report in runs.flat_map(|(_, run)| run) {
             match entries.get_mut(&report.tags) {
                 Some(entry) => {
                     entry.2 += 1;
@@ -712,13 +718,125 @@ fn tracker_merge_matches_hash_dedup() {
             })
             .collect()
     }
+    // feed `feed` in order — a shared run as its `Arc`, a staged one whole
+    // or one report at a time — then close every round against the reference
+    fn check(feed: &Feed, rng: &mut StdRng, context: &str) {
+        for mode in ["shared", "staged", "mixed"] {
+            let mut tracker = Tracker::new();
+            for (round, run) in feed {
+                let shared = mode == "shared" || (mode == "mixed" && rng.gen_range(0u32..2) == 0);
+                if shared {
+                    tracker.observe_shared(*round, Arc::new(run.clone()));
+                } else if rng.gen_range(0u32..2) == 0 {
+                    tracker.observe_run(*round, run);
+                } else {
+                    for report in run {
+                        tracker.observe(*round, report);
+                    }
+                }
+            }
+            let open: BTreeSet<u64> = feed
+                .iter()
+                .filter(|(_, run)| !run.is_empty())
+                .map(|(round, _)| *round)
+                .collect();
+            assert_eq!(
+                tracker.open_round_keys(),
+                open.iter().copied().collect::<Vec<u64>>(),
+                "{context}, {mode}: an empty run must not open its round"
+            );
+            let mut published = 0;
+            for &round in open.iter().rev() {
+                let expected = reference(feed, round);
+                published += expected.len() as u64;
+                assert_eq!(
+                    tracker.finish_round(round),
+                    expected,
+                    "{context}, {mode}, round {round}"
+                );
+            }
+            assert_eq!(tracker.published(), published, "{context}, {mode}");
+            assert_eq!(tracker.open_rounds(), 0, "{context}, {mode}");
+        }
+    }
 
     let mut rng = StdRng::seed_from_u64(115);
+    let run = |specs: &[(&[u32], u32, u64)]| -> Vec<CoefficientReport> {
+        specs
+            .iter()
+            .map(|&(ids, quarters, counter)| CoefficientReport {
+                tags: TagSet::from_ids(ids),
+                jaccard: quarters as f64 / 4.0,
+                counter,
+            })
+            .collect()
+    };
+    let pinned: [(&str, Vec<Run>); 5] = [
+        (
+            "one head in four runs",
+            vec![
+                (0, run(&[(&[1, 2], 1, 2), (&[1, 3], 2, 1), (&[2, 3], 1, 1)])),
+                (0, run(&[(&[1, 2], 3, 2), (&[2, 3], 3, 1)])),
+                (0, run(&[(&[1, 2], 2, 3)])),
+                (0, run(&[(&[1, 2], 1, 3), (&[1, 3], 2, 2), (&[3, 4], 1, 1)])),
+            ],
+        ),
+        (
+            "a run that is a strict prefix of another",
+            vec![
+                (0, run(&[(&[1, 2], 1, 1), (&[1, 3], 1, 1)])),
+                (
+                    0,
+                    run(&[
+                        (&[1, 2], 2, 1),
+                        (&[1, 3], 1, 2),
+                        (&[1, 4], 1, 1),
+                        (&[2, 5], 3, 1),
+                    ]),
+                ),
+            ],
+        ),
+        (
+            "a run that descends in the middle",
+            vec![
+                (
+                    0,
+                    run(&[
+                        (&[2, 3], 1, 1),
+                        (&[4, 5], 1, 1),
+                        (&[1, 2], 1, 1),
+                        (&[4, 5], 2, 1),
+                        (&[5, 6], 1, 1),
+                    ]),
+                ),
+                (0, run(&[(&[1, 2], 3, 1), (&[5, 6], 1, 4)])),
+            ],
+        ),
+        (
+            "empty runs beside full ones and alone in a round",
+            vec![
+                (0, Vec::new()),
+                (0, run(&[(&[1, 2], 1, 1)])),
+                (0, Vec::new()),
+                (7, Vec::new()),
+            ],
+        ),
+        (
+            "two interleaved rounds sharing every tagset",
+            vec![
+                (0, run(&[(&[1, 2], 1, 1), (&[2, 3], 1, 1)])),
+                (1, run(&[(&[1, 2], 2, 1), (&[2, 3], 2, 1)])),
+                (0, run(&[(&[1, 2], 3, 1), (&[2, 3], 1, 2)])),
+                (1, run(&[(&[2, 3], 3, 1)])),
+            ],
+        ),
+    ];
+    for (context, feed) in &pinned {
+        check(feed, &mut rng, context);
+    }
     for case in 0..200 {
-        // two rounds fed interleaved, run by run, each run either whole or
-        // one report at a time
-        let mut feed: Vec<(u64, CoefficientReport)> = Vec::new();
-        let mut tracker = Tracker::new();
+        // two rounds fed interleaved, run by run
+        let mut feed: Vec<Run> = Vec::new();
         for _ in 0..rng.gen_range(1usize..8) {
             for round in [0u64, 1] {
                 let mut run = random_run(&mut rng);
@@ -734,28 +852,10 @@ fn tracker_merge_matches_hash_dedup() {
                     1 => run.reverse(),
                     _ => {}
                 }
-                if rng.gen_range(0u32..2) == 0 {
-                    tracker.observe_run(round, &run);
-                } else {
-                    for report in &run {
-                        tracker.observe(round, report);
-                    }
-                }
-                feed.extend(run.into_iter().map(|report| (round, report)));
+                feed.push((round, run));
             }
         }
-        let mut published = 0;
-        for round in [1u64, 0] {
-            let expected = reference(&feed, round);
-            published += expected.len() as u64;
-            assert_eq!(
-                tracker.finish_round(round),
-                expected,
-                "case {case}, round {round}"
-            );
-        }
-        assert_eq!(tracker.published(), published, "case {case}");
-        assert_eq!(tracker.open_rounds(), 0, "case {case}");
+        check(&feed, &mut rng, &format!("case {case}"));
     }
 }
 
