@@ -61,26 +61,6 @@ pub trait CorrelationBackend: Send {
         self.observe(notification);
     }
 
-    /// True when this backend's round state depends only on how many times
-    /// each distinct notification tagset was observed — never on *which*
-    /// documents carried it. Such backends accept count-weighted delivery
-    /// via [`CorrelationBackend::observe_n`], letting a batch-at-a-time
-    /// operator pre-aggregate identical tagsets. Doc-sensitive backends
-    /// (MinHash signatures fold every document id) must keep the default
-    /// `false` and receive each notification individually.
-    fn count_weighted(&self) -> bool {
-        false
-    }
-
-    /// Ingest `n` notifications of the same tagset at once. Vectorized
-    /// operators call this only when [`CorrelationBackend::count_weighted`]
-    /// holds; the default loops [`CorrelationBackend::observe`].
-    fn observe_n(&mut self, notification: &TagSet, n: u64) {
-        for _ in 0..n {
-            self.observe(notification);
-        }
-    }
-
     /// The Jaccard coefficient of `ts`, or `None` if `ts` is trivial
     /// (< 2 tags) or was never observed co-occurring. Approximate backends
     /// return estimates.
@@ -128,14 +108,6 @@ impl CorrelationBackend for Calculator {
 
     fn observe(&mut self, notification: &TagSet) {
         Calculator::observe(self, notification);
-    }
-
-    fn count_weighted(&self) -> bool {
-        true // exact subset counting only ever reads multiplicities
-    }
-
-    fn observe_n(&mut self, notification: &TagSet, n: u64) {
-        Calculator::observe_n(self, notification, n);
     }
 
     fn jaccard(&self, ts: &TagSet) -> Option<f64> {

@@ -244,10 +244,10 @@ impl Calculator {
     }
 
     /// Ingest `n` identical notifications at once — the count-weighted
-    /// [`Calculator::observe`] behind vectorized (batch-at-a-time) operator
-    /// execution. Because the per-round state is the *distinct*-set count
-    /// map, `n` sightings cost exactly one map update, and every observable
-    /// result equals `n` separate `observe` calls.
+    /// [`Calculator::observe`], for callers that already hold a count of
+    /// identical sets. Because the per-round state is the *distinct*-set
+    /// count map, `n` sightings cost exactly one map update, and every
+    /// observable result equals `n` separate `observe` calls.
     pub fn observe_n(&mut self, notification: &TagSet, n: u64) {
         if notification.is_empty() || n == 0 {
             return;

@@ -7,7 +7,8 @@
 //! the owned subset. It also:
 //!
 //! * detects tagsets not fully contained in any partition and, after `sn`
-//!   sightings, asks the Merger for a **Single Addition** (§7.1);
+//!   sightings, asks the Merger for a **Single Addition** (§7.1) — unless
+//!   `sn = u32::MAX`, which turns them off and the sightings with them;
 //! * maintains live quality statistics and requests **repartitions** when
 //!   quality drifts beyond `thr` (§7.2) — see [`QualityMonitor`].
 
@@ -19,7 +20,8 @@ use setcorr_model::{FxHashMap, FxHashSet, Tag, TagSet};
 #[derive(Debug, Clone, Copy)]
 pub struct DisseminatorConfig {
     /// Sightings of an unassigned tagset before a Single Addition is
-    /// requested (paper: 3).
+    /// requested (paper: 3). `u32::MAX` means never: Single Additions are
+    /// off and routing records no sightings at all.
     pub sn: u32,
     /// Routed tagsets per quality-statistics batch (paper: 1000).
     pub z: u64,
@@ -179,7 +181,8 @@ impl Disseminator {
     /// buffers, the touched list, and `result`'s vectors are all reused
     /// across calls, and the notification tagsets are built through the
     /// inline representation — steady-state routing performs no heap
-    /// allocation.
+    /// allocation while Single Additions are off. With `sn` live, the first
+    /// sighting of an uncovered tagset is a new key in the sightings table.
     pub fn route_into(&mut self, ts: &TagSet, result: &mut RouteResult) {
         result.reset();
         if ts.is_empty() {
@@ -227,8 +230,13 @@ impl Disseminator {
         }
         self.touched.clear();
 
-        // Single-Addition bookkeeping for uncovered tagsets (§7.1).
-        if !covered && self.has_partitions() && !self.pending_additions.contains(ts) {
+        // Single-Addition bookkeeping for uncovered tagsets (§7.1), skipped
+        // whole while Single Additions are off.
+        if self.config.sn != u32::MAX
+            && !covered
+            && self.has_partitions()
+            && !self.pending_additions.contains(ts)
+        {
             let seen = self.unassigned_seen.entry(ts.clone()).or_insert(0);
             *seen += 1;
             if *seen >= self.config.sn {

@@ -78,19 +78,20 @@ impl PartitionInput {
         }
     }
 
-    /// Build directly from a live [`TagSetWindow`]'s
-    /// [`iter_stats`](TagSetWindow::iter_stats) — the Partitioner's path
-    /// when answering a live repartition request. One pass and one sort;
-    /// the resulting sorted [`stats`](Self::stats) can double as the
-    /// window snapshot for downstream consumers, instead of sorting a
-    /// separate [`snapshot`](TagSetWindow::snapshot) a second time.
+    /// Build directly from a live [`TagSetWindow`] — the Partitioner's path
+    /// when answering a live repartition request. Each live document
+    /// enters as one `count: 1` stat, and [`from_stats`](Self::from_stats)'s
+    /// sort-and-merge aggregates them: one pass and one sort. The resulting
+    /// sorted [`stats`](Self::stats) can double as the window snapshot for
+    /// downstream consumers, instead of sorting a separate
+    /// [`snapshot`](TagSetWindow::snapshot) a second time.
     pub fn from_window(window: &TagSetWindow) -> Self {
         Self::from_stats(
             window
-                .iter_stats()
-                .map(|(tags, count)| TagSetStat {
+                .live_tagsets()
+                .map(|tags| TagSetStat {
                     tags: tags.clone(),
-                    count,
+                    count: 1,
                 })
                 .collect(),
         )

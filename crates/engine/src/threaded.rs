@@ -302,11 +302,13 @@ impl<M> BatchPool<M> {
             .unwrap_or_else(|_| Vec::with_capacity(self.max_batch))
     }
 
+    /// Keep `spent` for reuse if it can hold a whole batch; a smaller
+    /// vector would only regrow as a flush buffer, so it drops instead.
     fn put(&self, mut spent: Vec<M>) {
-        spent.clear();
-        if spent.capacity() == 0 {
+        if spent.capacity() < self.max_batch {
             return;
         }
+        spent.clear();
         let _ = self.tx.try_send(spent);
     }
 }
@@ -1187,6 +1189,23 @@ mod tests {
     /// Batch depths the per-message suites run at: 1 (one message per
     /// envelope) and 8.
     const DEPTHS: [usize; 2] = [1, 8];
+
+    #[test]
+    fn batch_pool_hands_out_only_whole_batch_buffers() {
+        let pool = BatchPool::<u64>::new(8);
+        // what a Disseminator's per-Calculator buffers look like after a
+        // batch: a handful of entries, most of them short of a full batch
+        for capacity in [0, 1, 3, 7, 8, 14] {
+            let mut spent = Vec::with_capacity(capacity);
+            spent.extend(0..capacity as u64);
+            pool.put(spent);
+        }
+        for _ in 0..4 {
+            let buf = pool.get();
+            assert!(buf.is_empty());
+            assert!(buf.capacity() >= 8, "got capacity {}", buf.capacity());
+        }
+    }
 
     /// Run through the one entry point at batch depth `depth`, with no
     /// message acting as a barrier.

@@ -10,8 +10,8 @@
 //! * [`TagSet`] — the sorted co-occurrence set annotating one document,
 //! * [`Document`] — one stream element `(id, timestamp, s_i)`,
 //! * [`Timestamp`] / [`TimeDelta`] — event time,
-//! * [`TagSetWindow`] — the Partitioner's sliding window with distinct-tagset
-//!   aggregation,
+//! * [`TagSetWindow`] — the Partitioner's sliding window, a FIFO of live
+//!   documents aggregated into distinct tagsets on demand,
 //! * [`FxHashMap`] / [`FxHashSet`] — deterministic fast hashing used across
 //!   all hot paths.
 

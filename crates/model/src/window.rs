@@ -3,9 +3,11 @@
 //! Partitioners "maintain a sliding window of size W over the incoming
 //! tagsets … conceptually time-based (e.g. capturing 5 minutes of tweets) or
 //! count-based (e.g. 10000 tweets)" (§6.2). [`TagSetWindow`] implements both
-//! flavours and aggregates the window contents into distinct tagsets with
-//! occurrence counts — exactly the input shape the partitioning algorithms
-//! need (`S` with per-tagset loads).
+//! flavours as a plain FIFO of the live documents' tagsets: an insert is a
+//! push, an eviction a pop, and nothing is counted per tagset on the way.
+//! The distinct tagsets with occurrence counts — the input shape the
+//! partitioning algorithms need (`S` with per-tagset loads) — are
+//! aggregated on demand, in O(live documents), when a repartition asks.
 
 use crate::fx::FxHashMap;
 use crate::tagset::TagSet;
@@ -31,22 +33,19 @@ pub struct TagSetStat {
     pub count: u64,
 }
 
-/// Sliding window over `(Timestamp, TagSet)` insertions, maintaining distinct
-/// tagset counts incrementally.
+/// Sliding window over `(Timestamp, TagSet)` insertions: a FIFO of the live
+/// documents, oldest first.
 ///
 /// Eviction is driven by [`TagSetWindow::insert`]'s timestamps (event time);
-/// there is no wall-clock dependency.
+/// there is no wall-clock dependency. Inserting and evicting touch only the
+/// FIFO's ends; the per-tagset views ([`distinct_tagsets`](Self::distinct_tagsets),
+/// [`count_of`](Self::count_of), [`iter_stats`](Self::iter_stats),
+/// [`snapshot`](Self::snapshot)) walk the live documents when called.
 #[derive(Debug)]
 pub struct TagSetWindow {
     kind: WindowKind,
-    /// FIFO of live documents as (arrival, slot id).
-    entries: VecDeque<(Timestamp, u32)>,
-    /// Slot id → stat; empty slots are recycled via `free`.
-    slots: Vec<TagSetStat>,
-    index: FxHashMap<TagSet, u32>,
-    free: Vec<u32>,
-    /// Count of live (non-evicted) documents.
-    live_docs: u64,
+    /// The live documents as (arrival, tagset).
+    entries: VecDeque<(Timestamp, TagSet)>,
     /// Total documents ever inserted.
     total_docs: u64,
     /// Bumped on every content change (insert, eviction, clear), so
@@ -61,10 +60,6 @@ impl TagSetWindow {
         TagSetWindow {
             kind,
             entries: VecDeque::new(),
-            slots: Vec::new(),
-            index: FxHashMap::default(),
-            free: Vec::new(),
-            live_docs: 0,
             total_docs: 0,
             version: 0,
         }
@@ -88,35 +83,7 @@ impl TagSetWindow {
     /// Insert one document's tagset arriving at `at`, then evict everything
     /// that fell out of the window. Timestamps must be non-decreasing.
     pub fn insert(&mut self, tags: TagSet, at: Timestamp) {
-        let slot = match self.index.get(&tags) {
-            Some(&s) => {
-                self.slots[s as usize].count += 1;
-                s
-            }
-            None => {
-                let s = match self.free.pop() {
-                    Some(s) => {
-                        self.slots[s as usize] = TagSetStat {
-                            tags: tags.clone(),
-                            count: 1,
-                        };
-                        s
-                    }
-                    None => {
-                        let s = self.slots.len() as u32;
-                        self.slots.push(TagSetStat {
-                            tags: tags.clone(),
-                            count: 1,
-                        });
-                        s
-                    }
-                };
-                self.index.insert(tags, s);
-                s
-            }
-        };
-        self.entries.push_back((at, slot));
-        self.live_docs += 1;
+        self.entries.push_back((at, tags));
         self.total_docs += 1;
         self.version += 1;
         self.evict(at);
@@ -124,41 +91,23 @@ impl TagSetWindow {
 
     /// Evict expired entries given the current event time.
     pub fn evict(&mut self, now: Timestamp) {
-        match self.kind {
-            WindowKind::Time(span) => {
+        while let Some(&(t, _)) = self.entries.front() {
+            let expired = match self.kind {
                 // A document at time t stays while now − t < span.
-                while let Some(&(t, slot)) = self.entries.front() {
-                    if now.since(t) < span {
-                        break;
-                    }
-                    self.entries.pop_front();
-                    self.release(slot);
-                }
+                WindowKind::Time(span) => now.since(t) >= span,
+                WindowKind::Count(n) => self.entries.len() > n,
+            };
+            if !expired {
+                break;
             }
-            WindowKind::Count(n) => {
-                while self.entries.len() > n {
-                    let (_, slot) = self.entries.pop_front().expect("len > n > 0");
-                    self.release(slot);
-                }
-            }
-        }
-    }
-
-    fn release(&mut self, slot: u32) {
-        self.live_docs -= 1;
-        self.version += 1;
-        let stat = &mut self.slots[slot as usize];
-        stat.count -= 1;
-        if stat.count == 0 {
-            self.index.remove(&stat.tags);
-            stat.tags = TagSet::empty();
-            self.free.push(slot);
+            self.entries.pop_front();
+            self.version += 1;
         }
     }
 
     /// Documents currently inside the window.
     pub fn live_docs(&self) -> u64 {
-        self.live_docs
+        self.entries.len() as u64
     }
 
     /// Documents ever inserted.
@@ -166,17 +115,21 @@ impl TagSetWindow {
         self.total_docs
     }
 
-    /// Number of distinct tagsets currently inside the window.
-    pub fn distinct_tagsets(&self) -> usize {
-        self.index.len()
+    /// The live documents' tagsets, oldest first, one per document.
+    pub fn live_tagsets(&self) -> impl Iterator<Item = &TagSet> {
+        self.entries.iter().map(|(_, tags)| tags)
     }
 
-    /// Occurrence count of a specific tagset in the window.
+    /// Number of distinct tagsets currently inside the window. Counted on
+    /// demand, in O(live documents).
+    pub fn distinct_tagsets(&self) -> usize {
+        self.counts().len()
+    }
+
+    /// Occurrence count of a specific tagset in the window. One pass over
+    /// the live documents.
     pub fn count_of(&self, tags: &TagSet) -> u64 {
-        self.index
-            .get(tags)
-            .map(|&s| self.slots[s as usize].count)
-            .unwrap_or(0)
+        self.live_tagsets().filter(|t| *t == tags).count() as u64
     }
 
     /// Monotone content-change counter: two calls return the same value iff
@@ -188,21 +141,23 @@ impl TagSetWindow {
     }
 
     /// Iterate the live distinct tagsets with their occurrence counts,
-    /// without materialising a snapshot. Order is unspecified (hash order);
-    /// use [`TagSetWindow::snapshot`] when determinism matters.
+    /// aggregated on demand in O(live documents). Order is unspecified
+    /// (hash order); use [`TagSetWindow::snapshot`] when determinism
+    /// matters.
     pub fn iter_stats(&self) -> impl Iterator<Item = (&TagSet, u64)> {
-        self.index
-            .values()
-            .map(|&s| (&self.slots[s as usize].tags, self.slots[s as usize].count))
+        self.counts().into_iter()
     }
 
     /// Materialise the distinct tagsets and counts, sorted by tagset for
-    /// deterministic downstream processing.
+    /// deterministic downstream processing. Aggregated on demand, in
+    /// O(live documents).
     pub fn snapshot(&self) -> Vec<TagSetStat> {
         let mut out: Vec<TagSetStat> = self
-            .index
-            .values()
-            .map(|&s| self.slots[s as usize].clone())
+            .iter_stats()
+            .map(|(tags, count)| TagSetStat {
+                tags: tags.clone(),
+                count,
+            })
             .collect();
         out.sort_unstable_by(|a, b| a.tags.cmp(&b.tags));
         out
@@ -211,11 +166,16 @@ impl TagSetWindow {
     /// Drop everything.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.slots.clear();
-        self.index.clear();
-        self.free.clear();
-        self.live_docs = 0;
         self.version += 1;
+    }
+
+    /// Occurrences of each live distinct tagset.
+    fn counts(&self) -> FxHashMap<&TagSet, u64> {
+        let mut counts = FxHashMap::default();
+        for tags in self.live_tagsets() {
+            *counts.entry(tags).or_insert(0) += 1;
+        }
+        counts
     }
 }
 
@@ -268,14 +228,30 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_recycled() {
+    fn fifo_holds_only_live_documents() {
+        // one live document at a time, however many distinct tagsets pass
         let mut w = TagSetWindow::count(1);
         for i in 0..100u32 {
             w.insert(ts(&[i]), Timestamp(i as u64));
+            assert_eq!(w.entries.len(), 1);
         }
-        // only one live doc → at most 2 slots ever needed (old + new)
-        assert!(w.slots.len() <= 2, "slots grew to {}", w.slots.len());
         assert_eq!(w.distinct_tagsets(), 1);
+        // a 10 ms span over one document a millisecond, then a gap that
+        // empties the window down to the document that closes it
+        let mut w = TagSetWindow::time(TimeDelta::from_millis(10));
+        for i in 0..50u64 {
+            w.insert(ts(&[1, 2]), Timestamp(i));
+            assert_eq!(w.entries.len() as u64, (i + 1).min(10));
+        }
+        w.insert(ts(&[3]), Timestamp(1_000));
+        assert_eq!(w.entries.len(), 1);
+        assert_eq!(
+            w.snapshot(),
+            vec![TagSetStat {
+                tags: ts(&[3]),
+                count: 1
+            }]
+        );
     }
 
     #[test]

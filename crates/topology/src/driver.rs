@@ -179,7 +179,9 @@ pub struct ExperimentConfig {
     /// Arrival rate label, used for reporting (the stream itself encodes the
     /// spacing).
     pub tps: u64,
-    /// Single-Addition sighting threshold (`sn`, paper: 3).
+    /// Single-Addition sighting threshold (`sn`, paper: 3). `u32::MAX`
+    /// means never: Single Additions are off and the Disseminator records
+    /// no sightings.
     pub sn: u32,
     /// Quality-statistics batch (`z`, paper: 1000 routed tagsets).
     pub z: u64,
@@ -345,7 +347,7 @@ impl ExperimentConfig {
 ///
 /// Pin it with [`ExperimentConfig::with_pinned_partitions`] to remove the
 /// bootstrap control round-trip: with the map fixed (and `thr` high enough
-/// that drift never repartitions, `sn` high enough that Single Additions
+/// that drift never repartitions, `sn = u32::MAX` so that Single Additions
 /// never fire), routing is a pure per-tagset function and a threaded run
 /// with the exact backend produces byte-identical Tracker output to the sim
 /// oracle — the anchor of `tests/parallel_equivalence.rs`.

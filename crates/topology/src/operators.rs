@@ -796,7 +796,9 @@ impl DisseminatorBolt {
 
 /// Computes and reports Jaccard coefficients every round (§3.1, §6.2),
 /// through a pluggable [`CorrelationBackend`]: the exact subset-counting
-/// Calculator or the MinHash/Count-Min approximate backend.
+/// Calculator or the MinHash/Count-Min approximate backend. Batched and
+/// per-message delivery take the same path: each notification goes to the
+/// backend as it arrives.
 ///
 /// With live migration enabled, the bolt also speaks the repartition
 /// handoff protocol: on each [`Msg::Fence`] it exports its per-tag state,
@@ -834,11 +836,6 @@ pub struct CalculatorBolt {
     /// complete — the migrated pre-fence state lands before the tick that
     /// reports it.
     pending: std::collections::VecDeque<Msg>,
-    /// Scratch of the vectorized path: per-batch occurrence counts of
-    /// identical notification tagsets, drained into the backend via
-    /// count-weighted [`CorrelationBackend::observe_n`] calls. Reused
-    /// across batches (drain keeps capacity).
-    batch_counts: FxHashMap<TagSet, u64>,
     recorder: Option<SharedRecorder>,
     /// Deterministic poison-lock fault: after observing this many
     /// notifications, take the recorder lock and panic while holding it
@@ -873,7 +870,6 @@ impl CalculatorBolt {
             adopts: 0,
             early_adopts: Vec::new(),
             pending: std::collections::VecDeque::new(),
-            batch_counts: FxHashMap::default(),
             recorder: None,
             poison_after: None,
             poison_fired: None,
@@ -1043,14 +1039,6 @@ impl CalculatorBolt {
             self.handle_data(msg, out);
         }
     }
-
-    /// Feed the batch-aggregated counts into the backend: one
-    /// count-weighted observe per *distinct* tagset of the batch.
-    fn flush_batch_counts(&mut self) {
-        for (tags, n) in self.batch_counts.drain() {
-            self.calc.observe_n(&tags, n);
-        }
-    }
 }
 
 /// A Calculator's round-fence checkpoint: the migration-bundle export of
@@ -1100,41 +1088,15 @@ impl Bolt<Msg> for CalculatorBolt {
         }
     }
 
-    /// Vectorized path for count-insensitive backends: identical
-    /// notification tagsets within the batch pre-aggregate into one
-    /// count-weighted [`CorrelationBackend::observe_n`] per distinct set —
-    /// with PR 3's distinct-set counter, a single map bump each. Doc-id-
-    /// sensitive backends (MinHash), open migration barriers, and any
-    /// non-notification message fall back to the per-message protocol path
-    /// (flushing the aggregate first, so ticks and fences always see the
-    /// evidence that preceded them).
+    /// Vectorized path: every message takes the per-message protocol path
+    /// and the spent vector goes back to the runtime's pool. Nothing is
+    /// pre-aggregated here: almost every notification of a batch is
+    /// distinct within it, and the exact backend already counts identical
+    /// sets in its own pending map.
     fn on_batch(&mut self, mut msgs: Vec<Msg>, out: &mut dyn Emitter<Msg>) {
-        if !self.calc.count_weighted() {
-            for msg in msgs.drain(..) {
-                self.on_message(msg, out);
-            }
-            out.recycle(msgs);
-            return;
-        }
         for msg in msgs.drain(..) {
-            if self.awaiting_adopts() {
-                // barrier opened mid-batch: the aggregate was flushed before
-                // the fence was handled; the rest buffers per message
-                self.on_message(msg, out);
-                continue;
-            }
-            match msg {
-                Msg::Notification { tags, .. } => {
-                    self.note_notification();
-                    *self.batch_counts.entry(tags).or_insert(0) += 1;
-                }
-                other => {
-                    self.flush_batch_counts();
-                    self.on_message(other, out);
-                }
-            }
+            self.on_message(msg, out);
         }
-        self.flush_batch_counts();
         out.recycle(msgs);
     }
 
@@ -2266,31 +2228,50 @@ mod tests {
     }
 
     #[test]
-    fn calculator_on_batch_preaggregates_for_count_weighted_backends() {
-        // 6 notifications, 2 distinct tagsets: the exact backend sees the
-        // same counts as per-message delivery (received included).
-        let mut c = CalculatorBolt::new(0);
-        let mut cap = Capture::default();
+    fn calculator_on_batch_matches_per_message_for_both_backends() {
+        // 6 notifications, 2 distinct tagsets, then a tick: batched and
+        // per-message delivery report the same, exact and approximate alike
+        let backends: [fn() -> Box<dyn CorrelationBackend>; 2] = [
+            || Box::new(Calculator::new()),
+            || Box::new(setcorr_approx::ApproxCalculator::new(Default::default())),
+        ];
         let batch: Vec<Msg> = (0..6)
             .map(|i| Msg::Notification {
                 doc: i,
                 tags: if i % 2 == 0 { ts(&[1, 2]) } else { ts(&[3, 4]) },
             })
             .collect();
-        c.on_batch(batch, &mut cap);
-        assert_eq!(c.calc.received(), 6);
-        c.on_message(
-            Msg::Tick {
-                round: 0,
-                time: Timestamp(1),
-            },
-            &mut cap,
-        );
-        let Msg::CalcReport { reports, .. } = &cap.emitted[0].1 else {
-            panic!("expected CalcReport");
+        let tick = Msg::Tick {
+            round: 0,
+            time: Timestamp(1),
         };
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(|r| r.counter == 3));
+        for backend in backends {
+            let mut per_msg = CalculatorBolt::with_backend(0, backend());
+            let mut cap_msg = Capture::default();
+            for m in batch.clone() {
+                per_msg.on_message(m, &mut cap_msg);
+            }
+            let mut batched = CalculatorBolt::with_backend(0, backend());
+            let mut cap_batch = Capture::default();
+            batched.on_batch(batch.clone(), &mut cap_batch);
+            assert_eq!(batched.calc.received(), 6);
+            assert_eq!(per_msg.calc.received(), 6);
+            per_msg.on_message(tick.clone(), &mut cap_msg);
+            batched.on_message(tick.clone(), &mut cap_batch);
+            assert_eq!(
+                format!("{:?}", cap_msg.emitted),
+                format!("{:?}", cap_batch.emitted),
+                "{}",
+                batched.calc.name()
+            );
+            let Msg::CalcReport { reports, .. } = &cap_batch.emitted[0].1 else {
+                panic!("expected CalcReport");
+            };
+            if batched.calc.name() == "exact" {
+                assert_eq!(reports.len(), 2);
+                assert!(reports.iter().all(|r| r.counter == 3));
+            }
+        }
     }
 
     #[test]

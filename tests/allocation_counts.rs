@@ -1,11 +1,15 @@
-//! The three allocation counts the round-close path is designed around,
-//! read from a counting allocator of this test binary's own: the snapshot
-//! index is a handful of vectors however many tags it serves, the Tracker's
-//! merge allocates its output and its cursor heap and nothing per report,
-//! and a tagset too long for the inline representation clones for free.
+//! The allocation counts the data path is designed around, read from a
+//! counting allocator of this test binary's own: the snapshot index is a
+//! handful of vectors however many tags it serves, the Tracker's merge
+//! allocates its output and its cursor heap and nothing per report, a
+//! tagset too long for the inline representation clones for free, and
+//! routing and windowing allocate nothing per tagset once warm.
 
-use setcorr::core::{CoefficientReport, TrackedCoefficient, Tracker};
-use setcorr::model::{TagSet, INLINE_TAGS};
+use setcorr::core::{
+    CoefficientReport, Disseminator, DisseminatorConfig, PartitionSet, QualityReference,
+    RouteResult, TrackedCoefficient, Tracker,
+};
+use setcorr::model::{Tag, TagSet, TagSetWindow, Timestamp, INLINE_TAGS};
 use setcorr::serve::Snapshot;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -94,4 +98,66 @@ fn cloning_a_spilled_tagset_does_not_allocate() {
     let (count, clones) = allocations(|| [spilled.clone(), spilled.clone(), spilled.clone()]);
     assert!(clones.iter().all(|clone| *clone == spilled));
     assert_eq!(count, 0, "a clone of a 6-tag set called the allocator");
+}
+
+#[test]
+fn routing_uncovered_tagsets_with_single_additions_off_does_not_allocate() {
+    // calculator 0 owns tags 0…9 999; tag 100 000 + i belongs to nobody, so
+    // {i, 100 000 + i} is routed to calculator 0 and covered by no one
+    let mut parts = PartitionSet::empty(2);
+    let owned: Vec<Tag> = (0..10_000).map(Tag).collect();
+    parts.parts[0].absorb_tags(&owned, 1);
+    parts.parts[1].absorb_tags(&[Tag(50_000)], 1);
+    let config = DisseminatorConfig {
+        sn: u32::MAX,
+        z: 1_000,
+        thr: 1_000.0,
+    };
+    let mut dissem = Disseminator::new(2, config);
+    dissem.install_partitions(
+        &parts,
+        QualityReference {
+            avg_com: 1.0,
+            max_load: 1.0,
+        },
+    );
+    let mut result = RouteResult::default();
+    dissem.route_into(&TagSet::from_ids(&[0, 100_000]), &mut result); // warm
+    let (count, uncovered) = allocations(|| {
+        let mut uncovered = 0;
+        for i in 0..10_000u32 {
+            let tags = TagSet::from_sorted_slice(&[Tag(i), Tag(100_000 + i)]);
+            dissem.route_into(&tags, &mut result);
+            uncovered += usize::from(!result.covered && result.notifications.len() == 1);
+        }
+        uncovered
+    });
+    assert_eq!(uncovered, 10_000);
+    assert_eq!(
+        count, 0,
+        "routing 10 000 uncovered tagsets allocated {count} times"
+    );
+}
+
+#[test]
+fn a_warm_window_insert_does_not_allocate() {
+    let mut window = TagSetWindow::count(100);
+    let long: Vec<u32> = (0..INLINE_TAGS as u32 + 3).collect();
+    let tagset = |i: u32| match i % 3 {
+        0 => TagSet::from_ids(&[i]),
+        1 => TagSet::from_ids(&[i, i + 1, i + 2]),
+        _ => TagSet::from_ids(&long),
+    };
+    let sets: Vec<TagSet> = (0..1_000).map(tagset).collect();
+    let (warm, measured) = sets.split_at(200);
+    for (i, tags) in (0u64..).zip(warm) {
+        window.insert(tags.clone(), Timestamp(i));
+    }
+    let (count, ()) = allocations(|| {
+        for (i, tags) in (200u64..).zip(measured) {
+            window.insert(tags.clone(), Timestamp(i));
+        }
+    });
+    assert_eq!(window.live_docs(), 100);
+    assert_eq!(count, 0, "800 warm window inserts allocated {count} times");
 }

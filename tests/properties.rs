@@ -7,14 +7,16 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use setcorr::core::{
-    connected_components, partition, AlgorithmKind, Calculator, CoefficientReport, PartitionInput,
+    connected_components, partition, AlgorithmKind, Calculator, CoefficientReport, Disseminator,
+    DisseminatorConfig, PartitionInput, PartitionSet, QualityReference, RouteResult,
     TrackedCoefficient, Tracker, UnionFind,
 };
 use setcorr::metrics::{gini, lorenz_curve};
 use setcorr::model::{
-    FxHashSet, Tag, TagSet, TagSetStat, TagSetWindow, Timestamp, MAX_TAGS_PER_SET,
+    FxHashSet, Tag, TagSet, TagSetStat, TagSetWindow, TimeDelta, Timestamp, WindowKind,
+    MAX_TAGS_PER_SET,
 };
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// A window of small random tagsets with counts (mirrors the old
@@ -934,6 +936,124 @@ fn count_window_capacity_and_counts() {
         for (ts, count) in reference {
             assert_eq!(w.count_of(&ts), count, "case {case}");
         }
+    }
+}
+
+/// The FIFO window's on-demand views and `PartitionInput::from_window` agree
+/// with a brute-force count of the live documents fed to `from_stats`, over
+/// time and count windows drawing from a few tagsets (heavy duplicates,
+/// empty sets included).
+#[test]
+fn window_views_and_partition_input_match_brute_force_count() {
+    let mut rng = StdRng::seed_from_u64(112);
+    for case in 0..600 {
+        let universe: Vec<TagSet> = (0..rng.gen_range(1usize..12))
+            .map(|_| {
+                let len = rng.gen_range(0usize..8);
+                let ids: Vec<u32> = (0..len).map(|_| rng.gen_range(0u32..12)).collect();
+                TagSet::from_ids(&ids)
+            })
+            .collect();
+        let mut window = if case % 2 == 0 {
+            TagSetWindow::time(TimeDelta::from_millis(rng.gen_range(1u64..40)))
+        } else {
+            TagSetWindow::count(rng.gen_range(1usize..60))
+        };
+        let mut docs: Vec<(u64, TagSet)> = Vec::new();
+        let mut now = 0u64;
+        for _ in 0..rng.gen_range(1usize..200) {
+            now += rng.gen_range(0u64..4);
+            let tags = universe[rng.gen_range(0..universe.len())].clone();
+            window.insert(tags.clone(), Timestamp(now));
+            docs.push((now, tags));
+        }
+        let live: Vec<&TagSet> = match window.kind() {
+            WindowKind::Time(span) => docs
+                .iter()
+                .filter(|(t, _)| now - t < span.millis())
+                .map(|(_, tags)| tags)
+                .collect(),
+            WindowKind::Count(cap) => docs.iter().rev().take(cap).map(|(_, tags)| tags).collect(),
+        };
+        let mut counts: BTreeMap<TagSet, u64> = BTreeMap::new();
+        for tags in &live {
+            *counts.entry((*tags).clone()).or_insert(0) += 1;
+        }
+        let brute_stats: Vec<TagSetStat> = counts
+            .iter()
+            .map(|(tags, &count)| TagSetStat {
+                tags: tags.clone(),
+                count,
+            })
+            .collect();
+
+        assert_eq!(window.live_docs(), live.len() as u64, "case {case}");
+        assert_eq!(window.distinct_tagsets(), counts.len(), "case {case}");
+        for (tags, &count) in &counts {
+            assert_eq!(window.count_of(tags), count, "case {case}");
+        }
+        assert_eq!(window.snapshot(), brute_stats, "case {case}");
+        let mut via_iter: Vec<(TagSet, u64)> = window
+            .iter_stats()
+            .map(|(tags, count)| (tags.clone(), count))
+            .collect();
+        via_iter.sort();
+        assert!(via_iter.into_iter().eq(counts.clone()), "case {case}");
+
+        let input = PartitionInput::from_window(&window);
+        let brute = PartitionInput::from_stats(brute_stats);
+        assert_eq!(input.stats, brute.stats, "case {case}");
+        assert_eq!(input.loads, brute.loads, "case {case}");
+        assert_eq!(input.postings, brute.postings, "case {case}");
+        assert_eq!(input.total_docs, brute.total_docs, "case {case}");
+    }
+}
+
+/// Turning the sightings table off changes no route: an `sn = u32::MAX`
+/// router (Single Additions off, nothing recorded) and an `sn = u32::MAX −
+/// 1` router (every uncovered sighting counted) give identical results over
+/// a seeded stream, repartition requests included.
+#[test]
+fn routing_without_sightings_matches_routing_with_them() {
+    let mut rng = StdRng::seed_from_u64(113);
+    for case in 0..30 {
+        let k = rng.gen_range(1usize..6);
+        let mut parts = PartitionSet::empty(k);
+        for tag in 0..40u32 {
+            // some tags unowned, some replicated
+            for _ in 0..rng.gen_range(0usize..3) {
+                parts.parts[rng.gen_range(0..k)].absorb(&TagSet::from_ids(&[tag]), 1);
+            }
+        }
+        let reference = QualityReference {
+            avg_com: 1.2,
+            max_load: 0.6,
+        };
+        let router = |sn| {
+            let mut d = Disseminator::new(
+                k,
+                DisseminatorConfig {
+                    sn,
+                    z: 50,
+                    thr: 0.5,
+                },
+            );
+            d.install_partitions(&parts, reference);
+            d
+        };
+        let (mut never, mut counting) = (router(u32::MAX), router(u32::MAX - 1));
+        let (mut a, mut b) = (RouteResult::default(), RouteResult::default());
+        for step in 0..2_000 {
+            let len = rng.gen_range(0usize..7);
+            let ids: Vec<u32> = (0..len).map(|_| rng.gen_range(0u32..45)).collect();
+            let tags = TagSet::from_ids(&ids);
+            never.route_into(&tags, &mut a);
+            counting.route_into(&tags, &mut b);
+            assert_eq!(a.notifications, b.notifications, "case {case} step {step}");
+            assert_eq!(a.covered, b.covered, "case {case} step {step}");
+            assert_eq!(a.actions, b.actions, "case {case} step {step}");
+        }
+        assert_eq!(never.totals(), counting.totals(), "case {case}");
     }
 }
 
