@@ -185,11 +185,11 @@ pub struct ThreadedConfig {
     /// direction; blocking on them could deadlock the cycle).
     pub inbox_capacity: usize,
     /// Send-timeout for bounded-channel enqueues: `Some(n)` gives each
-    /// blocked send a patience budget of `n × 50µs` — it registers once on
-    /// the channel's wait set and sleeps until a slot frees or the budget
+    /// blocked send a patience budget of `n × 50µs` — it parks once on the
+    /// channel's waiter list and sleeps until a slot frees or the budget
     /// expires, then fails the run with [`RunError::SendTimeout`] — so a
     /// wedged downstream surfaces as a fault instead of a silent deadlock,
-    /// and probing it costs one wait-set registration rather than `n`
+    /// and probing it costs one timed park rather than `n`
     /// lock-acquiring retries. `None` (the default) blocks forever, the
     /// classical backpressure behaviour.
     pub send_tries: Option<u64>,
@@ -224,9 +224,9 @@ pub(crate) enum Envelope<M> {
 /// dropped silently (dead-executor semantics, see [`dispatch`]); exhausting
 /// `Some(tries)`' patience budget (`tries × 50µs`) on a full channel panics
 /// with [`RunError::SendTimeout`], which the join path (or a supervisor)
-/// turns into a structured failure. The budgeted path rides the channel's
-/// wait-set primitive: one registration, woken when a slot frees, instead
-/// of `tries` lock-acquiring retry rounds.
+/// turns into a structured failure. The budgeted path is one timed park
+/// on the channel, woken when a slot frees, instead of `tries`
+/// lock-acquiring retry rounds.
 fn deliver<M>(tries: Option<u64>, to: ComponentId, sender: &Sender<Envelope<M>>, env: Envelope<M>) {
     let Some(tries) = tries else {
         let _ = sender.send(env);
@@ -277,9 +277,9 @@ impl<M> BatchPolicy<M> {
 /// flush buffers from here instead of allocating one per flush, and
 /// consumers hand spent batch vectors back via
 /// [`Emitter::recycle`](crate::topology::Emitter::recycle). Backed by a
-/// bounded lock-free channel (the same MPMC ring as the data edges), so a
-/// get/put is one CAS; an empty pool falls back to a fresh allocation and a
-/// full pool lets the returned vector drop.
+/// bounded channel (the same mutex-guarded queue as the data edges), so a
+/// get/put is one short critical section; an empty pool falls back to a
+/// fresh allocation and a full pool lets the returned vector drop.
 struct BatchPool<M> {
     tx: Sender<Vec<M>>,
     rx: Receiver<Vec<M>>,
@@ -431,7 +431,7 @@ impl<M> Outbox<M> {
 /// pushed with a single [`Sender::send_many`] call — one synchronisation
 /// point for the whole burst — keeping the inbox's capacity denomination
 /// (messages per slot) honest instead of smuggling an arbitrarily large
-/// batch through one ring slot. With a send-timeout budget the chunks fall
+/// batch through one queue slot. With a send-timeout budget the chunks fall
 /// back to per-envelope [`deliver`] so each enqueue keeps its deadline.
 fn deliver_chunked<M>(
     tries: Option<u64>,

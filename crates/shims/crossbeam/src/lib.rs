@@ -13,23 +13,29 @@
 //!   disconnected (matching crossbeam), sleeping on a registered wakeup —
 //!   not a poll loop — while no arm is ready.
 //!
-//! Internally the bounded flavour is a lock-free Vyukov-style MPMC ring
-//! (per-slot sequence numbers, one CAS per enqueue/dequeue ticket); only the
-//! unbounded flavour — used for low-rate control edges — keeps a mutexed
-//! queue. Batch endpoints ([`channel::Sender::send_many`],
-//! [`channel::Receiver::recv_drain`]) claim a whole run of ring slots with a
-//! single synchronisation point, so a burst of messages costs one CAS
-//! instead of one per message. Blocked endpoints park on per-channel wait
-//! sets and are woken exactly when a slot frees or a message arrives;
-//! per-channel wait counters ([`channel::ChannelCounters`]) record how often
-//! that happened so the engine can report transport contention.
+//! Internally every channel is one mutex around its whole state: a
+//! `VecDeque` (pre-sized for bounded channels, so a push never allocates),
+//! an optional capacity, the endpoint counts and the two lists of parked
+//! threads. Bounded and unbounded channels are the same type. The engine
+//! sends batch envelopes of up to 128 messages, so a channel operation is
+//! rare per message and a lock is cheap next to everything else a message
+//! costs. Batch endpoints ([`channel::Sender::send_many`],
+//! [`channel::Receiver::recv_drain`]) move a whole run of messages under one
+//! lock acquisition. A blocked endpoint checks readiness and registers its
+//! wakeup under the same lock that every push, pop and disconnect takes, so
+//! a wakeup cannot fall between the check and the park; the waiters an
+//! operation claims are signalled once it has released the lock.
+//! Per-channel wait counters ([`channel::ChannelCounters`]) record how
+//! often a thread parked so the engine can report transport contention.
+
+#![forbid(unsafe_code)]
 
 pub mod channel {
-    use std::cell::UnsafeCell;
+    use std::cell::RefCell;
     use std::collections::VecDeque;
-    use std::mem::MaybeUninit;
-    use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::ops::{Deref, DerefMut};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
     use std::time::{Duration, Instant};
 
     /// Error returned by [`Sender::send`] when every receiver is gone.
@@ -63,6 +69,14 @@ pub mod channel {
     // Wait counters
     // ------------------------------------------------------------------
 
+    /// Which end of a channel a thread parks on: senders wait for space,
+    /// receivers for a message.
+    #[derive(Clone, Copy)]
+    enum Side {
+        Send,
+        Recv,
+    }
+
     #[derive(Default)]
     struct CountersInner {
         send_waits: AtomicU64,
@@ -70,9 +84,10 @@ pub mod channel {
     }
 
     /// Shared handle onto a channel's contention counters: how many times a
-    /// sender parked because the ring was full (`send_waits`) and how many
-    /// times a receiver parked because it was empty (`recv_waits`). Cheap to
-    /// clone; stays readable after the channel endpoints are dropped.
+    /// sender parked because the channel was full (`send_waits`) and how
+    /// many times a receiver parked because it was empty (`recv_waits`).
+    /// Cheap to clone; stays readable after the channel endpoints are
+    /// dropped.
     #[derive(Clone, Default)]
     pub struct ChannelCounters {
         inner: Arc<CountersInner>,
@@ -88,6 +103,14 @@ pub mod channel {
         /// parks that observed this channel).
         pub fn recv_waits(&self) -> u64 {
             self.inner.recv_waits.load(Ordering::Relaxed)
+        }
+
+        fn record(&self, side: Side) {
+            let waits = match side {
+                Side::Send => &self.inner.send_waits,
+                Side::Recv => &self.inner.recv_waits,
+            };
+            waits.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -133,294 +156,72 @@ pub mod channel {
             self.cv.notify_one();
         }
 
-        fn wait(&self) {
+        /// Sleep until signalled or, with a deadline, until it passes.
+        fn wait(&self, deadline: Option<Instant>) {
             let mut s = self.signalled.lock().expect("wake slot poisoned");
             while !*s {
-                s = self.cv.wait(s).expect("wake slot poisoned");
+                s = match deadline {
+                    None => self.cv.wait(s).expect("wake slot poisoned"),
+                    Some(d) => {
+                        let now = Instant::now();
+                        if now >= d {
+                            return;
+                        }
+                        self.cv
+                            .wait_timeout(s, d - now)
+                            .expect("wake slot poisoned")
+                            .0
+                    }
+                };
             }
-        }
-
-        /// Returns `true` when signalled, `false` on deadline expiry.
-        fn wait_deadline(&self, deadline: Instant) -> bool {
-            let mut s = self.signalled.lock().expect("wake slot poisoned");
-            while !*s {
-                let now = Instant::now();
-                if now >= deadline {
-                    return false;
-                }
-                let (guard, _timeout) = self
-                    .cv
-                    .wait_timeout(s, deadline - now)
-                    .expect("wake slot poisoned");
-                s = guard;
-            }
-            true
         }
     }
 
     thread_local! {
         static LOCAL_SLOT: Arc<WakeSlot> = WakeSlot::new();
+        /// Waiters this thread claimed under a channel lock, signalled once
+        /// the lock is released (see [`Locked`]).
+        static CLAIMED: RefCell<Vec<Arc<WakeSlot>>> = const { RefCell::new(Vec::new()) };
     }
 
     fn local_slot() -> Arc<WakeSlot> {
         LOCAL_SLOT.with(Arc::clone)
     }
 
-    /// A set of parked threads waiting on one channel event (space freed, or
-    /// message arrived). Wakers skip the whole structure with one atomic
-    /// load while nobody is parked.
-    ///
-    /// Lost-wakeup protocol (Dekker-style): a waiter *registers, fences,
-    /// then re-checks* the channel; a waker *publishes the event, fences,
-    /// then reads the waiter count*. The `SeqCst` fences on both sides
-    /// guarantee at least one of them observes the other, so a waiter never
-    /// sleeps through an event published concurrently with registration.
+    /// The threads parked on one channel event (space freed, or message
+    /// arrived), oldest first. Lives inside the channel state, so it is
+    /// only ever touched under the channel lock.
     #[derive(Default)]
-    struct WaitSet {
-        waiters: AtomicUsize,
-        list: Mutex<Vec<Arc<WakeSlot>>>,
-    }
+    struct Waiters(VecDeque<Arc<WakeSlot>>);
 
-    impl WaitSet {
-        fn register(&self, slot: &Arc<WakeSlot>) {
-            let mut list = self.list.lock().expect("wait set poisoned");
-            list.push(slot.clone());
-            self.waiters.store(list.len(), Ordering::Release);
-            drop(list);
-            fence(Ordering::SeqCst);
+    impl Waiters {
+        fn register(&mut self, slot: &Arc<WakeSlot>) {
+            self.0.push_back(slot.clone());
         }
 
-        /// Remove `slot` from the set. If a waker already claimed it
-        /// (`slot` absent) and the caller did not consume the wakeup
-        /// (`consumed == false`), the token is passed to another waiter so
-        /// the underlying event is not lost.
-        fn cancel(&self, slot: &Arc<WakeSlot>, consumed: bool) {
-            let taken = {
-                let mut list = self.list.lock().expect("wait set poisoned");
-                match list.iter().position(|s| Arc::ptr_eq(s, slot)) {
-                    Some(i) => {
-                        list.swap_remove(i);
-                        self.waiters.store(list.len(), Ordering::Release);
-                        false
-                    }
-                    None => true,
+        /// Take `slot` off the list. Returns `false` when a waker already
+        /// claimed it (it is no longer listed).
+        fn remove(&mut self, slot: &Arc<WakeSlot>) -> bool {
+            match self.0.iter().position(|s| Arc::ptr_eq(s, slot)) {
+                Some(i) => {
+                    self.0.remove(i);
+                    true
                 }
-            };
-            if taken && !consumed {
-                self.wake_one();
+                None => false,
             }
         }
 
-        fn wake_one(&self) {
-            if self.waiters.load(Ordering::Acquire) == 0 {
-                return;
+        /// Claim up to `n` waiters, oldest first. They are signalled when
+        /// the channel lock is released.
+        fn wake(&mut self, n: usize) {
+            let n = n.min(self.0.len());
+            if CLAIMED
+                .try_with(|c| c.borrow_mut().extend(self.0.drain(..n)))
+                .is_err()
+            {
+                // During thread teardown the list is gone: signal now.
+                self.0.drain(..n).for_each(|slot| slot.signal());
             }
-            let slot = {
-                let mut list = self.list.lock().expect("wait set poisoned");
-                let slot = if list.is_empty() {
-                    None
-                } else {
-                    Some(list.remove(0))
-                };
-                self.waiters.store(list.len(), Ordering::Release);
-                slot
-            };
-            if let Some(slot) = slot {
-                slot.signal();
-            }
-        }
-
-        fn wake_many(&self, n: usize) {
-            for _ in 0..n {
-                if self.waiters.load(Ordering::Acquire) == 0 {
-                    return;
-                }
-                self.wake_one();
-            }
-        }
-
-        fn wake_all(&self) {
-            if self.waiters.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            let slots = {
-                let mut list = self.list.lock().expect("wait set poisoned");
-                self.waiters.store(0, Ordering::Release);
-                std::mem::take(&mut *list)
-            };
-            for slot in slots {
-                slot.signal();
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Bounded core: Vyukov-style MPMC ring
-    // ------------------------------------------------------------------
-
-    /// Pads the enqueue/dequeue cursors onto their own cache lines so
-    /// producers and consumers do not false-share.
-    #[repr(align(64))]
-    struct CachePadded<T>(T);
-
-    struct Slot<T> {
-        /// Ticket sequencing at stride 2: `seq == 2 * pos` means free for
-        /// the producer holding ticket `pos`; `seq == 2 * pos + 1` means
-        /// written and ready for the consumer holding ticket `pos`; after
-        /// consumption the slot is stamped `2 * (pos + cap)` — free for the
-        /// next lap. The stride keeps "written at ticket `pos`" distinct
-        /// from "free at ticket `pos + cap`" even when `cap == 1`, so exact
-        /// capacity-1 rings work (plain Vyukov sequencing conflates the two
-        /// there).
-        seq: AtomicUsize,
-        value: UnsafeCell<MaybeUninit<T>>,
-    }
-
-    struct Ring<T> {
-        buf: Box<[Slot<T>]>,
-        cap: usize,
-        /// `cap - 1` when `cap` is a power of two (mask indexing), else 0
-        /// and indexing falls back to modulo. Capacity stays *exact* either
-        /// way — nothing is rounded up.
-        mask: usize,
-        head: CachePadded<AtomicUsize>,
-        tail: CachePadded<AtomicUsize>,
-    }
-
-    unsafe impl<T: Send> Send for Ring<T> {}
-    unsafe impl<T: Send> Sync for Ring<T> {}
-
-    impl<T> Ring<T> {
-        fn new(cap: usize) -> Self {
-            let cap = cap.max(1);
-            let buf: Box<[Slot<T>]> = (0..cap)
-                .map(|i| Slot {
-                    seq: AtomicUsize::new(i.wrapping_mul(2)),
-                    value: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect();
-            Ring {
-                buf,
-                cap,
-                mask: if cap.is_power_of_two() { cap - 1 } else { 0 },
-                head: CachePadded(AtomicUsize::new(0)),
-                tail: CachePadded(AtomicUsize::new(0)),
-            }
-        }
-
-        #[inline]
-        fn index(&self, pos: usize) -> usize {
-            if self.mask != 0 {
-                pos & self.mask
-            } else {
-                pos % self.cap
-            }
-        }
-
-        /// Claim up to `max` consecutive free slots with one CAS on the
-        /// enqueue cursor and fill them from `next`. Returns the number
-        /// pushed (0 when full). The pre-CAS readiness scan stays valid
-        /// after a successful CAS because slots are only ever touched by
-        /// the holder of their ticket.
-        fn try_push_with(&self, max: usize, mut next: impl FnMut() -> T) -> usize {
-            if max == 0 {
-                return 0;
-            }
-            loop {
-                let pos = self.head.0.load(Ordering::Relaxed);
-                let mut k = 0usize;
-                while k < max {
-                    let p = pos.wrapping_add(k);
-                    if self.buf[self.index(p)].seq.load(Ordering::Acquire) != p.wrapping_mul(2) {
-                        break;
-                    }
-                    k += 1;
-                }
-                if k == 0 {
-                    let seq = self.buf[self.index(pos)].seq.load(Ordering::Acquire);
-                    if (seq as isize).wrapping_sub(pos.wrapping_mul(2) as isize) < 0 {
-                        return 0; // genuinely full for ticket `pos`
-                    }
-                    continue; // cursor was stale; reload and rescan
-                }
-                if self
-                    .head
-                    .0
-                    .compare_exchange(
-                        pos,
-                        pos.wrapping_add(k),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    for j in 0..k {
-                        let p = pos.wrapping_add(j);
-                        let slot = &self.buf[self.index(p)];
-                        unsafe { (*slot.value.get()).write(next()) };
-                        slot.seq
-                            .store(p.wrapping_mul(2).wrapping_add(1), Ordering::Release);
-                    }
-                    return k;
-                }
-            }
-        }
-
-        /// Claim up to `max` consecutive ready slots with one CAS on the
-        /// dequeue cursor and hand their values to `sink`. Returns the
-        /// number popped (0 when empty).
-        fn try_pop_with(&self, max: usize, mut sink: impl FnMut(T)) -> usize {
-            if max == 0 {
-                return 0;
-            }
-            loop {
-                let pos = self.tail.0.load(Ordering::Relaxed);
-                let mut k = 0usize;
-                while k < max {
-                    let p = pos.wrapping_add(k);
-                    let ready = p.wrapping_mul(2).wrapping_add(1);
-                    if self.buf[self.index(p)].seq.load(Ordering::Acquire) != ready {
-                        break;
-                    }
-                    k += 1;
-                }
-                if k == 0 {
-                    let seq = self.buf[self.index(pos)].seq.load(Ordering::Acquire);
-                    let ready = pos.wrapping_mul(2).wrapping_add(1);
-                    if (seq as isize).wrapping_sub(ready as isize) < 0 {
-                        return 0; // empty for ticket `pos`
-                    }
-                    continue; // cursor was stale; reload and rescan
-                }
-                if self
-                    .tail
-                    .0
-                    .compare_exchange(
-                        pos,
-                        pos.wrapping_add(k),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    for j in 0..k {
-                        let p = pos.wrapping_add(j);
-                        let slot = &self.buf[self.index(p)];
-                        let v = unsafe { (*slot.value.get()).assume_init_read() };
-                        slot.seq
-                            .store(p.wrapping_add(self.cap).wrapping_mul(2), Ordering::Release);
-                        sink(v);
-                    }
-                    return k;
-                }
-            }
-        }
-    }
-
-    impl<T> Drop for Ring<T> {
-        fn drop(&mut self) {
-            // Sole owner at this point; release any undelivered values.
-            while self.try_pop_with(self.cap, drop) > 0 {}
         }
     }
 
@@ -428,63 +229,135 @@ pub mod channel {
     // Channel core
     // ------------------------------------------------------------------
 
-    enum Flavor<T> {
-        /// Bounded data edges: lock-free ring.
-        Ring(Ring<T>),
-        /// Unbounded control edges: mutexed queue (low-rate; the mutex is
-        /// not a bottleneck there and keeps the queue growable).
-        List(Mutex<VecDeque<T>>),
+    struct State<T> {
+        queue: VecDeque<T>,
+        /// `None` for an unbounded channel.
+        cap: Option<usize>,
+        senders: usize,
+        receivers: usize,
+        recv_waiters: Waiters,
+        send_waiters: Waiters,
     }
 
-    struct Core<T> {
-        flavor: Flavor<T>,
-        senders: AtomicUsize,
-        receivers: AtomicUsize,
-        /// Bumped on every receiver-visible event (message published,
-        /// senders disconnected); `select!` snapshots it before polling and
-        /// re-checks after registering, closing the observe→park window.
-        recv_events: AtomicUsize,
-        recv_waiters: WaitSet,
-        send_waiters: WaitSet,
+    impl<T> State<T> {
+        fn room(&self) -> usize {
+            self.cap
+                .map_or(usize::MAX, |cap| cap.saturating_sub(self.queue.len()))
+        }
+
+        fn waiters(&mut self, side: Side) -> &mut Waiters {
+            match side {
+                Side::Send => &mut self.send_waiters,
+                Side::Recv => &mut self.recv_waiters,
+            }
+        }
+
+        fn try_push(&mut self, msg: T) -> Result<(), TrySendError<T>> {
+            if self.receivers == 0 {
+                return Err(TrySendError::Disconnected(msg));
+            }
+            if self.room() == 0 {
+                return Err(TrySendError::Full(msg));
+            }
+            self.queue.push_back(msg);
+            self.recv_waiters.wake(1);
+            Ok(())
+        }
+
+        fn try_pop(&mut self) -> Result<T, TryRecvError> {
+            match self.queue.pop_front() {
+                Some(v) => {
+                    self.send_waiters.wake(1);
+                    Ok(v)
+                }
+                None if self.senders == 0 => Err(TryRecvError::Disconnected),
+                None => Err(TryRecvError::Empty),
+            }
+        }
+    }
+
+    /// A held channel lock. Fields drop in declaration order, so dropping
+    /// it releases the lock *before* signalling the waiters claimed under
+    /// it: a thread woken while the waker still holds the lock would only
+    /// block on it, and with the pipeline's threads sharing one CPU the
+    /// waker is often preempted right at the wakeup. A late signal can
+    /// reach a thread that has moved on to a later park; that park wakes
+    /// spuriously and retries, as every park's caller does.
+    struct Locked<'a, T> {
+        state: MutexGuard<'a, State<T>>,
+        _signal: SignalClaimed,
+    }
+
+    struct SignalClaimed;
+
+    impl Drop for SignalClaimed {
+        fn drop(&mut self) {
+            let _ = CLAIMED.try_with(|c| c.borrow_mut().drain(..).for_each(|slot| slot.signal()));
+        }
+    }
+
+    impl<T> Deref for Locked<'_, T> {
+        type Target = State<T>;
+
+        fn deref(&self) -> &State<T> {
+            &self.state
+        }
+    }
+
+    impl<T> DerefMut for Locked<'_, T> {
+        fn deref_mut(&mut self) -> &mut State<T> {
+            &mut self.state
+        }
+    }
+
+    struct Chan<T> {
+        state: Mutex<State<T>>,
         counters: ChannelCounters,
     }
 
-    impl<T> Core<T> {
-        /// Publish-side wakeups after `n` messages land.
-        fn after_push(&self, n: usize) {
-            self.recv_events.fetch_add(1, Ordering::Release);
-            fence(Ordering::SeqCst);
-            self.recv_waiters.wake_many(n);
-        }
-
-        /// Space-side wakeups after `n` messages leave a bounded ring.
-        fn after_pop(&self, n: usize) {
-            if matches!(self.flavor, Flavor::Ring(_)) {
-                fence(Ordering::SeqCst);
-                self.send_waiters.wake_many(n);
+    impl<T> Chan<T> {
+        fn lock(&self) -> Locked<'_, T> {
+            Locked {
+                // No code outside this module runs under the lock and every
+                // critical section leaves the state consistent, so a
+                // poisoned lock still guards a valid state.
+                state: self.state.lock().unwrap_or_else(PoisonError::into_inner),
+                _signal: SignalClaimed,
             }
         }
 
-        fn pop_one(&self) -> Option<T> {
-            match &self.flavor {
-                Flavor::Ring(ring) => {
-                    let mut out = None;
-                    ring.try_pop_with(1, |v| out = Some(v));
-                    out
-                }
-                Flavor::List(q) => q.lock().expect("channel poisoned").pop_front(),
-            }
+        /// Park on `side` until woken or `deadline` passes, then retake the
+        /// lock. The caller found the channel not ready under the lock it
+        /// hands over, and the wakeup is registered before that lock is
+        /// released, so no push, pop or disconnect can slip between the
+        /// check and the park. The caller retries under the returned lock,
+        /// so a wakeup it was handed is always used or found stale.
+        fn park<'a>(
+            &'a self,
+            mut state: Locked<'a, T>,
+            side: Side,
+            deadline: Option<Instant>,
+        ) -> Locked<'a, T> {
+            let slot = local_slot();
+            slot.prepare();
+            state.waiters(side).register(&slot);
+            drop(state);
+            self.counters.record(side);
+            slot.wait(deadline);
+            let mut state = self.lock();
+            state.waiters(side).remove(&slot);
+            state
         }
     }
 
     /// The sending half of a channel.
     pub struct Sender<T> {
-        core: Arc<Core<T>>,
+        chan: Arc<Chan<T>>,
     }
 
     /// The receiving half of a channel (or the never-ready channel).
     pub struct Receiver<T> {
-        core: Option<Arc<Core<T>>>,
+        chan: Option<Arc<Chan<T>>>,
     }
 
     impl<T> Sender<T> {
@@ -500,59 +373,23 @@ pub mod channel {
 
         /// Like [`Sender::send`] but gives up with [`TrySendError::Full`]
         /// once `timeout` elapses without space freeing up. A wedged
-        /// downstream costs one wait-set registration per wakeup, not a
-        /// retry loop over the channel lock.
+        /// downstream costs one timed park per wakeup, not a retry loop
+        /// over the channel lock.
         pub fn send_timeout(&self, msg: T, timeout: Duration) -> Result<(), TrySendError<T>> {
             self.send_inner(msg, Some(Instant::now() + timeout))
         }
 
-        fn send_inner(&self, msg: T, deadline: Option<Instant>) -> Result<(), TrySendError<T>> {
-            let mut msg = match self.try_send(msg) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Disconnected(v)) => return Err(TrySendError::Disconnected(v)),
-                Err(TrySendError::Full(v)) => v,
-            };
-            let slot = local_slot();
+        fn send_inner(&self, mut msg: T, deadline: Option<Instant>) -> Result<(), TrySendError<T>> {
+            let mut state = self.chan.lock();
             loop {
-                slot.prepare();
-                self.core.send_waiters.register(&slot);
-                // Re-check after registering: a slot freed in the gap would
-                // otherwise be a lost wakeup.
-                msg = match self.try_send(msg) {
-                    Ok(()) => {
-                        self.core.send_waiters.cancel(&slot, false);
-                        return Ok(());
+                match state.try_push(msg) {
+                    // Past the deadline the attempt above was the last one.
+                    Err(TrySendError::Full(v)) if deadline.is_none_or(|d| Instant::now() < d) => {
+                        msg = v;
+                        state = self.chan.park(state, Side::Send, deadline);
                     }
-                    Err(TrySendError::Disconnected(v)) => {
-                        self.core.send_waiters.cancel(&slot, false);
-                        return Err(TrySendError::Disconnected(v));
-                    }
-                    Err(TrySendError::Full(v)) => v,
-                };
-                self.core
-                    .counters
-                    .inner
-                    .send_waits
-                    .fetch_add(1, Ordering::Relaxed);
-                let woken = match deadline {
-                    None => {
-                        slot.wait();
-                        true
-                    }
-                    Some(d) => slot.wait_deadline(d),
-                };
-                self.core.send_waiters.cancel(&slot, woken);
-                if !woken {
-                    // Deadline expired; one last attempt, then report Full.
-                    return self.try_send(msg);
+                    done => return done,
                 }
-                msg = match self.try_send(msg) {
-                    Ok(()) => return Ok(()),
-                    Err(TrySendError::Disconnected(v)) => {
-                        return Err(TrySendError::Disconnected(v))
-                    }
-                    Err(TrySendError::Full(v)) => v,
-                };
             }
         }
 
@@ -561,107 +398,54 @@ pub mod channel {
         /// message and decides whether to retry), and with
         /// [`TrySendError::Disconnected`] once every receiver is gone.
         pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            let core = &*self.core;
-            if core.receivers.load(Ordering::Acquire) == 0 {
-                return Err(TrySendError::Disconnected(msg));
-            }
-            match &core.flavor {
-                Flavor::Ring(ring) => {
-                    let mut msg = Some(msg);
-                    if ring.try_push_with(1, || msg.take().expect("single push")) == 1 {
-                        core.after_push(1);
-                        Ok(())
-                    } else {
-                        Err(TrySendError::Full(msg.take().expect("push declined")))
-                    }
-                }
-                Flavor::List(q) => {
-                    q.lock().expect("channel poisoned").push_back(msg);
-                    core.after_push(1);
-                    Ok(())
-                }
-            }
+            self.chan.lock().try_push(msg)
         }
 
         /// Send every message in `batch`, blocking for space as needed.
-        /// Whole runs of free ring slots are claimed with a single CAS, so
-        /// a burst costs one synchronisation point instead of one per
+        /// Each run that fits is queued under one lock acquisition, so a
+        /// burst costs one synchronisation point instead of one per
         /// message. On disconnect the unsent tail comes back in the error.
         pub fn send_many(&self, batch: Vec<T>) -> Result<(), SendError<Vec<T>>> {
-            let core = &*self.core;
             let mut iter = batch.into_iter();
-            let slot = local_slot();
-            loop {
-                let remaining = iter.len();
-                if remaining == 0 {
-                    return Ok(());
-                }
-                if core.receivers.load(Ordering::Acquire) == 0 {
+            let mut state = self.chan.lock();
+            while iter.len() > 0 {
+                if state.receivers == 0 {
                     return Err(SendError(iter.collect()));
                 }
-                let pushed = match &core.flavor {
-                    Flavor::Ring(ring) => {
-                        ring.try_push_with(remaining, || iter.next().expect("claimed run"))
-                    }
-                    Flavor::List(q) => {
-                        q.lock().expect("channel poisoned").extend(iter.by_ref());
-                        remaining
-                    }
-                };
-                if pushed > 0 {
-                    core.after_push(pushed);
+                let n = state.room().min(iter.len());
+                if n == 0 {
+                    state = self.chan.park(state, Side::Send, None);
                     continue;
                 }
-                // Ring full: park until space frees (same protocol as send).
-                slot.prepare();
-                core.send_waiters.register(&slot);
-                let retry = match &core.flavor {
-                    Flavor::Ring(ring) => {
-                        ring.try_push_with(iter.len(), || iter.next().expect("claimed run"))
-                    }
-                    Flavor::List(_) => unreachable!("lists never fill"),
-                };
-                if retry > 0 {
-                    core.send_waiters.cancel(&slot, false);
-                    core.after_push(retry);
-                    continue;
-                }
-                if core.receivers.load(Ordering::Acquire) == 0 {
-                    core.send_waiters.cancel(&slot, false);
-                    return Err(SendError(iter.collect()));
-                }
-                core.counters
-                    .inner
-                    .send_waits
-                    .fetch_add(1, Ordering::Relaxed);
-                slot.wait();
-                core.send_waiters.cancel(&slot, true);
+                state.queue.extend(iter.by_ref().take(n));
+                state.recv_waiters.wake(n);
             }
+            Ok(())
         }
 
         /// Contention counters for this channel.
         pub fn counters(&self) -> ChannelCounters {
-            self.core.counters.clone()
+            self.chan.counters.clone()
         }
     }
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
-            self.core.senders.fetch_add(1, Ordering::AcqRel);
+            self.chan.lock().senders += 1;
             Sender {
-                core: self.core.clone(),
+                chan: self.chan.clone(),
             }
         }
     }
 
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            if self.core.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let mut state = self.chan.lock();
+            state.senders -= 1;
+            if state.senders == 0 {
                 // Last sender: wake every parked receiver so it observes
                 // the disconnect (after draining what remains).
-                self.core.recv_events.fetch_add(1, Ordering::Release);
-                fence(Ordering::SeqCst);
-                self.core.recv_waiters.wake_all();
+                state.recv_waiters.wake(usize::MAX);
             }
         }
     }
@@ -669,222 +453,179 @@ pub mod channel {
     impl<T> Receiver<T> {
         /// Block until a message arrives or the channel disconnects.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let core = self.core.as_ref().ok_or(RecvError)?;
-            match self.try_recv() {
-                Ok(v) => return Ok(v),
-                Err(TryRecvError::Disconnected) => return Err(RecvError),
-                Err(TryRecvError::Empty) => {}
-            }
-            let slot = local_slot();
+            let chan = self.chan.as_ref().ok_or(RecvError)?;
+            let mut state = chan.lock();
             loop {
-                slot.prepare();
-                core.recv_waiters.register(&slot);
-                match self.try_recv() {
-                    Ok(v) => {
-                        core.recv_waiters.cancel(&slot, false);
-                        return Ok(v);
-                    }
-                    Err(TryRecvError::Disconnected) => {
-                        core.recv_waiters.cancel(&slot, false);
-                        return Err(RecvError);
-                    }
-                    Err(TryRecvError::Empty) => {}
-                }
-                core.counters
-                    .inner
-                    .recv_waits
-                    .fetch_add(1, Ordering::Relaxed);
-                slot.wait();
-                core.recv_waiters.cancel(&slot, true);
-                match self.try_recv() {
+                match state.try_pop() {
                     Ok(v) => return Ok(v),
                     Err(TryRecvError::Disconnected) => return Err(RecvError),
-                    Err(TryRecvError::Empty) => {}
+                    Err(TryRecvError::Empty) => state = chan.park(state, Side::Recv, None),
                 }
             }
         }
 
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let Some(core) = self.core.as_ref() else {
+            match &self.chan {
+                Some(chan) => chan.lock().try_pop(),
                 // `never()` is permanently pending, not disconnected
-                return Err(TryRecvError::Empty);
-            };
-            if let Some(v) = core.pop_one() {
-                core.after_pop(1);
-                return Ok(v);
-            }
-            if core.senders.load(Ordering::Acquire) == 0 {
-                // Messages published before the last sender detached are
-                // visible after that Acquire load; one more pop settles it.
-                match core.pop_one() {
-                    Some(v) => {
-                        core.after_pop(1);
-                        Ok(v)
-                    }
-                    None => Err(TryRecvError::Disconnected),
-                }
-            } else {
-                Err(TryRecvError::Empty)
+                None => Err(TryRecvError::Empty),
             }
         }
 
-        /// Pop up to `max` ready messages with one synchronisation point,
+        /// Pop up to `max` ready messages under one lock acquisition,
         /// appending them to `out`. Returns how many were moved; never
         /// blocks and never reports disconnection (pair with
         /// [`Receiver::try_recv`] / `select!` for that).
         pub fn recv_drain(&self, out: &mut Vec<T>, max: usize) -> usize {
-            let Some(core) = self.core.as_ref() else {
+            let Some(chan) = &self.chan else {
                 return 0;
             };
-            let n = match &core.flavor {
-                Flavor::Ring(ring) => ring.try_pop_with(max, |v| out.push(v)),
-                Flavor::List(q) => {
-                    let mut q = q.lock().expect("channel poisoned");
-                    let n = max.min(q.len());
-                    out.extend(q.drain(..n));
-                    n
-                }
-            };
-            if n > 0 {
-                core.after_pop(n);
-            }
+            let mut state = chan.lock();
+            let n = max.min(state.queue.len());
+            out.extend(state.queue.drain(..n));
+            state.send_waiters.wake(n);
             n
         }
 
         /// Contention counters for this channel (zeroes for `never()`).
         pub fn counters(&self) -> ChannelCounters {
-            match &self.core {
-                Some(core) => core.counters.clone(),
+            match &self.chan {
+                Some(chan) => chan.counters.clone(),
                 None => ChannelCounters::default(),
             }
         }
 
-        /// Snapshot this receiver's readiness-event counter; taken by
-        /// `select!` *before* polling so a message landing between the poll
-        /// and the park is detected by [`select_wait`]'s re-check.
+        /// This receiver as a `select!` arm; `never()` yields an arm that
+        /// is never registered.
         #[doc(hidden)]
-        pub fn observe(&self) -> Observation<'_> {
-            match &self.core {
-                Some(core) => Observation {
-                    events: Some(&core.recv_events),
-                    seen: core.recv_events.load(Ordering::Acquire),
-                    waitset: Some(&core.recv_waiters),
-                    waits: Some(&core.counters.inner.recv_waits),
-                },
-                None => Observation {
-                    events: None,
-                    seen: 0,
-                    waitset: None,
-                    waits: None,
-                },
-            }
+        pub fn select_arm(&self) -> SelectArm<'_> {
+            SelectArm(self.chan.as_deref().map(|chan| chan as &dyn Arm))
         }
     }
 
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
-            if let Some(core) = &self.core {
-                core.receivers.fetch_add(1, Ordering::AcqRel);
+            if let Some(chan) = &self.chan {
+                chan.lock().receivers += 1;
             }
             Receiver {
-                core: self.core.clone(),
+                chan: self.chan.clone(),
             }
         }
     }
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            if let Some(core) = &self.core {
-                if core.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
+            if let Some(chan) = &self.chan {
+                let mut state = chan.lock();
+                state.receivers -= 1;
+                if state.receivers == 0 {
                     // Last receiver: unblock senders so they observe the
                     // disconnect.
-                    fence(Ordering::SeqCst);
-                    core.send_waiters.wake_all();
+                    state.send_waiters.wake(usize::MAX);
                 }
             }
         }
     }
 
-    fn with_flavor<T>(flavor: Flavor<T>) -> (Sender<T>, Receiver<T>) {
-        let core = Arc::new(Core {
-            flavor,
-            senders: AtomicUsize::new(1),
-            receivers: AtomicUsize::new(1),
-            recv_events: AtomicUsize::new(0),
-            recv_waiters: WaitSet::default(),
-            send_waiters: WaitSet::default(),
+    fn with_capacity<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
+        let chan = Arc::new(Chan {
+            state: Mutex::new(State {
+                queue: cap.map_or_else(VecDeque::new, VecDeque::with_capacity),
+                cap,
+                senders: 1,
+                receivers: 1,
+                recv_waiters: Waiters::default(),
+                send_waiters: Waiters::default(),
+            }),
             counters: ChannelCounters::default(),
         });
-        (Sender { core: core.clone() }, Receiver { core: Some(core) })
+        (Sender { chan: chan.clone() }, Receiver { chan: Some(chan) })
     }
 
     /// A channel whose `send` blocks once `cap` messages are queued.
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        with_flavor(Flavor::Ring(Ring::new(cap)))
+        with_capacity(Some(cap.max(1)))
     }
 
     /// A channel with an unbounded queue.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_flavor(Flavor::List(Mutex::new(VecDeque::new())))
+        with_capacity(None)
     }
 
     /// A receiver that is never ready (used to park a `select!` arm).
     pub fn never<T>() -> Receiver<T> {
-        Receiver { core: None }
+        Receiver { chan: None }
     }
 
-    /// Per-arm snapshot used by `select!` to park race-free: the event
-    /// counter reading from before the poll plus the wait set to register
-    /// on. Non-generic so arms of different message types share one array.
-    #[doc(hidden)]
-    pub struct Observation<'a> {
-        events: Option<&'a AtomicUsize>,
-        seen: usize,
-        waitset: Option<&'a WaitSet>,
-        waits: Option<&'a AtomicU64>,
+    /// The receive side of a channel as `select!` sees it, with the message
+    /// type erased so arms of different types share one array.
+    trait Arm {
+        /// Register `slot` as a receive waiter unless a message is queued
+        /// or every sender is gone. Returns whether it registered.
+        fn register_unless_ready(&self, slot: &Arc<WakeSlot>) -> bool;
+        /// Take `slot` off the receive waiters, handing a claimed wakeup on.
+        fn cancel(&self, slot: &Arc<WakeSlot>);
+        fn record_wait(&self);
     }
 
-    /// Park until any observed channel reports a readiness event that
-    /// post-dates its observation. Registers one wake slot with every arm's
-    /// wait set, re-checks the event counters (events landing between the
-    /// poll and the registration are caught here), then sleeps.
-    #[doc(hidden)]
-    pub fn select_wait(obs: &[Observation<'_>]) {
-        let slot = local_slot();
-        slot.prepare();
-        let mut registered = false;
-        for o in obs {
-            if let Some(ws) = o.waitset {
-                ws.register(&slot);
-                registered = true;
+    impl<T> Arm for Chan<T> {
+        fn register_unless_ready(&self, slot: &Arc<WakeSlot>) -> bool {
+            let mut state = self.lock();
+            if !state.queue.is_empty() || state.senders == 0 {
+                return false;
+            }
+            state.recv_waiters.register(slot);
+            true
+        }
+
+        fn cancel(&self, slot: &Arc<WakeSlot>) {
+            let mut state = self.lock();
+            // A waker claimed the slot for a message here, but the selector
+            // may take another arm's message instead: pass the wakeup to the
+            // next receiver so the message is not left beside a parked one.
+            if !state.recv_waiters.remove(slot) && !state.queue.is_empty() {
+                state.recv_waiters.wake(1);
             }
         }
-        if !registered {
+
+        fn record_wait(&self) {
+            self.counters.record(Side::Recv);
+        }
+    }
+
+    /// One `select!` arm, from [`Receiver::select_arm`].
+    #[doc(hidden)]
+    pub struct SelectArm<'a>(Option<&'a dyn Arm>);
+
+    /// Park until some arm may be ready. Registers one wake slot on each
+    /// arm, re-checking that arm's readiness under its lock (a message or
+    /// disconnect landing after the caller's poll is caught here), sleeps
+    /// only if every arm is still pending, then cancels every registration.
+    #[doc(hidden)]
+    pub fn select_wait(arms: &[SelectArm<'_>]) {
+        let live = || arms.iter().filter_map(|arm| arm.0);
+        if live().next().is_none() {
             // Every arm is `never()`: no event can ever wake us, so yield
             // briefly in case the caller loops on external state.
             std::thread::sleep(Duration::from_micros(50));
             return;
         }
-        let changed = obs.iter().any(|o| match o.events {
-            Some(e) => e.load(Ordering::Acquire) != o.seen,
-            None => false,
+        let slot = local_slot();
+        slot.prepare();
+        let mut registered = 0;
+        // Stops registering at the first ready arm.
+        let pending = live().all(|arm| {
+            let parked = arm.register_unless_ready(&slot);
+            registered += usize::from(parked);
+            parked
         });
-        if !changed {
-            for o in obs {
-                if let Some(w) = o.waits {
-                    w.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            slot.wait();
+        if pending {
+            live().for_each(|arm| arm.record_wait());
+            slot.wait(None);
         }
-        for o in obs {
-            if let Some(ws) = o.waitset {
-                // `consumed = false`: if a waker claimed this slot, hand the
-                // token to another waiter on that channel.
-                ws.cancel(&slot, false);
-            }
-        }
+        live().take(registered).for_each(|arm| arm.cancel(&slot));
     }
 
     /// Typed `Err(RecvError)` constructor for the `select!` expansion (ties
@@ -908,7 +649,6 @@ pub mod channel {
 macro_rules! select {
     ($(recv($rx:expr) -> $msg:pat => $body:expr),+ $(,)?) => {{
         'select: loop {
-            let __obs = [$( $rx.observe() ),+];
             $(
                 match $rx.try_recv() {
                     Ok(__v) => {
@@ -933,7 +673,7 @@ macro_rules! select {
                     Err($crate::channel::TryRecvError::Empty) => {}
                 }
             )+
-            $crate::channel::select_wait(&__obs);
+            $crate::channel::select_wait(&[$( $rx.select_arm() ),+]);
         }
     }};
 }
@@ -1009,9 +749,9 @@ mod tests {
 
     #[test]
     fn batch_endpoints_roundtrip() {
-        // send_many pushes a 100-element burst through a 4-slot ring while a
-        // consumer drains; order and content must survive, and the producer
-        // must block (not fail) whenever the ring is full.
+        // send_many pushes a 100-element burst through a 4-slot channel
+        // while a consumer drains; order and content must survive, and the
+        // producer must block (not fail) whenever the channel is full.
         let (tx, rx) = bounded(4);
         let consumer = thread::spawn(move || {
             let mut got = Vec::new();

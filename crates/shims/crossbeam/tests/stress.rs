@@ -1,16 +1,17 @@
-//! Stress suite for the ring-buffer channel core: the semantics every
+//! Stress suite for the mutex-guarded channel core: the semantics every
 //! engine runtime leans on, pinned under deliberately hostile schedules —
 //! tiny capacities, many threads, bursts racing single messages.
 //!
 //! The unit tests in `src/lib.rs` pin each primitive in isolation; this
 //! suite pins the *combinations* that only misbehave under contention:
-//! a slot handed to two producers, a burst claim overlapping a concurrent
-//! pop, a wakeup lost between a consumer's last poll and its park.
+//! a message handed to two consumers, a burst overlapping a concurrent
+//! pop, a wakeup lost between a consumer's last poll and its park, or one
+//! claimed by a selector that then takes another arm's message.
 
-use crossbeam::channel::{bounded, never, unbounded, RecvError, TryRecvError};
+use crossbeam::channel::{bounded, never, unbounded, ChannelCounters, RecvError, TryRecvError};
 use crossbeam::select;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -134,7 +135,7 @@ fn mpmc_delivers_exactly_once_at_tiny_capacities() {
 }
 
 /// Burst endpoints racing single-message endpoints on one channel: the
-/// claim arithmetic must hold when `send_many`/`recv_drain` interleave
+/// room arithmetic must hold when `send_many`/`recv_drain` interleave
 /// with plain `send`/`recv` at capacity 2.
 #[test]
 fn bursts_and_singles_interleave_without_loss() {
@@ -203,8 +204,8 @@ fn select_wakes_promptly_on_disconnect() {
 }
 
 /// `select!` over a data arm and a `never()` arm: a message sent *after*
-/// the selector has parked must wake it — the observe-then-park window
-/// must be closed by the event-counter recheck.
+/// the selector has parked must wake it — the poll-then-park window must
+/// be closed by the readiness re-check under each arm's lock.
 #[test]
 fn select_wakes_on_a_message_sent_after_it_parked() {
     let (tx, rx) = bounded::<u64>(4);
@@ -238,7 +239,7 @@ fn select_wakes_on_a_message_sent_after_it_parked() {
     assert_eq!(received.load(Ordering::SeqCst), 1 + 2 + 3 + 4 + 5);
 }
 
-/// High-thread-count churn on one capacity-1 channel: the tightest ring
+/// High-thread-count churn on one capacity-1 channel: the tightest queue
 /// under the widest thread set, with producers and consumers appearing
 /// and disappearing (clone + drop) mid-stream.
 #[test]
@@ -310,7 +311,7 @@ fn wait_counters_count_real_waits() {
     assert_eq!(consumer.join().unwrap(), 500);
     assert!(
         counters.send_waits() > 0,
-        "a slow consumer on a 1-slot ring must park senders"
+        "a slow consumer on a 1-slot channel must park senders"
     );
 
     let (tx, rx) = bounded::<u64>(4);
@@ -330,5 +331,138 @@ fn wait_counters_count_real_waits() {
     assert!(
         counters.recv_waits() > 0,
         "a slow producer must park the receiver"
+    );
+}
+
+/// Spin until `counters` shows more than `seen` receive parks: the thread
+/// it tracks has registered its wakeup.
+fn await_recv_park(counters: &ChannelCounters, seen: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while counters.recv_waits() <= seen {
+        assert!(Instant::now() < deadline, "receiver never parked");
+        thread::yield_now();
+    }
+}
+
+/// Which receiver took a message, and through which arm.
+enum Took {
+    SelectA(u64),
+    SelectB(u64),
+    Recv(u64),
+}
+
+/// A `select!` over B and A shares A's waiters with a plain `recv` on A.
+/// The selector registers on A first, so a send to A claims the selector's
+/// wakeup; if a send to B lands before the selector runs, it takes B's
+/// message (B is its first arm) and must pass A's wakeup on to the parked
+/// `recv`, or A's message sits beside a sleeping receiver. Each round
+/// sends one message to each channel (plus a replacement on A whenever the
+/// selector takes A's); every message must arrive exactly once and both
+/// receivers must finish the round within the watchdog bound.
+#[test]
+fn select_hands_a_claimed_wakeup_to_a_parked_recv() {
+    const ROUNDS: u64 = 300;
+    let (tx_a, rx_a) = unbounded::<u64>();
+    let (tx_b, rx_b) = unbounded::<u64>();
+    let (a_counters, b_counters) = (rx_a.counters(), rx_b.counters());
+    let (took_tx, took) = mpsc::channel::<Took>();
+    let (select_go, select_rounds) = mpsc::channel::<()>();
+    let (recv_go, recv_rounds) = mpsc::channel::<()>();
+    let selector = {
+        let rx_a = rx_a.clone();
+        let took_tx = took_tx.clone();
+        thread::spawn(move || {
+            while select_rounds.recv().is_ok() {
+                let mut got_b = false;
+                while !got_b {
+                    select! {
+                        recv(rx_b) -> m => {
+                            took_tx.send(Took::SelectB(m.unwrap())).unwrap();
+                            got_b = true;
+                        },
+                        recv(rx_a) -> m => took_tx.send(Took::SelectA(m.unwrap())).unwrap(),
+                    }
+                }
+            }
+        })
+    };
+    let receiver = thread::spawn(move || {
+        while recv_rounds.recv().is_ok() {
+            took_tx.send(Took::Recv(rx_a.recv().unwrap())).unwrap();
+        }
+    });
+    let mut next = 0u64;
+    let mut seen: Vec<u64> = Vec::new();
+    for round in 0..ROUNDS {
+        let (a0, b0) = (a_counters.recv_waits(), b_counters.recv_waits());
+        select_go.send(()).unwrap();
+        // the selector's park counts once on each arm
+        await_recv_park(&b_counters, b0);
+        recv_go.send(()).unwrap();
+        await_recv_park(&a_counters, a0 + 1);
+        tx_a.send(next).unwrap();
+        tx_b.send(next + 1).unwrap();
+        next += 2;
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let (mut select_done, mut recv_done) = (false, false);
+        while !(select_done && recv_done) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match took.recv_timeout(left) {
+                Ok(Took::SelectB(v)) => {
+                    seen.push(v);
+                    select_done = true;
+                }
+                Ok(Took::SelectA(v)) => {
+                    // the plain `recv` still needs a message this round
+                    seen.push(v);
+                    tx_a.send(next).unwrap();
+                    next += 1;
+                }
+                Ok(Took::Recv(v)) => {
+                    seen.push(v);
+                    recv_done = true;
+                }
+                Err(_) => panic!(
+                    "round {round}: a receiver stayed parked for 5s \
+                     (selector done: {select_done}, recv done: {recv_done})"
+                ),
+            }
+        }
+    }
+    drop((select_go, recv_go));
+    selector.join().unwrap();
+    receiver.join().unwrap();
+    seen.sort_unstable();
+    assert_eq!(
+        seen,
+        (0..next).collect::<Vec<u64>>(),
+        "messages lost or duplicated"
+    );
+}
+
+/// A `send_timeout` parked on a full channel is woken by the slot a
+/// receiver frees well before its deadline, and its message lands.
+#[test]
+fn send_timeout_succeeds_when_a_slot_frees_before_the_deadline() {
+    let (tx, rx) = bounded::<u64>(1);
+    tx.send(1).unwrap();
+    let counters = tx.counters();
+    let drainer = thread::spawn(move || {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while counters.send_waits() == 0 {
+            assert!(Instant::now() < deadline, "sender never parked");
+            thread::yield_now();
+        }
+        (rx.recv(), rx)
+    });
+    let start = Instant::now();
+    assert_eq!(tx.send_timeout(2, Duration::from_secs(10)), Ok(()));
+    let waited = start.elapsed();
+    let (first, rx) = drainer.join().unwrap();
+    assert_eq!(first, Ok(1));
+    assert_eq!(rx.recv(), Ok(2), "the parked message was lost");
+    assert!(
+        waited < Duration::from_secs(5),
+        "send_timeout woke only near its deadline (after {waited:?})"
     );
 }

@@ -45,8 +45,7 @@ impl BackendKind {
         }
     }
 
-    fn build(&self, task: usize) -> Box<dyn CorrelationBackend> {
-        let _ = task;
+    fn build(&self) -> Box<dyn CorrelationBackend> {
         match *self {
             BackendKind::Exact => Box::new(Calculator::new()),
             // All Calculator tasks share one hash family: MinHash slots
@@ -236,7 +235,7 @@ pub struct ExperimentConfig {
     pub supervision: Option<Supervision>,
     /// Bolt inbox capacity override in messages (threaded mode only;
     /// `None` keeps [`ThreadedConfig::default`]'s 1024). Small values force
-    /// constant backpressure through the transport's ring buffers — the
+    /// constant backpressure through the transport's queues — the
     /// high-contention equivalence suites pin determinism under exactly
     /// that regime. Sim runs ignore it.
     pub inbox_capacity: Option<usize>,
@@ -552,7 +551,7 @@ fn build_served_topology(
         });
         let poison_latch = Arc::new(std::sync::atomic::AtomicBool::new(false));
         tb.add_bolt("calculator", config.k, move |task| {
-            let bolt = CalculatorBolt::with_backend(task, backend.build(task));
+            let bolt = CalculatorBolt::with_backend(task, backend.build());
             let bolt = if live {
                 bolt.with_migration(calculator_id, k, recorder.clone())
             } else {

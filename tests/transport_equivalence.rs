@@ -1,14 +1,14 @@
 //! High-contention transport equivalence: threaded runs at front
-//! parallelism 4 with the bolt inboxes forced down to one or two ring
-//! slots must still match the sim oracle byte for byte at the Tracker.
+//! parallelism 4 with the bolt inboxes forced down to one or two
+//! envelopes must still match the sim oracle byte for byte at the Tracker.
 //!
 //! The point of forcing tiny capacities is to keep every data channel
-//! *saturated*: producers block on full rings, consumers drain in bursts,
-//! and the wait-set wakeup path (not the fast path) carries most
+//! *saturated*: producers block on full queues, consumers drain in
+//! bursts, and the park-and-wake path (not the fast path) carries most
 //! envelopes. Any transport-level race that could reorder a round —
-//! a slot handed to two producers, a burst claim overlapping a
-//! concurrent pop, a lost wakeup sending a consumer back to sleep with
-//! data pending — surfaces here as an equivalence failure instead of a
+//! a message handed to two consumers, a burst overlapping a concurrent
+//! pop, a lost wakeup sending a consumer back to sleep with data
+//! pending — surfaces here as an equivalence failure instead of a
 //! silent corruption in a benchmark.
 //!
 //! Control-plane pinning mirrors `parallel_equivalence.rs`: the partition
@@ -49,7 +49,7 @@ const DOCS: usize = 30_000;
 const DEGREE: usize = 4;
 
 /// With `max_batch = 128` messages per envelope, a 128-message inbox is a
-/// single ring slot and a 256-message inbox is two — the smallest bounded
+/// single envelope and a 256-message inbox is two — the smallest bounded
 /// channels the batched runtime can run on.
 const CAPACITIES: [usize; 2] = [128, 256];
 
