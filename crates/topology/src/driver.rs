@@ -70,11 +70,9 @@ const CALCULATOR_COMPONENT: usize = 5;
 /// runtime cannot express, like panicking while holding a lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Kill Parser task `task` after it processed `after_messages` inbox
-    /// envelopes (panic injected before the next one is handled).
+    /// Kill the Parser after it processed `after_messages` inbox envelopes
+    /// (panic injected before the next one is handled).
     KillParser {
-        /// Parser task index.
-        task: usize,
         /// Envelopes processed before the kill fires.
         after_messages: u64,
     },
@@ -210,18 +208,6 @@ pub struct ExperimentConfig {
     /// attribution shows it occupying about a third of e2e wall time, so
     /// throughput benchmarks switch it off.
     pub baseline: bool,
-    /// Source (spout) shards. Above 1 the document stream is materialised
-    /// and split deterministically by stream position: shard `t` owns
-    /// positions `t, t + N, t + 2N, …` Strided (rather than contiguous)
-    /// ranges mean the sim runtime's round-robin spout sweep re-emits the
-    /// documents in exactly the original stream order — the canonical merge
-    /// order — for *any* shard count, which is what keeps sim the
-    /// byte-identical determinism oracle for sharded runs.
-    pub sources: usize,
-    /// Parser instances behind the source shards (shuffle-grouped). Above 1
-    /// the Disseminator and Baseline run the tick fan-in barrier (see
-    /// `operators` module docs) so round semantics stay exactly degree-1.
-    pub parsers: usize,
     /// Partition map installed at the Disseminator before the stream
     /// starts, skipping the bootstrap control round-trip. This removes the
     /// one scheduling-dependent input of a threaded run — which tagsets
@@ -270,8 +256,6 @@ impl Default for ExperimentConfig {
             backend: BackendKind::Exact,
             live_migration: true,
             baseline: true,
-            sources: 1,
-            parsers: 1,
             pinned_partitions: None,
             supervision: None,
             inbox_capacity: None,
@@ -308,15 +292,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// This config with a data-parallel pipeline front: `n` source shards
-    /// feeding `n` Parser instances (the parallelism *degree* of the
-    /// scaling-curve benchmarks).
-    pub fn with_front_parallelism(mut self, n: usize) -> Self {
-        self.sources = n.max(1);
-        self.parsers = n.max(1);
-        self
-    }
-
     /// This config with a pre-installed partition map (skips bootstrap).
     pub fn with_pinned_partitions(mut self, pinned: PinnedPartitions) -> Self {
         self.pinned_partitions = Some(Arc::new(pinned));
@@ -342,7 +317,7 @@ impl ExperimentConfig {
 /// The partition map one offline Partitioner + Merger pass produces over
 /// the first `config.bootstrap_after` non-empty tagsets of `docs` — a
 /// deterministic function of the document stream alone, independent of
-/// runtime scheduling or parallelism degree.
+/// runtime scheduling.
 ///
 /// Pin it with [`ExperimentConfig::with_pinned_partitions`] to remove the
 /// bootstrap control round-trip: with the map fixed (and `thr` high enough
@@ -401,38 +376,6 @@ pub enum RunMode {
     Threaded,
 }
 
-struct DocSpout {
-    docs: Box<dyn Iterator<Item = Document> + Send>,
-    produced: u64,
-}
-
-impl Spout<Msg> for DocSpout {
-    fn next(&mut self) -> Option<Msg> {
-        let doc = Iterator::next(&mut self.docs)?;
-        self.produced += 1;
-        Some(Msg::Doc(doc))
-    }
-}
-
-/// One source shard of a data-parallel front: stream positions
-/// `task, task + step, task + 2·step, …` of the materialised document
-/// stream. See [`ExperimentConfig::sources`] for why the split is strided.
-struct StridedShard {
-    docs: Arc<Vec<Document>>,
-    next: usize,
-    step: usize,
-}
-
-impl Iterator for StridedShard {
-    type Item = Document;
-
-    fn next(&mut self) -> Option<Document> {
-        let doc = self.docs.get(self.next)?.clone();
-        self.next += self.step;
-        Some(doc)
-    }
-}
-
 /// Build the full Figure 2 topology (plus the centralized baseline bolt
 /// when `config.baseline` is on) for `config` over `docs`.
 pub fn build_topology(
@@ -453,36 +396,15 @@ fn build_served_topology(
 ) -> Topology<Msg> {
     let mut tb: TopologyBuilder<Msg> = TopologyBuilder::new();
 
-    let sources = config.sources.max(1);
-    let source = if sources == 1 {
-        // streaming path: the stream is never materialised
-        let mut docs_slot = Some(docs);
-        tb.add_spout("source", 1, move |_| {
-            Box::new(DocSpout {
-                docs: docs_slot.take().expect("single source task"),
-                produced: 0,
-            }) as Box<dyn Spout<Msg>>
-        })
-    } else {
-        let all: Arc<Vec<Document>> = Arc::new(docs.collect());
-        tb.add_spout("source", sources, move |task| {
-            Box::new(DocSpout {
-                docs: Box::new(StridedShard {
-                    docs: all.clone(),
-                    next: task,
-                    step: sources,
-                }),
-                produced: 0,
-            }) as Box<dyn Spout<Msg>>
-        })
-    };
+    // The paper's experiments use one source, one Parser and one
+    // Disseminator (§8.2); the stream is never materialised.
+    let mut docs_slot = Some(docs);
+    let source = tb.add_spout("source", 1, move |_| {
+        Box::new(docs_slot.take().expect("single source task").map(Msg::Doc)) as Box<dyn Spout<Msg>>
+    });
 
-    // The paper's experiments use one Parser and one Disseminator (§8.2);
-    // with `config.parsers > 1` the round-boundary ("tick") protocol is
-    // preserved by the fan-in barrier at the Disseminator and Baseline.
     let report_period = config.report_period;
-    let parsers = config.parsers.max(1);
-    let parser = tb.add_bolt("parser", parsers, move |_| {
+    let parser = tb.add_bolt("parser", 1, move |_| {
         Box::new(ParserBolt::new(report_period)) as Box<dyn Bolt<Msg>>
     });
     assert_eq!(parser, PARSER_COMPONENT);
@@ -522,8 +444,7 @@ fn build_served_topology(
         tb.add_bolt("disseminator", 1, move |_| {
             let bolt =
                 DisseminatorBolt::new(k, dconf, calculator_id, bootstrap, sample, recorder.clone())
-                    .with_live_migration(live)
-                    .with_parser_fanin(parsers, report_period);
+                    .with_live_migration(live);
             let bolt = match &pinned {
                 Some(p) => bolt.with_initial_partitions(&p.partitions, p.reference),
                 None => bolt,
@@ -586,31 +507,14 @@ fn build_served_topology(
     let baseline = if config.baseline {
         let recorder = recorder.clone();
         Some(tb.add_bolt("baseline", 1, move |_| {
-            Box::new(BaselineBolt::new(recorder.clone()).with_parser_fanin(parsers, report_period))
-                as Box<dyn Bolt<Msg>>
+            Box::new(BaselineBolt::new(recorder.clone())) as Box<dyn Bolt<Msg>>
         }))
     } else {
         None
     };
 
     // Wiring (see module docs of `operators` for the full map).
-    //
-    // source → parser routes by the document's monotone sequence number, not
-    // by shuffle: threaded shuffle counters are task-local, so with N strided
-    // spout shards a shuffle would interleave shards across parsers and a
-    // parser's timestamp view could run backwards — breaking the tick fan-in
-    // invariant (a parser must never emit a round-r tagset after its round-r
-    // tick). Fields on `id` keeps parser `id % N` identical across runtimes:
-    // shard t owns positions ≡ t (mod N), so it lands wholly on parser t.
-    tb.connect(
-        source,
-        "docs",
-        parser,
-        Grouping::Fields(Arc::new(|m: &Msg| match m {
-            Msg::Doc(d) => d.id,
-            _ => 0,
-        })),
-    );
+    tb.connect(source, "docs", parser, Grouping::Global);
     tb.connect(parser, "tagsets", disseminator, Grouping::Shuffle);
     tb.connect(
         parser,
@@ -773,12 +677,9 @@ fn supervise_config(
         .faults
         .iter()
         .filter_map(|f| match *f {
-            Fault::KillParser {
-                task,
-                after_messages,
-            } => Some(FaultSpec::KillTask {
+            Fault::KillParser { after_messages } => Some(FaultSpec::KillTask {
                 component: PARSER_COMPONENT,
-                task,
+                task: 0,
                 after_messages,
             }),
             Fault::KillCalculator {

@@ -22,7 +22,6 @@ pub mod messages;
 pub mod operators;
 pub mod recorder;
 pub mod report;
-mod round_barrier;
 
 pub use connectivity::{connectivity, ConnectivitySummary};
 pub use driver::{

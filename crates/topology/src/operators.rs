@@ -4,7 +4,7 @@
 //! Stream map (producer → `stream` → consumer, grouping):
 //!
 //! ```text
-//! source      → "docs"       → parser        (shuffle)
+//! source      → "docs"       → parser        (global)
 //! parser      → "tagsets"    → disseminator  (shuffle)
 //!                            → partitioner   (fields: whole tagset)
 //!                            → baseline      (global)
@@ -25,17 +25,9 @@
 //! Ticks reach Calculators *through* the Disseminator so that, on both
 //! runtimes, every notification of a round is delivered before the tick that
 //! closes it (single FIFO channel per Disseminator → Calculator pair).
-//!
-//! With a data-parallel front (`N` Parser instances), every Parser emits its
-//! own tick per round boundary, so the Disseminator and the Baseline each
-//! run a *tick fan-in barrier* (`RoundBarrier`): round `r` closes
-//! downstream only after all `N` ticks for `r` arrived, and tagsets of
-//! later rounds wait in a per-round buffer behind the barrier — exactly the
-//! degree-1 round semantics, for any `N`.
 
 use crate::messages::Msg;
 use crate::recorder::SharedRecorder;
-use crate::round_barrier::{RoundBarrier, RoundEvent};
 use setcorr_core::{
     disjoint_sets, partition_setcover, plan_handoff, AlgorithmKind, Calculator, CorrelationBackend,
     Disseminator, DisseminatorAction, DisseminatorConfig, Merger, MigrationBundle, PartitionInput,
@@ -415,9 +407,6 @@ pub struct DisseminatorBolt {
     /// whole incoming batch routes into these, then leaves as one
     /// `emit_direct_batch` per touched Calculator.
     notif_batch: Vec<Vec<Msg>>,
-    /// Tick fan-in over the Parser instances feeding this bolt (width 1 by
-    /// default: the single-parser protocol).
-    barrier: RoundBarrier,
     /// How many degraded Calculator tasks this bolt has already reacted to
     /// — the last [`crate::recorder::RunRecorder::degraded_count`] it saw.
     /// Compared at every round close; growth triggers the route-around
@@ -463,7 +452,6 @@ impl DisseminatorBolt {
             bootstrap_buffer: std::collections::VecDeque::new(),
             route_scratch: setcorr_core::RouteResult::default(),
             notif_batch: (0..k).map(|_| Vec::new()).collect(),
-            barrier: RoundBarrier::new(1, TimeDelta::from_secs(1)),
             known_degraded: 0,
             recorder,
         }
@@ -474,15 +462,6 @@ impl DisseminatorBolt {
     /// owners instead of stranding it.
     pub fn with_live_migration(mut self, on: bool) -> Self {
         self.live_migration = on;
-        self
-    }
-
-    /// Data-parallel front: `n` Parser instances feed this bolt, each
-    /// emitting its own tick per round boundary. `report_period` is the
-    /// Parsers' period `y`, used to derive a tagset's round from its event
-    /// timestamp for the fan-in buffer.
-    pub fn with_parser_fanin(mut self, n: usize, report_period: TimeDelta) -> Self {
-        self.barrier = RoundBarrier::new(n, report_period);
         self
     }
 
@@ -558,7 +537,7 @@ impl Bolt<Msg> for DisseminatorBolt {
                     }
                     return;
                 }
-                self.admit_tagset(time, tags, out);
+                self.route_tagset(tags, out);
             }
             Msg::Tick { round, time } => {
                 if self.bootstrap_requested && !self.dissem.has_partitions() {
@@ -567,7 +546,7 @@ impl Bolt<Msg> for DisseminatorBolt {
                     self.bootstrap_buffer.push_back(Msg::Tick { round, time });
                     return;
                 }
-                self.ingest_tick(round, time, out);
+                self.relay_tick(round, time, out);
             }
             Msg::NewPartitions {
                 epoch,
@@ -600,8 +579,8 @@ impl Bolt<Msg> for DisseminatorBolt {
                 // under the freshly installed map.
                 while let Some(held) = self.bootstrap_buffer.pop_front() {
                     match held {
-                        Msg::TagSet { time, tags } => self.admit_tagset(time, tags, out),
-                        Msg::Tick { round, time } => self.ingest_tick(round, time, out),
+                        Msg::TagSet { tags, .. } => self.route_tagset(tags, out),
+                        Msg::Tick { round, time } => self.relay_tick(round, time, out),
                         _ => unreachable!("only stream messages are buffered"),
                     }
                 }
@@ -625,9 +604,7 @@ impl Bolt<Msg> for DisseminatorBolt {
             match msg {
                 Msg::TagSet { time, tags } => {
                     if self.dissem.has_partitions() {
-                        if let Some(tags) = self.barrier.admit(time, tags) {
-                            self.route_tagset_inner(tags, out, true);
-                        }
+                        self.route_tagset_inner(tags, out, true);
                     } else {
                         // bootstrap: the per-message path owns the hold/replay
                         self.on_message(Msg::TagSet { time, tags }, out);
@@ -649,12 +626,10 @@ impl Bolt<Msg> for DisseminatorBolt {
         while let Some(held) = self.bootstrap_buffer.pop_front() {
             match held {
                 Msg::TagSet { .. } => self.unrouted += 1,
-                Msg::Tick { round, time } => self.ingest_tick(round, time, out),
+                Msg::Tick { round, time } => self.relay_tick(round, time, out),
                 _ => {}
             }
         }
-        let events = self.barrier.force_close();
-        self.apply_round_events(events, out);
         self.flush_sample();
     }
 }
@@ -761,32 +736,6 @@ impl DisseminatorBolt {
         let epoch = self.epoch;
         self.epoch += 1;
         out.emit("repart", Msg::RepartitionRequest { epoch, cause: None });
-    }
-
-    /// Route a live tagset, or leave it held behind the fan-in barrier when
-    /// its round is still waiting on ticks from slower Parser instances.
-    fn admit_tagset(&mut self, time: Timestamp, tags: TagSet, out: &mut dyn Emitter<Msg>) {
-        if let Some(tags) = self.barrier.admit(time, tags) {
-            self.route_tagset(tags, out);
-        }
-    }
-
-    /// Feed one Parser's tick into the fan-in barrier and act on what it
-    /// closed.
-    fn ingest_tick(&mut self, round: u64, time: Timestamp, out: &mut dyn Emitter<Msg>) {
-        let events = self.barrier.tick(round, time);
-        self.apply_round_events(events, out);
-    }
-
-    /// Relay the closed rounds' ticks and route the released tagsets, in
-    /// barrier order.
-    fn apply_round_events(&mut self, events: Vec<RoundEvent>, out: &mut dyn Emitter<Msg>) {
-        for event in events {
-            match event {
-                RoundEvent::Close { round, time } => self.relay_tick(round, time, out),
-                RoundEvent::Held(tags) => self.route_tagset(tags, out),
-            }
-        }
     }
 }
 
@@ -1355,9 +1304,6 @@ pub struct BaselineBolt {
     round_occurrences: FxHashMap<TagSet, u64>,
     /// Occurrences across the whole run (≥ 2 tags only).
     run_occurrences: FxHashMap<TagSet, u64>,
-    /// Tick fan-in over the Parser instances feeding this bolt (width 1 by
-    /// default: the single-parser protocol).
-    barrier: RoundBarrier,
     recorder: SharedRecorder,
 }
 
@@ -1368,34 +1314,16 @@ impl BaselineBolt {
             calc: Calculator::new(),
             round_occurrences: FxHashMap::default(),
             run_occurrences: FxHashMap::default(),
-            barrier: RoundBarrier::new(1, TimeDelta::from_secs(1)),
             recorder,
         }
     }
 
-    /// Data-parallel front: `n` Parser instances feed this bolt, each with
-    /// its own per-round tick (see [`DisseminatorBolt::with_parser_fanin`]).
-    pub fn with_parser_fanin(mut self, n: usize, report_period: TimeDelta) -> Self {
-        self.barrier = RoundBarrier::new(n, report_period);
-        self
-    }
-}
-
-impl BaselineBolt {
-    fn observe_tagset(&mut self, tags: TagSet, n: u64) {
+    fn observe_tagset(&mut self, tags: TagSet) {
         if tags.len() >= 2 {
-            *self.round_occurrences.entry(tags.clone()).or_insert(0) += n;
-            *self.run_occurrences.entry(tags.clone()).or_insert(0) += n;
+            *self.round_occurrences.entry(tags.clone()).or_insert(0) += 1;
+            *self.run_occurrences.entry(tags.clone()).or_insert(0) += 1;
         }
-        self.calc.observe_n(&tags, n);
-    }
-
-    /// Observe a tagset, or leave it held when its round is still behind
-    /// the tick fan-in barrier.
-    fn admit_tagset(&mut self, time: Timestamp, tags: TagSet) {
-        if let Some(tags) = self.barrier.admit(time, tags) {
-            self.observe_tagset(tags, 1);
-        }
+        self.calc.observe(&tags);
     }
 
     /// Report and reset the round's exact coefficients.
@@ -1420,27 +1348,13 @@ impl BaselineBolt {
         self.calc.reset();
         self.round_occurrences.clear();
     }
-
-    /// Close the completed rounds and observe the released tagsets, in
-    /// barrier order.
-    fn apply_round_events(&mut self, events: Vec<RoundEvent>) {
-        for event in events {
-            match event {
-                RoundEvent::Close { round, .. } => self.close_round(round),
-                RoundEvent::Held(tags) => self.observe_tagset(tags, 1),
-            }
-        }
-    }
 }
 
 impl Bolt<Msg> for BaselineBolt {
     fn on_message(&mut self, msg: Msg, _out: &mut dyn Emitter<Msg>) {
         match msg {
-            Msg::TagSet { time, tags } => self.admit_tagset(time, tags),
-            Msg::Tick { round, time } => {
-                let events = self.barrier.tick(round, time);
-                self.apply_round_events(events);
-            }
+            Msg::TagSet { tags, .. } => self.observe_tagset(tags),
+            Msg::Tick { round, .. } => self.close_round(round),
             _ => {}
         }
     }
@@ -1451,7 +1365,7 @@ impl Bolt<Msg> for BaselineBolt {
     fn on_batch(&mut self, mut msgs: Vec<Msg>, out: &mut dyn Emitter<Msg>) {
         for msg in msgs.drain(..) {
             match msg {
-                Msg::TagSet { time, tags } => self.admit_tagset(time, tags),
+                Msg::TagSet { tags, .. } => self.observe_tagset(tags),
                 other => self.on_message(other, out),
             }
         }
@@ -1459,8 +1373,6 @@ impl Bolt<Msg> for BaselineBolt {
     }
 
     fn on_flush(&mut self, _out: &mut dyn Emitter<Msg>) {
-        let events = self.barrier.force_close();
-        self.apply_round_events(events);
         let mut rec = self.recorder.lock();
         for (tags, n) in self.run_occurrences.drain() {
             *rec.baseline_occurrences.entry(tags).or_insert(0) += n;

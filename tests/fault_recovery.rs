@@ -166,10 +166,7 @@ fn killed_parser_recovers_byte_identically_to_the_oracle() {
         let config = pinned_config(&docs);
         let oracle = run_docs(&config, docs.clone(), RunMode::Sim);
         let supervision = Supervision {
-            faults: vec![Fault::KillParser {
-                task: 0,
-                after_messages: 25,
-            }],
+            faults: vec![Fault::KillParser { after_messages: 25 }],
             ..Supervision::default()
         };
         let faulted = supervised_run(

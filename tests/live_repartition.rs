@@ -82,46 +82,6 @@ fn threaded_live_repartition_matches_fixed_partition_sim() {
 }
 
 #[test]
-fn threaded_live_repartition_with_sharded_front() {
-    // The sharded-front variant: four spout shards and four parser
-    // instances upstream of the Disseminator. The partition install is
-    // fenced exactly as at degree 1 — the tick fan-in barrier must not
-    // release a round until every parser instance has ticked it, and the
-    // epoch fence must not overtake tagsets buffered behind the barrier —
-    // so live migration still lands mid-stream with exactly-once handoff.
-    //
-    // Threaded partition *content* is scheduling-dependent (the bootstrap
-    // request lands at an interleaving-dependent stream position), so this
-    // is a self-oracle test: protocol counters and accuracy bounds, not
-    // byte equality (that is `parallel_equivalence.rs`'s job, under a
-    // pinned control plane).
-    let docs = stream(11, 60_000);
-    let live = run_docs(
-        &live_config(AlgorithmKind::Ds).with_front_parallelism(4),
-        docs.clone(),
-        RunMode::Threaded,
-    );
-    assert!(
-        live.repartitions_total() >= 1,
-        "thr=0.1 must trigger at least one quality-driven repartition"
-    );
-    assert!(
-        live.live_repartitions >= 1,
-        "repartitions must install live behind a sharded front"
-    );
-    assert!(
-        live.migrated_units > 0,
-        "a mid-round install must migrate tracking state"
-    );
-    assert_eq!(live.documents, docs.len() as u64);
-    // Exactly-once across both the epoch fence and the fan-in barrier: no
-    // tagset is lost or double-observed, so coverage and accuracy hold to
-    // the same bar as the degree-1 live run above.
-    assert!(live.coverage > 0.85, "coverage {}", live.coverage);
-    assert!(live.mean_abs_error < 0.1, "error {}", live.mean_abs_error);
-}
-
-#[test]
 fn approx_backend_survives_live_migration() {
     let docs = stream(13, 60_000);
     let config = live_config(AlgorithmKind::Scl).with_backend(BackendKind::approx());

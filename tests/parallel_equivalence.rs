@@ -1,28 +1,18 @@
-//! Data-parallel front equivalence: sharded spout/parser runs pinned
-//! byte-identical to the sim oracle at the Tracker.
-//!
-//! The front is split by *strided* stream position (shard `t` owns
-//! positions `t, t + N, t + 2N, …`), so the sim runtime's round-robin spout
-//! sweep re-emits documents in exactly the original stream order — the
-//! canonical merge order — for any shard count. On top of that order, the
-//! tick fan-in barrier at the Disseminator/Baseline restores degree-1 round
-//! semantics: round `r` closes only after all `N` parsers ticked it, and
-//! tagsets of later rounds wait behind the barrier.
+//! Parallel-runtime equivalence: threaded runs pinned byte-identical to the
+//! sim oracle at the Tracker.
 //!
 //! What the suite pins, and why the config pins the partition map:
 //!
-//! * **Data plane** — tagset order, round attribution, routing, fan-in —
-//!   is shard-count-invariant and runtime-invariant (exact backend), so
-//!   the Tracker output must match the oracle byte for byte.
-//! * **Control plane** — the bootstrap repartition request — is *not*
-//!   position-invariant: with `N` shards the sim sweep enqueues `N`
-//!   documents before draining, so the request lands up to `N − 1` tagsets
-//!   deeper in the Partitioners' input than at degree 1 (and at an
-//!   interleaving-dependent point on the threaded runtime). The suite
-//!   therefore pins the bootstrap map via [`bootstrap_partitions`] — a
-//!   deterministic function of the stream alone — freezes drift
-//!   (`thr = 1000`) and disables Single Additions (`sn = u32::MAX`),
-//!   leaving exactly the data plane under test.
+//! * **Data plane** — tagset order, round attribution, routing — is
+//!   runtime-invariant (exact backend), so the Tracker output must match
+//!   the oracle byte for byte.
+//! * **Control plane** — the bootstrap repartition request — is *not*:
+//!   on the threaded runtime it lands at an interleaving-dependent point
+//!   in the Partitioners' input. The suite therefore pins the bootstrap
+//!   map via [`bootstrap_partitions`] — a deterministic function of the
+//!   stream alone — freezes drift (`thr = 1000`) and disables Single
+//!   Additions (`sn = u32::MAX`), leaving exactly the data plane under
+//!   test.
 
 use setcorr::prelude::*;
 
@@ -32,9 +22,9 @@ fn stream(seed: u64, n: usize) -> Vec<Document> {
         .collect()
 }
 
-/// Frozen-control-plane config at front parallelism `degree`, with the
-/// partition map pinned from the stream prefix.
-fn pinned_config(degree: usize, docs: &[Document]) -> ExperimentConfig {
+/// Frozen-control-plane config with the partition map pinned from the
+/// stream prefix.
+fn pinned_config(docs: &[Document]) -> ExperimentConfig {
     let config = ExperimentConfig {
         algorithm: AlgorithmKind::Ds,
         k: 5,
@@ -47,29 +37,21 @@ fn pinned_config(degree: usize, docs: &[Document]) -> ExperimentConfig {
         ..ExperimentConfig::for_algorithm(AlgorithmKind::Ds)
     };
     let pinned = bootstrap_partitions(&config, docs);
-    config
-        .with_pinned_partitions(pinned)
-        .with_front_parallelism(degree)
-}
-
-/// Everything byte-comparable about a run: the scalar report and the full
-/// Tracker feed.
-fn fingerprint(report: &RunReport) -> (String, String) {
-    (report.to_json(), format!("{:?}", report.tracked_rounds))
+    config.with_pinned_partitions(pinned)
 }
 
 const SEEDS: [u64; 3] = [3, 11, 1999];
-const DEGREES: [usize; 2] = [2, 4];
 const DOCS: usize = 30_000;
 
-/// The canonical merge order is shard-count-independent: a degree-N sim
-/// run is byte-identical to the degree-1 sim run — full report *and*
-/// Tracker feed — for every shard count and seed.
+/// Threaded runs agree with the sim oracle byte for byte at the Tracker,
+/// for every seed: channel interleaving across Partitioner and Calculator
+/// tasks must not change round attribution, routing, or coefficients.
 #[test]
-fn sim_sharded_front_is_byte_identical_to_degree_one() {
+fn threaded_front_matches_the_sim_oracle_at_the_tracker() {
     for seed in SEEDS {
         let docs = stream(seed, DOCS);
-        let oracle = run_docs(&pinned_config(1, &docs), docs.clone(), RunMode::Sim);
+        let config = pinned_config(&docs);
+        let oracle = run_docs(&config, docs.clone(), RunMode::Sim);
         assert!(
             oracle.tracked_rounds.len() >= 3,
             "seed {seed}: need several rounds, got {}",
@@ -79,93 +61,50 @@ fn sim_sharded_front_is_byte_identical_to_degree_one() {
             oracle.routed_tagsets > 0,
             "seed {seed}: pinned map must route"
         );
-        let (oracle_json, oracle_rounds) = fingerprint(&oracle);
-        for degree in DEGREES {
-            let sharded = run_docs(&pinned_config(degree, &docs), docs.clone(), RunMode::Sim);
-            let (json, rounds) = fingerprint(&sharded);
-            assert_eq!(
-                json, oracle_json,
-                "seed {seed} degree {degree}: sim report diverged from degree 1"
-            );
-            assert_eq!(
-                rounds, oracle_rounds,
-                "seed {seed} degree {degree}: sim Tracker feed diverged from degree 1"
+        let threaded = run_docs(&config, docs.clone(), RunMode::Threaded);
+        assert_eq!(
+            format!("{:?}", threaded.tracked_rounds),
+            format!("{:?}", oracle.tracked_rounds),
+            "seed {seed}: threaded Tracker feed diverged from the sim oracle"
+        );
+        // every round is finalized exactly once, in ascending order
+        let rounds: Vec<u64> = threaded.tracked_rounds.iter().map(|&(r, _)| r).collect();
+        assert!(
+            rounds.windows(2).all(|w| w[0] < w[1]),
+            "seed {seed}: rounds must be finalized once each, strictly ascending"
+        );
+        // conservation invariants hold exactly, not just in a band: every
+        // tagset reaches the Disseminator exactly once
+        assert_eq!(
+            (threaded.routed_tagsets, threaded.unrouted_tagsets),
+            (oracle.routed_tagsets, oracle.unrouted_tagsets),
+            "seed {seed}: routed/unrouted totals diverged"
+        );
+        let tagged = docs.iter().filter(|d| !d.tags.is_empty()).count() as u64;
+        assert_eq!(
+            threaded.routed_tagsets + threaded.unrouted_tagsets,
+            tagged,
+            "seed {seed}: routed + unrouted must equal the tagged documents"
+        );
+        // per-instance attribution: one entry per component, `k` tasks on
+        // the Calculators, and the per-component total is the sum of its
+        // per-task seconds
+        let tasks: std::collections::HashMap<&str, usize> = threaded
+            .operator_task_seconds
+            .iter()
+            .map(|(name, t)| (name.as_str(), t.len()))
+            .collect();
+        assert_eq!(tasks["calculator"], config.k);
+        for ((name, total), (_, per_task)) in threaded
+            .operator_seconds
+            .iter()
+            .zip(&threaded.operator_task_seconds)
+        {
+            let sum: f64 = per_task.iter().sum();
+            assert!(
+                (total - sum).abs() < 1e-9,
+                "{name}: component total {total} != per-task sum {sum}"
             );
         }
     }
-}
-
-/// Threaded sharded runs agree with the sim oracle byte for byte at the
-/// Tracker, at every degree and seed: channel interleaving across parser
-/// instances must not change round attribution, routing, or coefficients.
-#[test]
-fn threaded_sharded_front_matches_the_sim_oracle_at_the_tracker() {
-    for seed in SEEDS {
-        let docs = stream(seed, DOCS);
-        let oracle = run_docs(&pinned_config(1, &docs), docs.clone(), RunMode::Sim);
-        let oracle_rounds = format!("{:?}", oracle.tracked_rounds);
-        for degree in [1, 2, 4] {
-            let config = pinned_config(degree, &docs);
-            let threaded = run_docs(&config, docs.clone(), RunMode::Threaded);
-            assert_eq!(
-                format!("{:?}", threaded.tracked_rounds),
-                oracle_rounds,
-                "seed {seed} degree {degree}: threaded Tracker feed diverged from the sim oracle"
-            );
-            // conservation invariants hold exactly, not just in a band
-            assert_eq!(
-                (threaded.routed_tagsets, threaded.unrouted_tagsets),
-                (oracle.routed_tagsets, oracle.unrouted_tagsets),
-                "seed {seed} degree {degree}: routed/unrouted totals diverged"
-            );
-            // per-instance attribution covers the sharded front: one entry
-            // per component, `degree` tasks on source and parser, and the
-            // per-component total is the sum of its per-task seconds
-            let tasks: std::collections::HashMap<&str, usize> = threaded
-                .operator_task_seconds
-                .iter()
-                .map(|(name, t)| (name.as_str(), t.len()))
-                .collect();
-            assert_eq!(tasks["source"], degree);
-            assert_eq!(tasks["parser"], degree);
-            for ((name, total), (_, per_task)) in threaded
-                .operator_seconds
-                .iter()
-                .zip(&threaded.operator_task_seconds)
-            {
-                let sum: f64 = per_task.iter().sum();
-                assert!(
-                    (total - sum).abs() < 1e-9,
-                    "{name}: component total {total} != per-task sum {sum}"
-                );
-            }
-        }
-    }
-}
-
-/// The fan-in barrier never closes a round early: every round the oracle
-/// finalized is finalized with identical bytes even when one shard's
-/// parser runs far behind (exercised here by degree 4 with a stream whose
-/// tail rounds only some shards tick).
-#[test]
-fn sharded_rounds_close_once_and_complete() {
-    let docs = stream(7, 20_000);
-    let config = pinned_config(4, &docs);
-    let report = run_docs(&config, docs.clone(), RunMode::Sim);
-    let rounds: Vec<u64> = report.tracked_rounds.iter().map(|&(r, _)| r).collect();
-    let mut deduped = rounds.clone();
-    deduped.dedup();
-    assert_eq!(rounds, deduped, "a round must be finalized exactly once");
-    assert!(
-        rounds.windows(2).all(|w| w[0] < w[1]),
-        "rounds must be strictly ascending"
-    );
-    // the baseline saw every ≥2-tag tagset exactly once despite fan-in
-    // buffering: conservation across the front
-    let tagged = docs.iter().filter(|d| !d.tags.is_empty()).count() as u64;
-    assert_eq!(
-        report.routed_tagsets + report.unrouted_tagsets,
-        tagged,
-        "every tagset reaches the Disseminator exactly once"
-    );
 }

@@ -17,14 +17,6 @@
 //!   round (all `k` Calculators reported), never a partial state, including
 //!   across a live repartition fence. Every reader-visible round is
 //!   compared byte-for-byte against the same run's finalized output.
-//!
-//! Round completion is parallelism-aware: with a sharded front (`N` spout
-//! shards, `N` parsers), "round r is finalized" no longer follows from one
-//! parser's FIFO alone — FIFO holds *per channel*, and the Disseminator's
-//! tick fan-in barrier closes round r only after all `N` parsers ticked it
-//! (see `operators`). The serving invariants are degree-independent: the
-//! sim byte-oracle test below runs at degrees 1 and 4, and both must
-//! publish exactly the rounds their own oracle records.
 
 use setcorr::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -103,16 +95,9 @@ fn assert_internally_consistent(snap: &Snapshot) {
 
 #[test]
 fn readers_polling_a_live_sim_run_see_the_sim_oracle_byte_for_byte() {
-    for degree in [1, 4] {
-        readers_see_sim_oracle_at_degree(degree);
-    }
-}
-
-fn readers_see_sim_oracle_at_degree(degree: usize) {
     let docs = stream(11, 50_000);
-    // frozen after bootstrap: deterministic (per fixed degree — the sim
-    // oracle is run at the *same* front parallelism as the served run)
-    let config = config(1_000.0).with_front_parallelism(degree);
+    // frozen after bootstrap: deterministic
+    let config = config(1_000.0);
 
     // oracle: the same configuration, plain sim run
     let oracle = run_docs(&config, docs.clone(), RunMode::Sim);

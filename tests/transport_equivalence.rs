@@ -1,6 +1,6 @@
-//! High-contention transport equivalence: threaded runs at front
-//! parallelism 4 with the bolt inboxes forced down to one or two
-//! envelopes must still match the sim oracle byte for byte at the Tracker.
+//! High-contention transport equivalence: threaded runs with the bolt
+//! inboxes forced down to one or two envelopes must still match the sim
+//! oracle byte for byte at the Tracker.
 //!
 //! The point of forcing tiny capacities is to keep every data channel
 //! *saturated*: producers block on full queues, consumers drain in
@@ -9,7 +9,9 @@
 //! a message handed to two consumers, a burst overlapping a concurrent
 //! pop, a lost wakeup sending a consumer back to sleep with data
 //! pending — surfaces here as an equivalence failure instead of a
-//! silent corruption in a benchmark.
+//! silent corruption in a benchmark. The Calculators → Tracker inbox is
+//! multi-producer (`k` senders), so contended multi-producer sends are
+//! exercised too.
 //!
 //! Control-plane pinning mirrors `parallel_equivalence.rs`: the partition
 //! map comes from [`bootstrap_partitions`], drift is frozen and Single
@@ -24,9 +26,9 @@ fn stream(seed: u64, n: usize) -> Vec<Document> {
         .collect()
 }
 
-/// Frozen-control-plane config at front parallelism `degree` with the
-/// inbox capacity forced to `capacity` messages.
-fn contended_config(degree: usize, capacity: usize, docs: &[Document]) -> ExperimentConfig {
+/// Frozen-control-plane config with the inbox capacity forced to
+/// `capacity` messages.
+fn contended_config(capacity: usize, docs: &[Document]) -> ExperimentConfig {
     let config = ExperimentConfig {
         algorithm: AlgorithmKind::Ds,
         k: 5,
@@ -41,12 +43,10 @@ fn contended_config(degree: usize, capacity: usize, docs: &[Document]) -> Experi
     let pinned = bootstrap_partitions(&config, docs);
     config
         .with_pinned_partitions(pinned)
-        .with_front_parallelism(degree)
         .with_inbox_capacity(capacity)
 }
 
 const DOCS: usize = 30_000;
-const DEGREE: usize = 4;
 
 /// With `max_batch = 128` messages per envelope, a 128-message inbox is a
 /// single envelope and a 256-message inbox is two — the smallest bounded
@@ -59,7 +59,7 @@ const CAPACITIES: [usize; 2] = [128, 256];
 fn saturated_channels_preserve_the_oracle_byte_for_byte() {
     let docs = stream(13, DOCS);
     let oracle = {
-        let config = contended_config(1, 1024, &docs);
+        let config = contended_config(1024, &docs);
         run_docs(&config, docs.clone(), RunMode::Sim)
     };
     assert!(
@@ -69,7 +69,7 @@ fn saturated_channels_preserve_the_oracle_byte_for_byte() {
     );
     let oracle_rounds = format!("{:?}", oracle.tracked_rounds);
     for capacity in CAPACITIES {
-        let config = contended_config(DEGREE, capacity, &docs);
+        let config = contended_config(capacity, &docs);
         let threaded = run_docs(&config, docs.clone(), RunMode::Threaded);
         assert_eq!(
             format!("{:?}", threaded.tracked_rounds),
@@ -87,11 +87,12 @@ fn saturated_channels_preserve_the_oracle_byte_for_byte() {
 /// The per-channel wait counters land in the report: one entry per
 /// component, and a saturated run actually *records* waits — a run under
 /// permanent backpressure with all-zero counters would mean the
-/// instrumentation is disconnected.
+/// instrumentation is disconnected. The `k` Calculators contend for the
+/// Tracker's inbox, so its send waits must be non-zero too.
 #[test]
 fn wait_counters_surface_in_the_report_under_contention() {
     let docs = stream(29, DOCS);
-    let config = contended_config(DEGREE, CAPACITIES[0], &docs);
+    let config = contended_config(CAPACITIES[0], &docs);
     let report = run_docs(&config, docs.clone(), RunMode::Threaded);
 
     let names: Vec<&str> = report
@@ -113,6 +114,15 @@ fn wait_counters_surface_in_the_report_under_contention() {
         total > 0,
         "a single-slot-channel run must record blocking waits, got all zeros"
     );
+    let (_, tracker_send_waits, _) = report
+        .channel_waits
+        .iter()
+        .find(|(name, _, _)| name == "tracker")
+        .expect("the tracker has a channel_waits entry");
+    assert!(
+        *tracker_send_waits > 0,
+        "the multi-producer Calculators → Tracker inbox must record send waits"
+    );
     let json = report.to_json();
     assert!(
         json.contains("\"channel_waits\":{"),
@@ -124,7 +134,7 @@ fn wait_counters_surface_in_the_report_under_contention() {
     );
 
     // Sim runs have no channels, so the report must not invent counters.
-    let sim = run_docs(&contended_config(1, 1024, &docs), docs, RunMode::Sim);
+    let sim = run_docs(&contended_config(1024, &docs), docs, RunMode::Sim);
     assert!(
         sim.channel_waits.is_empty(),
         "sim runs must report no channel waits"
