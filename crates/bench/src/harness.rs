@@ -8,8 +8,7 @@
 //! Scale: the paper processes a 6-hour live stream on a 26-node cluster with
 //! 5-minute windows. The laptop-scale default keeps every *ratio* intact
 //! (several report rounds per run, windows of tens of thousands of
-//! documents, z = 1000, sn = 3) while shrinking event time; see
-//! EXPERIMENTS.md for the scaling argument.
+//! documents, z = 1000, sn = 3) while shrinking event time.
 
 use setcorr_core::AlgorithmKind;
 use setcorr_model::{FxHashMap, TimeDelta, WindowKind};
@@ -373,7 +372,7 @@ fn sort_rows_desc(chart: &mut setcorr_metrics::Chart) {
 ///
 /// The paper measures windows of 2/5/10/20 minutes *on its data*; window
 /// regime is determined by documents-per-window, and our calibrated stream
-/// reaches the paper's 5-minute regime at ~20 seconds (see DESIGN.md §8.3).
+/// reaches the paper's 5-minute regime at ~20 seconds.
 /// The ladder below therefore scales the paper's window sizes 1:15 and
 /// labels rows with both.
 pub fn fig7(scale: &Scale) -> String {

@@ -1,7 +1,6 @@
 //! # setcorr-bench
 //!
-//! The experiment harness regenerating every table and figure of §8, plus
-//! shared fixtures for the Criterion micro-benchmarks.
+//! The experiment harness regenerating every table and figure of §8.
 //!
 //! The `experiments` binary (`cargo run -p setcorr-bench --release --bin
 //! experiments -- <target>`) drives [`harness`]; each figure renderer
@@ -10,10 +9,6 @@
 //! `results/`) and nowhere else.
 //!
 //! Throughput, latency and allocation measurements are not here: they are
-//! the repo benchmark's (`benchmark/`, declared in `BENCHMARK.json`). The
-//! Criterion targets under `benches/` cover only what no benchmark layer
-//! metric does (`union_find`, `partitioning`, `ablation_merge`,
-//! `approx_jaccard`, `migration`).
+//! the repo benchmark's (`benchmark/`, declared in `BENCHMARK.json`).
 
-pub mod fixtures;
 pub mod harness;

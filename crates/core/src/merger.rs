@@ -20,8 +20,8 @@
 //! against (§7.2) — and answers Single Addition requests (§7.1).
 
 use crate::algorithms::{
-    best_partition_for_addition_among, partition_setcover_groups, AlgorithmKind, SetCoverVariant,
-    WeightedTagList,
+    best_partition_for_addition_among, disjoint_sets, partition, partition_setcover_groups,
+    AlgorithmKind, SetCoverVariant, WeightedTagList,
 };
 use crate::input::PartitionInput;
 use crate::partition::{CalcId, PartitionQuality, PartitionSet};
@@ -36,6 +36,18 @@ pub enum PartitionerOutput {
     DisjointSets(Vec<WeightedTagList>),
     /// SC* output: `k` partitions (converted to weighted tag groups here).
     Partitions(PartitionSet),
+}
+
+impl PartitionerOutput {
+    /// Run one Partitioner's share of the §6.2 protocol over `input`: DS
+    /// stops after phase 1 and ships the raw disjoint sets, SC* partitions
+    /// fully into `k` (`seed` as in [`partition`]).
+    pub fn compute(kind: AlgorithmKind, input: &PartitionInput, k: usize, seed: u64) -> Self {
+        match kind {
+            AlgorithmKind::Ds => PartitionerOutput::DisjointSets(disjoint_sets(input)),
+            _ => PartitionerOutput::Partitions(partition(kind, input, k, seed)),
+        }
+    }
 }
 
 /// The Merger's result: final partitions plus their reference quality.

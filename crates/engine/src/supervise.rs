@@ -99,6 +99,11 @@ pub enum FaultSpec {
     },
 }
 
+/// Max envelopes held for replay between checkpoints; beyond it the buffer
+/// is abandoned for the current checkpoint interval (recovery then restores
+/// state without redoing the open round's tail).
+const REPLAY_CAP: usize = 65_536;
+
 /// Configuration of supervised execution
 /// ([`ThreadedConfig::supervision`](crate::ThreadedConfig::supervision)).
 #[derive(Clone)]
@@ -112,10 +117,6 @@ pub struct SuperviseConfig {
     /// control message is never coming). Polls park ~50µs, so the default
     /// ≈ 3s of silence.
     pub drain_patience: u64,
-    /// Max envelopes held for replay between checkpoints; beyond it the
-    /// buffer is abandoned for the current checkpoint interval (recovery
-    /// then restores state without redoing the open round's tail).
-    pub replay_cap: usize,
     /// Invoked (component, task) whenever a task degrades, before the run
     /// finishes — lets the embedding route around the dead operator while
     /// the topology is still live.
@@ -128,7 +129,6 @@ impl Default for SuperviseConfig {
             restart: RestartPolicy::default(),
             faults: Vec::new(),
             drain_patience: 60_000,
-            replay_cap: 65_536,
             on_degrade: None,
         }
     }
@@ -140,7 +140,6 @@ impl std::fmt::Debug for SuperviseConfig {
             .field("restart", &self.restart)
             .field("faults", &self.faults)
             .field("drain_patience", &self.drain_patience)
-            .field("replay_cap", &self.replay_cap)
             .field("on_degrade", &self.on_degrade.as_ref().map(|_| ".."))
             .finish()
     }
@@ -425,7 +424,7 @@ impl<M: Clone + Send + 'static> TaskSupervisor<M> {
         // kills, which fire before the callback touches anything.
         let mut redeliver: Option<Envelope<M>> = None;
         if self.can_replay {
-            if self.replay.len() >= self.run.config.replay_cap {
+            if self.replay.len() >= REPLAY_CAP {
                 self.replay_overflow = true;
                 self.replay.clear();
             } else {

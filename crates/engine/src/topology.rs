@@ -50,15 +50,17 @@ pub trait Bolt<M>: Send {
 
     /// Handle a batch of incoming messages as one unit (vectorized
     /// execution). Both runtimes deliver batch envelopes through this hook;
-    /// the default simply loops over [`Bolt::on_message`], so implementing
-    /// it is an optimisation, never a semantic choice: an override **must**
-    /// be observably equivalent to the per-message loop, for any mix of
+    /// the default drains the batch through [`Bolt::on_message`] and hands
+    /// the spent vector back via [`Emitter::recycle`]. Overriding it is an
+    /// optimisation, never a semantic choice: an override **must** be
+    /// observably equivalent to the per-message loop, for any mix of
     /// messages (the runtimes only batch per-tuple data, but tests may
     /// deliver control messages mid-batch).
-    fn on_batch(&mut self, msgs: Vec<M>, out: &mut dyn Emitter<M>) {
-        for msg in msgs {
+    fn on_batch(&mut self, mut msgs: Vec<M>, out: &mut dyn Emitter<M>) {
+        for msg in msgs.drain(..) {
             self.on_message(msg, out);
         }
+        out.recycle(msgs);
     }
 
     /// Called once when every (non-feedback) upstream producer has finished;
@@ -162,10 +164,10 @@ pub trait Emitter<M> {
         }
     }
 
-    /// Hand a drained batch `Vec` back to the runtime for reuse. Components
-    /// that consume a batch in [`Bolt::on_batch`](crate::topology::Bolt) and
-    /// drop the vector can call this instead so the allocation cycles back
-    /// into the runtime's envelope pool. The default is a no-op; runtimes
+    /// Hand a drained batch `Vec` back to the runtime for reuse. The default
+    /// [`Bolt::on_batch`](crate::topology::Bolt) does, and so should an
+    /// override that consumes its batch, so the allocation cycles back into
+    /// the runtime's envelope pool. The default is a no-op; runtimes
     /// without a pool simply let the vector drop.
     fn recycle(&mut self, spent: Vec<M>) {
         let _ = spent;

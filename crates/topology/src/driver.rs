@@ -10,9 +10,8 @@ use crate::recorder::{RunRecorder, SharedRecorder};
 use crate::report::RunReport;
 use setcorr_approx::{ApproxCalculator, ApproxParams};
 use setcorr_core::{
-    disjoint_sets, partition_setcover, AlgorithmKind, Calculator, CorrelationBackend,
-    DisseminatorConfig, Merger, PartitionInput, PartitionSet, PartitionerOutput, QualityReference,
-    SetCoverVariant,
+    AlgorithmKind, Calculator, CorrelationBackend, DisseminatorConfig, Merger, PartitionInput,
+    PartitionSet, PartitionerOutput, QualityReference,
 };
 use setcorr_engine::{
     run_sim_batched, run_threaded_batched, BatchPolicy, Bolt, FaultSpec, Grouping, RestartPolicy,
@@ -115,9 +114,6 @@ pub enum Fault {
 pub struct Supervision {
     /// Restarts allowed per task before it degrades to a tombstone.
     pub max_restarts: u32,
-    /// Restart cooldown base, measured in *processed messages* (no wall
-    /// clock — determinism); doubles per consecutive failure.
-    pub backoff_base: u64,
     /// The deterministic fault plan (empty = supervision wrappers only).
     pub faults: Vec<Fault>,
     /// Empty inbox polls (≈ 50 µs each) a finished-input bolt may wait for
@@ -135,7 +131,6 @@ impl Default for Supervision {
     fn default() -> Self {
         Supervision {
             max_restarts: 2,
-            backoff_base: 64,
             faults: Vec::new(),
             drain_patience: 60_000,
             send_tries: None,
@@ -339,27 +334,7 @@ pub fn bootstrap_partitions(config: &ExperimentConfig, docs: &[Document]) -> Pin
         }
     }
     let input = PartitionInput::from_window(&window);
-    let output = match config.algorithm {
-        AlgorithmKind::Ds => PartitionerOutput::DisjointSets(disjoint_sets(&input)),
-        AlgorithmKind::Scc => PartitionerOutput::Partitions(partition_setcover(
-            &input,
-            config.k,
-            SetCoverVariant::Communication,
-            config.seed,
-        )),
-        AlgorithmKind::Scl => PartitionerOutput::Partitions(partition_setcover(
-            &input,
-            config.k,
-            SetCoverVariant::Load,
-            config.seed,
-        )),
-        AlgorithmKind::Sci => PartitionerOutput::Partitions(partition_setcover(
-            &input,
-            config.k,
-            SetCoverVariant::Independent,
-            config.seed,
-        )),
-    };
+    let output = PartitionerOutput::compute(config.algorithm, &input, config.k, config.seed);
     let outcome = Merger::new(config.algorithm, config.k).merge(vec![output], &input);
     PinnedPartitions {
         partitions: outcome.partitions,
@@ -714,12 +689,11 @@ fn supervise_config(
     SuperviseConfig {
         restart: RestartPolicy {
             max_restarts: sup.max_restarts,
-            backoff_base: sup.backoff_base,
+            ..RestartPolicy::default()
         },
         faults,
         drain_patience: sup.drain_patience,
         on_degrade: Some(Arc::new(on_degrade)),
-        ..SuperviseConfig::default()
     }
 }
 

@@ -29,9 +29,9 @@
 use crate::messages::Msg;
 use crate::recorder::SharedRecorder;
 use setcorr_core::{
-    disjoint_sets, partition_setcover, plan_handoff, AlgorithmKind, Calculator, CorrelationBackend,
-    Disseminator, DisseminatorAction, DisseminatorConfig, Merger, MigrationBundle, PartitionInput,
-    PartitionSet, PartitionerOutput, QualityReference, SetCoverVariant, Tracker,
+    plan_handoff, AlgorithmKind, Calculator, CorrelationBackend, Disseminator, DisseminatorAction,
+    DisseminatorConfig, Merger, MigrationBundle, PartitionInput, PartitionSet, PartitionerOutput,
+    QualityReference, Tracker,
 };
 use setcorr_engine::{Bolt, ComponentId, Emitter};
 use setcorr_model::{
@@ -194,27 +194,8 @@ impl Bolt<Msg> for PartitionerBolt {
                 // Merger evaluates reference quality against.
                 let input = PartitionInput::from_window(&self.window);
                 let snapshot = input.stats.clone();
-                let output = match self.algorithm {
-                    AlgorithmKind::Ds => PartitionerOutput::DisjointSets(disjoint_sets(&input)),
-                    AlgorithmKind::Scc => PartitionerOutput::Partitions(partition_setcover(
-                        &input,
-                        self.k,
-                        SetCoverVariant::Communication,
-                        self.seed ^ epoch,
-                    )),
-                    AlgorithmKind::Scl => PartitionerOutput::Partitions(partition_setcover(
-                        &input,
-                        self.k,
-                        SetCoverVariant::Load,
-                        self.seed ^ epoch,
-                    )),
-                    AlgorithmKind::Sci => PartitionerOutput::Partitions(partition_setcover(
-                        &input,
-                        self.k,
-                        SetCoverVariant::Independent,
-                        self.seed ^ epoch,
-                    )),
-                };
+                let output =
+                    PartitionerOutput::compute(self.algorithm, &input, self.k, self.seed ^ epoch);
                 out.emit(
                     "parts",
                     Msg::PartitionerParts {
@@ -227,19 +208,6 @@ impl Bolt<Msg> for PartitionerBolt {
             }
             _ => {}
         }
-    }
-
-    /// Vectorized path: window inserts straight off the batch, one dispatch
-    /// for the whole envelope. Control messages (repartition requests are
-    /// barriers and normally arrive alone) fall through to `on_message`.
-    fn on_batch(&mut self, mut msgs: Vec<Msg>, out: &mut dyn Emitter<Msg>) {
-        for msg in msgs.drain(..) {
-            match msg {
-                Msg::TagSet { time, tags } => self.window.insert(tags, time),
-                other => self.on_message(other, out),
-            }
-        }
-        out.recycle(msgs);
     }
 }
 
@@ -1037,18 +1005,6 @@ impl Bolt<Msg> for CalculatorBolt {
         }
     }
 
-    /// Vectorized path: every message takes the per-message protocol path
-    /// and the spent vector goes back to the runtime's pool. Nothing is
-    /// pre-aggregated here: almost every notification of a batch is
-    /// distinct within it, and the exact backend already counts identical
-    /// sets in its own pending map.
-    fn on_batch(&mut self, mut msgs: Vec<Msg>, out: &mut dyn Emitter<Msg>) {
-        for msg in msgs.drain(..) {
-            self.on_message(msg, out);
-        }
-        out.recycle(msgs);
-    }
-
     fn on_flush(&mut self, out: &mut dyn Emitter<Msg>) {
         // Safety net: anything the final tick did not flush.
         if self.calc.tracked() > 0 {
@@ -1203,13 +1159,6 @@ impl Bolt<Msg> for DegradedCalculator {
         self.answer(msg, out);
     }
 
-    fn on_batch(&mut self, mut msgs: Vec<Msg>, out: &mut dyn Emitter<Msg>) {
-        for msg in msgs.drain(..) {
-            self.on_message(msg, out);
-        }
-        out.recycle(msgs);
-    }
-
     fn on_flush(&mut self, out: &mut dyn Emitter<Msg>) {
         self.answer_unanswered(out);
     }
@@ -1357,19 +1306,6 @@ impl Bolt<Msg> for BaselineBolt {
             Msg::Tick { round, .. } => self.close_round(round),
             _ => {}
         }
-    }
-
-    /// Vectorized path: tagsets straight off the batch, one dispatch per
-    /// envelope (ticks arrive unbatched and close the round via
-    /// `on_message`).
-    fn on_batch(&mut self, mut msgs: Vec<Msg>, out: &mut dyn Emitter<Msg>) {
-        for msg in msgs.drain(..) {
-            match msg {
-                Msg::TagSet { tags, .. } => self.observe_tagset(tags),
-                other => self.on_message(other, out),
-            }
-        }
-        out.recycle(msgs);
     }
 
     fn on_flush(&mut self, _out: &mut dyn Emitter<Msg>) {

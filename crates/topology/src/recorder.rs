@@ -33,7 +33,7 @@ pub struct RunRecorder {
     pub migrated_units: u64,
     /// Data messages (notifications/ticks) buffered behind a migration
     /// barrier across all live repartitions — the per-migration stall the
-    /// `migration` bench measures.
+    /// repo benchmark records as `core.migration.stalled_tuples`.
     pub stalled_tuples: u64,
     /// Lifetime notification total.
     pub total_notifications: u64,

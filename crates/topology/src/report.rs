@@ -5,9 +5,9 @@ use setcorr_metrics::{gini, Chart, ErrorStats, Series};
 use setcorr_model::FxHashMap;
 use setcorr_model::TagSet;
 
-/// Everything a figure needs from one run, serialisable to JSON for
-/// EXPERIMENTS.md bookkeeping (via [`RunReport::to_json`]; the build
-/// environment has no serde, so serialisation is hand-rolled).
+/// Everything a figure needs from one run, serialisable to JSON (via
+/// [`RunReport::to_json`]; the build environment has no serde, so
+/// serialisation is hand-rolled).
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Algorithm name (DS/SCC/SCL/SCI).
@@ -77,9 +77,8 @@ pub struct RunReport {
     pub operator_seconds: Vec<(String, f64)>,
     /// Per-instance breakdown behind [`RunReport::operator_seconds`]:
     /// `(component, seconds per task)` in declaration order (threaded runs
-    /// only). With a data-parallel front this distinguishes one hot
-    /// instance from `N` evenly-loaded ones; each component's
-    /// `operator_seconds` entry is the sum of its per-task entries.
+    /// only); each component's `operator_seconds` entry is the sum of its
+    /// per-task entries.
     pub operator_task_seconds: Vec<(String, Vec<f64>)>,
     /// Deduplicated coefficients per report round (round id ascending),
     /// skipped in JSON — the downstream-analytics feed (§6.2's Tracker

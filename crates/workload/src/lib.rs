@@ -7,7 +7,7 @@
 //! *generative model the paper itself measures in §5.1*: Zipf(s = 0.25)
 //! tags-per-tweet, topic-specific vocabularies with Zipfian popularity,
 //! cross-topic mixing with probability 1 − α, and continuous topic birth
-//! (content drift). See DESIGN.md for the substitution argument.
+//! (content drift).
 //!
 //! [`dataset`] provides a replayable on-disk format, mirroring the paper's
 //! file-replay mode "for repeatability of experiments" (§6.2).

@@ -204,28 +204,3 @@ fn higher_threshold_means_fewer_or_equal_repartitions() {
         tight_report.repartitions_total()
     );
 }
-
-#[test]
-#[ignore]
-fn probe_diagnostics() {
-    let docs = stream(2, 60_000);
-    for algorithm in AlgorithmKind::ALL {
-        let report = run_docs(&small_config(algorithm), docs.clone(), RunMode::Sim);
-        println!(
-            "{}: comm={:.3} gini={:.3} coverage={:.3} err={:.4} compared={} routed={} unrouted={} repart(c/b/l)={}/{}/{} adds={} merges={}",
-            algorithm,
-            report.avg_communication,
-            report.load_gini,
-            report.coverage,
-            report.mean_abs_error,
-            report.compared_tagsets,
-            report.routed_tagsets,
-            report.unrouted_tagsets,
-            report.repartitions_communication,
-            report.repartitions_both,
-            report.repartitions_load,
-            report.single_additions,
-            report.merges,
-        );
-    }
-}

@@ -8,12 +8,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use setcorr::core::{
     connected_components, partition, AlgorithmKind, Calculator, CoefficientReport, Disseminator,
-    DisseminatorConfig, PartitionInput, PartitionSet, QualityReference, RouteResult,
-    TrackedCoefficient, Tracker, UnionFind,
+    DisseminatorConfig, Merger, PartitionInput, PartitionSet, PartitionerOutput, QualityReference,
+    RouteResult, TrackedCoefficient, Tracker, UnionFind,
 };
 use setcorr::metrics::{gini, lorenz_curve};
 use setcorr::model::{
-    FxHashSet, Tag, TagSet, TagSetStat, TagSetWindow, TimeDelta, Timestamp, WindowKind,
+    fx, FxHashSet, Tag, TagSet, TagSetStat, TagSetWindow, TimeDelta, Timestamp, WindowKind,
     MAX_TAGS_PER_SET,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -75,6 +75,50 @@ fn all_algorithms_cover_every_tagset() {
             }
         }
     }
+}
+
+/// §6.2: with `P` Partitioners, each sees only its field-grouped share of
+/// the window, and the Merger must still cover every tagset of the whole.
+#[test]
+fn merged_partitioner_shares_cover_every_tagset() {
+    let mut rng = StdRng::seed_from_u64(116);
+    let mut uncovered = Vec::new();
+    for case in 0..200 {
+        let specs = random_specs(&mut rng);
+        let input = build_input(&specs);
+        let k = rng.gen_range(1usize..8);
+        let seed: u64 = rng.gen();
+        for p in [1usize, 3, 5, 10] {
+            // split as the topology's Fields grouping does
+            let mut shares = vec![Vec::new(); p];
+            for stat in &input.stats {
+                shares[(fx::hash_one(&stat.tags) % p as u64) as usize].push(stat.clone());
+            }
+            for algorithm in AlgorithmKind::ALL {
+                let outputs: Vec<PartitionerOutput> = shares
+                    .iter()
+                    .map(|share| {
+                        let share = PartitionInput::from_stats(share.clone());
+                        PartitionerOutput::compute(algorithm, &share, k, seed)
+                    })
+                    .collect();
+                let merged = Merger::new(algorithm, k).merge(outputs, &input).partitions;
+                uncovered.extend(
+                    input
+                        .stats
+                        .iter()
+                        .filter(|stat| !merged.covers(&stat.tags))
+                        .map(|stat| (case, p, algorithm, stat.tags.clone())),
+                );
+            }
+        }
+    }
+    assert!(
+        uncovered.is_empty(),
+        "{} tagsets left uncovered, first (case, P, algorithm, tagset): {:?}",
+        uncovered.len(),
+        uncovered.first()
+    );
 }
 
 /// DS never replicates a tag (its defining structural property).
