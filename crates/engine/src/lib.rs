@@ -12,9 +12,10 @@
 //!   per task over crossbeam channels with per-destination batch envelopes,
 //!   the "real" parallel mode with Storm-like nondeterministic
 //!   interleaving. One task loop runs every bolt; setting
-//!   [`ThreadedConfig::supervision`] makes that loop consult a supervisor
-//!   (`catch_unwind`, checkpointed restarts, fault injection, graceful
-//!   degradation — see [`supervise`]) instead of calling callbacks bare.
+//!   [`ThreadedConfig::supervision`] makes that loop consult a per-task
+//!   supervisor (`catch_unwind`, checkpointed restarts, fault injection,
+//!   graceful degradation — see [`supervise`]) instead of calling callbacks
+//!   bare; each task returns its own fault counts and the join sums them.
 //!
 //! Topologies process *finite* streams: when upstream producers finish, each
 //! bolt's [`Bolt::on_flush`] runs (declaration order in sim; Eos-quota
@@ -30,7 +31,7 @@ pub mod threaded;
 pub mod topology;
 
 pub use sim::{run_sim, run_sim_batched, SimStats};
-pub use supervise::{FaultSpec, RestartPolicy, SuperviseConfig};
+pub use supervise::{FaultSpec, SuperviseConfig};
 pub use threaded::{
     run_threaded_batched, try_run_threaded_batched, BatchPolicy, RunError, ThreadStats,
     ThreadedConfig,

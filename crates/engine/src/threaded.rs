@@ -42,11 +42,9 @@
 //! per-task supervisor (`catch_unwind`, checkpointed restarts, replay,
 //! degradation — see [`crate::supervise`]).
 
-use crate::supervise::{SuperviseConfig, Supervisor, TaskSupervisor};
+use crate::supervise::{SuperviseConfig, TaskFaults, TaskSupervisor};
 use crate::topology::{Bolt, ComponentId, ComponentKind, Emitter, Grouping, Spout, Topology};
-use crossbeam::channel::{
-    bounded, unbounded, ChannelCounters, Receiver, Sender, TryRecvError, TrySendError,
-};
+use crossbeam::channel::{bounded, unbounded, ChannelCounters, Receiver, Sender, TryRecvError};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -79,14 +77,6 @@ pub enum RunError {
         /// Consumer component the call named.
         to: ComponentId,
     },
-    /// A bounded-channel enqueue exhausted its retry budget
-    /// ([`ThreadedConfig::send_tries`]): the downstream task is wedged.
-    SendTimeout {
-        /// Consumer component whose inbox never freed a slot.
-        to: ComponentId,
-        /// The configured number of tries that were exhausted.
-        tries: u64,
-    },
 }
 
 impl std::fmt::Display for RunError {
@@ -104,11 +94,6 @@ impl std::fmt::Display for RunError {
             RunError::UndeclaredDirectEdge { stream, to } => {
                 write!(f, "emit_direct on undeclared Direct edge :{stream} -> {to}")
             }
-            RunError::SendTimeout { to, tries } => write!(
-                f,
-                "send into component {to}'s inbox timed out after {tries} tries \
-                 (downstream task wedged?)"
-            ),
         }
     }
 }
@@ -137,18 +122,14 @@ pub struct ThreadStats {
     pub processed: Vec<u64>,
     /// Data messages emitted per component.
     pub emitted: Vec<u64>,
-    /// Wall-clock seconds spent inside each component's operator callbacks
-    /// (`on_message`/`on_batch`/`on_flush`, spout production loops), summed
-    /// over its tasks. Includes time blocked on downstream backpressure
-    /// inside an emit — this is *attribution* of wall time, not pure CPU
-    /// time, so the per-operator shares of a run sum to roughly
-    /// `tasks × elapsed` on an idle machine.
-    pub busy_seconds: Vec<f64>,
-    /// The per-task breakdown behind [`ThreadStats::busy_seconds`]: one
-    /// inner vector per component, one entry per task (instance). With
-    /// data-parallel components this is what distinguishes "one hot
-    /// instance" from "N evenly-loaded instances" — `busy_seconds[c]`
-    /// is exactly `task_busy_seconds[c].iter().sum()`.
+    /// Wall-clock seconds spent inside operator callbacks
+    /// (`on_message`/`on_batch`/`on_flush`, spout production loops): one
+    /// inner vector per component, one entry per task (instance), so "one
+    /// hot instance" and "N evenly-loaded instances" stay distinguishable.
+    /// Includes time blocked on downstream backpressure inside an emit —
+    /// this is *attribution* of wall time, not pure CPU time, so the
+    /// per-operator shares of a run sum to roughly `tasks × elapsed` on an
+    /// idle machine.
     pub task_busy_seconds: Vec<Vec<f64>>,
     /// Transport contention, per component: how many times a *producer*
     /// parked because this component's inboxes were full (backpressure
@@ -161,18 +142,17 @@ pub struct ThreadStats {
     pub channel_recv_waits: Vec<u64>,
     /// Faults fired by the [`FaultSpec`](crate::FaultSpec) schedule (kills,
     /// drops) plus any topology-level injected panics (payload prefixed
-    /// `"injected fault"`). This and the four counters below stay zero
-    /// (empty) when [`ThreadedConfig::supervision`] is unset.
+    /// `"injected fault"`). This and the three counters below stay zero
+    /// (empty) when [`ThreadedConfig::supervision`] is unset. Each task
+    /// counts its own; the run sums them when it joins the task.
     pub faults_injected: u64,
     /// Successful restarts (rebuild + restore) performed.
     pub tasks_restarted: u64,
     /// Recoveries that re-fed a replay buffer (one open round's tail each).
     pub rounds_replayed: u64,
     /// Tasks that exhausted their restart budget (or starved in the drain)
-    /// and were tombstoned; sorted, distinct.
+    /// and were tombstoned, in (component, task) order.
     pub degraded_tasks: Vec<(ComponentId, usize)>,
-    /// Send-timeout faults absorbed by supervision.
-    pub send_timeouts: u64,
 }
 
 /// Tunables of the threaded runtime.
@@ -184,15 +164,6 @@ pub struct ThreadedConfig {
     /// the bound (they are control messages flowing against the data
     /// direction; blocking on them could deadlock the cycle).
     pub inbox_capacity: usize,
-    /// Send-timeout for bounded-channel enqueues: `Some(n)` gives each
-    /// blocked send a patience budget of `n × 50µs` — it parks once on the
-    /// channel's waiter list and sleeps until a slot frees or the budget
-    /// expires, then fails the run with [`RunError::SendTimeout`] — so a
-    /// wedged downstream surfaces as a fault instead of a silent deadlock,
-    /// and probing it costs one timed park rather than `n`
-    /// lock-acquiring retries. `None` (the default) blocks forever, the
-    /// classical backpressure behaviour.
-    pub send_tries: Option<u64>,
     /// `Some` runs every task under supervision: callbacks in
     /// `catch_unwind`, bounded restarts from barrier checkpoints, graceful
     /// degradation, and the config's deterministic fault schedule. `None`
@@ -205,7 +176,6 @@ impl Default for ThreadedConfig {
     fn default() -> Self {
         ThreadedConfig {
             inbox_capacity: 1024,
-            send_tries: None,
             supervision: None,
         }
     }
@@ -218,25 +188,6 @@ pub(crate) enum Envelope<M> {
     /// operation (see the module docs' batching rules).
     Batch(Vec<M>),
     Eos,
-}
-
-/// Deliver one envelope, honouring the send-timeout mode. Disconnects are
-/// dropped silently (dead-executor semantics, see [`dispatch`]); exhausting
-/// `Some(tries)`' patience budget (`tries × 50µs`) on a full channel panics
-/// with [`RunError::SendTimeout`], which the join path (or a supervisor)
-/// turns into a structured failure. The budgeted path is one timed park
-/// on the channel, woken when a slot frees, instead of `tries`
-/// lock-acquiring retry rounds.
-fn deliver<M>(tries: Option<u64>, to: ComponentId, sender: &Sender<Envelope<M>>, env: Envelope<M>) {
-    let Some(tries) = tries else {
-        let _ = sender.send(env);
-        return;
-    };
-    let patience = Duration::from_micros(tries.saturating_mul(50));
-    match sender.send_timeout(env, patience) {
-        Ok(()) | Err(TrySendError::Disconnected(_)) => {}
-        Err(TrySendError::Full(_)) => std::panic::panic_any(RunError::SendTimeout { to, tries }),
-    }
 }
 
 /// Batching tunables for [`run_threaded_batched`].
@@ -327,7 +278,6 @@ type Routes<M> = Arc<Vec<EdgeRt<M>>>;
 
 /// One destination's (consumer task's) outgoing batch accumulator.
 struct BatchBuf<M> {
-    to: ComponentId,
     sender: Sender<Envelope<M>>,
     buf: Vec<M>,
 }
@@ -336,8 +286,11 @@ struct BatchBuf<M> {
 const UNBATCHED: usize = usize::MAX;
 
 /// A task's outgoing side: one batch buffer per *distinct* non-feedback
-/// destination task (shared by every edge pointing at it), the send mode,
-/// and the count of messages sent.
+/// destination task (shared by every edge pointing at it) and the count of
+/// messages sent. Sends block while the consumer's inbox is full
+/// (backpressure); a send into a consumer that already shut down (possible
+/// only on feedback paths) is dropped silently, mirroring a Storm worker
+/// ignoring tuples for a dead executor.
 struct Outbox<M> {
     max_batch: usize,
     barrier: Arc<dyn Fn(&M) -> bool + Send + Sync>,
@@ -345,8 +298,6 @@ struct Outbox<M> {
     /// Topology-wide recycler the flush paths draw replacement buffers
     /// from, fed by consumers returning spent batch vectors.
     pool: Arc<BatchPool<M>>,
-    /// Send-timeout mode ([`ThreadedConfig::send_tries`]).
-    tries: Option<u64>,
     /// Data messages sent (buffered or delivered).
     emitted: u64,
 }
@@ -356,7 +307,7 @@ impl<M> Outbox<M> {
     fn flush(&mut self, slot: usize) {
         let dest = &mut self.bufs[slot];
         let batch = std::mem::replace(&mut dest.buf, self.pool.get());
-        deliver(self.tries, dest.to, &dest.sender, Envelope::Batch(batch));
+        let _ = dest.sender.send(Envelope::Batch(batch));
     }
 
     /// Flush every pending batch buffer (barrier messages and Eos call this).
@@ -369,18 +320,8 @@ impl<M> Outbox<M> {
     }
 
     /// Send `msg` to one destination: buffered when batching applies to this
-    /// destination (`slot`), directly otherwise. Send errors mean the
-    /// consumer already shut down (possible only on feedback paths) —
-    /// dropped silently, mirroring a Storm worker ignoring tuples for a dead
-    /// executor.
-    fn send(
-        &mut self,
-        to: ComponentId,
-        slot: usize,
-        sender: &Sender<Envelope<M>>,
-        msg: M,
-        batch_this: bool,
-    ) {
+    /// destination (`slot`), directly otherwise.
+    fn send(&mut self, slot: usize, sender: &Sender<Envelope<M>>, msg: M, batch_this: bool) {
         self.emitted += 1;
         if batch_this && slot != UNBATCHED {
             let buf = &mut self.bufs[slot].buf;
@@ -389,7 +330,7 @@ impl<M> Outbox<M> {
                 self.flush(slot);
             }
         } else {
-            deliver(self.tries, to, sender, Envelope::Data(msg));
+            let _ = sender.send(Envelope::Data(msg));
         }
     }
 
@@ -398,16 +339,10 @@ impl<M> Outbox<M> {
     /// per-message dispatch), flushing first if they would overflow it.
     /// Keeps the channel-operation count of the buffered path while
     /// skipping its per-message barrier checks and pushes.
-    fn send_batch(
-        &mut self,
-        to: ComponentId,
-        slot: usize,
-        sender: &Sender<Envelope<M>>,
-        mut msgs: Vec<M>,
-    ) {
+    fn send_batch(&mut self, slot: usize, sender: &Sender<Envelope<M>>, mut msgs: Vec<M>) {
         self.emitted += msgs.len() as u64;
         if slot == UNBATCHED {
-            deliver(self.tries, to, sender, Envelope::Batch(msgs));
+            let _ = sender.send(Envelope::Batch(msgs));
             return;
         }
         let pending = self.bufs[slot].buf.len();
@@ -415,7 +350,7 @@ impl<M> Outbox<M> {
             self.flush(slot);
         }
         if msgs.len() >= self.max_batch {
-            deliver_chunked(self.tries, to, sender, msgs, self.max_batch);
+            deliver_chunked(sender, msgs, self.max_batch);
         } else {
             let buf = &mut self.bufs[slot].buf;
             buf.append(&mut msgs);
@@ -431,17 +366,11 @@ impl<M> Outbox<M> {
 /// pushed with a single [`Sender::send_many`] call — one synchronisation
 /// point for the whole burst — keeping the inbox's capacity denomination
 /// (messages per slot) honest instead of smuggling an arbitrarily large
-/// batch through one queue slot. With a send-timeout budget the chunks fall
-/// back to per-envelope [`deliver`] so each enqueue keeps its deadline.
-fn deliver_chunked<M>(
-    tries: Option<u64>,
-    to: ComponentId,
-    sender: &Sender<Envelope<M>>,
-    msgs: Vec<M>,
-    max_batch: usize,
-) {
+/// batch through one queue slot. A disconnect mid-burst means the consumer
+/// shut down: dropped silently, like a single envelope.
+fn deliver_chunked<M>(sender: &Sender<Envelope<M>>, msgs: Vec<M>, max_batch: usize) {
     if msgs.len() <= max_batch {
-        deliver(tries, to, sender, Envelope::Batch(msgs));
+        let _ = sender.send(Envelope::Batch(msgs));
         return;
     }
     let mut iter = msgs.into_iter();
@@ -453,15 +382,7 @@ fn deliver_chunked<M>(
         }
         envs.push(Envelope::Batch(chunk));
     }
-    if tries.is_some() {
-        for env in envs {
-            deliver(tries, to, sender, env);
-        }
-    } else {
-        // A disconnect mid-burst means the consumer shut down: dropped
-        // silently, exactly like the single-envelope path.
-        let _ = sender.send_many(envs);
-    }
+    let _ = sender.send_many(envs);
 }
 
 /// Route one message over one non-direct edge, honouring per-destination
@@ -486,14 +407,14 @@ fn route_one<M: Clone>(
         Grouping::Fields(f) => (f(msg) % p as u64) as usize,
         Grouping::All => {
             for (s, &slot) in e.senders.iter().zip(edge_slots) {
-                outbox.send(e.to, slot, s, msg.clone(), !barrier);
+                outbox.send(slot, s, msg.clone(), !barrier);
             }
             return;
         }
         Grouping::Direct => unreachable!("filtered by callers"),
     };
     let (slot, sender) = (edge_slots[task], &e.senders[task]);
-    outbox.send(e.to, slot, sender, msg.clone(), !barrier);
+    outbox.send(slot, sender, msg.clone(), !barrier);
 }
 
 /// Envelopes a bolt task drains from its data inbox per `select!` wakeup
@@ -523,7 +444,6 @@ impl<M> ThreadedEmitter<M> {
         edges: Routes<M>,
         task: usize,
         policy: &BatchPolicy<M>,
-        send_tries: Option<u64>,
         pool: Arc<BatchPool<M>>,
     ) -> Self {
         let n_edges = edges.len();
@@ -540,7 +460,6 @@ impl<M> ThreadedEmitter<M> {
                 }
                 let slot = *slot_of.entry((e.to, t)).or_insert_with(|| {
                     bufs.push(BatchBuf {
-                        to: e.to,
                         sender: s.clone(),
                         buf: pool.get(),
                     });
@@ -558,7 +477,6 @@ impl<M> ThreadedEmitter<M> {
                 barrier: policy.barrier.clone(),
                 bufs,
                 pool,
-                tries: send_tries,
                 emitted: 0,
             },
             shuffle_counters: vec![task; n_edges],
@@ -590,11 +508,8 @@ impl<M> ThreadedEmitter<M> {
     }
 
     /// Flush pending batches, then broadcast `Eos` over all non-feedback
-    /// edges; returns the number of data messages this emitter sent. Eos
-    /// delivery always blocks (never times out): shutdown correctness must
-    /// not depend on the send-timeout tuning.
+    /// edges; returns the number of data messages this emitter sent.
     fn send_eos(mut self) -> u64 {
-        self.outbox.tries = None;
         self.outbox.flush_all();
         for e in self.edges.iter().filter(|e| !e.feedback) {
             for s in &e.senders {
@@ -676,7 +591,7 @@ impl<M: Clone> Emitter<M> for ThreadedEmitter<M> {
                 if matches!(e.grouping, Grouping::Shuffle) {
                     shuffle_counters[i] += batch.len();
                 }
-                outbox.send_batch(e.to, slots[i][0], &e.senders[0], batch);
+                outbox.send_batch(slots[i][0], &e.senders[0], batch);
             } else {
                 for m in remaining.as_ref().expect("present until last").iter() {
                     route_one(e, &slots[i], &mut shuffle_counters[i], outbox, m, false);
@@ -706,14 +621,14 @@ impl<M: Clone> Emitter<M> for ThreadedEmitter<M> {
         }
         let edge = self.direct_edge(stream, to);
         let (slot, sender) = (self.slots[edge][task], &self.edges[edge].senders[task]);
-        self.outbox.send_batch(to, slot, sender, msgs);
+        self.outbox.send_batch(slot, sender, msgs);
     }
 
     fn emit_direct(&mut self, stream: &'static str, to: ComponentId, task: usize, msg: M) {
         let edge = self.direct_edge(stream, to);
         let barrier = self.flush_if_barrier(&msg);
         let (slot, sender) = (self.slots[edge][task], &self.edges[edge].senders[task]);
-        self.outbox.send(to, slot, sender, msg, !barrier);
+        self.outbox.send(slot, sender, msg, !barrier);
     }
 }
 
@@ -741,8 +656,8 @@ pub fn run_threaded_batched<M: Clone + Send + 'static>(
 /// runs that degraded operators — is `Ok`.
 ///
 /// This is the runtime: wire the topology, spawn one thread per task, join
-/// them all, and fold the per-task results, the channel counters and (when
-/// supervised) the supervisor's ledger into one [`ThreadStats`].
+/// them all, and sum the per-task results (supervision counts included) and
+/// the channel counters into one [`ThreadStats`].
 pub fn try_run_threaded_batched<M: Clone + Send + 'static>(
     mut topology: Topology<M>,
     config: ThreadedConfig,
@@ -766,12 +681,11 @@ pub fn try_run_threaded_batched<M: Clone + Send + 'static>(
     // One topology-wide recycler: spent batch vectors returned by consumers
     // become the producers' next flush buffers.
     let pool = BatchPool::new(policy.max_batch);
-    let supervisor = config.supervision.map(Supervisor::new);
+    let supervision = config.supervision.map(Arc::new);
 
     let mut stats = ThreadStats {
         processed: vec![0; n],
         emitted: vec![0; n],
-        busy_seconds: vec![0.0; n],
         task_busy_seconds: topology
             .components
             .iter()
@@ -791,21 +705,14 @@ pub fn try_run_threaded_batched<M: Clone + Send + 'static>(
     // contention into the stats post-join.
     let mut counters: Vec<(ComponentId, ChannelCounters)> = Vec::new();
     for (c, (spec, task_inboxes)) in topology.components.into_iter().zip(inboxes).enumerate() {
-        let emitter_for = |t: usize| {
-            ThreadedEmitter::new(
-                edges_of[c].clone(),
-                t,
-                &policy,
-                config.send_tries,
-                pool.clone(),
-            )
-        };
+        let emitter_for =
+            |t: usize| ThreadedEmitter::new(edges_of[c].clone(), t, &policy, pool.clone());
         match spec.kind {
             ComponentKind::Spout(mut factory) => {
                 for t in 0..spec.parallelism {
                     let (spout, emitter) = (factory(t), emitter_for(t));
-                    let supervisor = supervisor.clone();
-                    let body = move || run_spout_task(c, t, spout, emitter, supervisor);
+                    let supervision = supervision.clone();
+                    let body = move || run_spout_task(c, t, spout, emitter, supervision);
                     handles.push((c, t, thread::spawn(body)));
                 }
             }
@@ -817,7 +724,7 @@ pub fn try_run_threaded_batched<M: Clone + Send + 'static>(
                     counters.push((c, inbox.0.counters()));
                     counters.push((c, inbox.1.counters()));
                     let bolt = (factory.lock().expect("factory lock"))(t);
-                    let supervisor = supervisor.as_ref().map(|s| {
+                    let supervisor = supervision.as_ref().map(|s| {
                         let barrier = policy.barrier.clone();
                         TaskSupervisor::new(s.clone(), c, t, factory.clone(), &*bolt, barrier)
                     });
@@ -837,15 +744,22 @@ pub fn try_run_threaded_batched<M: Clone + Send + 'static>(
 
     // Join every handle (so no thread is leaked) before reporting the first
     // failure, structured with the identity of the operator that died.
+    // Handles join in (component, task) order, which is the order
+    // `degraded_tasks` lists them in.
     let mut first_error: Option<RunError> = None;
     for (c, t, handle) in handles {
         match handle.join() {
             Ok(result) => {
-                let busy = result.busy.as_secs_f64();
                 stats.processed[c] += result.processed;
                 stats.emitted[c] += result.emitted;
-                stats.busy_seconds[c] += busy;
-                stats.task_busy_seconds[c][t] = busy;
+                stats.task_busy_seconds[c][t] = result.busy.as_secs_f64();
+                let faults = result.faults;
+                stats.faults_injected += faults.faults_injected;
+                stats.tasks_restarted += faults.tasks_restarted;
+                stats.rounds_replayed += faults.rounds_replayed;
+                if faults.degraded {
+                    stats.degraded_tasks.push((c, t));
+                }
             }
             Err(payload) => {
                 if first_error.is_none() {
@@ -866,9 +780,6 @@ pub fn try_run_threaded_batched<M: Clone + Send + 'static>(
     for (c, inbox) in &counters {
         stats.channel_send_waits[*c] += inbox.send_waits();
         stats.channel_recv_waits[*c] += inbox.recv_waits();
-    }
-    if let Some(supervisor) = supervisor {
-        supervisor.fold_into(&mut stats);
     }
     Ok(stats)
 }
@@ -926,6 +837,7 @@ struct TaskResult {
     processed: u64,
     emitted: u64,
     busy: Duration,
+    faults: TaskFaults,
 }
 
 /// The body of one spout task: pull the spout dry into the emitter, then
@@ -938,7 +850,7 @@ fn run_spout_task<M: Clone>(
     t: usize,
     mut spout: Box<dyn Spout<M>>,
     mut emitter: ThreadedEmitter<M>,
-    supervisor: Option<Arc<Supervisor>>,
+    supervision: Option<Arc<SuperviseConfig>>,
 ) -> TaskResult {
     // spouts use their single declared stream
     let stream = emitter.edges.first().map(|e| e.stream).unwrap_or("out");
@@ -946,7 +858,11 @@ fn run_spout_task<M: Clone>(
         emitter.edges.iter().all(|e| e.stream == stream),
         "spouts must use a single stream"
     );
-    let kill_at = supervisor.as_ref().and_then(|s| s.kill_for(c, t));
+    // The first kill ends the stream, so later ones never fire.
+    let kill_at = supervision
+        .as_ref()
+        .and_then(|s| s.schedule_for(c, t).0.first().copied());
+    let mut faults = TaskFaults::default();
     let mut produced = 0u64;
     let start = Instant::now();
     let mut pump = || {
@@ -958,11 +874,12 @@ fn run_spout_task<M: Clone>(
             emitter.emit(stream, msg);
         }
     };
-    match &supervisor {
+    match &supervision {
         None => pump(),
-        Some(supervisor) => {
+        Some(config) => {
             if let Err(payload) = catch_unwind(AssertUnwindSafe(pump)) {
-                supervisor.task_lost(c, t, &*payload);
+                faults.note_panic(&*payload);
+                faults.note_degraded(config, c, t);
             }
         }
     }
@@ -971,6 +888,7 @@ fn run_spout_task<M: Clone>(
         processed: produced,
         emitted: emitter.send_eos(),
         busy,
+        faults,
     }
 }
 
@@ -1148,7 +1066,7 @@ impl<M: Clone + Send + 'static> BoltTask<M> {
                             .supervisor
                             .as_mut()
                             .expect("polling implies supervised");
-                        if empty_polls > sup.drain_patience() {
+                        if empty_polls > sup.config.drain_patience {
                             // Drain starvation: the message was lost
                             // (dropped by the fault plan, or its sender
                             // died). Waiting longer cannot help — degrade
@@ -1166,7 +1084,7 @@ impl<M: Clone + Send + 'static> BoltTask<M> {
 
         drop((data_rx, ctl_rx));
         let t0 = Instant::now();
-        match &self.supervisor {
+        match &mut self.supervisor {
             None => self.bolt.on_flush(&mut self.emitter),
             Some(sup) => sup.flush(&mut *self.bolt, &mut self.emitter),
         }
@@ -1175,6 +1093,7 @@ impl<M: Clone + Send + 'static> BoltTask<M> {
             processed: self.processed,
             emitted: self.emitter.send_eos(),
             busy: self.busy,
+            faults: self.supervisor.map(|s| s.faults).unwrap_or_default(),
         }
     }
 }
@@ -1724,50 +1643,6 @@ mod tests {
                 RunError::UndeclaredDirectEdge {
                     stream: "nope",
                     to: 9
-                }
-            );
-        }
-    }
-
-    #[test]
-    fn wedged_downstream_trips_the_send_timeout() {
-        for depth in DEPTHS {
-            // The sink stalls long inside its first callback, so the producer's
-            // bounded sends stop draining; with `send_tries` set the run must
-            // fail with a SendTimeout naming the wedged consumer instead of
-            // deadlocking. The stall is finite (it ends on its own) so the
-            // join path — which waits for every thread — still completes.
-            struct Wedge {
-                stalled: bool,
-            }
-            impl Bolt<u64> for Wedge {
-                fn on_message(&mut self, _m: u64, _o: &mut dyn Emitter<u64>) {
-                    if !self.stalled {
-                        self.stalled = true;
-                        thread::sleep(std::time::Duration::from_millis(500));
-                    }
-                }
-            }
-            let mut tb = TopologyBuilder::new();
-            let src = tb.add_spout("src", 1, |_| Box::new(0u64..10_000));
-            let sink = tb.add_bolt("sink", 1, |_| {
-                Box::new(Wedge { stalled: false }) as Box<dyn Bolt<u64>>
-            });
-            tb.connect(src, "out", sink, Grouping::Shuffle);
-            let err = run(
-                tb.build(),
-                ThreadedConfig {
-                    inbox_capacity: 1,
-                    send_tries: Some(20),
-                    ..ThreadedConfig::default()
-                },
-                depth,
-            );
-            assert_eq!(
-                err.unwrap_err(),
-                RunError::SendTimeout {
-                    to: sink,
-                    tries: 20
                 }
             );
         }

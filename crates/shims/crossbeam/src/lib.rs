@@ -24,7 +24,8 @@
 //! lock acquisition. A blocked endpoint checks readiness and registers its
 //! wakeup under the same lock that every push, pop and disconnect takes, so
 //! a wakeup cannot fall between the check and the park; the waiters an
-//! operation claims are signalled once it has released the lock.
+//! operation claims are signalled once it has released the lock. A park
+//! ends only on a wakeup: there is no timed wait.
 //! Per-channel wait counters ([`channel::ChannelCounters`]) record how
 //! often a thread parked so the engine can report transport contention.
 
@@ -36,7 +37,7 @@ pub mod channel {
     use std::ops::{Deref, DerefMut};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     /// Error returned by [`Sender::send`] when every receiver is gone.
     #[derive(Debug, PartialEq, Eq)]
@@ -156,23 +157,11 @@ pub mod channel {
             self.cv.notify_one();
         }
 
-        /// Sleep until signalled or, with a deadline, until it passes.
-        fn wait(&self, deadline: Option<Instant>) {
+        /// Sleep until signalled.
+        fn wait(&self) {
             let mut s = self.signalled.lock().expect("wake slot poisoned");
             while !*s {
-                s = match deadline {
-                    None => self.cv.wait(s).expect("wake slot poisoned"),
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            return;
-                        }
-                        self.cv
-                            .wait_timeout(s, d - now)
-                            .expect("wake slot poisoned")
-                            .0
-                    }
-                };
+                s = self.cv.wait(s).expect("wake slot poisoned");
             }
         }
     }
@@ -326,24 +315,19 @@ pub mod channel {
             }
         }
 
-        /// Park on `side` until woken or `deadline` passes, then retake the
-        /// lock. The caller found the channel not ready under the lock it
-        /// hands over, and the wakeup is registered before that lock is
-        /// released, so no push, pop or disconnect can slip between the
-        /// check and the park. The caller retries under the returned lock,
-        /// so a wakeup it was handed is always used or found stale.
-        fn park<'a>(
-            &'a self,
-            mut state: Locked<'a, T>,
-            side: Side,
-            deadline: Option<Instant>,
-        ) -> Locked<'a, T> {
+        /// Park on `side` until woken, then retake the lock. The caller
+        /// found the channel not ready under the lock it hands over, and
+        /// the wakeup is registered before that lock is released, so no
+        /// push, pop or disconnect can slip between the check and the park.
+        /// The caller retries under the returned lock, so a wakeup it was
+        /// handed is always used or found stale.
+        fn park<'a>(&'a self, mut state: Locked<'a, T>, side: Side) -> Locked<'a, T> {
             let slot = local_slot();
             slot.prepare();
             state.waiters(side).register(&slot);
             drop(state);
             self.counters.record(side);
-            slot.wait(deadline);
+            slot.wait();
             let mut state = self.lock();
             state.waiters(side).remove(&slot);
             state
@@ -362,33 +346,16 @@ pub mod channel {
 
     impl<T> Sender<T> {
         /// Queue `msg`, blocking while a bounded channel is at capacity.
-        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            match self.send_inner(msg, None) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Disconnected(v)) | Err(TrySendError::Full(v)) => {
-                    Err(SendError(v))
-                }
-            }
-        }
-
-        /// Like [`Sender::send`] but gives up with [`TrySendError::Full`]
-        /// once `timeout` elapses without space freeing up. A wedged
-        /// downstream costs one timed park per wakeup, not a retry loop
-        /// over the channel lock.
-        pub fn send_timeout(&self, msg: T, timeout: Duration) -> Result<(), TrySendError<T>> {
-            self.send_inner(msg, Some(Instant::now() + timeout))
-        }
-
-        fn send_inner(&self, mut msg: T, deadline: Option<Instant>) -> Result<(), TrySendError<T>> {
+        pub fn send(&self, mut msg: T) -> Result<(), SendError<T>> {
             let mut state = self.chan.lock();
             loop {
                 match state.try_push(msg) {
-                    // Past the deadline the attempt above was the last one.
-                    Err(TrySendError::Full(v)) if deadline.is_none_or(|d| Instant::now() < d) => {
+                    Ok(()) => return Ok(()),
+                    Err(TrySendError::Full(v)) => {
                         msg = v;
-                        state = self.chan.park(state, Side::Send, deadline);
+                        state = self.chan.park(state, Side::Send);
                     }
-                    done => return done,
+                    Err(TrySendError::Disconnected(v)) => return Err(SendError(v)),
                 }
             }
         }
@@ -414,7 +381,7 @@ pub mod channel {
                 }
                 let n = state.room().min(iter.len());
                 if n == 0 {
-                    state = self.chan.park(state, Side::Send, None);
+                    state = self.chan.park(state, Side::Send);
                     continue;
                 }
                 state.queue.extend(iter.by_ref().take(n));
@@ -459,7 +426,7 @@ pub mod channel {
                 match state.try_pop() {
                     Ok(v) => return Ok(v),
                     Err(TryRecvError::Disconnected) => return Err(RecvError),
-                    Err(TryRecvError::Empty) => state = chan.park(state, Side::Recv, None),
+                    Err(TryRecvError::Empty) => state = chan.park(state, Side::Recv),
                 }
             }
         }
@@ -623,7 +590,7 @@ pub mod channel {
         });
         if pending {
             live().for_each(|arm| arm.record_wait());
-            slot.wait(None);
+            slot.wait();
         }
         live().take(registered).for_each(|arm| arm.cancel(&slot));
     }
@@ -728,23 +695,6 @@ mod tests {
         let (tx, rx) = unbounded();
         drop(rx);
         assert!(tx.send(9).is_err());
-    }
-
-    #[test]
-    fn send_timeout_gives_up_on_a_full_channel() {
-        let (tx, rx) = bounded(1);
-        tx.send(1).unwrap();
-        match tx.send_timeout(2, Duration::from_millis(5)) {
-            Err(TrySendError::Full(2)) => {}
-            other => panic!("expected Full(2), got {other:?}"),
-        }
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(tx.send_timeout(3, Duration::from_millis(5)), Ok(()));
-        drop(rx);
-        match tx.send_timeout(4, Duration::from_millis(5)) {
-            Err(TrySendError::Disconnected(4)) => {}
-            other => panic!("expected Disconnected(4), got {other:?}"),
-        }
     }
 
     #[test]

@@ -14,10 +14,11 @@ use setcorr_core::{
     PartitionSet, PartitionerOutput, QualityReference,
 };
 use setcorr_engine::{
-    run_sim_batched, run_threaded_batched, BatchPolicy, Bolt, FaultSpec, Grouping, RestartPolicy,
-    Spout, SuperviseConfig, ThreadStats, ThreadedConfig, Topology, TopologyBuilder,
+    run_sim_batched, run_threaded_batched, BatchPolicy, Bolt, FaultSpec, Grouping, Spout,
+    SuperviseConfig, ThreadStats, ThreadedConfig, Topology, TopologyBuilder,
 };
 use setcorr_model::{fx, Document, TagSetWindow, TimeDelta, WindowKind};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// Which correlation backend the Calculators run.
@@ -120,11 +121,6 @@ pub struct Supervision {
     /// owed control traffic before the supervisor declares it starved and
     /// degrades it — the anti-deadlock backstop for lost control messages.
     pub drain_patience: u64,
-    /// Bounded-enqueue retry budget per send (≈ 50 µs per try): `None`
-    /// blocks forever (the default), `Some(n)` fails the sender with a
-    /// structured timeout after `n` tries — turning a stalled channel into
-    /// a supervisable fault instead of a silent hang.
-    pub send_tries: Option<u64>,
 }
 
 impl Default for Supervision {
@@ -133,7 +129,6 @@ impl Default for Supervision {
             max_restarts: 2,
             faults: Vec::new(),
             drain_patience: 60_000,
-            send_tries: None,
         }
     }
 }
@@ -434,18 +429,21 @@ fn build_served_topology(
         let recorder = recorder.clone();
         let live = config.live_migration;
         // Poison-lock faults fire inside the bolt (the runtime cannot
-        // panic-while-holding-a-lock on a task's behalf). The latch is
-        // shared across incarnations so a restarted task never re-fires.
-        let poison: Option<(usize, u64)> = config.supervision.as_ref().and_then(|s| {
-            s.faults.iter().find_map(|f| match f {
+        // panic-while-holding-a-lock on a task's behalf). Each one has its
+        // own latch, shared across incarnations, so a restarted task never
+        // re-fires it.
+        let poisons: Vec<(usize, u64, Arc<AtomicBool>)> = config
+            .supervision
+            .iter()
+            .flat_map(|s| &s.faults)
+            .filter_map(|f| match *f {
                 Fault::PoisonLock {
                     calculator,
                     after_notifications,
-                } => Some((*calculator, *after_notifications)),
+                } => Some((calculator, after_notifications, Arc::default())),
                 _ => None,
             })
-        });
-        let poison_latch = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            .collect();
         tb.add_bolt("calculator", config.k, move |task| {
             let bolt = CalculatorBolt::with_backend(task, backend.build());
             let bolt = if live {
@@ -453,12 +451,12 @@ fn build_served_topology(
             } else {
                 bolt
             };
-            let bolt = match poison {
-                Some((victim, after)) if victim == task => {
-                    bolt.with_poison(after, poison_latch.clone())
-                }
-                _ => bolt,
-            };
+            let bolt = poisons
+                .iter()
+                .filter(|(victim, ..)| *victim == task)
+                .fold(bolt, |bolt, (_, after, fired)| {
+                    bolt.with_poison(*after, fired.clone())
+                });
             Box::new(bolt) as Box<dyn Bolt<Msg>>
         })
     };
@@ -585,7 +583,6 @@ fn run_with_publisher(
             let defaults = ThreadedConfig::default();
             let threaded = ThreadedConfig {
                 inbox_capacity: config.inbox_capacity.unwrap_or(defaults.inbox_capacity),
-                send_tries: config.supervision.as_ref().and_then(|s| s.send_tries),
                 supervision: config
                     .supervision
                     .as_ref()
@@ -619,14 +616,18 @@ fn run_with_publisher(
             .map(|(name, (s, r))| (name, s, r))
             .collect();
         // per-instance attribution aggregates into the per-component total:
-        // `operator_seconds[c]` is the sum of `operator_task_seconds[c]`
-        report.operator_seconds = names.iter().cloned().zip(stats.busy_seconds).collect();
+        // `operator_seconds[c]` is the sum of `operator_task_seconds[c]`,
+        // added in task order
+        let component_seconds = stats
+            .task_busy_seconds
+            .iter()
+            .map(|tasks| tasks.iter().sum());
+        report.operator_seconds = names.iter().cloned().zip(component_seconds).collect();
         report.operator_task_seconds = names.into_iter().zip(stats.task_busy_seconds).collect();
         report.faults_injected = stats.faults_injected;
         report.tasks_restarted = stats.tasks_restarted;
         report.rounds_replayed = stats.rounds_replayed;
-        report.send_timeouts = stats.send_timeouts;
-        // degraded_tasks is sorted and deduplicated → distinct components
+        // degraded_tasks is in (component, task) order → distinct components
         let mut components: Vec<usize> = stats.degraded_tasks.iter().map(|&(c, _)| c).collect();
         components.dedup();
         report.degraded_components = components.len() as u64;
@@ -687,10 +688,7 @@ fn supervise_config(
         }
     };
     SuperviseConfig {
-        restart: RestartPolicy {
-            max_restarts: sup.max_restarts,
-            ..RestartPolicy::default()
-        },
+        max_restarts: sup.max_restarts,
         faults,
         drain_patience: sup.drain_patience,
         on_degrade: Some(Arc::new(on_degrade)),

@@ -754,14 +754,14 @@ pub struct CalculatorBolt {
     /// reports it.
     pending: std::collections::VecDeque<Msg>,
     recorder: Option<SharedRecorder>,
-    /// Deterministic poison-lock fault: after observing this many
-    /// notifications, take the recorder lock and panic while holding it
-    /// (exercising the lock shim's poison absorption end to end).
-    poison_after: Option<u64>,
-    /// One-shot latch shared across incarnations: the bolt factory
-    /// re-applies [`Self::with_poison`] with the same flag on restart, so
-    /// the fault fires once per run, not once per rebuilt instance.
-    poison_fired: Option<Arc<std::sync::atomic::AtomicBool>>,
+    /// Deterministic poison-lock faults `(after, fired)`: after observing
+    /// `after` notifications, take the recorder lock and panic while
+    /// holding it (exercising the lock shim's poison absorption end to
+    /// end). `fired` is a one-shot latch shared across incarnations: the
+    /// bolt factory re-applies [`Self::with_poison`] with the same flag on
+    /// restart, so each fault fires once per run, not once per rebuilt
+    /// instance.
+    poisons: Vec<(u64, Arc<std::sync::atomic::AtomicBool>)>,
     /// Notifications observed by *this* incarnation (poison trigger clock).
     notifications_seen: u64,
 }
@@ -788,8 +788,7 @@ impl CalculatorBolt {
             early_adopts: Vec::new(),
             pending: std::collections::VecDeque::new(),
             recorder: None,
-            poison_after: None,
-            poison_fired: None,
+            poisons: Vec::new(),
             notifications_seen: 0,
         }
     }
@@ -814,38 +813,34 @@ impl CalculatorBolt {
     /// notifications, this task takes the recorder lock and panics while
     /// holding it — the "poison a lock mid-update" fault of the supervision
     /// test matrix. `fired` is the run-wide one-shot latch; pass the same
-    /// `Arc` from the bolt factory on every (re)build.
+    /// `Arc` from the bolt factory on every (re)build. Each call arms one
+    /// more fault.
     pub fn with_poison(
         mut self,
         after_notifications: u64,
         fired: Arc<std::sync::atomic::AtomicBool>,
     ) -> Self {
-        self.poison_after = Some(after_notifications);
-        self.poison_fired = Some(fired);
+        self.poisons.push((after_notifications, fired));
         self
     }
 
-    /// Poison-trigger clock: counts an observed notification and, when the
-    /// injected fault is armed and due, panics *while holding the recorder
-    /// lock*. Fires before the notification reaches the backend, so the
-    /// checkpoint-and-replay recovery re-observes it exactly once.
+    /// Poison-trigger clock: counts an observed notification and, when an
+    /// armed fault is due and has not fired in any incarnation, panics
+    /// *while holding the recorder lock*. Fires before the notification
+    /// reaches the backend, so the checkpoint-and-replay recovery
+    /// re-observes it exactly once.
     fn note_notification(&mut self) {
         self.notifications_seen += 1;
-        let Some(after) = self.poison_after else {
-            return;
-        };
-        if self.notifications_seen < after {
-            return;
-        }
-        if let Some(fired) = &self.poison_fired {
-            if fired.swap(true, std::sync::atomic::Ordering::SeqCst) {
-                return; // already fired in a previous incarnation
+        for (after, fired) in &self.poisons {
+            if self.notifications_seen >= *after
+                && !fired.swap(true, std::sync::atomic::Ordering::SeqCst)
+            {
+                let _guard = self.recorder.as_ref().map(|r| r.lock());
+                std::panic::panic_any(format!(
+                    "injected fault: poison-lock (calculator {})",
+                    self.id
+                ));
             }
-            let _guard = self.recorder.as_ref().map(|r| r.lock());
-            std::panic::panic_any(format!(
-                "injected fault: poison-lock (calculator {})",
-                self.id
-            ));
         }
     }
 
@@ -1592,6 +1587,31 @@ mod tests {
         // counters cleared: flush emits nothing
         c.on_flush(&mut cap);
         assert_eq!(cap.emitted.len(), 1);
+    }
+
+    #[test]
+    fn every_poison_armed_on_one_calculator_fires_once() {
+        // Rebuilt after each panic with the same latches, as the bolt
+        // factory does on a restart: both faults fire, neither twice.
+        let latches: [Arc<std::sync::atomic::AtomicBool>; 2] = Default::default();
+        let incarnations_that_panicked = (0..4)
+            .filter(|_| {
+                let mut calc = CalculatorBolt::new(0)
+                    .with_poison(3, latches[0].clone())
+                    .with_poison(5, latches[1].clone());
+                let feed = || {
+                    for doc in 0..10 {
+                        let msg = Msg::Notification {
+                            doc,
+                            tags: ts(&[1, 2]),
+                        };
+                        calc.on_message(msg, &mut Capture::default());
+                    }
+                };
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(feed)).is_err()
+            })
+            .count();
+        assert_eq!(incarnations_that_panicked, 2);
     }
 
     #[test]

@@ -106,9 +106,6 @@ pub struct RunReport {
     /// degraded to a tombstone after exhausting its restart budget. A
     /// non-zero value marks the run's results as partial-but-honest.
     pub degraded_components: u64,
-    /// Supervised runtime: bounded-enqueue send timeouts that fired (0
-    /// unless a send-timeout budget was configured).
-    pub send_timeouts: u64,
     /// Per-component channel wait counters `(component, send_waits,
     /// recv_waits)` in declaration order (threaded runs only; empty for
     /// sim). `send_waits` counts blocking waits on the component's
@@ -196,7 +193,6 @@ impl RunReport {
             tasks_restarted: 0,
             rounds_replayed: 0,
             degraded_components: 0,
-            send_timeouts: 0,
             channel_waits: Vec::new(),
         }
     }
@@ -301,8 +297,6 @@ impl RunReport {
         json_u64(&mut out, "rounds_replayed", self.rounds_replayed);
         out.push(',');
         json_u64(&mut out, "degraded_components", self.degraded_components);
-        out.push(',');
-        json_u64(&mut out, "send_timeouts", self.send_timeouts);
         out.push(',');
         out.push_str("\"operator_seconds\":{");
         for (i, (name, secs)) in self.operator_seconds.iter().enumerate() {

@@ -61,7 +61,7 @@ pub mod prelude {
         CorrelationBackend, Disseminator, DisseminatorConfig, Merger, PartitionInput, PartitionSet,
         QualityReference, RepartitionCause, TrackedCoefficient, Tracker,
     };
-    pub use setcorr_engine::{RestartPolicy, RunError};
+    pub use setcorr_engine::RunError;
     pub use setcorr_metrics::{gini, ErrorStats, Running};
     pub use setcorr_model::{
         Document, Tag, TagInterner, TagSet, TagSetStat, TagSetWindow, TimeDelta, Timestamp,

@@ -374,9 +374,8 @@ fn fault_free_supervised_run_is_byte_identical_with_zero_counters() {
             report.tasks_restarted,
             report.rounds_replayed,
             report.degraded_components,
-            report.send_timeouts,
         ),
-        (0, 0, 0, 0, 0),
+        (0, 0, 0, 0),
         "fault-free run must report all-zero fault counters"
     );
     assert_byte_identical(&oracle, &report, "fault-free supervised");
