@@ -19,11 +19,12 @@
 //!
 //! options:
 //!   --duration <secs>   event-time length per run        (default 240)
-//!   --period <secs>     report period & window W         (default 60)
+//!   --period <secs>     report period & window W         (default 20)
 //!   --seed <n>          workload seed                    (default 42)
 //!   --threaded          run on the threaded runtime      (default sim)
-//!   --fig7-minutes <m>  stream length for fig7           (default 84)
+//!   --fig7-minutes <m>  stream length for fig7           (default 30)
 //!   --out <dir>         also write JSON reports          (default results)
+//!   --no-out            write no JSON reports
 //!   --quick             shorthand for --duration 120 --fig7-minutes 42
 //! ```
 

@@ -12,6 +12,7 @@
 
 use setcorr_core::AlgorithmKind;
 use setcorr_model::{FxHashMap, TimeDelta, WindowKind};
+use setcorr_sketch::{OverheadReport, SketchCooccurrence};
 use setcorr_topology::{connectivity, run, ExperimentConfig, RunMode, RunReport};
 use setcorr_workload::{Generator, WorkloadConfig};
 use std::fmt::Write as _;
@@ -491,29 +492,48 @@ the hybrid equals DS while windows stay subcritical, then caps the load
     out
 }
 
-/// §2's sketch argument, quantified: the spurious-pair overhead of a
-/// Bloom-filter-based co-occurrence design over a real window, per bit
-/// budget.
-pub fn sketch_overhead(scale: &Scale) -> String {
-    use setcorr_sketch::SketchCooccurrence;
-    let mut out = String::new();
-    writeln!(
-        out,
-        "==== Section 2: why sketches are the wrong tool here ===="
-    )
-    .unwrap();
+/// Bits per document the §2 sketch argument is measured at.
+pub const SKETCH_BITS_PER_DOC: [usize; 3] = [4, 8, 16];
+
+/// §2's sketch argument, measured: the spurious-pair overhead of a
+/// Bloom-filter-based co-occurrence design over one default window of
+/// tagged documents. Returns the window's document count and one report
+/// per [`SKETCH_BITS_PER_DOC`] budget.
+pub fn measure_sketch_overhead(scale: &Scale) -> (usize, Vec<OverheadReport>) {
     let mut wconfig = WorkloadConfig::with_seed(scale.seed);
     wconfig.tps = 1300;
     let docs: Vec<setcorr_model::Document> = Generator::new(wconfig)
         .take(26_000) // one default window
         .filter(|d| d.is_tagged())
         .collect();
+    let reports = SKETCH_BITS_PER_DOC
+        .iter()
+        .map(|&bits| {
+            let mut sketch = SketchCooccurrence::new(64, bits);
+            for d in &docs {
+                sketch.observe(d.id, &d.tags);
+            }
+            sketch.measure(20_000)
+        })
+        .collect();
+    (docs.len(), reports)
+}
+
+/// §2's sketch argument, quantified and rendered as a table (see
+/// [`measure_sketch_overhead`]).
+pub fn sketch_overhead(scale: &Scale) -> String {
+    let (docs, reports) = measure_sketch_overhead(scale);
+    let mut out = String::new();
     writeln!(
         out,
-        "window: {} tagged documents; testing per-tag Bloom filters of the
+        "==== Section 2: why sketches are the wrong tool here ===="
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "window: {docs} tagged documents; testing per-tag Bloom filters of the
          documents annotated with each tag (the design §2 considers)
-",
-        docs.len()
+"
     )
     .unwrap();
     writeln!(
@@ -522,12 +542,7 @@ pub fn sketch_overhead(scale: &Scale) -> String {
         "bits/doc", "tags", "true pairs", "false-flag %", "spurious pairs", "overhead"
     )
     .unwrap();
-    for bits in [4usize, 8, 16] {
-        let mut sketch = SketchCooccurrence::new(64, bits);
-        for d in &docs {
-            sketch.observe(d.id, &d.tags);
-        }
-        let report = sketch.measure(20_000);
+    for report in reports {
         writeln!(
             out,
             "{:>12} {:>10} {:>12} {:>13.1}% {:>18.0} {:>9.0}x",

@@ -427,7 +427,6 @@ fn build_served_topology(
     let backend = config.backend;
     let calculator = {
         let recorder = recorder.clone();
-        let live = config.live_migration;
         // Poison-lock faults fire inside the bolt (the runtime cannot
         // panic-while-holding-a-lock on a task's behalf). Each one has its
         // own latch, shared across incarnations, so a restarted task never
@@ -445,12 +444,8 @@ fn build_served_topology(
             })
             .collect();
         tb.add_bolt("calculator", config.k, move |task| {
-            let bolt = CalculatorBolt::with_backend(task, backend.build());
-            let bolt = if live {
-                bolt.with_migration(calculator_id, k, recorder.clone())
-            } else {
-                bolt
-            };
+            let bolt =
+                CalculatorBolt::new(task, calculator_id, k, backend.build(), recorder.clone());
             let bolt = poisons
                 .iter()
                 .filter(|(victim, ..)| *victim == task)

@@ -190,12 +190,15 @@ fn killed_parser_recovers_byte_identically_to_the_oracle() {
 /// A Calculator panics *while holding the recorder lock*: the parking-lot
 /// shim absorbs the poison (readers keep seeing coherent state), the
 /// supervisor recovers the task like any other panic, and the output stays
-/// byte-identical.
+/// byte-identical. Every seed runs with live migration on, and one more
+/// with it off: the Calculator holds the recorder either way, so the fault
+/// poisons the lock in both modes.
 #[test]
 fn poisoned_lock_is_absorbed_and_the_run_recovers_byte_identically() {
-    for seed in SEEDS {
+    let runs = SEEDS.map(|seed| (seed, true)).into_iter();
+    for (seed, live) in runs.chain([(SEEDS[0], false)]) {
         let docs = stream(seed, DOCS);
-        let config = pinned_config(&docs);
+        let config = pinned_config(&docs).with_live_migration(live);
         let oracle = run_docs(&config, docs.clone(), RunMode::Sim);
         let supervision = Supervision {
             faults: vec![Fault::PoisonLock {
@@ -205,7 +208,7 @@ fn poisoned_lock_is_absorbed_and_the_run_recovers_byte_identically() {
             ..Supervision::default()
         };
         let faulted = supervised_run(
-            format!("poison-lock-{seed}"),
+            format!("poison-lock-{seed}-live-{live}"),
             config.with_supervision(supervision),
             docs,
         );

@@ -178,7 +178,7 @@ fn threaded_batched_chain_is_byte_identical_to_per_tuple_sim() {
             5_000,
             "oracle saw everything"
         );
-        for depth in [1usize, 7, 32, 128] {
+        for depth in [1usize, 7, 32, 128, 512] {
             // every ~16th value is a barrier: flushes land mid-stream and
             // the barrier message itself must keep its FIFO position
             let policy = BatchPolicy::new(depth, |m: &u64| m.is_multiple_of(16));
@@ -197,9 +197,8 @@ fn threaded_batched_chain_is_byte_identical_to_per_tuple_sim() {
 #[test]
 fn threaded_full_topology_stays_in_the_oracle_quality_band() {
     // The full topology is scheduling-sensitive (repartition timing), so
-    // threaded runs are compared on the quality envelope, not bytes — the
-    // same guardrail the PR 3 batching tests established, now with the
-    // vectorized operator path underneath.
+    // threaded runs are compared on the quality envelope, not bytes, with
+    // the vectorized operator path underneath.
     //
     // Coverage is counted over the eligible tagsets of the single round
     // after warm-up and races the live control plane: a run that completes
