@@ -38,9 +38,10 @@
 //!   expansion resolves each with one 8-byte-key probe (`subset_slots`),
 //!   builds, hashes and compares no tagset, and records per distinct set
 //!   the slots of its subsets in mask order: the report reads by index.
-//! * **A report that leaves sorted without a sort of tagsets.** Sorting the
-//!   edge words stands each node's children together in tag order; a
-//!   pre-order walk of that is ascending tagset order.
+//! * **A report that leaves sorted without a sort of tagsets.** A counting
+//!   sort by parent slot stands each node's children together, a sort of
+//!   each sibling group puts them in tag order, and a pre-order walk of
+//!   that is ascending tagset order.
 
 use setcorr_model::{FxHashMap, FxHashSet, Tag, TagSet, MAX_TAGS_PER_SET};
 use std::cell::RefCell;
@@ -140,37 +141,50 @@ impl SubsetTrie {
     /// Visit every node but the root in strictly ascending `TagSet::cmp`
     /// order of its subset, as `(tags, slot)`.
     ///
-    /// Sorting the `edge ‖ slot` words — pure integer compares — stands each
-    /// node's children together in tag order; a pre-order walk of that is
-    /// the lexicographic order of the paths, a prefix before its extensions.
+    /// Slots are dense, so a counting sort buckets the nodes by parent slot;
+    /// only each sibling group is sorted, on `tag << 32 | slot` words. A pre-order walk that takes each
+    /// node's children from its bucket in tag order is the lexicographic
+    /// order of the paths, a prefix before its extensions.
     fn walk_sorted(&self, mut visit: impl FnMut(&[Tag], usize)) {
-        let mut sorted: Vec<u128> = (1..self.edges.len())
-            .map(|slot| (self.edges[slot] as u128) << 32 | slot as u128)
-            .collect();
-        sorted.sort_unstable();
-        // where in `sorted` the children of each slot start; a slot without
-        // children points at someone else's
-        let mut first = vec![0; self.edges.len()];
-        for (at, word) in sorted.iter().enumerate().rev() {
-            first[(word >> 64) as usize] = at;
+        let n = self.edges.len();
+        // the children of slot `p` are `order[first[p]..first[p + 1]]`:
+        // count each parent's at `p + 2`, sum, then scatter through `p + 1`
+        let mut first = vec![0u32; n + 2];
+        for &edge in &self.edges[1..] {
+            first[(edge >> 32) as usize + 2] += 1;
+        }
+        for p in 2..n + 2 {
+            first[p] += first[p - 1];
+        }
+        let mut order = vec![0u64; n - 1];
+        for (slot, &edge) in (1u64..).zip(&self.edges[1..]) {
+            let cursor = &mut first[(edge >> 32) as usize + 1];
+            // the shift drops the parent: `tag << 32 | slot`
+            order[*cursor as usize] = edge << 32 | slot;
+            *cursor += 1;
+        }
+        for p in 0..n {
+            order[first[p] as usize..first[p + 1] as usize].sort_unstable();
         }
         let mut path = [Tag(0); MAX_TAGS_PER_SET];
-        // per depth, the node being expanded and the next of its children
-        let mut open = [(ROOT as usize, 0); MAX_TAGS_PER_SET + 1];
+        // per depth, the next child to visit and the end of its group
+        let mut open = [(0u32, 0u32); MAX_TAGS_PER_SET + 1];
+        open[0] = (first[ROOT as usize], first[ROOT as usize + 1]);
         let mut depth = 0;
         loop {
-            let (parent, next) = &mut open[depth];
-            match sorted.get(*next) {
-                Some(&word) if (word >> 64) as usize == *parent => {
-                    *next += 1;
-                    let slot = word as u32 as usize;
-                    path[depth] = Tag((word >> 32) as u32);
-                    depth += 1;
-                    visit(&path[..depth], slot);
-                    open[depth] = (slot, first[slot]);
-                }
-                _ if depth == 0 => return,
-                _ => depth -= 1,
+            let (next, end) = &mut open[depth];
+            if next < end {
+                let word = order[*next as usize];
+                *next += 1;
+                let slot = word as u32 as usize;
+                path[depth] = Tag((word >> 32) as u32);
+                depth += 1;
+                visit(&path[..depth], slot);
+                open[depth] = (first[slot], first[slot + 1]);
+            } else if depth == 0 {
+                return;
+            } else {
+                depth -= 1;
             }
         }
     }
@@ -737,6 +751,74 @@ mod tests {
         c.observe(&TagSet::empty());
         assert_eq!(c.tracked(), 0);
         assert_eq!(c.received(), 0);
+    }
+
+    #[test]
+    fn a_wide_root_bucket_beside_a_full_root_walks_in_order() {
+        // 2 000 singletons stand in the root's bucket together with the 16
+        // singletons of one MAX_TAGS_PER_SET-tag set, observed in an order
+        // unrelated to their tags; u32::MAX is among both
+        let big: Vec<u32> = (1..MAX_TAGS_PER_SET as u32)
+            .map(|i| i * 131)
+            .chain([u32::MAX])
+            .collect();
+        let mut docs: Vec<Vec<u32>> = (0..2_000u32)
+            .map(|i| vec![i * 1_009 % 2_003])
+            .chain([vec![u32::MAX], vec![131], vec![131]])
+            .collect();
+        docs.insert(700, big.clone());
+        docs.insert(1_400, big.clone());
+        let mut c = Calculator::new();
+        for d in &docs {
+            c.observe(&ts(d));
+        }
+        // brute force: every subset of every document counted, and per
+        // subset of `big`, the documents meeting it found through the mask
+        // of `big`'s tags each document holds
+        let mut expected: std::collections::BTreeMap<TagSet, u64> = Default::default();
+        let mut docs_by_mask: FxHashMap<u32, u64> = FxHashMap::default();
+        for d in &docs {
+            for mask in 1..1u32 << d.len() {
+                let sub: Vec<u32> = (0..d.len())
+                    .filter(|&i| mask >> i & 1 == 1)
+                    .map(|i| d[i])
+                    .collect();
+                *expected.entry(ts(&sub)).or_default() += 1;
+            }
+            let in_big = (0..big.len())
+                .filter(|&i| d.contains(&big[i]))
+                .fold(0, |mask, i| mask | 1 << i);
+            *docs_by_mask.entry(in_big).or_default() += 1;
+        }
+        let union = |tags: &TagSet| -> u64 {
+            let mask = tags
+                .iter()
+                .map(|t| big.iter().position(|&b| b == t.0).unwrap())
+                .fold(0u32, |mask, i| mask | 1 << i);
+            docs_by_mask
+                .iter()
+                .filter(|&(&held, _)| held & mask != 0)
+                .map(|(_, n)| n)
+                .sum()
+        };
+        let exported = c.export_counters();
+        assert!(exported.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(expected.len() > (1 << MAX_TAGS_PER_SET) + 1_000);
+        let brute: Vec<(TagSet, u64)> = expected.iter().map(|(t, &n)| (t.clone(), n)).collect();
+        assert_eq!(exported, brute);
+        let reported = c.report_and_reset();
+        assert!(reported.windows(2).all(|w| w[0].tags < w[1].tags));
+        let brute: Vec<CoefficientReport> = expected
+            .into_iter()
+            .filter(|(tags, _)| tags.len() >= 2)
+            .map(|(tags, counter)| CoefficientReport {
+                jaccard: counter as f64 / union(&tags) as f64,
+                tags,
+                counter,
+            })
+            .collect();
+        assert_eq!(brute.len(), (1 << MAX_TAGS_PER_SET) - 1 - MAX_TAGS_PER_SET);
+        assert_eq!(reported, brute);
     }
 
     #[test]

@@ -1150,29 +1150,42 @@ mod tests {
         }
     }
 
+    /// `spouts` spout tasks of `each` messages, shuffled onto 4 summing
+    /// tasks at batch depth `depth`: every message arrives exactly once.
+    fn check_all_delivered(spouts: usize, each: u64, depth: usize) {
+        let total = StdArc::new(AtomicU64::new(0));
+        let mut tb = TopologyBuilder::new();
+        let src = tb.add_spout("src", spouts, move |task| {
+            let base = task as u64 * each;
+            Box::new(base..base + each)
+        });
+        let sink = {
+            let total = total.clone();
+            tb.add_bolt("sink", 4, move |_| {
+                Box::new(Summer {
+                    total: total.clone(),
+                    local: 0,
+                }) as Box<dyn Bolt<u64>>
+            })
+        };
+        tb.connect(src, "out", sink, Grouping::Shuffle);
+        let stats = run(tb.build(), ThreadedConfig::default(), depth).unwrap();
+        let sent = spouts as u64 * each;
+        assert_eq!(total.load(Ordering::SeqCst), (0..sent).sum::<u64>());
+        assert_eq!(stats.processed[sink], sent);
+    }
+
     #[test]
     fn all_messages_are_delivered() {
         for depth in DEPTHS {
-            let total = StdArc::new(AtomicU64::new(0));
-            let mut tb = TopologyBuilder::new();
-            let src = tb.add_spout("src", 2, |task| {
-                let base = task as u64 * 100;
-                Box::new(base..base + 100)
-            });
-            let sink = {
-                let total = total.clone();
-                tb.add_bolt("sink", 4, move |_| {
-                    Box::new(Summer {
-                        total: total.clone(),
-                        local: 0,
-                    }) as Box<dyn Bolt<u64>>
-                })
-            };
-            tb.connect(src, "out", sink, Grouping::Shuffle);
-            let stats = run(tb.build(), ThreadedConfig::default(), depth).unwrap();
-            assert_eq!(total.load(Ordering::SeqCst), (0..200).sum::<u64>());
-            assert_eq!(stats.processed[sink], 200);
+            check_all_delivered(2, 100, depth);
         }
+    }
+
+    #[test]
+    fn batching_delivers_everything_across_parallel_tasks() {
+        // batches fill on parallel tasks on both sides of the edge
+        check_all_delivered(3, 1_000, 16);
     }
 
     #[test]
@@ -1290,73 +1303,84 @@ mod tests {
         }
     }
 
+    /// Two peer tasks of one component exchange one handoff message each
+    /// when a "fence" arrives as the very last data message before Eos.
+    /// One task can reach its Eos quota before the other has sent; the
+    /// post-Eos control drain (gated on `Bolt::drained`) must still deliver
+    /// both handoffs before either task flushes.
+    fn check_migration_during_drain(depth: usize, barrier: fn(&u64) -> bool) {
+        let got: StdArc<Mutex<Vec<(usize, u64)>>> = StdArc::new(Mutex::new(Vec::new()));
+        struct Peer {
+            task: usize,
+            component: ComponentId,
+            expected: u64,
+            received: u64,
+            got: StdArc<Mutex<Vec<(usize, u64)>>>,
+        }
+        impl Bolt<u64> for Peer {
+            fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
+                if m == 1 {
+                    // the fence: owe one handoff to the other task
+                    self.expected += 1;
+                    out.emit_direct(
+                        "hand",
+                        self.component,
+                        1 - self.task,
+                        100 + self.task as u64,
+                    );
+                } else {
+                    self.received += 1;
+                    self.got.lock().unwrap().push((self.task, m));
+                }
+            }
+            fn drained(&self) -> bool {
+                self.received >= self.expected
+            }
+        }
+        for _ in 0..20 {
+            // scheduling-sensitive: repeat to exercise different interleavings
+            let got = got.clone();
+            got.lock().unwrap().clear();
+            let mut tb = TopologyBuilder::new();
+            let src = tb.add_spout("src", 1, |_| Box::new(std::iter::once(1u64)));
+            let peers = {
+                let got = got.clone();
+                tb.add_bolt("peers", 2, move |task| {
+                    Box::new(Peer {
+                        task,
+                        component: 1, // own component id
+                        expected: 0,
+                        received: 0,
+                        got: got.clone(),
+                    }) as Box<dyn Bolt<u64>>
+                })
+            };
+            assert_eq!(peers, 1);
+            tb.connect(src, "out", peers, Grouping::All);
+            tb.connect_feedback(peers, "hand", peers, Grouping::Direct);
+            let policy = BatchPolicy::new(depth, barrier);
+            try_run_threaded_batched(tb.build(), ThreadedConfig::default(), policy).unwrap();
+            let mut seen = got.lock().unwrap().clone();
+            seen.sort_unstable();
+            assert_eq!(
+                seen,
+                vec![(0, 101), (1, 100)],
+                "both handoffs must land before shutdown"
+            );
+        }
+    }
+
     #[test]
     fn migration_during_drain_completes_cleanly() {
         for depth in DEPTHS {
-            // Two peer tasks of one component exchange one handoff message each
-            // when a "fence" arrives as the very last data message before Eos.
-            // One task can reach its Eos quota before the other has sent; the
-            // post-Eos control drain (gated on `Bolt::drained`) must still
-            // deliver both handoffs before either task flushes.
-            let got: StdArc<Mutex<Vec<(usize, u64)>>> = StdArc::new(Mutex::new(Vec::new()));
-            struct Peer {
-                task: usize,
-                component: ComponentId,
-                expected: u64,
-                received: u64,
-                got: StdArc<Mutex<Vec<(usize, u64)>>>,
-            }
-            impl Bolt<u64> for Peer {
-                fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
-                    if m == 1 {
-                        // the fence: owe one handoff to the other task
-                        self.expected += 1;
-                        out.emit_direct(
-                            "hand",
-                            self.component,
-                            1 - self.task,
-                            100 + self.task as u64,
-                        );
-                    } else {
-                        self.received += 1;
-                        self.got.lock().unwrap().push((self.task, m));
-                    }
-                }
-                fn drained(&self) -> bool {
-                    self.received >= self.expected
-                }
-            }
-            for _ in 0..20 {
-                // scheduling-sensitive: repeat to exercise different interleavings
-                let got = got.clone();
-                got.lock().unwrap().clear();
-                let mut tb = TopologyBuilder::new();
-                let src = tb.add_spout("src", 1, |_| Box::new(std::iter::once(1u64)));
-                let peers = {
-                    let got = got.clone();
-                    tb.add_bolt("peers", 2, move |task| {
-                        Box::new(Peer {
-                            task,
-                            component: 1, // own component id
-                            expected: 0,
-                            received: 0,
-                            got: got.clone(),
-                        }) as Box<dyn Bolt<u64>>
-                    })
-                };
-                assert_eq!(peers, 1);
-                tb.connect(src, "out", peers, Grouping::All);
-                tb.connect_feedback(peers, "hand", peers, Grouping::Direct);
-                run(tb.build(), ThreadedConfig::default(), depth).unwrap();
-                let mut seen = got.lock().unwrap().clone();
-                seen.sort_unstable();
-                assert_eq!(
-                    seen,
-                    vec![(0, 101), (1, 100)],
-                    "both handoffs must land before shutdown"
-                );
-            }
+            check_migration_during_drain(depth, |_| false);
         }
+    }
+
+    #[test]
+    fn batched_migration_during_drain_still_completes() {
+        // the fence is a barrier while the feedback handoffs bypass the buffers
+        check_migration_during_drain(8, |m| *m == 1);
     }
 
     #[test]
@@ -1397,12 +1421,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batching_preserves_per_consumer_fifo_order() {
-        // One producer, one consumer task: with batching on, the consumer
-        // must still see the exact emission order, across batch boundaries
-        // and across the mixed emit/emit_direct paths.
-        let seen: StdArc<Mutex<Vec<u64>>> = StdArc::new(Mutex::new(Vec::new()));
+    /// One producer, one consumer task, messages `from..to` at batch depth
+    /// `depth`: with batching on, the consumer must still see the exact
+    /// emission order, across batch boundaries, barriers and the mixed
+    /// emit/emit_direct paths.
+    fn check_fifo_order(from: u64, to: u64, depth: usize, barrier: fn(&u64) -> bool) {
         struct Rec {
             seen: StdArc<Mutex<Vec<u64>>>,
         }
@@ -1411,8 +1434,9 @@ mod tests {
                 self.seen.lock().unwrap().push(m);
             }
         }
+        let seen: StdArc<Mutex<Vec<u64>>> = StdArc::new(Mutex::new(Vec::new()));
         let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 1, |_| Box::new(0u64..1000));
+        let src = tb.add_spout("src", 1, move |_| Box::new(from..to));
         let sink = {
             let seen = seen.clone();
             tb.add_bolt("sink", 1, move |_| {
@@ -1423,10 +1447,15 @@ mod tests {
         let stats = run_threaded_batched(
             tb.build(),
             ThreadedConfig::default(),
-            BatchPolicy::new(7, |_| false),
+            BatchPolicy::new(depth, barrier),
         );
-        assert_eq!(stats.processed[sink], 1000);
-        assert_eq!(*seen.lock().unwrap(), (0..1000).collect::<Vec<u64>>());
+        assert_eq!(stats.processed[sink], to - from);
+        assert_eq!(*seen.lock().unwrap(), (from..to).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn batching_preserves_per_consumer_fifo_order() {
+        check_fifo_order(0, 1_000, 7, |_| false);
     }
 
     #[test]
@@ -1434,120 +1463,7 @@ mod tests {
         // Multiples of 100 are barriers: they must not overtake the batched
         // messages emitted before them (the tick-behind-notifications
         // invariant of the Figure 2 topology, in miniature).
-        let seen: StdArc<Mutex<Vec<u64>>> = StdArc::new(Mutex::new(Vec::new()));
-        struct Rec {
-            seen: StdArc<Mutex<Vec<u64>>>,
-        }
-        impl Bolt<u64> for Rec {
-            fn on_message(&mut self, m: u64, _o: &mut dyn Emitter<u64>) {
-                self.seen.lock().unwrap().push(m);
-            }
-        }
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 1, |_| Box::new(1u64..=500));
-        let sink = {
-            let seen = seen.clone();
-            tb.add_bolt("sink", 1, move |_| {
-                Box::new(Rec { seen: seen.clone() }) as Box<dyn Bolt<u64>>
-            })
-        };
-        tb.connect(src, "out", sink, Grouping::Shuffle);
-        run_threaded_batched(
-            tb.build(),
-            ThreadedConfig::default(),
-            BatchPolicy::new(64, |m| m % 100 == 0),
-        );
-        assert_eq!(*seen.lock().unwrap(), (1..=500).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn batching_delivers_everything_across_parallel_tasks() {
-        let total = StdArc::new(AtomicU64::new(0));
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 3, |task| {
-            let base = task as u64 * 1000;
-            Box::new(base..base + 1000)
-        });
-        let sink = {
-            let total = total.clone();
-            tb.add_bolt("sink", 4, move |_| {
-                Box::new(Summer {
-                    total: total.clone(),
-                    local: 0,
-                }) as Box<dyn Bolt<u64>>
-            })
-        };
-        tb.connect(src, "out", sink, Grouping::Shuffle);
-        let stats = run_threaded_batched(
-            tb.build(),
-            ThreadedConfig::default(),
-            BatchPolicy::new(16, |_| false),
-        );
-        assert_eq!(stats.processed[sink], 3000);
-        assert_eq!(total.load(Ordering::SeqCst), (0..3000u64).sum::<u64>());
-    }
-
-    #[test]
-    fn batched_migration_during_drain_still_completes() {
-        // The migration-at-shutdown scenario of
-        // `migration_during_drain_completes_cleanly`, with batching enabled:
-        // feedback handoffs bypass the buffers, the fence is a barrier.
-        let got: StdArc<Mutex<Vec<(usize, u64)>>> = StdArc::new(Mutex::new(Vec::new()));
-        struct Peer {
-            task: usize,
-            component: ComponentId,
-            expected: u64,
-            received: u64,
-            got: StdArc<Mutex<Vec<(usize, u64)>>>,
-        }
-        impl Bolt<u64> for Peer {
-            fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
-                if m == 1 {
-                    self.expected += 1;
-                    out.emit_direct(
-                        "hand",
-                        self.component,
-                        1 - self.task,
-                        100 + self.task as u64,
-                    );
-                } else {
-                    self.received += 1;
-                    self.got.lock().unwrap().push((self.task, m));
-                }
-            }
-            fn drained(&self) -> bool {
-                self.received >= self.expected
-            }
-        }
-        for _ in 0..20 {
-            let got = got.clone();
-            got.lock().unwrap().clear();
-            let mut tb = TopologyBuilder::new();
-            let src = tb.add_spout("src", 1, |_| Box::new(std::iter::once(1u64)));
-            let peers = {
-                let got = got.clone();
-                tb.add_bolt("peers", 2, move |task| {
-                    Box::new(Peer {
-                        task,
-                        component: 1,
-                        expected: 0,
-                        received: 0,
-                        got: got.clone(),
-                    }) as Box<dyn Bolt<u64>>
-                })
-            };
-            assert_eq!(peers, 1);
-            tb.connect(src, "out", peers, Grouping::All);
-            tb.connect_feedback(peers, "hand", peers, Grouping::Direct);
-            run_threaded_batched(
-                tb.build(),
-                ThreadedConfig::default(),
-                BatchPolicy::new(8, |m| *m == 1),
-            );
-            let mut seen = got.lock().unwrap().clone();
-            seen.sort_unstable();
-            assert_eq!(seen, vec![(0, 101), (1, 100)]);
-        }
+        check_fifo_order(1, 501, 64, |m| m % 100 == 0);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! queries lock-free forever: reads must never stall ingest.
 //!
 //! Each snapshot carries the round id, a strictly monotone publication
-//! sequence (the staleness clock), and two indexes built at publish time:
-//! the global top-k by Jaccard and a per-tag inverted neighborhood index.
+//! sequence (the staleness clock), and three indexes built at publish time:
+//! the global top-k by Jaccard, a per-tag inverted neighborhood index and a
+//! hash table for exact lookups.
 
 #![warn(missing_docs)]
 

@@ -1,9 +1,10 @@
 //! Immutable, epoch-stamped views over one report round's deduplicated
-//! coefficients, with the two query indexes built once at publish time: the
-//! descending-Jaccard order and one flat array of every tag's neighbour row.
+//! coefficients, with the three query indexes built once at publish time:
+//! the descending-Jaccard order, one flat array of every tag's neighbour row,
+//! and an open-addressed table of every tagset's position.
 
 use setcorr_core::TrackedCoefficient;
-use setcorr_model::{FxHashMap, Tag, TagSet};
+use setcorr_model::{fx, FxHashMap, Tag, TagSet};
 use std::sync::Arc;
 
 /// One published view of the Tracker's output: everything the round's
@@ -16,10 +17,11 @@ use std::sync::Arc;
 /// round's reports, only indexes them.
 ///
 /// Index layout: `coefficients` is sorted by tagset (the Tracker's output
-/// order), `by_jaccard` and the per-tag neighbourhood rows hold `u32`
-/// positions into it, ordered by descending Jaccard (ties broken by tagset,
-/// ascending, so the ordering is total and runs are comparable
-/// byte-for-byte).
+/// order); the three publish-time indexes hold `u32` positions into it.
+/// `by_jaccard` and the per-tag neighbourhood rows are ordered by descending
+/// Jaccard (ties broken by tagset, ascending, so the ordering is total and
+/// runs are comparable byte-for-byte); `slots` finds a tagset's position in
+/// one probe.
 #[derive(Debug)]
 pub struct Snapshot {
     /// Report round this snapshot publishes, `None` only for the initial
@@ -39,6 +41,10 @@ pub struct Snapshot {
     /// Where each tag's row lies in `positions`: `(start, len)`, in the map
     /// value itself so a query pays one dependent miss, not two.
     rows: FxHashMap<Tag, (u32, u32)>,
+    /// The exact-lookup table: a power-of-two number of slots, at least two
+    /// per coefficient, each 0 (empty) or `pos + 1` of a coefficient whose
+    /// tagset hashes there or, by linear probing, to a slot before it.
+    slots: Vec<u32>,
 }
 
 impl Snapshot {
@@ -51,17 +57,19 @@ impl Snapshot {
             by_jaccard: Vec::new(),
             positions: Vec::new(),
             rows: FxHashMap::default(),
+            slots: lookup_table(&[]),
         }
     }
 
     /// Build the snapshot for `round` over `coefficients` (the Tracker's
     /// per-round output: sorted by tagset, one entry per tagset).
     ///
-    /// `seq` is the publication sequence the store assigns. Building is the
-    /// only O(n log n) work of a publication (one sort of flat keys); the
-    /// neighbour index is counted in one pass — a map probe per coefficient
-    /// and tag — and placed in a second that hashes nothing, into rows that
-    /// never grow. The swap itself is one pointer store.
+    /// `seq` is the publication sequence the store assigns. Building sorts
+    /// nothing but the round's distinct Jaccard values: the order is a
+    /// counting sort over them; the neighbour index is counted in one pass —
+    /// a map probe per coefficient and tag — and placed in a second that
+    /// hashes nothing, into rows that never grow; the lookup table hashes
+    /// each tagset once. The swap itself is one pointer store.
     pub fn build(round: u64, seq: u64, coefficients: Arc<Vec<TrackedCoefficient>>) -> Self {
         debug_assert!(
             coefficients.windows(2).all(|w| w[0].tags < w[1].tags),
@@ -73,28 +81,16 @@ impl Snapshot {
                 .all(|c| c.jaccard.is_finite() && c.jaccard.is_sign_positive()),
             "a published Jaccard is finite and not negative: its bits order like its value"
         );
-        // Descending Jaccard on flat keys: for non-negative floats the
-        // complemented bit pattern ascends as the value descends, so the
-        // sort never touches `coefficients`. Keys compare equal only for
-        // equal coefficients, and the position tie-break (ascending
-        // position == ascending tagset) keeps the order total and
-        // deterministic.
-        let mut keyed: Vec<(u64, u32)> = coefficients
-            .iter()
-            .zip(0u32..)
-            .map(|(c, pos)| (!c.jaccard.to_bits(), pos))
-            .collect();
-        keyed.sort_unstable();
-        let by_jaccard: Vec<u32> = keyed.into_iter().map(|(_, pos)| pos).collect();
+        let by_jaccard = jaccard_order(&coefficients);
         // Count: each (coefficient, tag) probes the map once, lengthens its
         // row and notes the row's id — rows are numbered as first seen, the
         // id waits where the row's start will go — among its coefficient's,
         // `row_ids[first[pos]..first[pos + 1]]`.
         let mut rows: FxHashMap<Tag, (u32, u32)> = FxHashMap::default();
         let mut row_ids: Vec<u32> = Vec::with_capacity(2 * coefficients.len());
-        let mut first: Vec<usize> = Vec::with_capacity(coefficients.len() + 1);
+        let mut first: Vec<u32> = Vec::with_capacity(coefficients.len() + 1);
         for coefficient in coefficients.iter() {
-            first.push(row_ids.len());
+            first.push(row_ids.len() as u32);
             for tag in coefficient.tags.iter() {
                 let fresh = rows.len() as u32;
                 let row = rows.entry(tag).or_insert((fresh, 0));
@@ -102,8 +98,8 @@ impl Snapshot {
                 row_ids.push(row.0);
             }
         }
-        first.push(row_ids.len());
         assert!(row_ids.len() <= u32::MAX as usize, "rows are u32-addressed");
+        first.push(row_ids.len() as u32);
         // Place: a cursor per row, starting where the rows before it end;
         // by_jaccard order fills every row in descending Jaccard unhashed.
         let mut cursors = vec![0u32; rows.len()];
@@ -116,7 +112,8 @@ impl Snapshot {
         }
         let mut positions = vec![0u32; row_ids.len()];
         for &pos in &by_jaccard {
-            for &id in &row_ids[first[pos as usize]..first[pos as usize + 1]] {
+            let ids = first[pos as usize] as usize..first[pos as usize + 1] as usize;
+            for &id in &row_ids[ids] {
                 positions[cursors[id as usize] as usize] = pos;
                 cursors[id as usize] += 1;
             }
@@ -124,6 +121,7 @@ impl Snapshot {
         for row in rows.values_mut() {
             row.0 = cursors[row.0 as usize] - row.1;
         }
+        let slots = lookup_table(&coefficients);
         Snapshot {
             round: Some(round),
             seq,
@@ -131,6 +129,7 @@ impl Snapshot {
             by_jaccard,
             positions,
             rows,
+            slots,
         }
     }
 
@@ -183,14 +182,75 @@ impl Snapshot {
         self.rows.get(&tag).map_or(0, |row| row.1 as usize)
     }
 
-    /// This round's coefficient for exactly `tags` (binary search over the
-    /// tagset-sorted storage).
+    /// This round's coefficient for exactly `tags`: one hash, then a probe
+    /// of the lookup table from the slot it names to the first empty one,
+    /// comparing the tagset of each coefficient met on the way.
     pub fn coefficient(&self, tags: &TagSet) -> Option<&TrackedCoefficient> {
-        self.coefficients
-            .binary_search_by(|c| c.tags.cmp(tags))
-            .ok()
-            .map(|pos| &self.coefficients[pos])
+        let mask = self.slots.len() - 1;
+        let mut at = fx::hash_one(tags) as usize & mask;
+        loop {
+            let coefficient = &self.coefficients[self.slots[at].checked_sub(1)? as usize];
+            if coefficient.tags == *tags {
+                return Some(coefficient);
+            }
+            at = (at + 1) & mask;
+        }
     }
+}
+
+/// Every position of `coefficients`, by descending Jaccard, ties in
+/// ascending position: a counting sort over the round's distinct keys.
+///
+/// For a non-negative float the complemented bit pattern ascends as the
+/// value descends, so the key `!jaccard.to_bits()` orders like the value
+/// and compares equal only for equal coefficients. Only the distinct keys
+/// are sorted — a round holds far fewer distinct values than coefficients —
+/// and the positions are scattered in ascending order, so each key's bucket
+/// keeps them ascending: ascending position is ascending tagset.
+fn jaccard_order(coefficients: &[TrackedCoefficient]) -> Vec<u32> {
+    let key = |c: &TrackedCoefficient| !c.jaccard.to_bits();
+    // Per distinct key, its count, then where its next position goes. A
+    // `steady` round holds about one distinct value per dozen coefficients.
+    let mut buckets: FxHashMap<u64, u32> =
+        FxHashMap::with_capacity_and_hasher(coefficients.len() / 8, Default::default());
+    for coefficient in coefficients {
+        *buckets.entry(key(coefficient)).or_insert(0) += 1;
+    }
+    let mut keys: Vec<u64> = buckets.keys().copied().collect();
+    keys.sort_unstable();
+    let mut start = 0;
+    for bits in &keys {
+        let cursor = buckets.get_mut(bits).expect("a counted key");
+        start += std::mem::replace(cursor, start);
+    }
+    let mut order = vec![0u32; coefficients.len()];
+    for (coefficient, pos) in coefficients.iter().zip(0u32..) {
+        let cursor = buckets.get_mut(&key(coefficient)).expect("a counted key");
+        order[*cursor as usize] = pos;
+        *cursor += 1;
+    }
+    order
+}
+
+/// The lookup table over `coefficients`: `(2n).next_power_of_two()` slots,
+/// so the load stays at most ½ and a probe for an absent tagset ends at an
+/// empty slot after a couple of steps; each coefficient's `pos + 1` sits in
+/// the first empty slot from its tagset's hash on.
+fn lookup_table(coefficients: &[TrackedCoefficient]) -> Vec<u32> {
+    assert!(
+        coefficients.len() < u32::MAX as usize,
+        "positions are u32, and slot 0 means empty"
+    );
+    let mut slots = vec![0u32; (2 * coefficients.len()).next_power_of_two()];
+    let mask = slots.len() - 1;
+    for (coefficient, pos) in coefficients.iter().zip(1u32..) {
+        let mut at = fx::hash_one(&coefficient.tags) as usize & mask;
+        while slots[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        slots[at] = pos;
+    }
+    slots
 }
 
 #[cfg(test)]
@@ -309,6 +369,108 @@ mod tests {
         let got: Vec<&TagSet> = snapshot.top_k(usize::MAX).map(|c| &c.tags).collect();
         let expected: Vec<&TagSet> = expected.iter().map(|&pos| &coeffs[pos].tags).collect();
         assert_eq!(got, expected);
+    }
+
+    /// The flat-key comparison sort `build` ran before its counting sort.
+    fn flat_key_sort(coeffs: &[TrackedCoefficient]) -> Vec<u32> {
+        let mut keyed: Vec<(u64, u32)> = coeffs
+            .iter()
+            .zip(0u32..)
+            .map(|(c, pos)| (!c.jaccard.to_bits(), pos))
+            .collect();
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, pos)| pos).collect()
+    }
+
+    #[test]
+    fn counting_sort_orders_like_the_flat_key_sort_on_ties_and_on_distinct_values() {
+        // the counting sort's worst case: every value its own bucket
+        let distinct: Vec<TrackedCoefficient> = (0..10_000u32)
+            .map(|i| coeff(&[i, 10_000 + i], (i * 7_919 % 10_007 + 1) as f64 / 10_008.0))
+            .collect();
+        for coeffs in [
+            tied_fixture(),
+            distinct,
+            Vec::new(),
+            vec![coeff(&[1, 2], 0.0)],
+        ] {
+            let snapshot = Snapshot::build(0, 1, Arc::new(coeffs.clone()));
+            assert_eq!(snapshot.by_jaccard, flat_key_sort(&coeffs));
+        }
+    }
+
+    #[test]
+    fn lookup_agrees_with_a_binary_search_of_the_sorted_storage() {
+        let mut state = 0x7AB1E_u64;
+        let mut rnd = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        // ids from both ends of u32, never from the middle: a query built
+        // from the middle is disjoint from everything present
+        let mut tag = || {
+            let low = rnd(48) as u32;
+            if rnd(2) == 0 {
+                low
+            } else {
+                u32::MAX - low
+            }
+        };
+        for len in [0, 1, 2, 3, 255, 257, 1_023, 1_025, 4_095, 4_097] {
+            // `len` distinct three-tag sets, sorted like the Tracker's output
+            let mut sets = std::collections::BTreeSet::new();
+            while sets.len() < len {
+                let (a, b, c) = (tag(), tag(), tag());
+                if a != b && b != c && a != c {
+                    sets.insert(TagSet::from_ids(&[a, b, c]));
+                }
+            }
+            let coeffs: Vec<TrackedCoefficient> = sets
+                .into_iter()
+                .map(|tags| TrackedCoefficient {
+                    tags,
+                    jaccard: 1.0,
+                    counter: 1,
+                    reporters: 1,
+                })
+                .collect();
+            let snapshot = Snapshot::build(0, 1, Arc::new(coeffs.clone()));
+            assert!(snapshot.slots.len().is_power_of_two());
+            assert!(snapshot.slots.len() >= 2 * len, "load at most one half");
+            let reference = |tags: &TagSet| {
+                coeffs
+                    .binary_search_by(|c| c.tags.cmp(tags))
+                    .ok()
+                    .map(|pos| &coeffs[pos])
+            };
+            let lookup = |tags: &TagSet| {
+                let got = snapshot.coefficient(tags);
+                let want = reference(tags);
+                assert_eq!(got, want, "{tags:?} among {len}");
+                got.is_some()
+            };
+            for (pos, c) in coeffs.iter().enumerate() {
+                let found = snapshot.coefficient(&c.tags).expect("present");
+                assert!(std::ptr::eq(found, &snapshot.coefficients()[pos]));
+                let ids: Vec<u32> = c.tags.iter().map(|t| t.0).collect();
+                for skip in 0..3 {
+                    let mut subset = ids.clone();
+                    subset.remove(skip);
+                    assert!(!lookup(&TagSet::from_ids(&subset)), "a subset");
+                }
+                let mut superset = ids.clone();
+                superset.push(1 << 31);
+                assert!(!lookup(&TagSet::from_ids(&superset)), "a superset");
+                let disjoint: Vec<u32> = ids.iter().map(|id| id / 2 + (1 << 20)).collect();
+                assert!(!lookup(&TagSet::from_ids(&disjoint)), "a disjoint set");
+            }
+            // and random three-tag sets, present or not
+            for _ in 0..len.max(64) {
+                lookup(&TagSet::from_ids(&[tag(), tag(), tag()]));
+            }
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn main() {
             for c in snap.neighbors(tag, 3) {
                 println!("    {}  jaccard {:.3}", c.tags, c.jaccard);
             }
-            // Exact lookup round-trips through the sorted storage.
+            // Exact lookup round-trips through the snapshot's hash table.
             let exact = snap.coefficient(&best.tags).expect("best is tracked");
             assert_eq!(exact, best);
         };

@@ -63,8 +63,9 @@ fn a_snapshot_over_ten_thousand_tags_is_a_handful_of_allocations() {
     let coefficients = Arc::new(coefficients);
     let (count, snapshot) = allocations(|| Snapshot::build(0, 1, coefficients.clone()));
     assert_eq!(snapshot.neighbor_count(setcorr::model::Tag(9_999)), 1);
-    // six vectors and the doublings of one 10 000-entry map; a vector per
-    // tag would be at least 10 000
+    // seven vectors, the Jaccard order's pre-sized key map and the
+    // doublings of one 10 000-entry map; a vector per tag would be at least
+    // 10 000
     assert!(count < 40, "Snapshot::build allocated {count} times");
 }
 
