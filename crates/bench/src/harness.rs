@@ -11,9 +11,9 @@
 //! documents, z = 1000, sn = 3) while shrinking event time.
 
 use setcorr_core::AlgorithmKind;
-use setcorr_model::{FxHashMap, TimeDelta, WindowKind};
+use setcorr_model::{Document, FxHashMap, TimeDelta, WindowKind};
 use setcorr_sketch::{OverheadReport, SketchCooccurrence};
-use setcorr_topology::{connectivity, run, ExperimentConfig, RunMode, RunReport};
+use setcorr_topology::{connectivity, run, ExactRun, ExperimentConfig, RunMode, RunReport};
 use setcorr_workload::{Generator, WorkloadConfig};
 use std::fmt::Write as _;
 
@@ -101,12 +101,14 @@ fn key(p: &GridPoint) -> String {
     )
 }
 
-/// Execute one grid point at the given scale.
-pub fn run_point(point: &GridPoint, scale: &Scale) -> RunReport {
-    let mut wconfig = WorkloadConfig::with_seed(scale.seed);
-    wconfig.tps = point.tps;
-    let docs = (scale.duration_secs * point.tps) as usize;
-    let stream = Generator::new(wconfig).take(docs);
+/// Execute one grid point at the given scale over `docs`, its stream, and
+/// score it against `exact`, the stream's exact computation.
+pub fn run_point(
+    point: &GridPoint,
+    scale: &Scale,
+    docs: Vec<Document>,
+    exact: &ExactRun,
+) -> RunReport {
     let config = ExperimentConfig {
         algorithm: point.algorithm,
         k: point.k,
@@ -119,8 +121,11 @@ pub fn run_point(point: &GridPoint, scale: &Scale) -> RunReport {
         sample_every: 2000,
         seed: scale.seed,
         ..ExperimentConfig::default()
-    };
-    run(&config, Box::new(stream), scale.mode)
+    }
+    .with_baseline(false);
+    let mut report = run(&config, Box::new(docs.into_iter()), scale.mode);
+    report.score(exact);
+    report
 }
 
 /// Grid cache: every figure pulls from the same set of runs.
@@ -133,12 +138,23 @@ impl Grid {
     /// Run (or reuse) the full Figures 3–6 grid.
     pub fn compute(scale: Scale, progress: bool) -> Grid {
         let mut reports = FxHashMap::default();
+        // the points share one stream per rate: generate it and compute its
+        // exact rounds once
+        let mut streams: FxHashMap<u64, (Vec<Document>, ExactRun)> = FxHashMap::default();
         let points = grid_points();
         for (i, point) in points.iter().enumerate() {
             if progress {
                 eprintln!("[{:2}/{}] {}", i + 1, points.len(), key(point));
             }
-            let report = run_point(point, &scale);
+            let (docs, exact) = streams.entry(point.tps).or_insert_with(|| {
+                let mut wconfig = WorkloadConfig::with_seed(scale.seed);
+                wconfig.tps = point.tps;
+                let n = (scale.duration_secs * point.tps) as usize;
+                let docs: Vec<Document> = Generator::new(wconfig).take(n).collect();
+                let exact = ExactRun::of(&docs, TimeDelta::from_secs(scale.period_secs));
+                (docs, exact)
+            });
+            let report = run_point(point, &scale, docs.clone(), exact);
             reports.insert(key(point), report);
         }
         Grid { reports, scale }

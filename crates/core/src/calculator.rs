@@ -277,9 +277,10 @@ impl Calculator {
 
     /// Clear all round state *without* computing coefficients — the cheap
     /// alternative to [`Calculator::report_and_reset`] for callers that
-    /// already queried what they need (e.g. the centralized baseline, which
-    /// reports only the round's input tagsets: deriving a report for every
-    /// tracked subset just to throw it away cost more than the queries).
+    /// already queried what they need (e.g. the exact computation
+    /// `setcorr_topology::ExactRun`, which reports only the round's input
+    /// tagsets: deriving a report for every tracked subset just to throw it
+    /// away cost more than the queries).
     pub fn reset(&mut self) {
         self.received = 0;
         let state = self.state.get_mut();

@@ -3,9 +3,9 @@
 
 use crate::messages::Msg;
 use crate::operators::{
-    BaselineBolt, CalculatorBolt, DisseminatorBolt, MergerBolt, ParserBolt, PartitionerBolt,
-    TrackerBolt,
+    CalculatorBolt, DisseminatorBolt, MergerBolt, ParserBolt, PartitionerBolt, TrackerBolt,
 };
+use crate::oracle::ExactRun;
 use crate::recorder::{RunRecorder, SharedRecorder};
 use crate::report::RunReport;
 use setcorr_approx::{ApproxCalculator, ApproxParams};
@@ -193,10 +193,19 @@ pub struct ExperimentConfig {
     /// Disable to reproduce the offline behaviour (new maps affect future
     /// routing only) for comparison runs.
     pub live_migration: bool,
-    /// Centralized exact baseline (default on): required for the accuracy
-    /// comparison, but a pure measurement artifact otherwise — per-operator
-    /// attribution shows it occupying about a third of e2e wall time, so
-    /// throughput benchmarks switch it off.
+    /// Score the run against the centralized exact computation (default
+    /// on): a thread beside the run computes [`ExactRun::of`] the documents
+    /// the source reads, and the driver [`RunReport::score`]s the report
+    /// with it. Off, the report keeps coverage 1.0, error 0 and no compared
+    /// tagsets — what throughput benchmarks run.
+    ///
+    /// The exact computation is the slowest reader of the stream, and its
+    /// bounded queue paces a scored threaded run by it (it takes about a
+    /// third of e2e wall time). Computed before the run instead, the
+    /// threaded data plane outruns the control plane: repartition round
+    /// trips and Single-Addition answers land several report periods of
+    /// event time late, and threaded coverage falls from about 0.9 to
+    /// 0.55–0.7 on the suites' streams.
     pub baseline: bool,
     /// Partition map installed at the Disseminator before the stream
     /// starts, skipping the bootstrap control round-trip. This removes the
@@ -275,8 +284,8 @@ impl ExperimentConfig {
         self
     }
 
-    /// This config with the centralized baseline switched on or off.
-    /// Without it the run reports no coverage/error figures.
+    /// This config with scoring against the exact computation switched on
+    /// or off. Without it the run reports no coverage/error figures.
     pub fn with_baseline(mut self, on: bool) -> Self {
         self.baseline = on;
         self
@@ -346,8 +355,7 @@ pub enum RunMode {
     Threaded,
 }
 
-/// Build the full Figure 2 topology (plus the centralized baseline bolt
-/// when `config.baseline` is on) for `config` over `docs`.
+/// Build the full Figure 2 topology for `config` over `docs`.
 pub fn build_topology(
     config: &ExperimentConfig,
     docs: Box<dyn Iterator<Item = Document> + Send>,
@@ -470,17 +478,6 @@ fn build_served_topology(
         })
     };
 
-    // Declared last so switching it off leaves every other component id
-    // (and the Disseminator's precomputed direct-grouping target) unchanged.
-    let baseline = if config.baseline {
-        let recorder = recorder.clone();
-        Some(tb.add_bolt("baseline", 1, move |_| {
-            Box::new(BaselineBolt::new(recorder.clone())) as Box<dyn Bolt<Msg>>
-        }))
-    } else {
-        None
-    };
-
     // Wiring (see module docs of `operators` for the full map).
     tb.connect(source, "docs", parser, Grouping::Global);
     tb.connect(parser, "tagsets", disseminator, Grouping::Shuffle);
@@ -494,13 +491,7 @@ fn build_served_topology(
             _ => 0,
         })),
     );
-    if let Some(baseline) = baseline {
-        tb.connect(parser, "tagsets", baseline, Grouping::Global);
-    }
     tb.connect(parser, "ticks", disseminator, Grouping::All);
-    if let Some(baseline) = baseline {
-        tb.connect(parser, "ticks", baseline, Grouping::Global);
-    }
     tb.connect(partitioner, "parts", merger, Grouping::Global);
     tb.connect(merger, "partitions", disseminator, Grouping::All);
     tb.connect(merger, "additions", disseminator, Grouping::All);
@@ -517,6 +508,11 @@ fn build_served_topology(
 
     tb.build()
 }
+
+/// Documents the scoring thread may fall behind the source by: the
+/// threaded runtime's default inbox capacity, so the exact computation
+/// paces a scored run as one more consumer of the stream would.
+const SCORER_QUEUE: usize = 1024;
 
 /// Messages accumulated per channel batch on the threaded runtime — also
 /// the unit of vectorized operator execution, since each batch envelope is
@@ -560,6 +556,20 @@ fn run_with_publisher(
 ) -> RunReport {
     let serve_counters = publisher.as_ref().map(|p| p.subscribe());
     let degrade_flag = publisher.as_ref().map(|p| p.degrade_flag());
+    // Scoring computes the exact rounds beside the run, from the documents
+    // as the source reads them, through a bounded queue (see
+    // `ExperimentConfig::baseline` for why not before the run).
+    let (docs, scorer) = if config.baseline {
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Document>(SCORER_QUEUE);
+        let period = config.report_period;
+        let scorer = std::thread::spawn(move || ExactRun::of(rx, period));
+        let docs = docs.inspect(move |doc| {
+            let _ = tx.send(doc.clone());
+        });
+        (Box::new(docs) as Box<_>, Some(scorer))
+    } else {
+        (docs, None)
+    };
     let recorder = RunRecorder::shared(config.k);
     let topology = build_served_topology(config, docs, recorder.clone(), publisher);
     let names: Vec<String> = topology
@@ -598,6 +608,9 @@ fn run_with_publisher(
         &rec,
     );
     report.backend = config.backend.name().to_string();
+    if let Some(scorer) = scorer {
+        report.score(&scorer.join().expect("scorer panicked"));
+    }
     if let Some(stats) = threaded {
         report.channel_waits = names
             .iter()

@@ -5,14 +5,16 @@
 //! `setcorr-engine`:
 //!
 //! ```text
-//! source → parser → { disseminator, partitioner×P, baseline }
+//! source → parser → { disseminator, partitioner×P }
 //! partitioner → merger → disseminator → calculator×k → tracker
 //! ```
 //!
 //! with feedback control edges for repartition requests (§7.2) and Single
-//! Additions (§7.1), a centralized exact baseline for the accuracy
-//! comparison (§8.2.3), and an experiment [`driver`] producing one
-//! [`RunReport`] per configuration of the §8.1 parameter grid.
+//! Additions (§7.1), and an experiment [`driver`] producing one
+//! [`RunReport`] per configuration of the §8.1 parameter grid. The
+//! centralized exact computation the accuracy comparison scores a run
+//! against (§8.2.3) is no part of the topology: [`ExactRun`] computes it
+//! from the same stream, cutting the same rounds as the Parser.
 
 #![warn(missing_docs)]
 
@@ -20,6 +22,7 @@ pub mod connectivity;
 pub mod driver;
 pub mod messages;
 pub mod operators;
+pub mod oracle;
 pub mod recorder;
 pub mod report;
 
@@ -29,6 +32,7 @@ pub use driver::{
     ExperimentConfig, Fault, LiveRun, PinnedPartitions, RunMode, Supervision, THREADED_BATCH,
 };
 pub use messages::Msg;
+pub use oracle::ExactRun;
 pub use recorder::{RunRecorder, SharedRecorder};
 pub use report::{RunReport, BASELINE_MIN_SIGHTINGS, WARMUP_ROUNDS};
 pub use setcorr_serve::{QueryHandle, Snapshot};

@@ -7,9 +7,7 @@
 //! source      → "docs"       → parser        (global)
 //! parser      → "tagsets"    → disseminator  (shuffle)
 //!                            → partitioner   (fields: whole tagset)
-//!                            → baseline      (global)
 //! parser      → "ticks"      → disseminator  (all)
-//!                            → baseline      (global)
 //! partitioner → "parts"      → merger        (global)
 //! merger      → "partitions" → disseminator  (all)
 //! merger      → "additions"  → disseminator  (all)
@@ -26,7 +24,6 @@
 //! runtimes, every notification of a round is delivered before the tick that
 //! closes it (single FIFO channel per Disseminator → Calculator pair).
 
-mod baseline;
 mod calculator;
 mod disseminator;
 mod merger;
@@ -34,11 +31,11 @@ mod parser;
 mod partitioner;
 mod tracker;
 
-pub use baseline::BaselineBolt;
 pub use calculator::CalculatorBolt;
 pub use disseminator::DisseminatorBolt;
 pub use merger::MergerBolt;
 pub use parser::ParserBolt;
+pub(crate) use parser::RoundCut;
 pub use partitioner::PartitionerBolt;
 pub use tracker::TrackerBolt;
 

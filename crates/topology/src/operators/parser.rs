@@ -4,47 +4,67 @@ use crate::messages::Msg;
 use setcorr_engine::{Bolt, Emitter};
 use setcorr_model::{TimeDelta, Timestamp};
 
+/// The round cut, kept apart from the bolt so that the exact oracle
+/// ([`crate::ExactRun`]) cuts the very same rounds: a document first closes
+/// every round whose end its timestamp has reached, and the last partial
+/// round closes at the end of the stream.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RoundCut {
+    period: TimeDelta,
+    round: u64,
+}
+
+impl RoundCut {
+    /// Round 0 open, rounds `period` long.
+    pub(crate) fn new(period: TimeDelta) -> Self {
+        RoundCut { period, round: 0 }
+    }
+
+    /// Close the open round if event time `t` has reached its end, returning
+    /// the closed round's id and end time. Call until `None` before taking
+    /// the document stamped `t`.
+    pub(crate) fn reached(&mut self, t: Timestamp) -> Option<(u64, Timestamp)> {
+        (t.millis() >= self.end()).then(|| self.close())
+    }
+
+    /// Close the open round whatever the time (the end of the stream) and
+    /// open the next.
+    pub(crate) fn close(&mut self) -> (u64, Timestamp) {
+        let closed = (self.round, Timestamp(self.end()));
+        self.round += 1;
+        closed
+    }
+
+    /// Event time, in milliseconds, at which the open round ends.
+    fn end(&self) -> u64 {
+        (self.round + 1) * self.period.millis()
+    }
+}
+
+fn tick((round, time): (u64, Timestamp)) -> Msg {
+    Msg::Tick { round, time }
+}
+
 /// Extracts tagsets from documents and cuts report-period boundaries
 /// ("ticks") from event time (§6.2: the Parser stamps `(timestamp_i, s_i)`).
 pub struct ParserBolt {
-    report_period: TimeDelta,
-    round: u64,
+    cut: RoundCut,
 }
 
 impl ParserBolt {
     /// Parser with report period `y`.
     pub fn new(report_period: TimeDelta) -> Self {
         ParserBolt {
-            report_period,
-            round: 0,
+            cut: RoundCut::new(report_period),
         }
-    }
-
-    /// Event time, in milliseconds, at which the current round ends.
-    fn round_end(&self) -> u64 {
-        (self.round + 1) * self.report_period.millis()
-    }
-
-    /// Emit the tick that closes the current round and open the next.
-    fn close_round(&mut self, out: &mut dyn Emitter<Msg>) {
-        let time = Timestamp(self.round_end());
-        out.emit(
-            "ticks",
-            Msg::Tick {
-                round: self.round,
-                time,
-            },
-        );
-        self.round += 1;
     }
 }
 
 impl Bolt<Msg> for ParserBolt {
     fn on_message(&mut self, msg: Msg, out: &mut dyn Emitter<Msg>) {
         let Msg::Doc(doc) = msg else { return };
-        // Close any rounds the document's timestamp has passed.
-        while doc.timestamp.millis() >= self.round_end() {
-            self.close_round(out);
+        while let Some(closed) = self.cut.reached(doc.timestamp) {
+            out.emit("ticks", tick(closed));
         }
         if !doc.tags.is_empty() {
             out.emit(
@@ -65,11 +85,11 @@ impl Bolt<Msg> for ParserBolt {
         let mut tagsets: Vec<Msg> = Vec::with_capacity(msgs.len());
         for msg in msgs.drain(..) {
             let Msg::Doc(doc) = msg else { continue };
-            while doc.timestamp.millis() >= self.round_end() {
+            while let Some(closed) = self.cut.reached(doc.timestamp) {
                 if !tagsets.is_empty() {
                     out.emit_batch("tagsets", std::mem::take(&mut tagsets));
                 }
-                self.close_round(out);
+                out.emit("ticks", tick(closed));
             }
             if !doc.tags.is_empty() {
                 tagsets.push(Msg::TagSet {
@@ -86,20 +106,20 @@ impl Bolt<Msg> for ParserBolt {
 
     fn on_flush(&mut self, out: &mut dyn Emitter<Msg>) {
         // Close the final partial round.
-        self.close_round(out);
+        out.emit("ticks", tick(self.cut.close()));
     }
 
-    /// The Parser's only state is the next round boundary, and it changes
-    /// exactly when a tick is emitted — which is when the supervisor
-    /// captures checkpoints. A restored Parser therefore resumes with the
-    /// round counter every already-processed document observed.
+    /// The Parser's only state is the round cut, and it changes exactly
+    /// when a tick is emitted — which is when the supervisor captures
+    /// checkpoints. A restored Parser therefore resumes with the round
+    /// every already-processed document observed.
     fn checkpoint(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        Some(Box::new(self.round))
+        Some(Box::new(self.cut))
     }
 
     fn restore(&mut self, cp: &dyn std::any::Any) {
-        if let Some(round) = cp.downcast_ref::<u64>() {
-            self.round = *round;
+        if let Some(cut) = cp.downcast_ref::<RoundCut>() {
+            self.cut = *cut;
         }
     }
 }

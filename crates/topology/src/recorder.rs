@@ -6,7 +6,7 @@
 //! the lock out of the per-document hot path.
 
 use parking_lot::Mutex;
-use setcorr_core::{CoefficientReport, RepartitionCause, TrackedCoefficient};
+use setcorr_core::{RepartitionCause, TrackedCoefficient};
 use setcorr_metrics::{Chart, Series};
 use setcorr_model::FxHashMap;
 use std::collections::BTreeSet;
@@ -43,12 +43,6 @@ pub struct RunRecorder {
     pub unrouted_tagsets: u64,
     /// Lifetime per-Calculator notification counts.
     pub per_calc_notifications: Vec<u64>,
-    /// Exact per-round coefficients from the centralized baseline (every
-    /// input tagset of >= 2 tags observed in the round).
-    pub baseline_rounds: FxHashMap<u64, Vec<CoefficientReport>>,
-    /// Whole-run occurrence counts of input tagsets (>= 2 tags), from the
-    /// baseline. Eligibility filter for the accuracy comparison.
-    pub baseline_occurrences: FxHashMap<setcorr_model::TagSet, u64>,
     /// Deduplicated per-round coefficients from the distributed pipeline.
     /// `Arc`-held: the same storage backs the serving layer's published
     /// snapshots, so recording a round never copies it.

@@ -1,9 +1,10 @@
 //! Post-run aggregation: one [`RunReport`] per experiment configuration.
 
+use crate::oracle::ExactRun;
 use crate::recorder::RunRecorder;
+use setcorr_core::TrackedCoefficient;
 use setcorr_metrics::{gini, Chart, ErrorStats, Series};
-use setcorr_model::FxHashMap;
-use setcorr_model::TagSet;
+use setcorr_model::{FxHashMap, TagSet};
 
 /// Everything a figure needs from one run, serialisable to JSON (via
 /// [`RunReport::to_json`]; the build environment has no serde, so
@@ -52,12 +53,15 @@ pub struct RunReport {
     /// Tuples buffered behind migration barriers (stalled, not dropped):
     /// the stream-time cost of all live repartitions combined.
     pub stalled_tuples: u64,
-    /// Fraction of baseline tagsets (seen > sn times) that received some
-    /// coefficient (§8.2.3 reports > 97 %).
+    /// Fraction of eligible exact tagsets (seen > 3 times) that received
+    /// some coefficient (§8.2.3 reports > 97 %); 1.0 until
+    /// [`RunReport::score`] runs.
     pub coverage: f64,
-    /// Mean absolute Jaccard error vs the centralized baseline (Fig. 5).
+    /// Mean absolute Jaccard error vs the centralized exact computation
+    /// (Fig. 5); 0 until [`RunReport::score`] runs.
     pub mean_abs_error: f64,
-    /// Number of baseline tagsets compared.
+    /// Number of eligible exact tagsets compared; 0 until
+    /// [`RunReport::score`] runs.
     pub compared_tagsets: u64,
     /// Tagsets routed to at least one Calculator.
     pub routed_tagsets: u64,
@@ -83,7 +87,7 @@ pub struct RunReport {
     /// Deduplicated coefficients per report round (round id ascending),
     /// skipped in JSON — the downstream-analytics feed (§6.2's Tracker
     /// output; what enBlogue-style trend detection consumes).
-    pub tracked_rounds: Vec<(u64, Vec<setcorr_core::TrackedCoefficient>)>,
+    pub tracked_rounds: Vec<(u64, Vec<TrackedCoefficient>)>,
     /// Serving layer: snapshots published over the run (0 when the run had
     /// no serving store attached).
     pub snapshots_published: u64,
@@ -116,8 +120,8 @@ pub struct RunReport {
     pub channel_waits: Vec<(String, u64, u64)>,
 }
 
-/// Sightings filter for the accuracy comparison: the baseline "considers
-/// only tagsets appearing more than 3 times" (§8.2.3).
+/// Sightings filter for the accuracy comparison: the exact computation
+/// "considers only tagsets appearing more than 3 times" (§8.2.3).
 pub const BASELINE_MIN_SIGHTINGS: u64 = 3;
 
 /// Report rounds excluded from the accuracy comparison. Round 0 contains
@@ -127,7 +131,7 @@ pub const BASELINE_MIN_SIGHTINGS: u64 = 3;
 pub const WARMUP_ROUNDS: u64 = 1;
 
 impl RunReport {
-    /// Aggregate a finished run.
+    /// Aggregate a finished run, unscored (see [`RunReport::score`]).
     ///
     /// `meta` fields identify the configuration; `documents` is the stream
     /// length the source produced.
@@ -142,7 +146,6 @@ impl RunReport {
     ) -> Self {
         let shares = recorder.load_shares();
         let (rep_comm, rep_both, rep_load) = recorder.repartitions_by_cause();
-        let error = accuracy(recorder);
         RunReport {
             algorithm: algorithm.to_string(),
             backend: "exact".to_string(),
@@ -163,9 +166,9 @@ impl RunReport {
             live_repartitions: recorder.live_repartitions,
             migrated_units: recorder.migrated_units,
             stalled_tuples: recorder.stalled_tuples,
-            coverage: error.coverage(),
-            mean_abs_error: error.mean_abs_error(),
-            compared_tagsets: error.baseline_tagsets(),
+            coverage: 1.0,
+            mean_abs_error: 0.0,
+            compared_tagsets: 0,
             routed_tagsets: recorder.routed_tagsets,
             unrouted_tagsets: recorder.unrouted_tagsets,
             comm_series: recorder.comm_series.clone(),
@@ -178,7 +181,7 @@ impl RunReport {
             operator_seconds: Vec::new(),
             operator_task_seconds: Vec::new(),
             tracked_rounds: {
-                let mut rounds: Vec<(u64, Vec<setcorr_core::TrackedCoefficient>)> = recorder
+                let mut rounds: Vec<(u64, Vec<TrackedCoefficient>)> = recorder
                     .tracked_rounds
                     .iter()
                     .map(|(&r, coeffs)| (r, coeffs.as_ref().clone()))
@@ -195,6 +198,61 @@ impl RunReport {
             degraded_components: 0,
             channel_waits: Vec::new(),
         }
+    }
+
+    /// Score the run against the exact computation over its stream
+    /// (Fig. 5 / §8.2.3), filling `coverage`, `mean_abs_error` and
+    /// `compared_tagsets`. Two measurements over the *eligible*
+    /// population — input tagsets of ≥ 2 tags seen more than
+    /// [`BASELINE_MIN_SIGHTINGS`] times across the run:
+    ///
+    /// * **coverage**: the fraction of eligible tagsets (appearing in some
+    ///   post-warm-up round) for which the distributed pipeline reported at
+    ///   least one coefficient in a round where the exact computation saw the
+    ///   tagset too ("all algorithms manage to compute a Jaccard coefficient
+    ///   for more than 97% of the tagsets seen more than 3 times"),
+    /// * **error**: mean `|J_dist − J_exact|` over all post-warm-up
+    ///   `(round, tagset)` pairs where both sides reported, visited in
+    ///   ascending round order.
+    pub fn score(&mut self, exact: &ExactRun) {
+        let mut stats = ErrorStats::new();
+        let eligible = |tags: &TagSet| {
+            exact
+                .occurrences
+                .get(tags)
+                .is_some_and(|&n| n > BASELINE_MIN_SIGHTINGS)
+        };
+        let mut covered: FxHashMap<&TagSet, bool> = FxHashMap::default();
+        for (round, reports) in &exact.rounds {
+            if *round < WARMUP_ROUNDS {
+                continue;
+            }
+            // both sides ascend by round and, within a round, by tagset
+            let tracked: &[TrackedCoefficient] = self
+                .tracked_rounds
+                .binary_search_by_key(round, |(r, _)| *r)
+                .map_or(&[], |i| &self.tracked_rounds[i].1);
+            for report in reports {
+                if !eligible(&report.tags) {
+                    continue;
+                }
+                let got = tracked
+                    .binary_search_by(|c| c.tags.cmp(&report.tags))
+                    .ok()
+                    .map(|i| tracked[i].jaccard);
+                let slot = covered.entry(&report.tags).or_insert(false);
+                *slot |= got.is_some();
+                if let Some(est) = got {
+                    stats.observe_error_only(est, report.jaccard);
+                }
+            }
+        }
+        for (_, was_covered) in covered {
+            stats.observe_coverage(was_covered);
+        }
+        self.coverage = stats.coverage();
+        self.mean_abs_error = stats.mean_abs_error();
+        self.compared_tagsets = stats.baseline_tagsets();
     }
 
     /// Total repartitions.
@@ -393,59 +451,10 @@ fn json_f64(out: &mut String, key: &str, value: f64) {
     push_f64(out, value);
 }
 
-/// Compare tracked rounds against the exact baseline (Fig. 5 / §8.2.3).
-///
-/// Two measurements over the *eligible* population — input tagsets of ≥ 2
-/// tags seen more than [`BASELINE_MIN_SIGHTINGS`] times across the run:
-///
-/// * **coverage**: the fraction of eligible tagsets (appearing in some
-///   post-warm-up round) for which the distributed pipeline reported at
-///   least one coefficient in a round where the baseline saw the tagset too
-///   ("all algorithms manage to compute a Jaccard coefficient for more than
-///   97% of the tagsets seen more than 3 times"),
-/// * **error**: mean `|J_dist − J_exact|` over all post-warm-up
-///   `(round, tagset)` pairs where both sides reported.
-fn accuracy(recorder: &RunRecorder) -> ErrorStats {
-    let mut stats = ErrorStats::new();
-    let eligible = |tags: &TagSet| {
-        recorder
-            .baseline_occurrences
-            .get(tags)
-            .is_some_and(|&n| n > BASELINE_MIN_SIGHTINGS)
-    };
-    // Per-(round, tagset) error over co-reported pairs.
-    let mut covered: FxHashMap<&TagSet, bool> = FxHashMap::default();
-    for (round, exact) in &recorder.baseline_rounds {
-        if *round < WARMUP_ROUNDS {
-            continue;
-        }
-        let tracked: FxHashMap<&TagSet, f64> = recorder
-            .tracked_rounds
-            .get(round)
-            .map(|coeffs| coeffs.iter().map(|c| (&c.tags, c.jaccard)).collect())
-            .unwrap_or_default();
-        for report in exact {
-            if !eligible(&report.tags) {
-                continue;
-            }
-            let got = tracked.get(&report.tags).copied();
-            let slot = covered.entry(&report.tags).or_insert(false);
-            *slot |= got.is_some();
-            if let Some(est) = got {
-                stats.observe_error_only(est, report.jaccard);
-            }
-        }
-    }
-    for (_, was_covered) in covered {
-        stats.observe_coverage(was_covered);
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use setcorr_core::{CoefficientReport, TrackedCoefficient};
+    use setcorr_core::CoefficientReport;
 
     fn ts(ids: &[u32]) -> TagSet {
         TagSet::from_ids(ids)
@@ -468,27 +477,38 @@ mod tests {
         }
     }
 
+    /// An unscored report over `tracked`, scored against exact `rounds`
+    /// with run-level `occurrences`.
+    fn scored(
+        tracked: Vec<(u64, Vec<TrackedCoefficient>)>,
+        rounds: Vec<(u64, Vec<CoefficientReport>)>,
+        occurrences: &[(&[u32], u64)],
+    ) -> RunReport {
+        let mut report = RunReport::from_recorder("DS", 2, 1, 0.5, 1300, 100, &RunRecorder::new(2));
+        report.tracked_rounds = tracked;
+        report.score(&ExactRun {
+            rounds,
+            occurrences: occurrences.iter().map(|&(ids, n)| (ts(ids), n)).collect(),
+        });
+        report
+    }
+
     #[test]
     fn accuracy_uses_run_level_eligibility() {
-        let mut rec = RunRecorder::new(2);
-        // run-level occurrence counts: {1,2} and {5,6} eligible (> 3),
-        // {3,4} not
-        rec.baseline_occurrences.insert(ts(&[1, 2]), 10);
-        rec.baseline_occurrences.insert(ts(&[3, 4]), 2);
-        rec.baseline_occurrences.insert(ts(&[5, 6]), 7);
-        rec.baseline_rounds.insert(
-            1,
-            vec![
-                exact(&[1, 2], 0.5, 4), // eligible, tracked → error sample
-                exact(&[3, 4], 0.9, 2), // ineligible
-                exact(&[5, 6], 0.4, 3), // eligible, never tracked
-            ],
+        let report = scored(
+            vec![(1, vec![tracked(&[1, 2], 0.6), tracked(&[9, 10], 0.1)])],
+            vec![(
+                1,
+                vec![
+                    exact(&[1, 2], 0.5, 4), // eligible, tracked → error sample
+                    exact(&[3, 4], 0.9, 2), // ineligible
+                    exact(&[5, 6], 0.4, 3), // eligible, never tracked
+                ],
+            )],
+            // run-level occurrence counts: {1,2} and {5,6} eligible (> 3),
+            // {3,4} not
+            &[(&[1, 2], 10), (&[3, 4], 2), (&[5, 6], 7)],
         );
-        rec.tracked_rounds.insert(
-            1,
-            std::sync::Arc::new(vec![tracked(&[1, 2], 0.6), tracked(&[9, 10], 0.1)]),
-        );
-        let report = RunReport::from_recorder("DS", 2, 1, 0.5, 1300, 100, &rec);
         assert_eq!(report.compared_tagsets, 2, "two eligible tagsets");
         assert!((report.coverage - 0.5).abs() < 1e-12);
         assert!(
@@ -500,14 +520,15 @@ mod tests {
 
     #[test]
     fn coverage_counts_distinct_tagsets_across_rounds() {
-        let mut rec = RunRecorder::new(2);
-        rec.baseline_occurrences.insert(ts(&[1, 2]), 9);
         // appears in two rounds, covered only in the second → still covered
-        rec.baseline_rounds.insert(1, vec![exact(&[1, 2], 0.5, 4)]);
-        rec.baseline_rounds.insert(2, vec![exact(&[1, 2], 0.5, 5)]);
-        rec.tracked_rounds
-            .insert(2, std::sync::Arc::new(vec![tracked(&[1, 2], 0.5)]));
-        let report = RunReport::from_recorder("DS", 2, 1, 0.5, 1300, 100, &rec);
+        let report = scored(
+            vec![(2, vec![tracked(&[1, 2], 0.5)])],
+            vec![
+                (1, vec![exact(&[1, 2], 0.5, 4)]),
+                (2, vec![exact(&[1, 2], 0.5, 5)]),
+            ],
+            &[(&[1, 2], 9)],
+        );
         assert_eq!(report.compared_tagsets, 1);
         assert!((report.coverage - 1.0).abs() < 1e-12);
         assert_eq!(report.mean_abs_error, 0.0);
@@ -515,10 +536,11 @@ mod tests {
 
     #[test]
     fn warmup_round_is_excluded_from_accuracy() {
-        let mut rec = RunRecorder::new(2);
-        rec.baseline_occurrences.insert(ts(&[1, 2]), 10);
-        rec.baseline_rounds.insert(0, vec![exact(&[1, 2], 0.5, 10)]);
-        let report = RunReport::from_recorder("DS", 2, 1, 0.5, 1300, 100, &rec);
+        let report = scored(
+            Vec::new(),
+            vec![(0, vec![exact(&[1, 2], 0.5, 10)])],
+            &[(&[1, 2], 10)],
+        );
         assert_eq!(report.compared_tagsets, 0);
         assert_eq!(report.coverage, 1.0);
     }
@@ -527,6 +549,12 @@ mod tests {
     fn report_serialises_to_json() {
         let rec = RunRecorder::new(2);
         let report = RunReport::from_recorder("SCC", 2, 3, 0.2, 2600, 10, &rec);
+        let unscored = (
+            report.coverage,
+            report.mean_abs_error,
+            report.compared_tagsets,
+        );
+        assert_eq!(unscored, (1.0, 0.0, 0));
         let json = report.to_json();
         assert!(json.contains("\"algorithm\":\"SCC\""));
         assert!(json.contains("\"backend\":\"exact\""));

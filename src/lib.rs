@@ -71,7 +71,7 @@ pub mod prelude {
     pub use setcorr_theory::{expected_communication, WindowScenario};
     pub use setcorr_topology::{
         bootstrap_partitions, connectivity, run, run_docs, spawn_served, BackendKind,
-        ConnectivitySummary, ExperimentConfig, Fault, LiveRun, PinnedPartitions, RunMode,
+        ConnectivitySummary, ExactRun, ExperimentConfig, Fault, LiveRun, PinnedPartitions, RunMode,
         RunReport, Supervision,
     };
     pub use setcorr_workload::{Generator, WorkloadConfig};

@@ -26,9 +26,20 @@ fn small_config(algorithm: AlgorithmKind) -> ExperimentConfig {
 #[test]
 fn pipeline_runs_end_to_end_for_every_algorithm() {
     let docs = stream(1, 40_000);
+    let period = small_config(AlgorithmKind::Ds).report_period;
+    let exact_rounds: Vec<u64> = ExactRun::of(&docs, period)
+        .rounds()
+        .iter()
+        .map(|(round, _)| *round)
+        .collect();
     for algorithm in AlgorithmKind::ALL {
         let report = run_docs(&small_config(algorithm), docs.clone(), RunMode::Sim);
         assert_eq!(report.documents, 40_000, "{algorithm}");
+        let tracked_rounds: Vec<u64> = report.tracked_rounds.iter().map(|(r, _)| *r).collect();
+        assert_eq!(
+            tracked_rounds, exact_rounds,
+            "{algorithm}: the Parser and the exact computation cut different rounds"
+        );
         assert!(
             report.merges >= 1,
             "{algorithm}: no partitions were installed"

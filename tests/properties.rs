@@ -13,9 +13,10 @@ use setcorr::core::{
 };
 use setcorr::metrics::{gini, lorenz_curve};
 use setcorr::model::{
-    fx, FxHashSet, Tag, TagSet, TagSetStat, TagSetWindow, TimeDelta, Timestamp, WindowKind,
-    MAX_TAGS_PER_SET,
+    fx, Document, FxHashSet, Tag, TagSet, TagSetStat, TagSetWindow, TimeDelta, Timestamp,
+    WindowKind, MAX_TAGS_PER_SET,
 };
+use setcorr::topology::ExactRun;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -340,6 +341,65 @@ fn whole_report_matches_brute_force() {
             &format!("case {case}, expanded twice"),
         );
         assert!(calc.report_and_reset().is_empty(), "case {case}: not reset");
+    }
+}
+
+/// The exact computation equals brute force on every round of seeded
+/// streams spanning several rounds, gaps and untagged documents included:
+/// each input tagset of ≥ 2 tags is reported with its brute-force Jaccard
+/// coefficient, bit for bit, and its count of exact matches in the round;
+/// the run-level occurrences are the whole-run counts.
+#[test]
+fn exact_run_matches_brute_force() {
+    let mut rng = StdRng::seed_from_u64(120);
+    for case in 0..40 {
+        // 0–3 ms between documents, now and then a gap of rounds; every
+        // tenth document untagged
+        let (mut t, mut rounds) = (0, BTreeMap::<u64, Vec<Vec<u32>>>::new());
+        let mut stream = Vec::new();
+        for d in random_docs(&mut rng, 8, 120) {
+            t += if rng.gen_range(0u32..20) == 0 {
+                25
+            } else {
+                rng.gen_range(0..4)
+            };
+            let d = if rng.gen_range(0u32..10) == 0 {
+                Vec::new()
+            } else {
+                d
+            };
+            stream.push(Document::new(0, Timestamp(t), TagSet::from_ids(&d)));
+            rounds.entry(t / 10).or_default().push(d);
+        }
+        let exact = ExactRun::of(&stream, TimeDelta(10));
+        let ids: Vec<u64> = exact.rounds().iter().map(|(r, _)| *r).collect();
+        assert_eq!(ids, (0..=t / 10).collect::<Vec<_>>(), "case {case}");
+        let mut whole: BTreeMap<TagSet, u64> = BTreeMap::new();
+        for (round, reports) in exact.rounds() {
+            let docs = rounds.remove(round).unwrap_or_default();
+            let brute = brute_force_report(&docs, &universe_of(&docs));
+            let mut counts: BTreeMap<TagSet, u64> = BTreeMap::new();
+            for tags in docs.iter().map(|d| TagSet::from_ids(d)) {
+                if tags.len() >= 2 {
+                    *counts.entry(tags.clone()).or_insert(0) += 1;
+                    *whole.entry(tags).or_insert(0) += 1;
+                }
+            }
+            let got: Vec<_> = reports
+                .iter()
+                .map(|r| (&r.tags, r.jaccard.to_bits(), r.counter))
+                .collect();
+            let expected: Vec<_> = counts
+                .iter()
+                .map(|(tags, &n)| {
+                    let b = brute.iter().find(|b| b.tags == *tags).expect("observed");
+                    (tags, b.jaccard.to_bits(), n)
+                })
+                .collect();
+            assert_eq!(got, expected, "case {case}, round {round}");
+        }
+        let occurrences: BTreeMap<TagSet, u64> = exact.occurrences().clone().into_iter().collect();
+        assert_eq!(occurrences, whole, "case {case}");
     }
 }
 
