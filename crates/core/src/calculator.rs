@@ -19,12 +19,15 @@
 //! proportional to *distinct* work instead of raw volume; all are exact —
 //! every observable result is identical to the naive §3.1 procedure:
 //!
-//! * **Deduplicated subset expansion.** `observe` only bumps a per-round
-//!   count of the full notification set (one map update per tuple); the
-//!   `2^m − 1` subset counters are materialised lazily, once per *distinct*
-//!   set per period, weighted by its occurrence count. Tag streams are
-//!   Zipfian, so popular sets pay the exponential expansion once instead of
-//!   once per sighting.
+//! * **Hash-consed notification sets.** The first sighting of a distinct
+//!   notification set in a period resolves the slots of its `2^m − 1`
+//!   subset counters and keeps them with the set, its *root*; every later
+//!   sighting only adds to the root's count (one map update per tuple).
+//!   The counts reach the counters when the round closes, or a query needs
+//!   them, by adding each root's count along its recorded slots — nothing
+//!   is hashed then. Tag streams are Zipfian, so popular sets pay the
+//!   exponential expansion once instead of once per sighting, and the
+//!   probes are paid as sets arrive, not on the round-close path.
 //! * **Batch union computation.** The report-time inclusion–exclusion is a
 //!   signed subset-sum: for each distinct notification set of `m` tags, the
 //!   unions of *all* its `2^m − 1` subsets are computed together by a
@@ -35,8 +38,8 @@
 //!   from the root along `t1 … tn`, a node is a slot into flat vectors, an
 //!   edge the one word `(parent slot) << 32 | tag`. A subset hangs, along
 //!   its largest tag, below the subset without it — the smaller mask — so
-//!   expansion resolves each with one 8-byte-key probe (`subset_slots`),
-//!   builds, hashes and compares no tagset, and records per distinct set
+//!   a first sighting resolves each with one 8-byte-key probe
+//!   (`subset_slots`), builds, hashes and compares no tagset, and records
 //!   the slots of its subsets in mask order: the report reads by index.
 //! * **A report that leaves sorted without a sort of tagsets.** A counting
 //!   sort by parent slot stands each node's children together, a sort of
@@ -144,19 +147,23 @@ impl SubsetTrie {
     /// Slots are dense, so a counting sort buckets the nodes by parent slot;
     /// only each sibling group is sorted, on `tag << 32 | slot` words. A pre-order walk that takes each
     /// node's children from its bucket in tag order is the lexicographic
-    /// order of the paths, a prefix before its extensions.
-    fn walk_sorted(&self, mut visit: impl FnMut(&[Tag], usize)) {
+    /// order of the paths, a prefix before its extensions. `scratch` holds
+    /// the buckets; it is reused from walk to walk.
+    fn walk_sorted(&self, scratch: &mut WalkScratch, mut visit: impl FnMut(&[Tag], usize)) {
         let n = self.edges.len();
+        let WalkScratch { first, order } = scratch;
         // the children of slot `p` are `order[first[p]..first[p + 1]]`:
         // count each parent's at `p + 2`, sum, then scatter through `p + 1`
-        let mut first = vec![0u32; n + 2];
+        first.clear();
+        first.resize(n + 2, 0);
         for &edge in &self.edges[1..] {
             first[(edge >> 32) as usize + 2] += 1;
         }
         for p in 2..n + 2 {
             first[p] += first[p - 1];
         }
-        let mut order = vec![0u64; n - 1];
+        order.clear();
+        order.resize(n - 1, 0);
         for (slot, &edge) in (1u64..).zip(&self.edges[1..]) {
             let cursor = &mut first[(edge >> 32) as usize + 1];
             // the shift drops the parent: `tag << 32 | slot`
@@ -208,23 +215,46 @@ fn subset_slots(tags: &[Tag], out: &mut Vec<u32>, mut child: impl FnMut(u32, Tag
     }
 }
 
+/// The buckets of [`SubsetTrie::walk_sorted`], kept between walks.
+#[derive(Debug, Default, Clone)]
+struct WalkScratch {
+    /// Per parent slot, where its children start in `order`.
+    first: Vec<u32>,
+    /// `tag << 32 | slot` of every node but the root, bucketed by parent.
+    order: Vec<u64>,
+}
+
+/// One distinct notification set of the period, hash-consed at its first
+/// sighting.
+#[derive(Debug, Clone, Copy)]
+struct Root {
+    /// Where the slots of its `2^m − 1` subsets start in `root_slots`.
+    start: usize,
+    /// Sightings not yet added along those slots.
+    unapplied: u64,
+}
+
 /// The state behind one Calculator, behind one [`RefCell`] so the read-only
-/// query surface (`counter`, `jaccard`, `tracked`, state export) can
-/// trigger the lazy subset expansion.
+/// query surface (`counter`, `jaccard`, `tracked`, state export) can apply
+/// the roots' counts to the counters first.
 #[derive(Debug, Default, Clone)]
 struct CalcState {
-    /// Every expanded or adopted subset counter.
+    /// Every applied or adopted subset counter.
     trie: SubsetTrie,
-    /// Distinct notification sets observed since the last expansion, with
-    /// their occurrence counts — the unexpanded delta.
-    pending: FxHashMap<TagSet, u64>,
-    /// The expanded notification sets of the current report period — the
-    /// roots of the report-time batch union computation — each with the
-    /// start of its run in `root_slots`. A set expanded twice in one period
-    /// is listed twice; the report skips the covered copy.
-    roots: Vec<(TagSet, usize)>,
+    /// The distinct notification sets of the current report period — the
+    /// roots of the report-time batch union computation — each once.
+    roots: FxHashMap<TagSet, Root>,
     /// Per root, the slots of its `2^m − 1` subsets in mask order.
     root_slots: Vec<u32>,
+    /// Some root holds sightings not yet applied.
+    unapplied: bool,
+    /// Counters were adopted this period, so some may lie outside every
+    /// root: the report sweeps for them.
+    adopted: bool,
+    /// The report's per-slot union claims, kept between reports.
+    unions: Vec<u64>,
+    /// The sorted walk's buckets, kept between walks.
+    walk: WalkScratch,
 }
 
 /// Counting state of one Calculator.
@@ -243,24 +273,24 @@ impl Calculator {
 
     /// Ingest one notification.
     ///
-    /// Costs one map update: the `2^m − 1` subset counters (§3.1) are
-    /// materialised lazily (`CalcState::expand`), once per *distinct*
-    /// notification set per report period — repeated sightings of a popular
-    /// set collapse into a count. `m` is small by the data's nature
-    /// (< 10 tags/tweet) and bounded by [`MAX_TAGS_PER_SET`]. A pending
-    /// key of up to [`setcorr_model::INLINE_TAGS`] tags is stored inline; a
-    /// longer one (28 % of the generator's documents carry 6–8 tags, and a
+    /// A repeat sighting of a set already seen this period costs one map
+    /// update: it adds to the set's count. The first sighting also resolves
+    /// the slots of its `2^m − 1` subset counters (§3.1), one trie probe
+    /// each, and keeps them with the set; the counts reach the counters
+    /// when they are next read (`CalcState::expand`). `m` is small by the
+    /// data's nature (< 10 tags/tweet) and bounded by [`MAX_TAGS_PER_SET`].
+    /// A key of up to [`setcorr_model::INLINE_TAGS`] tags is stored inline;
+    /// a longer one (28 % of the generator's documents carry 6–8 tags, and a
     /// notification is whatever part of a document one Calculator owns)
     /// shares the notification's spilled slice, so a first sighting costs
-    /// no allocation either way beyond the map's own growth.
+    /// no allocation either way beyond the growth of the period's tables.
     pub fn observe(&mut self, notification: &TagSet) {
         self.observe_n(notification, 1);
     }
 
     /// Ingest `n` identical notifications at once — the count-weighted
     /// [`Calculator::observe`], for callers that already hold a count of
-    /// identical sets. Because the per-round state is the *distinct*-set
-    /// count map, `n` sightings cost exactly one map update, and every
+    /// identical sets. `n` sightings cost what one does, and every
     /// observable result equals `n` separate `observe` calls.
     pub fn observe_n(&mut self, notification: &TagSet, n: u64) {
         if notification.is_empty() || n == 0 {
@@ -268,11 +298,23 @@ impl Calculator {
         }
         self.received += n;
         let state = self.state.get_mut();
-        if let Some(c) = state.pending.get_mut(notification) {
-            *c += n;
-        } else {
-            state.pending.insert(notification.clone(), n);
+        state.unapplied = true;
+        if let Some(root) = state.roots.get_mut(notification) {
+            root.unapplied += n;
+            return;
         }
+        let start = state.root_slots.len();
+        let trie = &mut state.trie;
+        subset_slots(notification.tags(), &mut state.root_slots, |parent, tag| {
+            trie.child(parent, tag)
+        });
+        state.roots.insert(
+            notification.clone(),
+            Root {
+                start,
+                unapplied: n,
+            },
+        );
     }
 
     /// Clear all round state *without* computing coefficients — the cheap
@@ -285,12 +327,13 @@ impl Calculator {
         self.received = 0;
         let state = self.state.get_mut();
         // capacity stays for the next period; the trie keeps its root
-        state.pending.clear();
         state.trie.children.clear();
         state.trie.edges.truncate(1);
         state.trie.values.truncate(1);
         state.roots.clear();
         state.root_slots.clear();
+        state.unapplied = false;
+        state.adopted = false;
     }
 
     /// Number of distinct subset counters currently tracked: the non-zero
@@ -361,9 +404,9 @@ impl Calculator {
     pub fn export_counters(&self) -> Vec<(TagSet, u64)> {
         let mut state = self.state.borrow_mut();
         state.expand();
-        let trie = &state.trie;
+        let CalcState { trie, walk, .. } = &mut *state;
         let mut out = Vec::with_capacity(trie.tracked());
-        trie.walk_sorted(|tags, slot| {
+        trie.walk_sorted(walk, |tags, slot| {
             if trie.values[slot] != 0 {
                 out.push((TagSet::from_sorted_slice(tags), trie.values[slot]));
             }
@@ -378,6 +421,11 @@ impl Calculator {
     /// Dropping is zeroing, in one pass in slot order: a parent precedes its
     /// children, so each slot extends its parent's verdict by one tag. A
     /// dropped subset observed again counts from zero.
+    ///
+    /// Every root stays one, departed or not: the union a root claims for a
+    /// subset reads only the counters of that subset's own subsets, which
+    /// are owned whenever the subset is, so a departed root claims for its
+    /// surviving subsets exactly what a sweep rooted at them would.
     pub fn retain_covered(&mut self, keep: &FxHashSet<Tag>) {
         let state = self.state.get_mut();
         state.expand();
@@ -390,9 +438,6 @@ impl Calculator {
                 trie.values[slot] = 0;
             }
         }
-        // departed roots' surviving subsets are handled by the report's
-        // leftover sweep, so roots can be filtered to owned ones
-        state.roots.retain(|(ts, _)| ts.is_covered_by(keep));
     }
 
     /// Merge migrated counters additively. The migration protocol
@@ -400,7 +445,9 @@ impl Calculator {
     /// disjoint slice of the stream, so `+` reassembles the single-owner
     /// count exactly.
     pub fn absorb_counters(&mut self, counters: &[(TagSet, u64)]) {
-        let trie = &mut self.state.get_mut().trie;
+        let state = self.state.get_mut();
+        state.adopted |= !counters.is_empty();
+        let trie = &mut state.trie;
         for (ts, n) in counters.iter().filter(|(ts, _)| !ts.is_empty()) {
             let slot = ts.iter().fold(ROOT, |slot, tag| trie.child(slot, tag));
             trie.values[slot as usize] += n;
@@ -416,52 +463,63 @@ impl Calculator {
     /// Union cardinalities are computed in batch: every distinct
     /// notification set of the period roots one signed sum-over-subsets
     /// transform that yields the unions of *all* its subsets at once (see
-    /// `sos_claim`), reading the counters through the slots recorded at
-    /// expansion; counters that no root covers — possible only for state
+    /// `sos_claim`), reading the counters through the slots recorded at its
+    /// first sighting; counters that no root covers — possible only for state
     /// adopted mid-migration — fall back to sweeps rooted at the leftover
     /// sets themselves, which look their slots up once.
     pub fn report_and_reset(&mut self) -> Vec<CoefficientReport> {
         let state = self.state.get_mut();
         state.expand();
-        let trie = &state.trie;
+        let CalcState {
+            trie,
+            roots,
+            root_slots,
+            adopted,
+            unions,
+            walk,
+            ..
+        } = state;
         // Per slot, the union cardinality claimed for its coefficient — at
         // least its counter, so zero is "unclaimed".
-        let mut unions = vec![0u64; trie.values.len()];
+        unions.clear();
+        unions.resize(trie.values.len(), 0);
         let mut acc = Vec::new();
         // Batch union computation, rooted at the period's distinct
         // notification sets. A subset's union is claimed by the first root
         // to reach it; a root wholly contained in an already-processed root
         // is skipped on the claim of its own counter, the last slot of its
         // run. A single tag has no coefficient to claim.
-        for (root, start) in &state.roots {
-            let slots = &state.root_slots[*start..][..(1 << root.len()) - 1];
-            if root.len() >= 2 && unions[slots[slots.len() - 1] as usize] == 0 {
-                sos_claim(slots, trie, &mut unions, &mut acc);
+        for (set, root) in roots.iter() {
+            let slots = &root_slots[root.start..][..(1 << set.len()) - 1];
+            if set.len() >= 2 && unions[slots[slots.len() - 1] as usize] == 0 {
+                sos_claim(slots, trie, unions, &mut acc);
             }
         }
         // Leftover sweep — counters no local root covers, possible only for
         // state adopted mid-migration: largest-first, so one sweep rooted at
         // a leftover also covers all its subsets. A leftover looks its
         // subsets up once; the absent ones read zero.
-        let mut path = [Tag(0); MAX_TAGS_PER_SET];
-        let mut leftovers: Vec<(usize, u32)> = (1..trie.values.len())
-            .filter(|&slot| {
-                trie.values[slot] != 0 && unions[slot] == 0 && trie.edges[slot] >> 32 != 0
-            })
-            .map(|slot| (trie.path(slot as u32, &mut path).len(), slot as u32))
-            .collect();
-        leftovers.sort_unstable_by_key(|&(len, _)| std::cmp::Reverse(len));
-        let mut slots: Vec<u32> = Vec::new();
-        for (_, slot) in leftovers {
-            if unions[slot as usize] == 0 {
-                slots.clear();
-                let tags = trie.path(slot, &mut path);
-                subset_slots(tags, &mut slots, |parent, tag| trie.find(parent, tag));
-                sos_claim(&slots, trie, &mut unions, &mut acc);
+        if *adopted {
+            let mut path = [Tag(0); MAX_TAGS_PER_SET];
+            let mut leftovers: Vec<(usize, u32)> = (1..trie.values.len())
+                .filter(|&slot| {
+                    trie.values[slot] != 0 && unions[slot] == 0 && trie.edges[slot] >> 32 != 0
+                })
+                .map(|slot| (trie.path(slot as u32, &mut path).len(), slot as u32))
+                .collect();
+            leftovers.sort_unstable_by_key(|&(len, _)| std::cmp::Reverse(len));
+            let mut slots: Vec<u32> = Vec::new();
+            for (_, slot) in leftovers {
+                if unions[slot as usize] == 0 {
+                    slots.clear();
+                    let tags = trie.path(slot, &mut path);
+                    subset_slots(tags, &mut slots, |parent, tag| trie.find(parent, tag));
+                    sos_claim(&slots, trie, unions, &mut acc);
+                }
             }
         }
         let mut out = Vec::with_capacity(unions.iter().filter(|&&union| union != 0).count());
-        trie.walk_sorted(|tags, slot| {
+        trie.walk_sorted(walk, |tags, slot| {
             if unions[slot] != 0 {
                 let counter = trie.values[slot];
                 out.push(CoefficientReport {
@@ -477,20 +535,19 @@ impl Calculator {
 }
 
 impl CalcState {
-    /// Materialise the pending notification sets into subset counters:
-    /// `2^m − 1` weighted updates per *distinct* pending set, one trie step
-    /// each, after which the set becomes a union root holding the slots it
-    /// touched.
+    /// Apply the sightings the roots hold to the subset counters: each
+    /// root's count added along its recorded slots, nothing hashed.
     fn expand(&mut self) {
-        let trie = &mut self.trie;
-        for (ts, c) in self.pending.drain() {
-            let start = self.root_slots.len();
-            subset_slots(ts.tags(), &mut self.root_slots, |parent, tag| {
-                let slot = trie.child(parent, tag);
-                trie.values[slot as usize] += c;
-                slot
-            });
-            self.roots.push((ts, start));
+        if !std::mem::take(&mut self.unapplied) {
+            return;
+        }
+        for (set, root) in self.roots.iter_mut() {
+            let n = std::mem::take(&mut root.unapplied);
+            if n != 0 {
+                for &slot in &self.root_slots[root.start..][..(1 << set.len()) - 1] {
+                    self.trie.values[slot as usize] += n;
+                }
+            }
         }
     }
 }
@@ -669,6 +726,30 @@ mod tests {
         assert_eq!(reports[0].counter, 1);
         assert_eq!(reports[1].tags, ts(&[5, 6]));
         assert_eq!(reports[1].counter, 2);
+    }
+
+    #[test]
+    fn a_set_queried_between_sightings_is_one_root() {
+        let set = ts(&[1, 2, 3]);
+        let mut queried = Calculator::new();
+        let mut quiet = Calculator::new();
+        queried.observe(&set);
+        quiet.observe(&set);
+        assert_eq!(queried.tracked(), 7);
+        assert_eq!(queried.counter(&ts(&[2, 3])), 1);
+        queried.observe_n(&set, 2);
+        quiet.observe_n(&set, 2);
+        assert_eq!(
+            queried.state.borrow().roots.len(),
+            1,
+            "a root once per period"
+        );
+        assert_eq!(
+            queried.counter(&ts(&[2, 3])),
+            3,
+            "the later sightings count"
+        );
+        assert_eq!(queried.report_and_reset(), quiet.report_and_reset());
     }
 
     #[test]

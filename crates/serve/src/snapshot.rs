@@ -1,7 +1,8 @@
 //! Immutable, epoch-stamped views over one report round's deduplicated
 //! coefficients, with the three query indexes built once at publish time:
-//! the descending-Jaccard order, one flat array of every tag's neighbour row,
-//! and an open-addressed table of every tagset's position.
+//! the descending-Jaccard order, one flat array of every tag's neighbour row
+//! with an open-addressed table of where each row lies, and an
+//! open-addressed table of every tagset's position.
 
 use setcorr_core::TrackedCoefficient;
 use setcorr_model::{fx, FxHashMap, Tag, TagSet};
@@ -20,8 +21,8 @@ use std::sync::Arc;
 /// order); the three publish-time indexes hold `u32` positions into it.
 /// `by_jaccard` and the per-tag neighbourhood rows are ordered by descending
 /// Jaccard (ties broken by tagset, ascending, so the ordering is total and
-/// runs are comparable byte-for-byte); `slots` finds a tagset's position in
-/// one probe.
+/// runs are comparable byte-for-byte); `rows` finds a tag's row, and
+/// `slots` a tagset's position, in one probe.
 #[derive(Debug)]
 pub struct Snapshot {
     /// Report round this snapshot publishes, `None` only for the initial
@@ -38,9 +39,10 @@ pub struct Snapshot {
     /// tag `t`, the positions of every tracked tagset containing `t`,
     /// ordered by descending Jaccard.
     positions: Vec<u32>,
-    /// Where each tag's row lies in `positions`: `(start, len)`, in the map
-    /// value itself so a query pays one dependent miss, not two.
-    rows: FxHashMap<Tag, (u32, u32)>,
+    /// Where each tag's row lies in `positions`: a power-of-two number of
+    /// [`Row`]s, at least two per tag, each empty or the row of a tag that
+    /// hashes there or, by linear probing, to a slot before it.
+    rows: Vec<Row>,
     /// The exact-lookup table: a power-of-two number of slots, at least two
     /// per coefficient, each 0 (empty) or `pos + 1` of a coefficient whose
     /// tagset hashes there or, by linear probing, to a slot before it.
@@ -56,7 +58,7 @@ impl Snapshot {
             coefficients: Arc::new(Vec::new()),
             by_jaccard: Vec::new(),
             positions: Vec::new(),
-            rows: FxHashMap::default(),
+            rows: vec![Row::EMPTY],
             slots: lookup_table(&[]),
         }
     }
@@ -67,9 +69,10 @@ impl Snapshot {
     /// `seq` is the publication sequence the store assigns. Building sorts
     /// nothing but the round's distinct Jaccard values: the order is a
     /// counting sort over them; the neighbour index is counted in one pass —
-    /// a map probe per coefficient and tag — and placed in a second that
-    /// hashes nothing, into rows that never grow; the lookup table hashes
-    /// each tagset once. The swap itself is one pointer store.
+    /// a probe of the flat row table per coefficient and tag — and placed
+    /// in a second that hashes nothing, into rows that never grow; the
+    /// lookup table hashes each tagset once. The swap itself is one pointer
+    /// store.
     pub fn build(round: u64, seq: u64, coefficients: Arc<Vec<TrackedCoefficient>>) -> Self {
         debug_assert!(
             coefficients.windows(2).all(|w| w[0].tags < w[1].tags),
@@ -82,44 +85,56 @@ impl Snapshot {
             "a published Jaccard is finite and not negative: its bits order like its value"
         );
         let by_jaccard = jaccard_order(&coefficients);
-        // Count: each (coefficient, tag) probes the map once, lengthens its
-        // row and notes the row's id — rows are numbered as first seen, the
-        // id waits where the row's start will go — among its coefficient's,
-        // `row_ids[first[pos]..first[pos + 1]]`.
-        let mut rows: FxHashMap<Tag, (u32, u32)> = FxHashMap::default();
+        // Count: each (coefficient, tag) probes the row table once,
+        // lengthens its row and notes the row's slot among its
+        // coefficient's, `row_ids[first[pos]..first[pos + 1]]`. A round
+        // holds about one tag per dozen coefficients, so the table starts
+        // with two slots per eighth of a coefficient and a real round never
+        // grows it; one with more tags doubles it whenever it would pass
+        // half full, and moves the slots noted so far along.
+        let mut rows = vec![Row::EMPTY; (coefficients.len() / 4).next_power_of_two()];
+        let mut tags = 0;
         let mut row_ids: Vec<u32> = Vec::with_capacity(2 * coefficients.len());
         let mut first: Vec<u32> = Vec::with_capacity(coefficients.len() + 1);
         for coefficient in coefficients.iter() {
             first.push(row_ids.len() as u32);
             for tag in coefficient.tags.iter() {
-                let fresh = rows.len() as u32;
-                let row = rows.entry(tag).or_insert((fresh, 0));
-                row.1 += 1;
-                row_ids.push(row.0);
+                let mut at = row_slot(&rows, tag);
+                if rows[at].len == 0 {
+                    if 2 * (tags + 1) > rows.len() {
+                        let grown = doubled(&rows);
+                        for id in &mut row_ids {
+                            *id = row_slot(&grown, rows[*id as usize].tag) as u32;
+                        }
+                        rows = grown;
+                        at = row_slot(&rows, tag);
+                    }
+                    rows[at].tag = tag;
+                    tags += 1;
+                }
+                rows[at].len += 1;
+                row_ids.push(at as u32);
             }
         }
         assert!(row_ids.len() <= u32::MAX as usize, "rows are u32-addressed");
         first.push(row_ids.len() as u32);
-        // Place: a cursor per row, starting where the rows before it end;
-        // by_jaccard order fills every row in descending Jaccard unhashed.
-        let mut cursors = vec![0u32; rows.len()];
-        for &(id, len) in rows.values() {
-            cursors[id as usize] = len;
-        }
-        let mut start = 0;
-        for cursor in &mut cursors {
-            start += std::mem::replace(cursor, start);
+        // Place: rows tile `positions` in slot order. Each row's start is
+        // first its end, and a cursor that the reverse Jaccard order walks
+        // down through the noted slots, hashing nothing, so that every row
+        // fills in descending Jaccard.
+        let mut end = 0;
+        for row in &mut rows {
+            end += row.len;
+            row.start = end;
         }
         let mut positions = vec![0u32; row_ids.len()];
-        for &pos in &by_jaccard {
+        for &pos in by_jaccard.iter().rev() {
             let ids = first[pos as usize] as usize..first[pos as usize + 1] as usize;
-            for &id in &row_ids[ids] {
-                positions[cursors[id as usize] as usize] = pos;
-                cursors[id as usize] += 1;
+            for &at in &row_ids[ids] {
+                let row = &mut rows[at as usize];
+                row.start -= 1;
+                positions[row.start as usize] = pos;
             }
-        }
-        for row in rows.values_mut() {
-            row.0 = cursors[row.0 as usize] - row.1;
         }
         let slots = lookup_table(&coefficients);
         Snapshot {
@@ -169,17 +184,17 @@ impl Snapshot {
     }
 
     /// The `k` most correlated tagsets *containing `tag`*, best first —
-    /// one map probe for the tag's row, then a slice of it: no scan.
+    /// one probe for the tag's row, then a slice of it: no scan.
     pub fn neighbors(&self, tag: Tag, k: usize) -> impl Iterator<Item = &TrackedCoefficient> {
-        let (start, len) = self.rows.get(&tag).copied().unwrap_or((0, 0));
-        self.positions[start as usize..][..k.min(len as usize)]
+        let row = self.rows[row_slot(&self.rows, tag)];
+        self.positions[row.start as usize..][..k.min(row.len as usize)]
             .iter()
             .map(|&pos| &self.coefficients[pos as usize])
     }
 
     /// Number of tracked tagsets containing `tag`.
     pub fn neighbor_count(&self, tag: Tag) -> usize {
-        self.rows.get(&tag).map_or(0, |row| row.1 as usize)
+        self.rows[row_slot(&self.rows, tag)].len as usize
     }
 
     /// This round's coefficient for exactly `tags`: one hash, then a probe
@@ -196,6 +211,45 @@ impl Snapshot {
             at = (at + 1) & mask;
         }
     }
+}
+
+/// Where one tag's neighbour row lies in `positions`; `len == 0` marks an
+/// empty slot of the row table, since every tag present has a row.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    tag: Tag,
+    start: u32,
+    len: u32,
+}
+
+impl Row {
+    const EMPTY: Row = Row {
+        tag: Tag(0),
+        start: 0,
+        len: 0,
+    };
+}
+
+/// The slot of `tag`'s row in `rows`, or the empty slot where it would go:
+/// linear probing from the slot its hash names.
+#[inline]
+fn row_slot(rows: &[Row], tag: Tag) -> usize {
+    let mask = rows.len() - 1;
+    let mut at = fx::hash_one(&tag) as usize & mask;
+    while rows[at].len != 0 && rows[at].tag != tag {
+        at = (at + 1) & mask;
+    }
+    at
+}
+
+/// `rows` rebuilt at twice the size, each row in the slot its tag probes to.
+fn doubled(rows: &[Row]) -> Vec<Row> {
+    let mut grown = vec![Row::EMPTY; 2 * rows.len()];
+    for row in rows.iter().filter(|row| row.len != 0) {
+        let at = row_slot(&grown, row.tag);
+        grown[at] = *row;
+    }
+    grown
 }
 
 /// Every position of `coefficients`, by descending Jaccard, ties in
@@ -475,44 +529,50 @@ mod tests {
 
     #[test]
     fn every_neighbour_row_is_the_brute_force_filter_in_jaccard_order() {
-        let coeffs = tied_fixture();
-        let snapshot = Snapshot::build(0, 1, Arc::new(coeffs.clone()));
-        // the rows tile `positions`: none overlaps, none is left out
-        let mut rows: Vec<(u32, u32)> = snapshot.rows.values().copied().collect();
-        rows.sort_unstable();
-        assert_eq!(rows.len(), 142);
-        assert_eq!(rows[0].0, 0);
-        assert!(rows.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0));
-        let (start, len) = rows[rows.len() - 1];
-        assert_eq!((start + len) as usize, snapshot.positions.len());
-        assert_eq!(snapshot.positions.len(), 2 * coeffs.len());
-        // every tag, the first row (tag 0) and the last (tag 141) among them
-        for tag in (0..142).map(Tag) {
-            let mut expected: Vec<&TrackedCoefficient> =
-                coeffs.iter().filter(|c| c.tags.contains(tag)).collect();
-            expected.sort_by(|a, b| {
-                b.jaccard
-                    .partial_cmp(&a.jaccard)
-                    .unwrap()
-                    .then_with(|| a.tags.cmp(&b.tags))
-            });
-            let got: Vec<&TrackedCoefficient> = snapshot.neighbors(tag, usize::MAX).collect();
-            assert_eq!(got, expected, "row of {tag:?}");
-            assert_eq!(snapshot.neighbor_count(tag), expected.len());
-            let best: Vec<&TrackedCoefficient> = snapshot.neighbors(tag, 3).collect();
-            assert_eq!(
-                best,
-                expected[..3.min(expected.len())],
-                "k truncates {tag:?}"
-            );
+        // 142 tags dense in ties, and 3 000 tags of disjoint triples: three
+        // tags per coefficient, far past the row table's starting size
+        let triples: Vec<TrackedCoefficient> = (0..1_000u32)
+            .map(|i| coeff(&[3 * i, 3 * i + 1, 3 * i + 2], (i % 7) as f64 / 7.0))
+            .collect();
+        for (coeffs, tags, per_coefficient) in [(tied_fixture(), 142, 2), (triples, 3_000, 3)] {
+            let snapshot = Snapshot::build(0, 1, Arc::new(coeffs.clone()));
+            // the rows tile `positions`: none overlaps, none is left out
+            let mut rows: Vec<(u32, u32)> = snapshot
+                .rows
+                .iter()
+                .filter(|row| row.len != 0)
+                .map(|row| (row.start, row.len))
+                .collect();
+            rows.sort_unstable();
+            assert_eq!(rows.len(), tags as usize);
+            assert!(2 * rows.len() <= snapshot.rows.len(), "at most half full");
+            assert_eq!(rows[0].0, 0);
+            assert!(rows.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0));
+            let (start, len) = rows[rows.len() - 1];
+            assert_eq!((start + len) as usize, snapshot.positions.len());
+            assert_eq!(snapshot.positions.len(), per_coefficient * coeffs.len());
+            // every tag, the first and the last among them
+            for tag in (0..tags).map(Tag) {
+                let mut expected: Vec<&TrackedCoefficient> =
+                    coeffs.iter().filter(|c| c.tags.contains(tag)).collect();
+                expected.sort_by(|a, b| {
+                    b.jaccard
+                        .partial_cmp(&a.jaccard)
+                        .unwrap()
+                        .then_with(|| a.tags.cmp(&b.tags))
+                });
+                let got: Vec<&TrackedCoefficient> = snapshot.neighbors(tag, usize::MAX).collect();
+                assert_eq!(got, expected, "row of {tag:?}");
+                assert_eq!(snapshot.neighbor_count(tag), expected.len());
+                let best: Vec<&TrackedCoefficient> = snapshot.neighbors(tag, 3).collect();
+                assert_eq!(
+                    best,
+                    expected[..3.min(expected.len())],
+                    "k truncates {tag:?}"
+                );
+            }
+            assert_eq!(snapshot.neighbors(Tag(tags), usize::MAX).count(), 0);
+            assert_eq!(snapshot.neighbor_count(Tag(tags)), 0);
         }
-        assert_eq!(
-            snapshot.rows[&Tag(0)].0,
-            0,
-            "rows are numbered as first seen"
-        );
-        assert_eq!(snapshot.rows[&Tag(141)], (start, len));
-        assert_eq!(snapshot.neighbors(Tag(142), usize::MAX).count(), 0);
-        assert_eq!(snapshot.neighbor_count(Tag(142)), 0);
     }
 }

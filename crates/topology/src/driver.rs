@@ -3,7 +3,8 @@
 
 use crate::messages::Msg;
 use crate::operators::{
-    CalculatorBolt, DisseminatorBolt, MergerBolt, ParserBolt, PartitionerBolt, TrackerBolt,
+    CalculatorBolt, Cut, DisseminatorBolt, MergerBolt, ParserBolt, PartitionerBolt, RoundCut,
+    TrackerBolt,
 };
 use crate::oracle::ExactRun;
 use crate::recorder::{RunRecorder, SharedRecorder};
@@ -18,7 +19,7 @@ use setcorr_engine::{
     SuperviseConfig, ThreadStats, ThreadedConfig, Topology, TopologyBuilder,
 };
 use setcorr_model::{fx, Document, TagSetWindow, TimeDelta, WindowKind};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which correlation backend the Calculators run.
@@ -361,30 +362,41 @@ pub fn build_topology(
     docs: Box<dyn Iterator<Item = Document> + Send>,
     recorder: SharedRecorder,
 ) -> Topology<Msg> {
-    build_served_topology(config, docs, recorder, None)
+    build_served_topology(config, docs, recorder, None, Arc::default())
 }
 
 /// [`build_topology`], optionally attaching a serving-layer [`Publisher`](setcorr_serve::Publisher)
-/// to the Tracker so every closed round becomes a queryable snapshot.
+/// to the Tracker so every closed round becomes a queryable snapshot, and
+/// counting in `ticks` the rounds the source cuts.
 fn build_served_topology(
     config: &ExperimentConfig,
     docs: Box<dyn Iterator<Item = Document> + Send>,
     recorder: SharedRecorder,
     publisher: Option<setcorr_serve::Publisher>,
+    ticks: Arc<AtomicU64>,
 ) -> Topology<Msg> {
     let mut tb: TopologyBuilder<Msg> = TopologyBuilder::new();
 
     // The paper's experiments use one source, one Parser and one
-    // Disseminator (§8.2); the stream is never materialised.
+    // Disseminator (§8.2); the stream is never materialised. The source
+    // cuts the rounds: a tick leaves it ahead of the first document past
+    // its round, flushing the partial batch behind it.
     let mut docs_slot = Some(docs);
+    let cut = RoundCut::new(config.report_period);
     let source = tb.add_spout("source", 1, move |_| {
-        Box::new(docs_slot.take().expect("single source task").map(Msg::Doc)) as Box<dyn Spout<Msg>>
+        let docs = docs_slot.take().expect("single source task");
+        let ticks = ticks.clone();
+        let stream = cut.cut(docs).map(move |item| {
+            if let Cut::Tick(..) = item {
+                // a statistic: publishes nothing else
+                ticks.fetch_add(1, Ordering::Relaxed);
+            }
+            Msg::from(item)
+        });
+        Box::new(stream) as Box<dyn Spout<Msg>>
     });
 
-    let report_period = config.report_period;
-    let parser = tb.add_bolt("parser", 1, move |_| {
-        Box::new(ParserBolt::new(report_period)) as Box<dyn Bolt<Msg>>
-    });
+    let parser = tb.add_bolt("parser", 1, |_| Box::new(ParserBolt) as Box<dyn Bolt<Msg>>);
     assert_eq!(parser, PARSER_COMPONENT);
 
     let algo = config.algorithm;
@@ -571,18 +583,20 @@ fn run_with_publisher(
         (docs, None)
     };
     let recorder = RunRecorder::shared(config.k);
-    let topology = build_served_topology(config, docs, recorder.clone(), publisher);
+    let ticks = Arc::new(AtomicU64::new(0));
+    let topology = build_served_topology(config, docs, recorder.clone(), publisher, ticks.clone());
     let names: Vec<String> = topology
         .component_names()
         .iter()
         .map(|s| s.to_string())
         .collect();
     // Sim runs fault-free and unattributed: only a threaded run has stats
-    // beyond the document count.
-    let (documents, threaded): (u64, Option<ThreadStats>) = match mode {
+    // beyond the document count. The Parser's input is the documents and
+    // the source's ticks.
+    let (parsed, threaded): (u64, Option<ThreadStats>) = match mode {
         RunMode::Sim => {
             let stats = run_sim_batched(topology, batch_policy());
-            (stats.processed[PARSER_COMPONENT], None) // parser input = documents
+            (stats.processed[PARSER_COMPONENT], None)
         }
         RunMode::Threaded => {
             let defaults = ThreadedConfig::default();
@@ -597,6 +611,7 @@ fn run_with_publisher(
             (stats.processed[PARSER_COMPONENT], Some(stats))
         }
     };
+    let documents = parsed.saturating_sub(ticks.load(Ordering::Relaxed));
     let rec = recorder.lock();
     let mut report = RunReport::from_recorder(
         config.algorithm.name(),

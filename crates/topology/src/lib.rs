@@ -14,7 +14,7 @@
 //! [`RunReport`] per configuration of the §8.1 parameter grid. The
 //! centralized exact computation the accuracy comparison scores a run
 //! against (§8.2.3) is no part of the topology: [`ExactRun`] computes it
-//! from the same stream, cutting the same rounds as the Parser.
+//! from the same stream, cutting the same rounds as the source.
 
 #![warn(missing_docs)]
 

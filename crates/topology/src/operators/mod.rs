@@ -4,7 +4,7 @@
 //! Stream map (producer → `stream` → consumer, grouping):
 //!
 //! ```text
-//! source      → "docs"       → parser        (global)
+//! source      → "docs"       → parser        (global: documents and ticks)
 //! parser      → "tagsets"    → disseminator  (shuffle)
 //!                            → partitioner   (fields: whole tagset)
 //! parser      → "ticks"      → disseminator  (all)
@@ -20,9 +20,11 @@
 //!             → "coeffs"     → tracker       (global)
 //! ```
 //!
-//! Ticks reach Calculators *through* the Disseminator so that, on both
-//! runtimes, every notification of a round is delivered before the tick that
-//! closes it (single FIFO channel per Disseminator → Calculator pair).
+//! Ticks originate at the source, which cuts rounds from event time (the
+//! Parser forwards them), and reach Calculators *through* the Disseminator
+//! so that, on both runtimes, every notification of a round is delivered
+//! before the tick that closes it (single FIFO channel per Disseminator →
+//! Calculator pair).
 
 mod calculator;
 mod disseminator;
@@ -35,7 +37,7 @@ pub use calculator::CalculatorBolt;
 pub use disseminator::DisseminatorBolt;
 pub use merger::MergerBolt;
 pub use parser::ParserBolt;
-pub(crate) use parser::RoundCut;
+pub(crate) use parser::{Cut, RoundCut};
 pub use partitioner::PartitionerBolt;
 pub use tracker::TrackerBolt;
 

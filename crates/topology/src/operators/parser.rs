@@ -1,13 +1,21 @@
-//! The Parser: tagset extraction and round cuts (§6.2).
+//! The round cut and the Parser (§6.2).
+//!
+//! Rounds are cut at the source: the driver's spout runs the document
+//! stream through [`RoundCut::cut`], which puts a tick ahead of the first
+//! document past each round's end and one more at the end of the stream. A
+//! tick is a flush barrier, so the document that closes a round never waits
+//! in a partial batch behind it. The Parser forwards ticks and extracts
+//! tagsets, and holds no state.
 
 use crate::messages::Msg;
 use setcorr_engine::{Bolt, Emitter};
-use setcorr_model::{TimeDelta, Timestamp};
+use setcorr_model::{Document, TimeDelta, Timestamp};
+use std::borrow::Borrow;
 
-/// The round cut, kept apart from the bolt so that the exact oracle
-/// ([`crate::ExactRun`]) cuts the very same rounds: a document first closes
-/// every round whose end its timestamp has reached, and the last partial
-/// round closes at the end of the stream.
+/// The round cut, shared by the driver's source and the exact oracle
+/// ([`crate::ExactRun`]), so that both cut the very same rounds: a document
+/// first closes every round whose end its timestamp has reached, and the
+/// last partial round closes at the end of the stream.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RoundCut {
     period: TimeDelta,
@@ -20,16 +28,23 @@ impl RoundCut {
         RoundCut { period, round: 0 }
     }
 
+    /// `docs` (in stream order) with their rounds cut.
+    pub(crate) fn cut<I: Iterator>(self, docs: I) -> Rounds<I> {
+        Rounds {
+            docs,
+            cut: Some(self),
+            held: None,
+        }
+    }
+
     /// Close the open round if event time `t` has reached its end, returning
-    /// the closed round's id and end time. Call until `None` before taking
-    /// the document stamped `t`.
-    pub(crate) fn reached(&mut self, t: Timestamp) -> Option<(u64, Timestamp)> {
+    /// the closed round's id and end time.
+    fn reached(&mut self, t: Timestamp) -> Option<(u64, Timestamp)> {
         (t.millis() >= self.end()).then(|| self.close())
     }
 
-    /// Close the open round whatever the time (the end of the stream) and
-    /// open the next.
-    pub(crate) fn close(&mut self) -> (u64, Timestamp) {
+    /// Close the open round whatever the time and open the next.
+    fn close(&mut self) -> (u64, Timestamp) {
         let closed = (self.round, Timestamp(self.end()));
         self.round += 1;
         closed
@@ -41,86 +56,102 @@ impl RoundCut {
     }
 }
 
-fn tick((round, time): (u64, Timestamp)) -> Msg {
-    Msg::Tick { round, time }
+/// One item of a document stream cut into rounds.
+#[derive(Debug)]
+pub(crate) enum Cut<D> {
+    /// The next document.
+    Doc(D),
+    /// The close of round `.0`, which ended at event time `.1`.
+    Tick(u64, Timestamp),
 }
 
-/// Extracts tagsets from documents and cuts report-period boundaries
-/// ("ticks") from event time (§6.2: the Parser stamps `(timestamp_i, s_i)`).
-pub struct ParserBolt {
-    cut: RoundCut,
-}
-
-impl ParserBolt {
-    /// Parser with report period `y`.
-    pub fn new(report_period: TimeDelta) -> Self {
-        ParserBolt {
-            cut: RoundCut::new(report_period),
+impl From<Cut<Document>> for Msg {
+    fn from(item: Cut<Document>) -> Msg {
+        match item {
+            Cut::Doc(doc) => Msg::Doc(doc),
+            Cut::Tick(round, time) => Msg::Tick { round, time },
         }
     }
 }
 
+/// A document stream with its rounds cut ([`RoundCut::cut`]).
+pub(crate) struct Rounds<I: Iterator> {
+    docs: I,
+    /// `None` once the end of the stream closed the last round.
+    cut: Option<RoundCut>,
+    /// The document whose timestamp closed a round, handed out next.
+    held: Option<I::Item>,
+}
+
+impl<I, D> Iterator for Rounds<I>
+where
+    I: Iterator<Item = D>,
+    D: Borrow<Document>,
+{
+    type Item = Cut<D>;
+
+    fn next(&mut self) -> Option<Cut<D>> {
+        let cut = self.cut.as_mut()?;
+        let Some(doc) = self.held.take().or_else(|| self.docs.next()) else {
+            let (round, time) = cut.close();
+            self.cut = None;
+            return Some(Cut::Tick(round, time));
+        };
+        match cut.reached(doc.borrow().timestamp) {
+            Some((round, time)) => {
+                self.held = Some(doc);
+                Some(Cut::Tick(round, time))
+            }
+            None => Some(Cut::Doc(doc)),
+        }
+    }
+}
+
+/// Extracts tagsets from documents and forwards the source's round cuts
+/// ("ticks"): §6.2's Parser, which stamps `(timestamp_i, s_i)`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ParserBolt;
+
 impl Bolt<Msg> for ParserBolt {
     fn on_message(&mut self, msg: Msg, out: &mut dyn Emitter<Msg>) {
-        let Msg::Doc(doc) = msg else { return };
-        while let Some(closed) = self.cut.reached(doc.timestamp) {
-            out.emit("ticks", tick(closed));
-        }
-        if !doc.tags.is_empty() {
-            out.emit(
+        match msg {
+            Msg::Doc(doc) if !doc.tags.is_empty() => out.emit(
                 "tagsets",
                 Msg::TagSet {
                     time: doc.timestamp,
                     tags: doc.tags,
                 },
-            );
+            ),
+            Msg::Tick { .. } => out.emit("ticks", msg),
+            _ => {}
         }
     }
 
-    /// Vectorized path: one `emit_batch` of tagsets per document batch.
-    /// Ticks are rare (one per report period); when one cuts the batch, the
-    /// tagsets gathered so far flush *first* so the tick keeps its FIFO
-    /// position behind the round it closes.
+    /// Vectorized path: one `emit_batch` of tagsets per document batch. A
+    /// tick travels unbatched, but should one cut a batch, the tagsets
+    /// gathered so far flush *first* so the tick keeps its FIFO position
+    /// behind the round it closes.
     fn on_batch(&mut self, mut msgs: Vec<Msg>, out: &mut dyn Emitter<Msg>) {
         let mut tagsets: Vec<Msg> = Vec::with_capacity(msgs.len());
         for msg in msgs.drain(..) {
-            let Msg::Doc(doc) = msg else { continue };
-            while let Some(closed) = self.cut.reached(doc.timestamp) {
-                if !tagsets.is_empty() {
-                    out.emit_batch("tagsets", std::mem::take(&mut tagsets));
-                }
-                out.emit("ticks", tick(closed));
-            }
-            if !doc.tags.is_empty() {
-                tagsets.push(Msg::TagSet {
+            match msg {
+                Msg::Doc(doc) if !doc.tags.is_empty() => tagsets.push(Msg::TagSet {
                     time: doc.timestamp,
                     tags: doc.tags,
-                });
+                }),
+                Msg::Tick { .. } => {
+                    if !tagsets.is_empty() {
+                        out.emit_batch("tagsets", std::mem::take(&mut tagsets));
+                    }
+                    out.emit("ticks", msg);
+                }
+                _ => {}
             }
         }
         if !tagsets.is_empty() {
             out.emit_batch("tagsets", tagsets);
         }
         out.recycle(msgs);
-    }
-
-    fn on_flush(&mut self, out: &mut dyn Emitter<Msg>) {
-        // Close the final partial round.
-        out.emit("ticks", tick(self.cut.close()));
-    }
-
-    /// The Parser's only state is the round cut, and it changes exactly
-    /// when a tick is emitted — which is when the supervisor captures
-    /// checkpoints. A restored Parser therefore resumes with the round
-    /// every already-processed document observed.
-    fn checkpoint(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        Some(Box::new(self.cut))
-    }
-
-    fn restore(&mut self, cp: &dyn std::any::Any) {
-        if let Some(cut) = cp.downcast_ref::<RoundCut>() {
-            self.cut = *cut;
-        }
     }
 }
 
@@ -130,44 +161,73 @@ mod tests {
     use crate::operators::test_support::{ts, Capture};
     use setcorr_model::{Document, TagSet};
 
+    /// The source's stream: `docs` cut into rounds of 10 s.
+    fn cut(docs: Vec<Document>) -> Vec<Msg> {
+        RoundCut::new(TimeDelta::from_secs(10))
+            .cut(docs.into_iter())
+            .map(Msg::from)
+            .collect()
+    }
+
+    /// `(stream, round)` of each tick and `(stream, doc time)` of each
+    /// tagset, in emission order.
+    fn log(cap: &Capture) -> Vec<(&'static str, u64)> {
+        cap.emitted
+            .iter()
+            .map(|(stream, msg)| match msg {
+                Msg::Tick { round, .. } => (*stream, *round),
+                Msg::TagSet { time, .. } => (*stream, time.millis()),
+                other => panic!("the Parser emitted {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn parser_cuts_rounds_and_extracts_tagsets() {
-        let mut parser = ParserBolt::new(TimeDelta::from_secs(10));
-        let mut cap = Capture::default();
-        parser.on_message(Msg::Doc(Document::new(0, Timestamp(0), ts(&[1]))), &mut cap);
-        parser.on_message(
-            Msg::Doc(Document::new(1, Timestamp(25_000), TagSet::empty())),
-            &mut cap,
-        );
-        // two rounds closed by the jump to 25 s, tagset emitted only for doc 0
-        let ticks: Vec<u64> = cap
-            .emitted
+        let stream = cut(vec![
+            Document::new(0, Timestamp(0), ts(&[1])),
+            Document::new(1, Timestamp(25_000), TagSet::empty()),
+        ]);
+        // the jump to 25 s closes rounds 0 and 1 ahead of doc 1, and the
+        // end of the stream closes the partial round 2
+        let order: Vec<String> = stream
             .iter()
-            .filter_map(|(s, m)| match m {
-                Msg::Tick { round, .. } if *s == "ticks" => Some(*round),
-                _ => None,
+            .map(|msg| match msg {
+                Msg::Doc(doc) => format!("doc {}", doc.id),
+                Msg::Tick { round, time } => format!("tick {round} at {}", time.millis()),
+                other => panic!("the source emitted {other:?}"),
             })
             .collect();
-        assert_eq!(ticks, vec![0, 1]);
-        let tagsets = cap.emitted.iter().filter(|(s, _)| *s == "tagsets").count();
-        assert_eq!(tagsets, 1);
-        parser.on_flush(&mut cap);
-        let ticks = cap
-            .emitted
-            .iter()
-            .filter(|(s, m)| *s == "ticks" && matches!(m, Msg::Tick { round: 2, .. }))
-            .count();
-        assert_eq!(ticks, 1, "flush closes the partial round");
+        assert_eq!(
+            order,
+            [
+                "doc 0",
+                "tick 0 at 10000",
+                "tick 1 at 20000",
+                "doc 1",
+                "tick 2 at 30000"
+            ]
+        );
+        let mut parser = ParserBolt;
+        let mut cap = Capture::default();
+        for msg in stream {
+            parser.on_message(msg, &mut cap);
+        }
+        // ticks forwarded in place, a tagset only for the tagged doc 0
+        assert_eq!(
+            log(&cap),
+            [("tagsets", 0), ("ticks", 0), ("ticks", 1), ("ticks", 2)]
+        );
     }
 
     #[test]
     fn parser_on_batch_matches_per_message_across_round_cuts() {
-        // A batch of documents straddling two round boundaries: the
-        // vectorized parser must emit exactly the per-message stream —
-        // every tick in its FIFO position behind the tagsets of the round
-        // it closes (Capture's default emit_batch unrolls, so the logs
-        // compare 1:1).
-        let docs: Vec<Msg> = [
+        // A batch of documents straddling two round boundaries, ticks in
+        // it: the vectorized parser must emit exactly the per-message
+        // stream — every tick in its FIFO position behind the tagsets of
+        // the round it closes (Capture's default emit_batch unrolls, so the
+        // logs compare 1:1).
+        let docs: Vec<Document> = [
             (1_000, &[1, 2][..]),
             (5_000, &[3]),
             (12_000, &[][..]),
@@ -176,19 +236,30 @@ mod tests {
         ]
         .iter()
         .enumerate()
-        .map(|(i, &(t, ids))| Msg::Doc(Document::new(i as u64, Timestamp(t), ts(ids))))
+        .map(|(i, &(t, ids))| Document::new(i as u64, Timestamp(t), ts(ids)))
         .collect();
-        let mut per_msg = ParserBolt::new(TimeDelta::from_secs(10));
-        let mut cap_msg = Capture::default();
-        for d in docs.clone() {
-            per_msg.on_message(d, &mut cap_msg);
+        let stream = cut(docs);
+        let mut per_msg = Capture::default();
+        for msg in stream.clone() {
+            ParserBolt.on_message(msg, &mut per_msg);
         }
-        let mut batched = ParserBolt::new(TimeDelta::from_secs(10));
-        let mut cap_batch = Capture::default();
-        batched.on_batch(docs, &mut cap_batch);
+        let mut batched = Capture::default();
+        ParserBolt.on_batch(stream, &mut batched);
         assert_eq!(
-            format!("{:?}", cap_msg.emitted),
-            format!("{:?}", cap_batch.emitted)
+            format!("{:?}", per_msg.emitted),
+            format!("{:?}", batched.emitted)
+        );
+        assert_eq!(
+            log(&per_msg),
+            [
+                ("tagsets", 1_000),
+                ("tagsets", 5_000),
+                ("ticks", 0),
+                ("ticks", 1),
+                ("tagsets", 25_000),
+                ("tagsets", 26_000),
+                ("ticks", 2)
+            ]
         );
     }
 }

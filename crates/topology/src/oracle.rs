@@ -1,13 +1,13 @@
 //! The centralized exact computation the paper scores the distributed
 //! coefficients against (§8.2.3), as a function of the document stream.
 
-use crate::operators::RoundCut;
+use crate::operators::{Cut, RoundCut};
 use setcorr_core::{Calculator, CoefficientReport};
 use setcorr_model::{Document, FxHashMap, TagSet, TimeDelta};
 use std::borrow::Borrow;
 
 /// The exact answer for one stream: one Calculator seeing every tagset,
-/// over the rounds the Parser cuts from the same event time.
+/// over the rounds the run's source cuts from the same event time.
 ///
 /// Per round it holds the exact Jaccard coefficient of every *input tagset*
 /// (full document annotation set) of ≥ 2 tags observed in the round, and
@@ -27,16 +27,19 @@ impl ExactRun {
         docs: impl IntoIterator<Item = D>,
         report_period: TimeDelta,
     ) -> Self {
-        let mut cut = RoundCut::new(report_period);
         let mut calc = Calculator::new();
         // occurrences of each full input tagset this round
         let mut round: FxHashMap<TagSet, u64> = FxHashMap::default();
         let mut exact = ExactRun::default();
-        for doc in docs {
+        for item in RoundCut::new(report_period).cut(docs.into_iter()) {
+            let doc = match item {
+                Cut::Tick(id, _) => {
+                    exact.close(id, &mut calc, &mut round);
+                    continue;
+                }
+                Cut::Doc(doc) => doc,
+            };
             let doc = doc.borrow();
-            while let Some((id, _)) = cut.reached(doc.timestamp) {
-                exact.close(id, &mut calc, &mut round);
-            }
             if doc.tags.is_empty() {
                 continue;
             }
@@ -46,8 +49,6 @@ impl ExactRun {
             }
             calc.observe(&doc.tags);
         }
-        let (id, _) = cut.close();
-        exact.close(id, &mut calc, &mut round);
         exact
     }
 

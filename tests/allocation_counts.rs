@@ -3,11 +3,12 @@
 //! handful of vectors however many tags it serves, the Tracker's merge
 //! allocates its output and its cursor heap and nothing per report, a
 //! tagset too long for the inline representation clones for free, and
-//! routing and windowing allocate nothing per tagset once warm.
+//! routing, windowing and counting a set already seen this period allocate
+//! nothing per tagset once warm.
 
 use setcorr::core::{
-    CoefficientReport, Disseminator, DisseminatorConfig, PartitionSet, QualityReference,
-    RouteResult, TrackedCoefficient, Tracker,
+    Calculator, CoefficientReport, Disseminator, DisseminatorConfig, PartitionSet,
+    QualityReference, RouteResult, TrackedCoefficient, Tracker,
 };
 use setcorr::model::{Tag, TagSet, TagSetWindow, Timestamp, INLINE_TAGS};
 use setcorr::serve::Snapshot;
@@ -63,10 +64,13 @@ fn a_snapshot_over_ten_thousand_tags_is_a_handful_of_allocations() {
     let coefficients = Arc::new(coefficients);
     let (count, snapshot) = allocations(|| Snapshot::build(0, 1, coefficients.clone()));
     assert_eq!(snapshot.neighbor_count(setcorr::model::Tag(9_999)), 1);
-    // seven vectors, the Jaccard order's pre-sized key map and the
-    // doublings of one 10 000-entry map; a vector per tag would be at least
-    // 10 000
-    assert!(count < 40, "Snapshot::build allocated {count} times");
+    // eight arrays — the Jaccard order's key map, keys and order, the row
+    // table, each instance's row and each coefficient's first instance, the
+    // rows' positions and the lookup table — and four doublings of the row
+    // table, sized for a round's usual one tag per eight coefficients, not
+    // this one's two tags per coefficient; a vector per tag would be at
+    // least 10 000
+    assert!(count <= 12, "Snapshot::build allocated {count} times");
 }
 
 #[test]
@@ -161,4 +165,24 @@ fn a_warm_window_insert_does_not_allocate() {
     });
     assert_eq!(window.live_docs(), 100);
     assert_eq!(count, 0, "800 warm window inserts allocated {count} times");
+}
+
+#[test]
+fn repeat_sightings_of_a_hash_consed_set_do_not_allocate() {
+    let long: Vec<u32> = (0..INLINE_TAGS as u32 + 2).collect();
+    let sets = [TagSet::from_ids(&[1, 2, 3]), TagSet::from_ids(&long)];
+    let mut calc = Calculator::new();
+    // the first sightings resolve the sets' subset slots
+    for tags in &sets {
+        calc.observe(tags);
+    }
+    let (count, ()) = allocations(|| {
+        for _ in 0..1_000 {
+            for tags in &sets {
+                calc.observe(tags);
+            }
+        }
+    });
+    assert_eq!(calc.counter(&sets[1]), 1_001);
+    assert_eq!(count, 0, "2 000 repeat sightings allocated {count} times");
 }
