@@ -16,10 +16,10 @@
 //! 3. **Recover** — the bolt is rebuilt from its component factory and
 //!    restored from the latest *checkpoint* ([`crate::topology::Bolt::checkpoint`] /
 //!    [`crate::topology::Bolt::restore`]), captured after every barrier message (round
-//!    ticks, fences — the protocol's consistent cut points). For
-//!    [`crate::topology::Bolt::replayable`] bolts the supervisor also keeps a *replay
-//!    buffer* of every envelope since the last checkpoint and re-feeds it,
-//!    so the open round's work is redone byte-for-byte.
+//!    ticks, fences — the protocol's consistent cut points). For bolts
+//!    that checkpoint, the supervisor also keeps a *replay buffer* of every
+//!    envelope since the last checkpoint and re-feeds it, so the open
+//!    round's work is redone byte-for-byte.
 //! 4. **Degrade** — when retries are exhausted the task is *tombstoned*:
 //!    [`crate::topology::Bolt::tombstone`] installs a stand-in that keeps the control
 //!    protocols live (fences answered, round barriers forwarded) while doing
@@ -36,9 +36,10 @@
 //!
 //! A *starvation detector* backstops the post-end-of-stream drain: if a task
 //! is owed a control message that will never arrive (its sender died, or a
-//! fault plan dropped the message), the drain would otherwise spin forever.
-//! After [`SuperviseConfig::drain_patience`] consecutive empty polls in that
-//! state, the task force-degrades and the run completes.
+//! fault plan dropped the message), the drain would otherwise wait forever.
+//! Supervised, that wait has a deadline: after
+//! [`SuperviseConfig::drain_patience`] of silence the task force-degrades
+//! and the run completes.
 //!
 //! # Deterministic fault injection
 //!
@@ -55,6 +56,7 @@ use crate::topology::{Bolt, BoltFactory, ComponentId, Emitter};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Backoff unit, in processed messages: after the `k`-th consecutive
 /// failure a task must process `BACKOFF_BASE << (k-1)` messages without
@@ -76,7 +78,7 @@ pub enum FaultSpec {
         /// Processed-message count at which the kill fires.
         after_messages: u64,
     },
-    /// Silently discard the `nth` (1-indexed) control-inbox envelope bound
+    /// Silently discard the `nth` (1-indexed) control-lane envelope bound
     /// for the task — a lost migration bundle. The starvation detector is
     /// what recovers the topology afterwards.
     DropControl {
@@ -103,11 +105,10 @@ pub struct SuperviseConfig {
     pub max_restarts: u32,
     /// Deterministic fault schedule (empty = supervise only).
     pub faults: Vec<FaultSpec>,
-    /// Consecutive empty polls tolerated in the post-Eos drain while the
-    /// bolt still reports un-drained, before force-degrading it (the lost
-    /// control message is never coming). Polls park ~50µs, so the default
-    /// ≈ 3s of silence.
-    pub drain_patience: u64,
+    /// Silence tolerated in the post-Eos drain while the bolt still
+    /// reports un-drained, before force-degrading it (the lost control
+    /// message is never coming). Default 3 s.
+    pub drain_patience: Duration,
     /// Invoked (component, task) whenever a task degrades, before the run
     /// finishes — lets the embedding route around the dead operator while
     /// the topology is still live.
@@ -119,7 +120,7 @@ impl Default for SuperviseConfig {
         SuperviseConfig {
             max_restarts: 2,
             faults: Vec::new(),
-            drain_patience: 60_000,
+            drain_patience: Duration::from_secs(3),
             on_degrade: None,
         }
     }
@@ -219,7 +220,7 @@ pub(crate) struct TaskSupervisor<M> {
     barrier: Arc<dyn Fn(&M) -> bool + Send + Sync>,
     /// Latest barrier checkpoint (None until the bolt produces one).
     checkpoint: Option<Box<dyn std::any::Any + Send>>,
-    /// Envelopes since the last checkpoint, for replayable bolts.
+    /// Envelopes since the last checkpoint, for bolts that checkpoint.
     replay: Vec<Envelope<M>>,
     replay_overflow: bool,
     can_replay: bool,
@@ -255,7 +256,7 @@ impl<M: Clone + Send + 'static> TaskSupervisor<M> {
             task,
             factory,
             barrier,
-            can_replay: bolt.replayable() && checkpoint.is_some(),
+            can_replay: checkpoint.is_some(),
             checkpoint,
             replay: Vec::new(),
             replay_overflow: false,
@@ -267,7 +268,7 @@ impl<M: Clone + Send + 'static> TaskSupervisor<M> {
         }
     }
 
-    /// Count one control-inbox envelope; true when the fault schedule says
+    /// Count one control-lane envelope; true when the fault schedule says
     /// to swallow it (the scheduled lost message — the starvation detector
     /// is what digs the topology out of the resulting wedge).
     pub(crate) fn drops_control(&mut self) -> bool {
@@ -359,10 +360,10 @@ impl<M: Clone + Send + 'static> TaskSupervisor<M> {
         if inject {
             self.kill_ats.remove(0);
         }
-        // Replayable bolts buffer the envelope *before* processing: a panic
-        // mid-callback then redoes it from the checkpoint, byte-for-byte.
-        // Non-replayable bolts get clone-once redelivery only for injected
-        // kills, which fire before the callback touches anything.
+        // Bolts that checkpoint buffer the envelope *before* processing: a
+        // panic mid-callback then redoes it from the checkpoint,
+        // byte-for-byte. Other bolts get clone-once redelivery only for
+        // injected kills, which fire before the callback touches anything.
         let mut redeliver: Option<Envelope<M>> = None;
         if self.can_replay {
             if self.replay.len() >= REPLAY_CAP {
@@ -433,7 +434,7 @@ mod tests {
     /// Closed once the spout has emitted its whole stream; see [`Acc`].
     type Gate = Arc<StdMutex<mpsc::Receiver<()>>>;
 
-    /// A checkpointable, replayable accumulator: folds values into an
+    /// A checkpointable accumulator: folds values into an
     /// *order-sensitive* running hash, emits it on each barrier (multiples
     /// of 100), and can be killed. Any reordering or loss of its input
     /// changes every later emission.
@@ -465,9 +466,6 @@ mod tests {
             if let Some(sum) = cp.downcast_ref::<u64>() {
                 self.sum = *sum;
             }
-        }
-        fn replayable(&self) -> bool {
-            true
         }
     }
 
@@ -727,7 +725,7 @@ mod tests {
                         task: 0,
                         nth: 1,
                     }],
-                    drain_patience: 200, // ≈10ms of silence, keeps the test fast
+                    drain_patience: Duration::from_millis(10), // keeps the test fast
                     ..SuperviseConfig::default()
                 }),
                 ..ThreadedConfig::default()

@@ -5,10 +5,15 @@
 //! runtime; only interleaving differs (and therefore anything
 //! order-sensitive, exactly as on a Storm cluster).
 //!
+//! Every bolt task consumes one inbox with two lanes: a bounded data lane
+//! (backpressure) and an unbounded control lane that the feedback edges
+//! send into. The task parks in one place, a receive on both lanes that
+//! serves data first.
+//!
 //! Shutdown protocol: every producer task, once exhausted (spout) or fully
 //! flushed (bolt), broadcasts one `Eos` marker over each *non-feedback*
 //! outgoing edge. A bolt task flushes after collecting `Eos` from every
-//! upstream producer task — then keeps draining its feedback inbox until
+//! upstream producer task — then keeps draining its control lane until
 //! [`Bolt::drained`] holds, so in-flight peer-to-peer control exchanges
 //! (live state migrations) finish before the flush. Feedback edges never
 //! carry `Eos` (they'd form a cycle) — messages arriving on them after a
@@ -44,7 +49,7 @@
 
 use crate::supervise::{SuperviseConfig, TaskFaults, TaskSupervisor};
 use crate::topology::{Bolt, ComponentId, ComponentKind, Emitter, Grouping, Spout, Topology};
-use crossbeam::channel::{bounded, unbounded, ChannelCounters, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{bounded, inbox, ChannelCounters, Lane, Received, Receiver, Sender};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -134,11 +139,11 @@ pub struct ThreadStats {
     /// Transport contention, per component: how many times a *producer*
     /// parked because this component's inboxes were full (backpressure
     /// stalls). Spouts have no inbox and report zero. Summed over the
-    /// component's tasks and over both its data and control inboxes.
+    /// component's tasks; only the data lane ever fills.
     pub channel_send_waits: Vec<u64>,
     /// Transport contention, per component: how many times this component's
-    /// tasks parked waiting for input (empty inboxes). A `select!` park
-    /// observing both inboxes counts once per observed channel.
+    /// tasks parked waiting for input (empty inboxes), summed over its
+    /// tasks. A park waits on both lanes of the inbox and counts once.
     pub channel_recv_waits: Vec<u64>,
     /// Faults fired by the [`FaultSpec`](crate::FaultSpec) schedule (kills,
     /// drops) plus any topology-level injected panics (payload prefixed
@@ -158,11 +163,12 @@ pub struct ThreadStats {
 /// Tunables of the threaded runtime.
 #[derive(Debug, Clone)]
 pub struct ThreadedConfig {
-    /// Capacity of each bolt task's inbox. Bounded inboxes give
+    /// Capacity of each bolt task's inbox data lane. Bounded inboxes give
     /// *backpressure*: fast producers block until consumers catch up, like a
     /// paced (tps-limited) source on a real cluster. Feedback edges bypass
-    /// the bound (they are control messages flowing against the data
-    /// direction; blocking on them could deadlock the cycle).
+    /// the bound through the unbounded control lane (they are control
+    /// messages flowing against the data direction; blocking on them could
+    /// deadlock the cycle).
     pub inbox_capacity: usize,
     /// `Some` runs every task under supervision: callbacks in
     /// `catch_unwind`, bounded restarts from barrier checkpoints, graceful
@@ -417,10 +423,10 @@ fn route_one<M: Clone>(
     outbox.send(slot, sender, msg.clone(), !barrier);
 }
 
-/// Envelopes a bolt task drains from its data inbox per `select!` wakeup
-/// beyond the one the select returned: enough to empty a whole inbox of
-/// batch slots in one claim, small enough that the control inbox is never
-/// starved for long (it is re-polled right after the burst).
+/// Envelopes a bolt task drains from its data lane per receive beyond the
+/// one the receive returned: enough to empty a whole inbox of batch slots
+/// in one claim, small enough that the control lane is never starved for
+/// long (the next receive serves it once the data lane is empty).
 pub(crate) const DRAIN_BURST: usize = 32;
 
 pub(crate) struct ThreadedEmitter<M> {
@@ -721,8 +727,7 @@ pub fn try_run_threaded_batched<M: Clone + Send + 'static>(
                 // task's bolt from it.
                 let factory = Arc::new(Mutex::new(factory));
                 for (t, inbox) in task_inboxes.into_iter().enumerate() {
-                    counters.push((c, inbox.0.counters()));
-                    counters.push((c, inbox.1.counters()));
+                    counters.push((c, inbox.counters()));
                     let bolt = (factory.lock().expect("factory lock"))(t);
                     let supervisor = supervision.as_ref().map(|s| {
                         let barrier = policy.barrier.clone();
@@ -784,15 +789,14 @@ pub fn try_run_threaded_batched<M: Clone + Send + 'static>(
     Ok(stats)
 }
 
-/// A bolt task's (data, control) inbox pair: a bounded *data* inbox
-/// (backpressure) and an unbounded *control* inbox for feedback-edge
-/// messages.
-type Inbox<M> = (Receiver<Envelope<M>>, Receiver<Envelope<M>>);
+/// A bolt task's inbox: the receiver of its data and control lanes.
+type Inbox<M> = Receiver<Envelope<M>>;
 
 /// Build channels and routing tables for `topology` (draining its edge
-/// list): the inbox pairs, indexed `[component][task]` (empty for spouts),
-/// and each producer's routing table. Feedback edges send into the control
-/// inboxes; everything else into the data inboxes.
+/// list): one inbox per bolt task, indexed `[component][task]` (empty for
+/// spouts), and each producer's routing table. An inbox has a bounded data
+/// lane (backpressure) and an unbounded control lane: feedback edges send
+/// into the control lane, everything else into the data lane.
 fn wire<M>(topology: &mut Topology<M>, capacity: usize) -> (Vec<Vec<Inbox<M>>>, Vec<Routes<M>>) {
     let mut inboxes = Vec::new();
     let mut outboxes = Vec::new();
@@ -801,11 +805,10 @@ fn wire<M>(topology: &mut Topology<M>, capacity: usize) -> (Vec<Vec<Inbox<M>>>, 
             ComponentKind::Bolt(_) => spec.parallelism,
             ComponentKind::Spout(_) => 0,
         };
-        let (tx, rx): (Vec<_>, Vec<Inbox<M>>) = (0..tasks)
+        let (tx, rx): (Vec<_>, Vec<_>) = (0..tasks)
             .map(|_| {
-                let (ds, dr) = bounded(capacity);
-                let (cs, cr) = unbounded();
-                ((ds, cs), (dr, cr))
+                let (data, control, rx) = inbox(capacity);
+                ((data, control), rx)
             })
             .unzip();
         outboxes.push(tx);
@@ -817,7 +820,7 @@ fn wire<M>(topology: &mut Topology<M>, capacity: usize) -> (Vec<Vec<Inbox<M>>>, 
     for e in topology.edges.drain(..) {
         let senders = outboxes[e.to]
             .iter()
-            .map(|(data, ctl)| if e.feedback { ctl } else { data }.clone())
+            .map(|(data, control)| if e.feedback { control } else { data }.clone())
             .collect();
         edges_of[e.from].push(EdgeRt {
             stream: e.stream,
@@ -957,7 +960,7 @@ impl<M: Clone + Send + 'static> BoltTask<M> {
         self.busy += t0.elapsed();
     }
 
-    /// One envelope off the data inbox.
+    /// One envelope off the data lane.
     fn on_data(&mut self, env: Envelope<M>) {
         match env {
             Envelope::Eos => self.eos_seen += 1,
@@ -965,7 +968,7 @@ impl<M: Clone + Send + 'static> BoltTask<M> {
         }
     }
 
-    /// One envelope off the control inbox (which never carries `Eos`),
+    /// One envelope off the control lane (which never carries `Eos`),
     /// unless the fault schedule swallows it.
     fn on_control(&mut self, env: Envelope<M>) {
         let dropped = self.supervisor.as_mut().is_some_and(|s| s.drops_control());
@@ -974,115 +977,73 @@ impl<M: Clone + Send + 'static> BoltTask<M> {
         }
     }
 
-    /// The message loop of one bolt task. Eos travels only on data inboxes;
-    /// control inboxes carry feedback messages until their senders drop.
-    /// After the data side finishes, the loop keeps draining feedback
+    /// The message loop of one bolt task. Eos travels only on the data
+    /// lane; the control lane carries feedback messages until its senders
+    /// drop. After the data side finishes, the loop keeps draining feedback
     /// messages until the bolt reports `drained()` — the migration barrier:
     /// a peer bolt that owes us control messages cannot itself terminate
     /// before sending them (they are triggered by data messages preceding
     /// its own Eos), so unsupervised this wait always ends; supervised, a
-    /// control message can be lost to a fault, and the starvation clock
-    /// below ends the wait instead.
-    fn run(mut self, (mut data_rx, mut ctl_rx): Inbox<M>, quota: usize) -> TaskResult {
-        let (mut data_open, mut ctl_open) = (true, true);
-        // Reused drain buffer: after `select!` yields one data envelope,
+    /// control message can be lost to a fault, so that wait has a deadline
+    /// and silence past it degrades the task instead.
+    fn run(mut self, inbox: Inbox<M>, quota: usize) -> TaskResult {
+        // Whether each lane (indexed by `Lane`) is still open.
+        let mut open = [true; 2];
+        // Reused drain buffer: after the receive yields one data envelope,
         // everything else already queued is pulled with a single
         // `recv_drain` synchronisation point and processed in the same pass.
         let mut burst: Vec<Envelope<M>> = Vec::new();
-        let mut empty_polls = 0u64;
         loop {
-            let data_done = self.eos_seen >= quota || !data_open;
+            let data_done = self.eos_seen >= quota || !open[Lane::Data as usize];
+            let ctl_open = open[Lane::Control as usize];
             if data_done && (self.bolt.drained() || !ctl_open) && self.pending.is_empty() {
                 break;
             }
 
             // Redeliveries (replay after a restart) run ahead of the
-            // inboxes, preserving the task's original FIFO order.
+            // inbox, preserving the task's original FIFO order.
             if let Some(env) = self.pending.pop_front() {
                 self.handle(env);
-                empty_polls = 0;
                 continue;
             }
 
-            if !data_done || self.supervisor.is_none() {
-                // Park on the inboxes: event-driven wakeups, no polling.
-                crossbeam::channel::select! {
-                    recv(data_rx) -> m => match m {
-                        Ok(env) => {
-                            self.on_data(env);
-                            // Pull the rest of the queued burst with one
-                            // synchronisation point.
-                            if data_rx.recv_drain(&mut burst, DRAIN_BURST) > 0 {
-                                for env in burst.drain(..) {
-                                    if self.pending.is_empty() || matches!(env, Envelope::Eos) {
-                                        self.on_data(env);
-                                    } else {
-                                        // A panic queued redeliveries, and
-                                        // they must run before anything
-                                        // received after them: park the rest
-                                        // of the burst behind the replay
-                                        // queue, preserving FIFO.
-                                        self.pending.push_back(env);
-                                    }
-                                }
+            let deadline = match &self.supervisor {
+                Some(sup) if data_done => Some(Instant::now() + sup.config.drain_patience),
+                _ => None,
+            };
+            match inbox.recv_lanes(open, deadline) {
+                Received::Msg(Lane::Data, env) => {
+                    self.on_data(env);
+                    // Pull the rest of the queued burst with one
+                    // synchronisation point.
+                    if inbox.recv_drain(&mut burst, DRAIN_BURST) > 0 {
+                        for env in burst.drain(..) {
+                            if self.pending.is_empty() || matches!(env, Envelope::Eos) {
+                                self.on_data(env);
+                            } else {
+                                // A panic queued redeliveries, and they must
+                                // run before anything received after them:
+                                // park the rest of the burst behind the
+                                // replay queue, preserving FIFO.
+                                self.pending.push_back(env);
                             }
                         }
-                        // park the disconnected side so the select does not
-                        // spin on its error
-                        Err(_) => {
-                            data_open = false;
-                            data_rx = crossbeam::channel::never();
-                        }
-                    },
-                    recv(ctl_rx) -> m => match m {
-                        Ok(env) => self.on_control(env),
-                        Err(_) => {
-                            ctl_open = false;
-                            ctl_rx = crossbeam::channel::never();
-                        }
-                    },
-                }
-                continue;
-            }
-
-            // Supervised post-Eos control drain: polling receives, so a
-            // starved drain (a lost control message nothing will ever send)
-            // is observable as `drain_patience` consecutive empty polls
-            // rather than an indefinite park.
-            match data_rx.try_recv() {
-                Ok(env) => self.on_data(env),
-                Err(TryRecvError::Disconnected) => {
-                    data_open = false;
-                    data_rx = crossbeam::channel::never();
-                }
-                Err(TryRecvError::Empty) => match ctl_rx.try_recv() {
-                    Ok(env) => self.on_control(env),
-                    Err(TryRecvError::Disconnected) => ctl_open = false,
-                    Err(TryRecvError::Empty) => {
-                        // Still owed a control message (the exit test above
-                        // failed) and nothing arrived.
-                        empty_polls += 1;
-                        let sup = self
-                            .supervisor
-                            .as_mut()
-                            .expect("polling implies supervised");
-                        if empty_polls > sup.config.drain_patience {
-                            // Drain starvation: the message was lost
-                            // (dropped by the fault plan, or its sender
-                            // died). Waiting longer cannot help — degrade
-                            // so the run ends.
-                            sup.degrade(&mut self.bolt);
-                            empty_polls = 0;
-                        }
-                        thread::sleep(Duration::from_micros(50));
-                        continue;
                     }
-                },
+                }
+                Received::Msg(Lane::Control, env) => self.on_control(env),
+                Received::Closed(lane) => open[lane as usize] = false,
+                // Drain starvation: the owed control message was lost
+                // (dropped by the fault plan, or its sender died). Waiting
+                // longer cannot help — degrade so the run ends.
+                Received::TimedOut => self
+                    .supervisor
+                    .as_mut()
+                    .expect("only a supervised drain has a deadline")
+                    .degrade(&mut self.bolt),
             }
-            empty_polls = 0;
         }
 
-        drop((data_rx, ctl_rx));
+        drop(inbox);
         let t0 = Instant::now();
         match &mut self.supervisor {
             None => self.bolt.on_flush(&mut self.emitter),

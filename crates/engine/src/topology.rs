@@ -70,7 +70,7 @@ pub trait Bolt<M>: Send {
     }
 
     /// True when this bolt is not waiting for any in-flight *feedback*
-    /// message. The threaded runtime keeps draining a task's feedback inbox
+    /// message. The threaded runtime keeps draining a task's control lane
     /// after end-of-stream until `drained()` holds, so peer-to-peer control
     /// protocols (e.g. live state migration between Calculators) complete
     /// cleanly even when a repartition lands right at shutdown. Bolts that
@@ -90,9 +90,14 @@ pub trait Bolt<M>: Send {
     /// supervised runtime calls it after every *barrier* message (round
     /// ticks, fences — the checkpoint-consistent points of the protocol);
     /// after a panic, a fresh instance built from the component factory is
-    /// fed the latest checkpoint through [`Bolt::restore`]. `None` (the
-    /// default) means "stateless as far as recovery is concerned": restarts
-    /// begin from the factory's initial state.
+    /// fed the latest checkpoint through [`Bolt::restore`], then the
+    /// messages received since it are replayed. A bolt that checkpoints
+    /// must therefore make its emissions a pure function of checkpointed
+    /// state plus the messages since, emitting only at barriers, so the
+    /// replay reproduces the lost work byte-for-byte without re-emitting
+    /// anything downstream already saw. `None` (the default) means
+    /// "stateless as far as recovery is concerned": restarts begin from the
+    /// factory's initial state and nothing is replayed.
     fn checkpoint(&self) -> Option<Box<dyn std::any::Any + Send>> {
         None
     }
@@ -103,16 +108,6 @@ pub trait Bolt<M>: Send {
     /// supervisor only ever hands back this component's own checkpoints).
     fn restore(&mut self, cp: &dyn std::any::Any) {
         let _ = cp;
-    }
-
-    /// True when the bolt's emissions are a pure function of checkpointed
-    /// state plus the messages since the last checkpoint — i.e. replaying
-    /// those messages into a restored instance reproduces the lost work
-    /// byte-for-byte *without* re-emitting anything downstream already saw
-    /// (emissions happen only at barriers). The supervised runtime keeps a
-    /// replay buffer of post-checkpoint messages only for such bolts.
-    fn replayable(&self) -> bool {
-        false
     }
 
     /// A degraded stand-in installed when this bolt exhausts its restart

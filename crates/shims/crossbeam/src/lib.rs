@@ -1,6 +1,6 @@
 //! Offline stand-in for the `crossbeam::channel` surface the threaded engine
-//! runtime uses: `bounded` / `unbounded` MPMC channels, `never`, and an
-//! event-driven `select!` macro.
+//! runtime uses: `bounded` / `unbounded` MPMC channels, and the two-lane
+//! [`channel::inbox`] every bolt task receives from.
 //!
 //! The build environment has no registry access, so this crate provides the
 //! same semantics the runtime depends on:
@@ -8,36 +8,40 @@
 //! * bounded `send` blocks when the queue is full (backpressure) and fails
 //!   once every receiver is gone,
 //! * `recv`/`try_recv` report `Disconnected` only after the queue drains and
-//!   every sender is gone,
-//! * `select!` fires an arm when its channel has a message *or* is
-//!   disconnected (matching crossbeam), sleeping on a registered wakeup —
-//!   not a poll loop — while no arm is ready.
+//!   every sender is gone.
 //!
-//! Internally every channel is one mutex around its whole state: a
-//! `VecDeque` (pre-sized for bounded channels, so a push never allocates),
-//! an optional capacity, the endpoint counts and the two lists of parked
-//! threads. Bounded and unbounded channels are the same type. The engine
-//! sends batch envelopes of up to 128 messages, so a channel operation is
-//! rare per message and a lock is cheap next to everything else a message
-//! costs. Batch endpoints ([`channel::Sender::send_many`],
+//! Every channel has two lanes under one lock: a *data* lane, bounded or
+//! not, and an unbounded *control* lane. A plain channel ([`channel::bounded`],
+//! [`channel::unbounded`]) sends on its data lane only. An inbox hands out a
+//! sender for each lane, and its receiver parks on both at once
+//! ([`channel::Receiver::recv_lanes`]): data is served first, a control send
+//! never blocks however full the data lane is, and each lane reports its
+//! own closure once its senders are gone and it has drained.
+//!
+//! Internally every channel is one mutex around its whole state: the two
+//! lanes' `VecDeque`s (a bounded lane's pre-sized, so a push never
+//! allocates), the endpoint counts and the numbers of parked threads, plus
+//! two condvars, one for space and one for messages. The engine sends batch
+//! envelopes of up to 128 messages, so a channel operation is rare per
+//! message and a lock is cheap next to everything else a message costs.
+//! Batch endpoints ([`channel::Sender::send_many`],
 //! [`channel::Receiver::recv_drain`]) move a whole run of messages under one
-//! lock acquisition. A blocked endpoint checks readiness and registers its
-//! wakeup under the same lock that every push, pop and disconnect takes, so
-//! a wakeup cannot fall between the check and the park; the waiters an
-//! operation claims are signalled once it has released the lock. A park
-//! ends only on a wakeup: there is no timed wait.
-//! Per-channel wait counters ([`channel::ChannelCounters`]) record how
-//! often a thread parked so the engine can report transport contention.
+//! lock acquisition. A blocked endpoint checks readiness and counts itself
+//! as a waiter under the same lock that every push, pop and disconnect
+//! takes, so a wakeup cannot fall between the check and the park; an
+//! operation signals a condvar only when a waiter is counted, and only once
+//! it has released the lock. A park ends on a wakeup, or at the deadline a
+//! receiver may give. Per-channel wait counters
+//! ([`channel::ChannelCounters`]) record how often a thread parked so the
+//! engine can report transport contention.
 
 #![forbid(unsafe_code)]
 
 pub mod channel {
-    use std::cell::RefCell;
     use std::collections::VecDeque;
-    use std::ops::{Deref, DerefMut};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-    use std::time::Duration;
+    use std::time::Instant;
 
     /// Error returned by [`Sender::send`] when every receiver is gone.
     #[derive(Debug, PartialEq, Eq)]
@@ -64,6 +68,29 @@ pub mod channel {
         Empty,
         /// The channel is drained and every sender is gone.
         Disconnected,
+    }
+
+    /// One of a channel's two lanes; indexes the `open` flags of
+    /// [`Receiver::recv_lanes`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Lane {
+        /// Bounded in an inbox, and served first.
+        Data = 0,
+        /// Unbounded: a send into it never blocks.
+        Control = 1,
+    }
+
+    const LANES: [Lane; 2] = [Lane::Data, Lane::Control];
+
+    /// What [`Receiver::recv_lanes`] hands back.
+    #[derive(Debug, PartialEq, Eq)]
+    pub enum Received<T> {
+        /// A message, and the lane it came in on.
+        Msg(Lane, T),
+        /// Every sender of the lane is gone and the lane has drained.
+        Closed(Lane),
+        /// The deadline passed with nothing to deliver.
+        TimedOut,
     }
 
     // ------------------------------------------------------------------
@@ -100,8 +127,8 @@ pub mod channel {
             self.inner.send_waits.load(Ordering::Relaxed)
         }
 
-        /// Times a receiver blocked on an empty channel (including `select!`
-        /// parks that observed this channel).
+        /// Times a receiver blocked on an empty channel: one per park,
+        /// however many lanes it waited on.
         pub fn recv_waits(&self) -> u64 {
             self.inner.recv_waits.load(Ordering::Relaxed)
         }
@@ -125,247 +152,210 @@ pub mod channel {
     }
 
     // ------------------------------------------------------------------
-    // Registered wakeups
-    // ------------------------------------------------------------------
-
-    /// One thread's parking token: a boolean under a mutex plus a condvar.
-    /// Reused across waits via a thread-local, so parking costs no
-    /// allocation on the steady path.
-    struct WakeSlot {
-        signalled: Mutex<bool>,
-        cv: Condvar,
-    }
-
-    impl WakeSlot {
-        fn new() -> Arc<Self> {
-            Arc::new(WakeSlot {
-                signalled: Mutex::new(false),
-                cv: Condvar::new(),
-            })
-        }
-
-        fn prepare(&self) {
-            *self.signalled.lock().expect("wake slot poisoned") = false;
-        }
-
-        fn signal(&self) {
-            let mut s = self.signalled.lock().expect("wake slot poisoned");
-            *s = true;
-            // Notify while holding the lock: the waiter re-checks the flag
-            // under the same lock, so the wakeup cannot fall in the gap
-            // between its check and its sleep.
-            self.cv.notify_one();
-        }
-
-        /// Sleep until signalled.
-        fn wait(&self) {
-            let mut s = self.signalled.lock().expect("wake slot poisoned");
-            while !*s {
-                s = self.cv.wait(s).expect("wake slot poisoned");
-            }
-        }
-    }
-
-    thread_local! {
-        static LOCAL_SLOT: Arc<WakeSlot> = WakeSlot::new();
-        /// Waiters this thread claimed under a channel lock, signalled once
-        /// the lock is released (see [`Locked`]).
-        static CLAIMED: RefCell<Vec<Arc<WakeSlot>>> = const { RefCell::new(Vec::new()) };
-    }
-
-    fn local_slot() -> Arc<WakeSlot> {
-        LOCAL_SLOT.with(Arc::clone)
-    }
-
-    /// The threads parked on one channel event (space freed, or message
-    /// arrived), oldest first. Lives inside the channel state, so it is
-    /// only ever touched under the channel lock.
-    #[derive(Default)]
-    struct Waiters(VecDeque<Arc<WakeSlot>>);
-
-    impl Waiters {
-        fn register(&mut self, slot: &Arc<WakeSlot>) {
-            self.0.push_back(slot.clone());
-        }
-
-        /// Take `slot` off the list. Returns `false` when a waker already
-        /// claimed it (it is no longer listed).
-        fn remove(&mut self, slot: &Arc<WakeSlot>) -> bool {
-            match self.0.iter().position(|s| Arc::ptr_eq(s, slot)) {
-                Some(i) => {
-                    self.0.remove(i);
-                    true
-                }
-                None => false,
-            }
-        }
-
-        /// Claim up to `n` waiters, oldest first. They are signalled when
-        /// the channel lock is released.
-        fn wake(&mut self, n: usize) {
-            let n = n.min(self.0.len());
-            if CLAIMED
-                .try_with(|c| c.borrow_mut().extend(self.0.drain(..n)))
-                .is_err()
-            {
-                // During thread teardown the list is gone: signal now.
-                self.0.drain(..n).for_each(|slot| slot.signal());
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Channel core
     // ------------------------------------------------------------------
 
-    struct State<T> {
-        queue: VecDeque<T>,
-        /// `None` for an unbounded channel.
+    struct Queue<T> {
+        items: VecDeque<T>,
+        /// `None` for an unbounded lane.
         cap: Option<usize>,
         senders: usize,
+    }
+
+    impl<T> Queue<T> {
+        fn new(cap: Option<usize>, senders: usize) -> Self {
+            Queue {
+                items: cap.map_or_else(VecDeque::new, VecDeque::with_capacity),
+                cap,
+                senders,
+            }
+        }
+
+        fn room(&self) -> usize {
+            self.cap
+                .map_or(usize::MAX, |cap| cap.saturating_sub(self.items.len()))
+        }
+    }
+
+    struct State<T> {
+        /// Indexed by [`Lane`].
+        lanes: [Queue<T>; 2],
         receivers: usize,
-        recv_waiters: Waiters,
-        send_waiters: Waiters,
+        /// Threads parked for space in the data lane.
+        send_waiting: usize,
+        /// Threads parked for a message.
+        recv_waiting: usize,
     }
 
     impl<T> State<T> {
-        fn room(&self) -> usize {
-            self.cap
-                .map_or(usize::MAX, |cap| cap.saturating_sub(self.queue.len()))
-        }
-
-        fn waiters(&mut self, side: Side) -> &mut Waiters {
+        fn waiting(&mut self, side: Side) -> &mut usize {
             match side {
-                Side::Send => &mut self.send_waiters,
-                Side::Recv => &mut self.recv_waiters,
+                Side::Send => &mut self.send_waiting,
+                Side::Recv => &mut self.recv_waiting,
             }
         }
 
-        fn try_push(&mut self, msg: T) -> Result<(), TrySendError<T>> {
-            if self.receivers == 0 {
-                return Err(TrySendError::Disconnected(msg));
-            }
-            if self.room() == 0 {
-                return Err(TrySendError::Full(msg));
-            }
-            self.queue.push_back(msg);
-            self.recv_waiters.wake(1);
-            Ok(())
-        }
-
-        fn try_pop(&mut self) -> Result<T, TryRecvError> {
-            match self.queue.pop_front() {
-                Some(v) => {
-                    self.send_waiters.wake(1);
-                    Ok(v)
+        /// The next delivery for a receiver that still counts the lanes
+        /// flagged in `open` as open: a message, data lane first, else the
+        /// closure of such a lane.
+        fn take(&mut self, open: [bool; 2]) -> Option<Received<T>> {
+            for lane in LANES {
+                if let Some(msg) = self.lanes[lane as usize].items.pop_front() {
+                    return Some(Received::Msg(lane, msg));
                 }
-                None if self.senders == 0 => Err(TryRecvError::Disconnected),
-                None => Err(TryRecvError::Empty),
             }
+            LANES
+                .into_iter()
+                .find(|&lane| open[lane as usize] && self.lanes[lane as usize].senders == 0)
+                .map(Received::Closed)
         }
     }
 
-    /// A held channel lock. Fields drop in declaration order, so dropping
-    /// it releases the lock *before* signalling the waiters claimed under
-    /// it: a thread woken while the waker still holds the lock would only
-    /// block on it, and with the pipeline's threads sharing one CPU the
-    /// waker is often preempted right at the wakeup. A late signal can
-    /// reach a thread that has moved on to a later park; that park wakes
-    /// spuriously and retries, as every park's caller does.
-    struct Locked<'a, T> {
-        state: MutexGuard<'a, State<T>>,
-        _signal: SignalClaimed,
-    }
-
-    struct SignalClaimed;
-
-    impl Drop for SignalClaimed {
-        fn drop(&mut self) {
-            let _ = CLAIMED.try_with(|c| c.borrow_mut().drain(..).for_each(|slot| slot.signal()));
-        }
-    }
-
-    impl<T> Deref for Locked<'_, T> {
-        type Target = State<T>;
-
-        fn deref(&self) -> &State<T> {
-            &self.state
-        }
-    }
-
-    impl<T> DerefMut for Locked<'_, T> {
-        fn deref_mut(&mut self) -> &mut State<T> {
-            &mut self.state
-        }
-    }
+    type Guard<'a, T> = MutexGuard<'a, State<T>>;
 
     struct Chan<T> {
         state: Mutex<State<T>>,
+        /// Senders wait here for space in the data lane; the control lane
+        /// never fills.
+        space: Condvar,
+        /// Receivers wait here for a message or a closure.
+        msgs: Condvar,
         counters: ChannelCounters,
     }
 
     impl<T> Chan<T> {
-        fn lock(&self) -> Locked<'_, T> {
-            Locked {
-                // No code outside this module runs under the lock and every
-                // critical section leaves the state consistent, so a
-                // poisoned lock still guards a valid state.
-                state: self.state.lock().unwrap_or_else(PoisonError::into_inner),
-                _signal: SignalClaimed,
+        /// A channel whose data lane holds `cap` messages (`None`:
+        /// unbounded), with one data sender, `control` control senders and
+        /// one receiver.
+        fn new(cap: Option<usize>, control: usize) -> Arc<Self> {
+            Arc::new(Chan {
+                state: Mutex::new(State {
+                    lanes: [Queue::new(cap, 1), Queue::new(None, control)],
+                    receivers: 1,
+                    send_waiting: 0,
+                    recv_waiting: 0,
+                }),
+                space: Condvar::new(),
+                msgs: Condvar::new(),
+                counters: ChannelCounters::default(),
+            })
+        }
+
+        fn lock(&self) -> Guard<'_, T> {
+            // No code outside this module runs under the lock and every
+            // critical section leaves the state consistent, so a poisoned
+            // lock still guards a valid state.
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        fn condvar(&self, side: Side) -> &Condvar {
+            match side {
+                Side::Send => &self.space,
+                Side::Recv => &self.msgs,
             }
         }
 
-        /// Park on `side` until woken, then retake the lock. The caller
-        /// found the channel not ready under the lock it hands over, and
-        /// the wakeup is registered before that lock is released, so no
-        /// push, pop or disconnect can slip between the check and the park.
-        /// The caller retries under the returned lock, so a wakeup it was
-        /// handed is always used or found stale.
-        fn park<'a>(&'a self, mut state: Locked<'a, T>, side: Side) -> Locked<'a, T> {
-            let slot = local_slot();
-            slot.prepare();
-            state.waiters(side).register(&slot);
-            drop(state);
+        /// Park on `side` until woken or until `deadline`, then retake the
+        /// lock. The caller found the channel not ready under the lock it
+        /// hands over, and the waiter is counted before that lock is
+        /// released, so no push, pop or disconnect can slip between the
+        /// check and the park. A wakeup may be spurious or meant for
+        /// another waiter: the caller re-checks under the returned lock.
+        fn wait<'a>(
+            &'a self,
+            mut state: Guard<'a, T>,
+            side: Side,
+            deadline: Option<Instant>,
+        ) -> Guard<'a, T> {
+            *state.waiting(side) += 1;
             self.counters.record(side);
-            slot.wait();
-            let mut state = self.lock();
-            state.waiters(side).remove(&slot);
+            let cv = self.condvar(side);
+            let mut state = match deadline {
+                None => cv.wait(state).unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    let woken = cv.wait_timeout(state, left);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+            *state.waiting(side) -= 1;
             state
         }
-    }
 
-    /// The sending half of a channel.
-    pub struct Sender<T> {
-        chan: Arc<Chan<T>>,
-    }
-
-    /// The receiving half of a channel (or the never-ready channel).
-    pub struct Receiver<T> {
-        chan: Option<Arc<Chan<T>>>,
-    }
-
-    impl<T> Sender<T> {
-        /// Queue `msg`, blocking while a bounded channel is at capacity.
-        pub fn send(&self, mut msg: T) -> Result<(), SendError<T>> {
-            let mut state = self.chan.lock();
-            loop {
-                match state.try_push(msg) {
-                    Ok(()) => return Ok(()),
-                    Err(TrySendError::Full(v)) => {
-                        msg = v;
-                        state = self.chan.park(state, Side::Send);
-                    }
-                    Err(TrySendError::Disconnected(v)) => return Err(SendError(v)),
+        /// Release the lock, then wake the threads parked on `side` for
+        /// `events` new messages or freed slots: none, one, or all when
+        /// there is more than one. A condvar is signalled only while a
+        /// waiter is counted, so the steady path makes no futex call, and
+        /// only after the unlock: a thread woken while the waker still
+        /// holds the lock would only block on it, and with the pipeline's
+        /// threads sharing one CPU the waker is often preempted right at
+        /// the wakeup.
+        fn release(&self, mut state: Guard<'_, T>, side: Side, events: usize) {
+            let waiting = *state.waiting(side) > 0;
+            drop(state);
+            if waiting {
+                match events {
+                    0 => {}
+                    1 => self.condvar(side).notify_one(),
+                    _ => self.condvar(side).notify_all(),
                 }
             }
         }
+    }
+
+    /// The sending half of a channel, bound to one of its lanes.
+    pub struct Sender<T> {
+        chan: Arc<Chan<T>>,
+        lane: Lane,
+    }
+
+    /// The receiving half of a channel.
+    pub struct Receiver<T> {
+        chan: Arc<Chan<T>>,
+    }
+
+    impl<T> Sender<T> {
+        /// Lock the channel once this sender's lane has room, parking while
+        /// it is full; `None` once every receiver is gone.
+        fn lock_room(&self) -> Option<Guard<'_, T>> {
+            let mut state = self.chan.lock();
+            loop {
+                if state.receivers == 0 {
+                    return None;
+                }
+                if state.lanes[self.lane as usize].room() > 0 {
+                    return Some(state);
+                }
+                state = self.chan.wait(state, Side::Send, None);
+            }
+        }
+
+        /// Queue `msg`, blocking while a bounded lane is at capacity.
+        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
+            let Some(mut state) = self.lock_room() else {
+                return Err(SendError(msg));
+            };
+            state.lanes[self.lane as usize].items.push_back(msg);
+            self.chan.release(state, Side::Recv, 1);
+            Ok(())
+        }
 
         /// Queue `msg` without blocking: fails with [`TrySendError::Full`]
-        /// when a bounded channel is at capacity (the caller keeps the
-        /// message and decides whether to retry), and with
+        /// when a bounded lane is at capacity (the caller keeps the message
+        /// and decides whether to retry), and with
         /// [`TrySendError::Disconnected`] once every receiver is gone.
         pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            self.chan.lock().try_push(msg)
+            let mut state = self.chan.lock();
+            if state.receivers == 0 {
+                return Err(TrySendError::Disconnected(msg));
+            }
+            let queue = &mut state.lanes[self.lane as usize];
+            if queue.room() == 0 {
+                return Err(TrySendError::Full(msg));
+            }
+            queue.items.push_back(msg);
+            self.chan.release(state, Side::Recv, 1);
+            Ok(())
         }
 
         /// Send every message in `batch`, blocking for space as needed.
@@ -374,20 +364,105 @@ pub mod channel {
         /// message. On disconnect the unsent tail comes back in the error.
         pub fn send_many(&self, batch: Vec<T>) -> Result<(), SendError<Vec<T>>> {
             let mut iter = batch.into_iter();
-            let mut state = self.chan.lock();
             while iter.len() > 0 {
-                if state.receivers == 0 {
+                let Some(mut state) = self.lock_room() else {
                     return Err(SendError(iter.collect()));
-                }
-                let n = state.room().min(iter.len());
-                if n == 0 {
-                    state = self.chan.park(state, Side::Send);
-                    continue;
-                }
-                state.queue.extend(iter.by_ref().take(n));
-                state.recv_waiters.wake(n);
+                };
+                let queue = &mut state.lanes[self.lane as usize];
+                let n = queue.room().min(iter.len());
+                queue.items.extend(iter.by_ref().take(n));
+                self.chan.release(state, Side::Recv, n);
             }
             Ok(())
+        }
+    }
+
+    impl<T> Clone for Sender<T> {
+        fn clone(&self) -> Self {
+            self.chan.lock().lanes[self.lane as usize].senders += 1;
+            Sender {
+                chan: self.chan.clone(),
+                lane: self.lane,
+            }
+        }
+    }
+
+    impl<T> Drop for Sender<T> {
+        fn drop(&mut self) {
+            let mut state = self.chan.lock();
+            let queue = &mut state.lanes[self.lane as usize];
+            queue.senders -= 1;
+            // The lane's last sender: wake every parked receiver so it
+            // observes the closure (after draining what remains).
+            let closed = if queue.senders == 0 { usize::MAX } else { 0 };
+            self.chan.release(state, Side::Recv, closed);
+        }
+    }
+
+    impl<T> Receiver<T> {
+        /// Take the next delivery for `open` (see [`Receiver::recv_lanes`])
+        /// and release the lock, waking a sender when a data slot freed;
+        /// hands the lock back when nothing is ready.
+        fn poll<'a>(
+            &'a self,
+            mut state: Guard<'a, T>,
+            open: [bool; 2],
+        ) -> Result<Received<T>, Guard<'a, T>> {
+            let Some(got) = state.take(open) else {
+                return Err(state);
+            };
+            let freed = usize::from(matches!(got, Received::Msg(Lane::Data, _)));
+            self.chan.release(state, Side::Send, freed);
+            Ok(got)
+        }
+
+        /// Block until either lane has a message (data first), a lane the
+        /// caller still flags in `open` (indexed by [`Lane`]) closes, or
+        /// `deadline` passes. The caller clears a lane's flag once it has
+        /// seen that lane's closure, so the closure is not reported again
+        /// while the other lane stays open. A caller with both flags clear
+        /// and nothing queued waits for its deadline, forever without one.
+        pub fn recv_lanes(&self, open: [bool; 2], deadline: Option<Instant>) -> Received<T> {
+            let mut state = self.chan.lock();
+            loop {
+                state = match self.poll(state, open) {
+                    Ok(got) => return got,
+                    Err(state) => state,
+                };
+                if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                    return Received::TimedOut;
+                }
+                state = self.chan.wait(state, Side::Recv, deadline);
+            }
+        }
+
+        /// Block until a message arrives or the data lane closes.
+        pub fn recv(&self) -> Result<T, RecvError> {
+            match self.recv_lanes([true, false], None) {
+                Received::Msg(_, msg) => Ok(msg),
+                Received::Closed(_) | Received::TimedOut => Err(RecvError),
+            }
+        }
+
+        /// Non-blocking receive.
+        pub fn try_recv(&self) -> Result<T, TryRecvError> {
+            match self.poll(self.chan.lock(), [true, false]) {
+                Ok(Received::Msg(_, msg)) => Ok(msg),
+                Ok(_) => Err(TryRecvError::Disconnected),
+                Err(_) => Err(TryRecvError::Empty),
+            }
+        }
+
+        /// Pop up to `max` ready data-lane messages under one lock
+        /// acquisition, appending them to `out`. Returns how many were
+        /// moved; never blocks and never reports closure.
+        pub fn recv_drain(&self, out: &mut Vec<T>, max: usize) -> usize {
+            let mut state = self.chan.lock();
+            let data = &mut state.lanes[Lane::Data as usize].items;
+            let n = max.min(data.len());
+            out.extend(data.drain(..n));
+            self.chan.release(state, Side::Send, n);
+            n
         }
 
         /// Contention counters for this channel.
@@ -396,86 +471,9 @@ pub mod channel {
         }
     }
 
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.chan.lock().senders += 1;
-            Sender {
-                chan: self.chan.clone(),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut state = self.chan.lock();
-            state.senders -= 1;
-            if state.senders == 0 {
-                // Last sender: wake every parked receiver so it observes
-                // the disconnect (after draining what remains).
-                state.recv_waiters.wake(usize::MAX);
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Block until a message arrives or the channel disconnects.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let chan = self.chan.as_ref().ok_or(RecvError)?;
-            let mut state = chan.lock();
-            loop {
-                match state.try_pop() {
-                    Ok(v) => return Ok(v),
-                    Err(TryRecvError::Disconnected) => return Err(RecvError),
-                    Err(TryRecvError::Empty) => state = chan.park(state, Side::Recv),
-                }
-            }
-        }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            match &self.chan {
-                Some(chan) => chan.lock().try_pop(),
-                // `never()` is permanently pending, not disconnected
-                None => Err(TryRecvError::Empty),
-            }
-        }
-
-        /// Pop up to `max` ready messages under one lock acquisition,
-        /// appending them to `out`. Returns how many were moved; never
-        /// blocks and never reports disconnection (pair with
-        /// [`Receiver::try_recv`] / `select!` for that).
-        pub fn recv_drain(&self, out: &mut Vec<T>, max: usize) -> usize {
-            let Some(chan) = &self.chan else {
-                return 0;
-            };
-            let mut state = chan.lock();
-            let n = max.min(state.queue.len());
-            out.extend(state.queue.drain(..n));
-            state.send_waiters.wake(n);
-            n
-        }
-
-        /// Contention counters for this channel (zeroes for `never()`).
-        pub fn counters(&self) -> ChannelCounters {
-            match &self.chan {
-                Some(chan) => chan.counters.clone(),
-                None => ChannelCounters::default(),
-            }
-        }
-
-        /// This receiver as a `select!` arm; `never()` yields an arm that
-        /// is never registered.
-        #[doc(hidden)]
-        pub fn select_arm(&self) -> SelectArm<'_> {
-            SelectArm(self.chan.as_deref().map(|chan| chan as &dyn Arm))
-        }
-    }
-
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
-            if let Some(chan) = &self.chan {
-                chan.lock().receivers += 1;
-            }
+            self.chan.lock().receivers += 1;
             Receiver {
                 chan: self.chan.clone(),
             }
@@ -484,170 +482,53 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            if let Some(chan) = &self.chan {
-                let mut state = chan.lock();
-                state.receivers -= 1;
-                if state.receivers == 0 {
-                    // Last receiver: unblock senders so they observe the
-                    // disconnect.
-                    state.send_waiters.wake(usize::MAX);
-                }
-            }
+            let mut state = self.chan.lock();
+            state.receivers -= 1;
+            // The last receiver: unblock senders so they observe the
+            // disconnect.
+            let gone = if state.receivers == 0 { usize::MAX } else { 0 };
+            self.chan.release(state, Side::Send, gone);
         }
     }
 
-    fn with_capacity<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
-        let chan = Arc::new(Chan {
-            state: Mutex::new(State {
-                queue: cap.map_or_else(VecDeque::new, VecDeque::with_capacity),
-                cap,
-                senders: 1,
-                receivers: 1,
-                recv_waiters: Waiters::default(),
-                send_waiters: Waiters::default(),
-            }),
-            counters: ChannelCounters::default(),
-        });
-        (Sender { chan: chan.clone() }, Receiver { chan: Some(chan) })
+    fn plain<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
+        let chan = Chan::new(cap, 0);
+        let tx = Sender {
+            chan: chan.clone(),
+            lane: Lane::Data,
+        };
+        (tx, Receiver { chan })
     }
 
     /// A channel whose `send` blocks once `cap` messages are queued.
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        with_capacity(Some(cap.max(1)))
+        plain(Some(cap.max(1)))
     }
 
     /// A channel with an unbounded queue.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_capacity(None)
+        plain(None)
     }
 
-    /// A receiver that is never ready (used to park a `select!` arm).
-    pub fn never<T>() -> Receiver<T> {
-        Receiver { chan: None }
+    /// A bolt task's inbox: a data lane holding `cap` messages and an
+    /// unbounded control lane, as (data sender, control sender, receiver).
+    pub fn inbox<T>(cap: usize) -> (Sender<T>, Sender<T>, Receiver<T>) {
+        let chan = Chan::new(Some(cap.max(1)), 1);
+        let data = Sender {
+            chan: chan.clone(),
+            lane: Lane::Data,
+        };
+        let control = Sender {
+            chan: chan.clone(),
+            lane: Lane::Control,
+        };
+        (data, control, Receiver { chan })
     }
-
-    /// The receive side of a channel as `select!` sees it, with the message
-    /// type erased so arms of different types share one array.
-    trait Arm {
-        /// Register `slot` as a receive waiter unless a message is queued
-        /// or every sender is gone. Returns whether it registered.
-        fn register_unless_ready(&self, slot: &Arc<WakeSlot>) -> bool;
-        /// Take `slot` off the receive waiters, handing a claimed wakeup on.
-        fn cancel(&self, slot: &Arc<WakeSlot>);
-        fn record_wait(&self);
-    }
-
-    impl<T> Arm for Chan<T> {
-        fn register_unless_ready(&self, slot: &Arc<WakeSlot>) -> bool {
-            let mut state = self.lock();
-            if !state.queue.is_empty() || state.senders == 0 {
-                return false;
-            }
-            state.recv_waiters.register(slot);
-            true
-        }
-
-        fn cancel(&self, slot: &Arc<WakeSlot>) {
-            let mut state = self.lock();
-            // A waker claimed the slot for a message here, but the selector
-            // may take another arm's message instead: pass the wakeup to the
-            // next receiver so the message is not left beside a parked one.
-            if !state.recv_waiters.remove(slot) && !state.queue.is_empty() {
-                state.recv_waiters.wake(1);
-            }
-        }
-
-        fn record_wait(&self) {
-            self.counters.record(Side::Recv);
-        }
-    }
-
-    /// One `select!` arm, from [`Receiver::select_arm`].
-    #[doc(hidden)]
-    pub struct SelectArm<'a>(Option<&'a dyn Arm>);
-
-    /// Park until some arm may be ready. Registers one wake slot on each
-    /// arm, re-checking that arm's readiness under its lock (a message or
-    /// disconnect landing after the caller's poll is caught here), sleeps
-    /// only if every arm is still pending, then cancels every registration.
-    #[doc(hidden)]
-    pub fn select_wait(arms: &[SelectArm<'_>]) {
-        let live = || arms.iter().filter_map(|arm| arm.0);
-        if live().next().is_none() {
-            // Every arm is `never()`: no event can ever wake us, so yield
-            // briefly in case the caller loops on external state.
-            std::thread::sleep(Duration::from_micros(50));
-            return;
-        }
-        let slot = local_slot();
-        slot.prepare();
-        let mut registered = 0;
-        // Stops registering at the first ready arm.
-        let pending = live().all(|arm| {
-            let parked = arm.register_unless_ready(&slot);
-            registered += usize::from(parked);
-            parked
-        });
-        if pending {
-            live().for_each(|arm| arm.record_wait());
-            slot.wait();
-        }
-        live().take(registered).for_each(|arm| arm.cancel(&slot));
-    }
-
-    /// Typed `Err(RecvError)` constructor for the `select!` expansion (ties
-    /// the message type to the receiver so inference never dangles).
-    #[doc(hidden)]
-    pub fn recv_err_of<T>(_rx: &Receiver<T>) -> Result<T, RecvError> {
-        Err(RecvError)
-    }
-
-    pub use crate::select;
-}
-
-/// Event-driven `select!` over `recv(rx) -> msg => body` arms.
-///
-/// An arm fires when its channel yields a message (`msg` = `Ok(v)`) or is
-/// disconnected (`msg` = `Err(RecvError)`), matching crossbeam's semantics.
-/// `never()` receivers are permanently pending. While no arm is ready the
-/// calling thread parks on a wake slot registered with every arm's channel
-/// and is woken by the next send or disconnect — there is no polling loop.
-#[macro_export]
-macro_rules! select {
-    ($(recv($rx:expr) -> $msg:pat => $body:expr),+ $(,)?) => {{
-        'select: loop {
-            $(
-                match $rx.try_recv() {
-                    Ok(__v) => {
-                        #[allow(unreachable_code)]
-                        {
-                            let $msg = ::core::result::Result::<
-                                _,
-                                $crate::channel::RecvError,
-                            >::Ok(__v);
-                            $body;
-                            break 'select;
-                        }
-                    }
-                    Err($crate::channel::TryRecvError::Disconnected) => {
-                        #[allow(unreachable_code)]
-                        {
-                            let $msg = $crate::channel::recv_err_of(&$rx);
-                            $body;
-                            break 'select;
-                        }
-                    }
-                    Err($crate::channel::TryRecvError::Empty) => {}
-                }
-            )+
-            $crate::channel::select_wait(&[$( $rx.select_arm() ),+]);
-        }
-    }};
 }
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, never, unbounded, TryRecvError, TrySendError};
+    use super::channel::{bounded, inbox, unbounded, Lane, Received, TryRecvError, TrySendError};
     use std::thread;
     use std::time::Duration;
 
@@ -732,38 +613,52 @@ mod tests {
     }
 
     #[test]
-    fn select_prefers_ready_channel_and_sees_disconnects() {
-        let (tx_a, rx_a) = unbounded::<u32>();
-        let (tx_b, rx_b) = unbounded::<u32>();
-        tx_b.send(7).unwrap();
-        #[allow(unused_assignments)]
-        let mut got = None;
-        crate::select! {
-            recv(rx_a) -> m => got = Some(("a", m.is_ok())),
-            recv(rx_b) -> m => got = Some(("b", m.is_ok())),
-        }
-        assert_eq!(got, Some(("b", true)));
-        drop(tx_a);
-        crate::select! {
-            recv(rx_a) -> m => got = Some(("a", m.is_ok())),
-        }
-        assert_eq!(got, Some(("a", false)), "disconnect fires the arm");
-        drop(tx_b);
+    fn inbox_serves_data_before_control() {
+        let (data, control, rx) = inbox::<u32>(4);
+        control.send(10).unwrap();
+        data.send(1).unwrap();
+        control.send(11).unwrap();
+        data.send(2).unwrap();
+        let got: Vec<Received<u32>> = (0..4).map(|_| rx.recv_lanes([true; 2], None)).collect();
+        assert_eq!(
+            got,
+            vec![
+                Received::Msg(Lane::Data, 1),
+                Received::Msg(Lane::Data, 2),
+                Received::Msg(Lane::Control, 10),
+                Received::Msg(Lane::Control, 11),
+            ]
+        );
     }
 
     #[test]
-    fn never_is_permanently_pending() {
-        let rx = never::<u32>();
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        let (tx, data) = unbounded::<u32>();
-        tx.send(5).unwrap();
-        #[allow(unused_assignments)]
-        let mut got = 0;
-        crate::select! {
-            recv(data) -> m => got = m.unwrap(),
-            recv(rx) -> _m => unreachable!("never() must not fire"),
-        }
-        assert_eq!(got, 5);
+    fn inbox_reports_each_lane_closed_once_drained() {
+        let (data, control, rx) = inbox::<u32>(4);
+        data.send(1).unwrap();
+        control.send(2).unwrap();
+        drop(data);
+        // the data lane is closed but not drained: its message comes first
+        assert_eq!(rx.recv_lanes([true; 2], None), Received::Msg(Lane::Data, 1));
+        assert_eq!(
+            rx.recv_lanes([true; 2], None),
+            Received::Msg(Lane::Control, 2)
+        );
+        assert_eq!(rx.recv_lanes([true; 2], None), Received::Closed(Lane::Data));
+        // with the data closure seen, the open control lane is waited on
+        assert_eq!(
+            rx.recv_lanes([false, true], Some(std::time::Instant::now())),
+            Received::TimedOut
+        );
+        control.send(3).unwrap();
+        drop(control);
+        assert_eq!(
+            rx.recv_lanes([false, true], None),
+            Received::Msg(Lane::Control, 3)
+        );
+        assert_eq!(
+            rx.recv_lanes([false, true], None),
+            Received::Closed(Lane::Control)
+        );
     }
 
     #[test]

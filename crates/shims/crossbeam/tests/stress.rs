@@ -5,13 +5,13 @@
 //! The unit tests in `src/lib.rs` pin each primitive in isolation; this
 //! suite pins the *combinations* that only misbehave under contention:
 //! a message handed to two consumers, a burst overlapping a concurrent
-//! pop, a wakeup lost between a consumer's last poll and its park, or one
-//! claimed by a selector that then takes another arm's message.
+//! pop, or a wakeup lost between a consumer's last check and its park.
 
-use crossbeam::channel::{bounded, never, unbounded, ChannelCounters, RecvError, TryRecvError};
-use crossbeam::select;
+use crossbeam::channel::{
+    bounded, inbox, ChannelCounters, Lane, Received, TryRecvError, TrySendError,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -171,72 +171,145 @@ fn bursts_and_singles_interleave_without_loss() {
     assert_eq!(all, expected, "burst/single interleaving lost messages");
 }
 
-/// `select!` parks on registered wakeups now — a disconnect on one arm
-/// must wake the parked selector promptly, not leave it sleeping until a
-/// poll cadence that no longer exists.
+/// A parked inbox receiver must wake promptly when its data lane closes,
+/// while its control lane stays open and silent.
 #[test]
-fn select_wakes_promptly_on_disconnect() {
-    let (tx, rx) = bounded::<u64>(4);
-    let (_ctl_tx, ctl_rx) = unbounded::<u64>();
+fn inbox_wakes_promptly_on_disconnect() {
+    let (data, _control, rx) = inbox::<u64>(4);
     let dropper = thread::spawn(move || {
         thread::sleep(Duration::from_millis(100));
-        drop(tx);
+        drop(data);
     });
     let start = Instant::now();
-    let mut disconnected = false;
-    while !disconnected {
-        select! {
-            recv(rx) -> msg => match msg {
-                Ok(_) => {}
-                Err(RecvError) => disconnected = true,
-            },
-            recv(ctl_rx) -> _msg => unreachable!("control arm never fires"),
-        }
-    }
+    assert_eq!(
+        rx.recv_lanes([true; 2], None),
+        Received::Closed(Lane::Data),
+        "only the data lane's closure can arrive"
+    );
     let waited = start.elapsed();
     dropper.join().unwrap();
     // generous bound: the point is "woken by the disconnect", not "woke
-    // after some multiple of a 50µs poll loop that kept the CPU warm"
+    // after some multiple of a poll cadence"
     assert!(
         waited < Duration::from_secs(5),
-        "selector failed to wake on disconnect within 5s (waited {waited:?})"
+        "receiver failed to wake on disconnect within 5s (waited {waited:?})"
     );
 }
 
-/// `select!` over a data arm and a `never()` arm: a message sent *after*
-/// the selector has parked must wake it — the poll-then-park window must
-/// be closed by the readiness re-check under each arm's lock.
+/// A message sent *after* the receiver has parked must wake it: the
+/// check-then-park window is closed by counting the waiter under the lock.
 #[test]
-fn select_wakes_on_a_message_sent_after_it_parked() {
-    let (tx, rx) = bounded::<u64>(4);
-    let nv = never::<u64>();
-    let received = Arc::new(AtomicU64::new(0));
-    let selector = {
-        let received = received.clone();
-        thread::spawn(move || {
-            // `select!` bodies run inside the macro's own loop, so loop
-            // exit is signalled by flag (the engine's bolt loops do the
-            // same).
-            let mut open = true;
-            while open {
-                select! {
-                    recv(rx) -> msg => match msg {
-                        Ok(v) => { received.fetch_add(v, Ordering::SeqCst); },
-                        Err(RecvError) => open = false,
-                    },
-                    recv(nv) -> _msg => unreachable!("never() fired"),
-                }
+fn inbox_wakes_on_a_message_sent_after_it_parked() {
+    let (data, _control, rx) = inbox::<u64>(4);
+    let counters = rx.counters();
+    let receiver = thread::spawn(move || {
+        let mut received = 0;
+        let mut open = [true; 2];
+        while open[Lane::Data as usize] {
+            match rx.recv_lanes(open, None) {
+                Received::Msg(Lane::Data, v) => received += v,
+                Received::Closed(lane) => open[lane as usize] = false,
+                other => panic!("unexpected {other:?}"),
             }
-        })
-    };
-    // let the selector reach its park before each send
+        }
+        received
+    });
     for round in 1..=5u64 {
-        thread::sleep(Duration::from_millis(30));
-        tx.send(round).unwrap();
+        await_recv_park(&counters, round - 1);
+        data.send(round).unwrap();
     }
-    drop(tx);
-    selector.join().unwrap();
-    assert_eq!(received.load(Ordering::SeqCst), 1 + 2 + 3 + 4 + 5);
+    drop(data);
+    assert_eq!(receiver.join().unwrap(), 1 + 2 + 3 + 4 + 5);
+}
+
+/// A control send returns at once into an inbox whose data lane is full,
+/// and wakes a receiver parked on the inbox.
+#[test]
+fn control_send_never_blocks_and_wakes_a_parked_receiver() {
+    let (data, control, rx) = inbox::<u64>(2);
+    data.send(1).unwrap();
+    data.send(2).unwrap();
+    assert_eq!(
+        data.try_send(3),
+        Err(TrySendError::Full(3)),
+        "data lane full"
+    );
+    for i in 0..1_000 {
+        control.send(100 + i).unwrap(); // returns at once: never blocks
+    }
+    for expected in [1, 2] {
+        assert_eq!(
+            rx.recv_lanes([true; 2], None),
+            Received::Msg(Lane::Data, expected)
+        );
+    }
+    for i in 0..1_000 {
+        assert_eq!(
+            rx.recv_lanes([true; 2], None),
+            Received::Msg(Lane::Control, 100 + i)
+        );
+    }
+    let counters = rx.counters();
+    let receiver = thread::spawn(move || rx.recv_lanes([true; 2], None));
+    await_recv_park(&counters, 0);
+    control.send(7).unwrap();
+    assert_eq!(receiver.join().unwrap(), Received::Msg(Lane::Control, 7));
+    assert_eq!(counters.send_waits(), 0, "no send ever parked");
+}
+
+/// A deadline receive returns `TimedOut` once its deadline passes with
+/// nothing queued, and a message sent after it parked ends the wait early.
+#[test]
+fn deadline_receive_times_out_or_wakes_on_a_late_message() {
+    let (_data, _control, rx) = inbox::<u64>(4);
+    let patience = Duration::from_millis(50);
+    let start = Instant::now();
+    assert_eq!(
+        rx.recv_lanes([true; 2], Some(start + patience)),
+        Received::TimedOut
+    );
+    assert!(start.elapsed() >= patience, "returned before its deadline");
+
+    let (data, _control, rx) = inbox::<u64>(4);
+    let counters = rx.counters();
+    let receiver = thread::spawn(move || {
+        let start = Instant::now();
+        let got = rx.recv_lanes([true; 2], Some(start + Duration::from_secs(30)));
+        (got, start.elapsed())
+    });
+    await_recv_park(&counters, 0);
+    data.send(9).unwrap();
+    let (got, waited) = receiver.join().unwrap();
+    assert_eq!(got, Received::Msg(Lane::Data, 9));
+    assert!(
+        waited < Duration::from_secs(5),
+        "slept through the message: {waited:?}"
+    );
+}
+
+/// A receiver parked on both lanes of an inbox counts one receive wait per
+/// park, not one per lane.
+#[test]
+fn one_receive_wait_is_counted_per_park() {
+    let (data, control, rx) = inbox::<u64>(4);
+    let counters = rx.counters();
+    let receiver = thread::spawn(move || {
+        (0..4)
+            .map(|_| rx.recv_lanes([true; 2], None))
+            .collect::<Vec<_>>()
+    });
+    for park in 0..4u64 {
+        await_recv_park(&counters, park);
+        assert_eq!(counters.recv_waits(), park + 1, "park {park} counted twice");
+        if park % 2 == 0 {
+            data.send(park).unwrap();
+        } else {
+            control.send(park).unwrap();
+        }
+    }
+    let got = receiver.join().unwrap();
+    assert_eq!(got.len(), 4);
+    assert_eq!(counters.send_waits(), 0);
 }
 
 /// High-thread-count churn on one capacity-1 channel: the tightest queue
@@ -342,100 +415,4 @@ fn await_recv_park(counters: &ChannelCounters, seen: u64) {
         assert!(Instant::now() < deadline, "receiver never parked");
         thread::yield_now();
     }
-}
-
-/// Which receiver took a message, and through which arm.
-enum Took {
-    SelectA(u64),
-    SelectB(u64),
-    Recv(u64),
-}
-
-/// A `select!` over B and A shares A's waiters with a plain `recv` on A.
-/// The selector registers on A first, so a send to A claims the selector's
-/// wakeup; if a send to B lands before the selector runs, it takes B's
-/// message (B is its first arm) and must pass A's wakeup on to the parked
-/// `recv`, or A's message sits beside a sleeping receiver. Each round
-/// sends one message to each channel (plus a replacement on A whenever the
-/// selector takes A's); every message must arrive exactly once and both
-/// receivers must finish the round within the watchdog bound.
-#[test]
-fn select_hands_a_claimed_wakeup_to_a_parked_recv() {
-    const ROUNDS: u64 = 300;
-    let (tx_a, rx_a) = unbounded::<u64>();
-    let (tx_b, rx_b) = unbounded::<u64>();
-    let (a_counters, b_counters) = (rx_a.counters(), rx_b.counters());
-    let (took_tx, took) = mpsc::channel::<Took>();
-    let (select_go, select_rounds) = mpsc::channel::<()>();
-    let (recv_go, recv_rounds) = mpsc::channel::<()>();
-    let selector = {
-        let rx_a = rx_a.clone();
-        let took_tx = took_tx.clone();
-        thread::spawn(move || {
-            while select_rounds.recv().is_ok() {
-                let mut got_b = false;
-                while !got_b {
-                    select! {
-                        recv(rx_b) -> m => {
-                            took_tx.send(Took::SelectB(m.unwrap())).unwrap();
-                            got_b = true;
-                        },
-                        recv(rx_a) -> m => took_tx.send(Took::SelectA(m.unwrap())).unwrap(),
-                    }
-                }
-            }
-        })
-    };
-    let receiver = thread::spawn(move || {
-        while recv_rounds.recv().is_ok() {
-            took_tx.send(Took::Recv(rx_a.recv().unwrap())).unwrap();
-        }
-    });
-    let mut next = 0u64;
-    let mut seen: Vec<u64> = Vec::new();
-    for round in 0..ROUNDS {
-        let (a0, b0) = (a_counters.recv_waits(), b_counters.recv_waits());
-        select_go.send(()).unwrap();
-        // the selector's park counts once on each arm
-        await_recv_park(&b_counters, b0);
-        recv_go.send(()).unwrap();
-        await_recv_park(&a_counters, a0 + 1);
-        tx_a.send(next).unwrap();
-        tx_b.send(next + 1).unwrap();
-        next += 2;
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let (mut select_done, mut recv_done) = (false, false);
-        while !(select_done && recv_done) {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match took.recv_timeout(left) {
-                Ok(Took::SelectB(v)) => {
-                    seen.push(v);
-                    select_done = true;
-                }
-                Ok(Took::SelectA(v)) => {
-                    // the plain `recv` still needs a message this round
-                    seen.push(v);
-                    tx_a.send(next).unwrap();
-                    next += 1;
-                }
-                Ok(Took::Recv(v)) => {
-                    seen.push(v);
-                    recv_done = true;
-                }
-                Err(_) => panic!(
-                    "round {round}: a receiver stayed parked for 5s \
-                     (selector done: {select_done}, recv done: {recv_done})"
-                ),
-            }
-        }
-    }
-    drop((select_go, recv_go));
-    selector.join().unwrap();
-    receiver.join().unwrap();
-    seen.sort_unstable();
-    assert_eq!(
-        seen,
-        (0..next).collect::<Vec<u64>>(),
-        "messages lost or duplicated"
-    );
 }

@@ -19,8 +19,9 @@ use setcorr_engine::{
     SuperviseConfig, ThreadStats, ThreadedConfig, Topology, TopologyBuilder,
 };
 use setcorr_model::{fx, Document, TagSetWindow, TimeDelta, WindowKind};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Which correlation backend the Calculators run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +85,7 @@ pub enum Fault {
         /// Envelopes processed before the kill fires.
         after_messages: u64,
     },
-    /// Swallow the `nth` (1-indexed) control-channel envelope bound for
+    /// Swallow the `nth` (1-indexed) control-lane envelope bound for
     /// Calculator `calculator` — in the live topology that is an `Adopt`,
     /// which wedges the victim's migration barrier until the supervisor's
     /// starvation detector degrades it.
@@ -118,18 +119,20 @@ pub struct Supervision {
     pub max_restarts: u32,
     /// The deterministic fault plan (empty = supervision wrappers only).
     pub faults: Vec<Fault>,
-    /// Empty inbox polls (≈ 50 µs each) a finished-input bolt may wait for
-    /// owed control traffic before the supervisor declares it starved and
-    /// degrades it — the anti-deadlock backstop for lost control messages.
-    pub drain_patience: u64,
+    /// Silence a finished-input bolt may wait through for owed control
+    /// traffic before the supervisor declares it starved and degrades it —
+    /// the anti-deadlock backstop for lost control messages.
+    pub drain_patience: Duration,
 }
 
+/// The runtime's defaults ([`SuperviseConfig::default`]), with no faults.
 impl Default for Supervision {
     fn default() -> Self {
+        let defaults = SuperviseConfig::default();
         Supervision {
-            max_restarts: 2,
+            max_restarts: defaults.max_restarts,
             faults: Vec::new(),
-            drain_patience: 60_000,
+            drain_patience: defaults.drain_patience,
         }
     }
 }
@@ -362,18 +365,16 @@ pub fn build_topology(
     docs: Box<dyn Iterator<Item = Document> + Send>,
     recorder: SharedRecorder,
 ) -> Topology<Msg> {
-    build_served_topology(config, docs, recorder, None, Arc::default())
+    build_served_topology(config, docs, recorder, None)
 }
 
 /// [`build_topology`], optionally attaching a serving-layer [`Publisher`](setcorr_serve::Publisher)
-/// to the Tracker so every closed round becomes a queryable snapshot, and
-/// counting in `ticks` the rounds the source cuts.
+/// to the Tracker so every closed round becomes a queryable snapshot.
 fn build_served_topology(
     config: &ExperimentConfig,
     docs: Box<dyn Iterator<Item = Document> + Send>,
     recorder: SharedRecorder,
     publisher: Option<setcorr_serve::Publisher>,
-    ticks: Arc<AtomicU64>,
 ) -> Topology<Msg> {
     let mut tb: TopologyBuilder<Msg> = TopologyBuilder::new();
 
@@ -383,18 +384,25 @@ fn build_served_topology(
     // its round, flushing the partial batch behind it.
     let mut docs_slot = Some(docs);
     let cut = RoundCut::new(config.report_period);
-    let source = tb.add_spout("source", 1, move |_| {
-        let docs = docs_slot.take().expect("single source task");
-        let ticks = ticks.clone();
-        let stream = cut.cut(docs).map(move |item| {
-            if let Cut::Tick(..) = item {
-                // a statistic: publishes nothing else
-                ticks.fetch_add(1, Ordering::Relaxed);
-            }
-            Msg::from(item)
-        });
-        Box::new(stream) as Box<dyn Spout<Msg>>
-    });
+    // It also counts the documents into the recorder, a round at a time:
+    // the stream ends with a tick, so every document is counted by the
+    // time the source is exhausted.
+    let source = {
+        let recorder = recorder.clone();
+        tb.add_spout("source", 1, move |_| {
+            let docs = docs_slot.take().expect("single source task");
+            let recorder = recorder.clone();
+            let mut documents = 0u64;
+            let stream = cut.cut(docs).map(move |item| {
+                match item {
+                    Cut::Doc(_) => documents += 1,
+                    Cut::Tick(..) => recorder.lock().documents += std::mem::take(&mut documents),
+                }
+                Msg::from(item)
+            });
+            Box::new(stream) as Box<dyn Spout<Msg>>
+        })
+    };
 
     let parser = tb.add_bolt("parser", 1, |_| Box::new(ParserBolt) as Box<dyn Bolt<Msg>>);
     assert_eq!(parser, PARSER_COMPONENT);
@@ -583,20 +591,17 @@ fn run_with_publisher(
         (docs, None)
     };
     let recorder = RunRecorder::shared(config.k);
-    let ticks = Arc::new(AtomicU64::new(0));
-    let topology = build_served_topology(config, docs, recorder.clone(), publisher, ticks.clone());
+    let topology = build_served_topology(config, docs, recorder.clone(), publisher);
     let names: Vec<String> = topology
         .component_names()
         .iter()
         .map(|s| s.to_string())
         .collect();
-    // Sim runs fault-free and unattributed: only a threaded run has stats
-    // beyond the document count. The Parser's input is the documents and
-    // the source's ticks.
-    let (parsed, threaded): (u64, Option<ThreadStats>) = match mode {
+    // Sim runs fault-free and unattributed: only a threaded run has stats.
+    let threaded: Option<ThreadStats> = match mode {
         RunMode::Sim => {
-            let stats = run_sim_batched(topology, batch_policy());
-            (stats.processed[PARSER_COMPONENT], None)
+            run_sim_batched(topology, batch_policy());
+            None
         }
         RunMode::Threaded => {
             let defaults = ThreadedConfig::default();
@@ -607,11 +612,9 @@ fn run_with_publisher(
                     .as_ref()
                     .map(|s| supervise_config(s, &recorder, degrade_flag)),
             };
-            let stats = run_threaded_batched(topology, threaded, batch_policy());
-            (stats.processed[PARSER_COMPONENT], Some(stats))
+            Some(run_threaded_batched(topology, threaded, batch_policy()))
         }
     };
-    let documents = parsed.saturating_sub(ticks.load(Ordering::Relaxed));
     let rec = recorder.lock();
     let mut report = RunReport::from_recorder(
         config.algorithm.name(),
@@ -619,7 +622,6 @@ fn run_with_publisher(
         config.partitioners,
         config.thr,
         config.tps,
-        documents,
         &rec,
     );
     report.backend = config.backend.name().to_string();

@@ -301,6 +301,10 @@ impl Bolt<Msg> for CalculatorBolt {
         !self.awaiting_adopts()
     }
 
+    /// Calculators emit only at barriers (reports at ticks, adopts at
+    /// fences) and checkpoints are captured right after each barrier, so
+    /// replaying the messages since the last checkpoint re-emits nothing
+    /// already sent.
     fn checkpoint(&self) -> Option<Box<dyn std::any::Any + Send>> {
         Some(Box::new(CalcCheckpoint {
             state: self.calc.export_state(),
@@ -329,14 +333,6 @@ impl Bolt<Msg> for CalculatorBolt {
         self.adopts = cp.adopts;
         self.early_adopts = cp.early_adopts.clone();
         self.pending = cp.pending.clone();
-    }
-
-    /// Calculators emit only at barriers (reports at ticks, adopts at
-    /// fences) and checkpoints are captured right after each barrier, so
-    /// replaying the messages since the last checkpoint re-emits nothing
-    /// already sent — the definition of replay-safety.
-    fn replayable(&self) -> bool {
-        true
     }
 
     fn tombstone(&self) -> Option<Box<dyn Bolt<Msg>>> {

@@ -15,6 +15,8 @@ use std::sync::Arc;
 /// Everything measured during one experiment run.
 #[derive(Debug, Default)]
 pub struct RunRecorder {
+    /// Documents the source emitted.
+    pub documents: u64,
     /// Average communication per sample window, x = routed tagsets.
     pub comm_series: Series,
     /// Per-Calculator load share per sample window (sorted at render time).

@@ -133,15 +133,14 @@ pub const WARMUP_ROUNDS: u64 = 1;
 impl RunReport {
     /// Aggregate a finished run, unscored (see [`RunReport::score`]).
     ///
-    /// `meta` fields identify the configuration; `documents` is the stream
-    /// length the source produced.
+    /// `meta` fields identify the configuration; the recorder holds the
+    /// stream length the source produced.
     pub fn from_recorder(
         algorithm: &str,
         k: usize,
         partitioners: usize,
         thr: f64,
         tps: u64,
-        documents: u64,
         recorder: &RunRecorder,
     ) -> Self {
         let shares = recorder.load_shares();
@@ -153,7 +152,7 @@ impl RunReport {
             partitioners,
             thr,
             tps,
-            documents,
+            documents: recorder.documents,
             avg_communication: recorder.avg_communication(),
             load_gini: gini(&shares),
             max_load_share: shares.iter().copied().fold(0.0, f64::max),
@@ -484,7 +483,7 @@ mod tests {
         rounds: Vec<(u64, Vec<CoefficientReport>)>,
         occurrences: &[(&[u32], u64)],
     ) -> RunReport {
-        let mut report = RunReport::from_recorder("DS", 2, 1, 0.5, 1300, 100, &RunRecorder::new(2));
+        let mut report = RunReport::from_recorder("DS", 2, 1, 0.5, 1300, &RunRecorder::new(2));
         report.tracked_rounds = tracked;
         report.score(&ExactRun {
             rounds,
@@ -547,8 +546,9 @@ mod tests {
 
     #[test]
     fn report_serialises_to_json() {
-        let rec = RunRecorder::new(2);
-        let report = RunReport::from_recorder("SCC", 2, 3, 0.2, 2600, 10, &rec);
+        let mut rec = RunRecorder::new(2);
+        rec.documents = 10;
+        let report = RunReport::from_recorder("SCC", 2, 3, 0.2, 2600, &rec);
         let unscored = (
             report.coverage,
             report.mean_abs_error,
@@ -559,6 +559,7 @@ mod tests {
         assert!(json.contains("\"algorithm\":\"SCC\""));
         assert!(json.contains("\"backend\":\"exact\""));
         assert!(json.contains("\"tps\":2600"));
+        assert!(json.contains("\"documents\":10"));
         assert!(json.contains("\"thr\":0.2"));
         assert!(json.starts_with('{') && json.ends_with('}'));
     }
@@ -570,7 +571,7 @@ mod tests {
             .push((1, setcorr_core::RepartitionCause::Load));
         rec.repartitions
             .push((2, setcorr_core::RepartitionCause::Communication));
-        let report = RunReport::from_recorder("DS", 1, 1, 0.5, 1300, 10, &rec);
+        let report = RunReport::from_recorder("DS", 1, 1, 0.5, 1300, &rec);
         assert_eq!(report.repartitions_total(), 2);
         assert_eq!(report.repartition_marks.len(), 2);
     }

@@ -1,4 +1,4 @@
-//! Plain-text dataset format for replayable experiments.
+//! Plain-text dataset format, for experiments that replay a recorded stream.
 //!
 //! The paper replays recorded tweets "for repeatability of experiments"
 //! (§6.2). Format, one document per line:

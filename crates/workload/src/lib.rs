@@ -9,8 +9,9 @@
 //! cross-topic mixing with probability 1 − α, and continuous topic birth
 //! (content drift).
 //!
-//! [`dataset`] provides a replayable on-disk format, mirroring the paper's
-//! file-replay mode "for repeatability of experiments" (§6.2).
+//! [`dataset`] provides an on-disk format to replay streams from,
+//! mirroring the paper's file-replay mode "for repeatability of
+//! experiments" (§6.2).
 
 #![warn(missing_docs)]
 

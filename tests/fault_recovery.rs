@@ -289,7 +289,7 @@ fn dropped_adopt_starves_then_degrades_instead_of_hanging() {
         ..ExperimentConfig::for_algorithm(AlgorithmKind::Ds)
     };
     let supervision = Supervision {
-        drain_patience: 2_000, // ~100ms of starvation before degrading
+        drain_patience: Duration::from_millis(100), // of starvation before degrading
         faults: vec![Fault::DropAdopt {
             calculator: 3,
             nth: 1,
@@ -333,7 +333,7 @@ fn dropped_adopt_with_fences_queued_behind_the_wedge_still_closes_rounds() {
         ..ExperimentConfig::for_algorithm(AlgorithmKind::Ds)
     };
     let supervision = Supervision {
-        drain_patience: 2_000,
+        drain_patience: Duration::from_millis(100),
         faults: vec![Fault::DropAdopt {
             calculator: 3,
             nth: 1,

@@ -46,22 +46,16 @@ fn config() -> ExperimentConfig {
 /// tracked round).
 fn sim_outcome(docs: Vec<Document>, depth: Option<usize>) -> (String, String) {
     let cfg = config();
+    let documents = docs.len();
     let recorder = RunRecorder::shared(cfg.k);
     let topology = build_topology(&cfg, Box::new(docs.into_iter()), recorder.clone());
-    let stats = match depth {
+    match depth {
         None => run_sim(topology),
         Some(d) => run_sim_batched(topology, BatchPolicy::new(d, |m: &Msg| !m.is_batchable())),
     };
     let rec = recorder.lock();
-    let report = RunReport::from_recorder(
-        "DS",
-        cfg.k,
-        cfg.partitioners,
-        cfg.thr,
-        cfg.tps,
-        stats.processed[1],
-        &rec,
-    );
+    let report = RunReport::from_recorder("DS", cfg.k, cfg.partitioners, cfg.thr, cfg.tps, &rec);
+    assert_eq!(report.documents, documents as u64);
     (report.to_json(), format!("{:?}", report.tracked_rounds))
 }
 
