@@ -154,8 +154,8 @@ impl CorrelationBackend for ApproxCalculator {
         self.store.jaccard_set(ts)
     }
 
-    fn report_and_reset(&mut self) -> Vec<CoefficientReport> {
-        let mut out: Vec<CoefficientReport> = Vec::new();
+    fn report_into(&mut self, out: &mut Vec<CoefficientReport>) {
+        let first = out.len();
         for pair in self.heavy.top() {
             let tags = pair.tagset();
             let Some(jaccard) = self.store.jaccard_set(&tags) else {
@@ -167,12 +167,11 @@ impl CorrelationBackend for ApproxCalculator {
                 counter: pair.count,
             });
         }
-        out.sort_unstable_by(|a, b| a.tags.cmp(&b.tags));
+        out[first..].sort_unstable_by(|a, b| a.tags.cmp(&b.tags));
         self.last_emerging = self.heavy.roll_epoch();
         self.store.reset();
         self.next_doc = 0;
         self.received = 0;
-        out
     }
 
     fn tracked(&self) -> usize {

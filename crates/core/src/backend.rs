@@ -66,9 +66,18 @@ pub trait CorrelationBackend: Send {
     /// return estimates.
     fn jaccard(&self, ts: &TagSet) -> Option<f64>;
 
-    /// Emit the coefficients of the closing report period, sorted by tagset,
-    /// and clear all round state (§6.2's "every y time units" step).
-    fn report_and_reset(&mut self) -> Vec<CoefficientReport>;
+    /// Append the coefficients of the closing report period to `out`,
+    /// sorted by tagset, and clear all round state (§6.2's "every y time
+    /// units" step). `out` may be a cleared vector an earlier report
+    /// filled: its capacity is reused.
+    fn report_into(&mut self, out: &mut Vec<CoefficientReport>);
+
+    /// [`CorrelationBackend::report_into`] a fresh vector.
+    fn report_and_reset(&mut self) -> Vec<CoefficientReport> {
+        let mut out = Vec::new();
+        self.report_into(&mut out);
+        out
+    }
 
     /// Distinct units of counting state currently held (subset counters for
     /// the exact backend; signatures + tracked pairs for approximate ones).
@@ -114,8 +123,8 @@ impl CorrelationBackend for Calculator {
         Calculator::jaccard(self, ts)
     }
 
-    fn report_and_reset(&mut self) -> Vec<CoefficientReport> {
-        Calculator::report_and_reset(self)
+    fn report_into(&mut self, out: &mut Vec<CoefficientReport>) {
+        Calculator::report_into(self, out);
     }
 
     fn tracked(&self) -> usize {

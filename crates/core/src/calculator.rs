@@ -39,15 +39,20 @@
 //!   edge the one word `(parent slot) << 32 | tag`. A subset hangs, along
 //!   its largest tag, below the subset without it — the smaller mask — so
 //!   a first sighting resolves each with one 8-byte-key probe
-//!   (`subset_slots`), builds, hashes and compares no tagset, and records
-//!   the slots of its subsets in mask order: the report reads by index.
+//!   (`subset_slots`) of a flat table of 4-byte slot ids, builds, hashes
+//!   and compares no tagset, and records the slots of its subsets in mask
+//!   order: the report reads by index.
 //! * **A report that leaves sorted without a sort of tagsets.** A counting
 //!   sort by parent slot stands each node's children together, a sort of
 //!   each sibling group puts them in tag order, and a pre-order walk of
-//!   that is ascending tagset order.
+//!   that is ascending tagset order. The tags of every emitted set too long
+//!   to store inline go into one buffer per report, which each such
+//!   coefficient shares: a report allocates its tags once, not once per
+//!   long set.
 
-use setcorr_model::{FxHashMap, FxHashSet, Tag, TagSet, MAX_TAGS_PER_SET};
+use setcorr_model::{fx, FxHashMap, FxHashSet, Tag, TagSet, INLINE_TAGS, MAX_TAGS_PER_SET};
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// One reported coefficient: `(s_i, J(s_i), CN(s_i))` as emitted to the
 /// Tracker (§6.2). `CN` is the raw intersection counter, used by the Tracker
@@ -70,6 +75,9 @@ const ROOT: u32 = 0;
 /// lookup below it is absent again, and its counter reads zero.
 const ABSENT: u32 = u32::MAX;
 
+/// Buckets of a fresh trie's child index.
+const MIN_BUCKETS: usize = 16;
+
 /// The subset counters of one report period, in a hash-consed trie.
 ///
 /// A zero counter *is* an untracked subset: interior nodes of a path that
@@ -77,10 +85,14 @@ const ABSENT: u32 = u32::MAX;
 /// look the same and are neither reported nor exported.
 #[derive(Debug, Clone)]
 struct SubsetTrie {
-    /// Edge word `(parent slot) << 32 | tag` → child slot.
-    children: FxHashMap<u64, u32>,
-    /// Per slot, the edge that leads to it (nothing leads to the root). A
-    /// parent's slot is smaller than its children's.
+    /// The child index: a power-of-two number of buckets, at most half
+    /// full, each 0 (empty: the root is nobody's child) or the slot of a
+    /// node whose edge hashes there or, by linear probing, to a bucket
+    /// before it. A probe compares `edges[slot]`, so a bucket is 4 bytes.
+    index: Vec<u32>,
+    /// Per slot, the edge word `(parent slot) << 32 | tag` that leads to it
+    /// (nothing leads to the root). A parent's slot is smaller than its
+    /// children's.
     edges: Vec<u64>,
     /// Per slot, the counter `CN(T)`.
     values: Vec<u64>,
@@ -89,7 +101,7 @@ struct SubsetTrie {
 impl Default for SubsetTrie {
     fn default() -> Self {
         SubsetTrie {
-            children: FxHashMap::default(),
+            index: vec![0; MIN_BUCKETS],
             edges: vec![0],
             values: vec![0],
         }
@@ -97,24 +109,70 @@ impl Default for SubsetTrie {
 }
 
 impl SubsetTrie {
+    /// The bucket of `edge` in the child index and the slot there: the
+    /// edge's node, or 0 at the empty bucket where it would go.
+    #[inline]
+    fn probe(&self, edge: u64) -> (usize, u32) {
+        let mask = self.index.len() - 1;
+        let mut at = fx::hash_u64(edge) as usize & mask;
+        loop {
+            let slot = self.index[at];
+            if slot == 0 || self.edges[slot as usize] == edge {
+                return (at, slot);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
     /// The child of `parent` along `tag`, created on first sight.
     #[inline]
     fn child(&mut self, parent: u32, tag: Tag) -> u32 {
         let edge = (parent as u64) << 32 | tag.0 as u64;
-        *self.children.entry(edge).or_insert_with(|| {
-            let slot = self.edges.len();
-            assert!(slot < ABSENT as usize, "too many subsets in one period");
-            self.edges.push(edge);
-            self.values.push(0);
-            slot as u32
-        })
+        let (at, found) = self.probe(edge);
+        if found != 0 {
+            return found;
+        }
+        let slot = self.edges.len();
+        assert!(slot < ABSENT as usize, "too many subsets in one period");
+        self.edges.push(edge);
+        self.values.push(0);
+        self.index[at] = slot as u32;
+        if 2 * slot > self.index.len() {
+            self.grow();
+        }
+        slot as u32
+    }
+
+    /// Double the child index and re-place every node, in slot order.
+    fn grow(&mut self) {
+        let buckets = 2 * self.index.len();
+        self.index.clear();
+        self.index.resize(buckets, 0);
+        let mask = buckets - 1;
+        for (slot, &edge) in (1u32..).zip(&self.edges[1..]) {
+            let mut at = fx::hash_u64(edge) as usize & mask;
+            while self.index[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.index[at] = slot;
+        }
     }
 
     /// The child of `parent` along `tag`, or [`ABSENT`].
     #[inline]
     fn find(&self, parent: u32, tag: Tag) -> u32 {
         let edge = (parent as u64) << 32 | tag.0 as u64;
-        self.children.get(&edge).copied().unwrap_or(ABSENT)
+        match self.probe(edge) {
+            (_, 0) => ABSENT,
+            (_, slot) => slot,
+        }
+    }
+
+    /// Drop every node but the root; the index keeps its buckets.
+    fn clear(&mut self) {
+        self.index.fill(0);
+        self.edges.truncate(1);
+        self.values.truncate(1);
     }
 
     /// The counter at `slot`; zero at [`ABSENT`].
@@ -215,6 +273,15 @@ fn subset_slots(tags: &[Tag], out: &mut Vec<u32>, mut child: impl FnMut(u32, Tag
     }
 }
 
+/// Where the long sets of one report go: their tags, back to back, and per
+/// set its position in the report and where its tags start. Kept between
+/// reports.
+#[derive(Debug, Default, Clone)]
+struct Spill {
+    tags: Vec<Tag>,
+    sets: Vec<(usize, usize)>,
+}
+
 /// The buckets of [`SubsetTrie::walk_sorted`], kept between walks.
 #[derive(Debug, Default, Clone)]
 struct WalkScratch {
@@ -253,8 +320,12 @@ struct CalcState {
     adopted: bool,
     /// The report's per-slot union claims, kept between reports.
     unions: Vec<u64>,
+    /// The sum-over-subsets accumulator, kept between reports.
+    acc: Vec<i64>,
     /// The sorted walk's buckets, kept between walks.
     walk: WalkScratch,
+    /// The report's long sets, kept between reports.
+    spill: Spill,
 }
 
 /// Counting state of one Calculator.
@@ -327,9 +398,7 @@ impl Calculator {
         self.received = 0;
         let state = self.state.get_mut();
         // capacity stays for the next period; the trie keeps its root
-        state.trie.children.clear();
-        state.trie.edges.truncate(1);
-        state.trie.values.truncate(1);
+        state.trie.clear();
         state.roots.clear();
         state.root_slots.clear();
         state.unapplied = false;
@@ -455,10 +524,26 @@ impl Calculator {
     }
 
     /// Emit coefficients for every tracked tagset with ≥ 2 tags and clear all
-    /// counters (the "every y time units" step of §6.2). Output is strictly
+    /// counters (the "every y time units" step of §6.2): the
+    /// [`Calculator::report_into`] of a fresh vector.
+    pub fn report_and_reset(&mut self) -> Vec<CoefficientReport> {
+        let mut out = Vec::new();
+        self.report_into(&mut out);
+        out
+    }
+
+    /// Append to `out` the coefficient of every tracked tagset with ≥ 2
+    /// tags, and clear all counters. What this appends is strictly
     /// ascending by tagset — the Tracker merges it as one sorted run — and
     /// comes out of the trie's sorted walk in that order: no tagset is
     /// compared, and one is built only for each coefficient emitted.
+    ///
+    /// A set of up to [`INLINE_TAGS`] tags is built inline. The tags of the
+    /// longer ones are written back to back as the walk meets them, and
+    /// frozen into one buffer that each of their tagsets views
+    /// ([`TagSet::from_shared`]) once the walk ends: with `out`'s capacity
+    /// and the scratch kept from the last report, that buffer is the one
+    /// allocation a report makes.
     ///
     /// Union cardinalities are computed in batch: every distinct
     /// notification set of the period roots one signed sum-over-subsets
@@ -467,7 +552,7 @@ impl Calculator {
     /// first sighting; counters that no root covers — possible only for state
     /// adopted mid-migration — fall back to sweeps rooted at the leftover
     /// sets themselves, which look their slots up once.
-    pub fn report_and_reset(&mut self) -> Vec<CoefficientReport> {
+    pub fn report_into(&mut self, out: &mut Vec<CoefficientReport>) {
         let state = self.state.get_mut();
         state.expand();
         let CalcState {
@@ -476,14 +561,15 @@ impl Calculator {
             root_slots,
             adopted,
             unions,
+            acc,
             walk,
+            spill,
             ..
         } = state;
         // Per slot, the union cardinality claimed for its coefficient — at
         // least its counter, so zero is "unclaimed".
         unions.clear();
         unions.resize(trie.values.len(), 0);
-        let mut acc = Vec::new();
         // Batch union computation, rooted at the period's distinct
         // notification sets. A subset's union is claimed by the first root
         // to reach it; a root wholly contained in an already-processed root
@@ -492,7 +578,7 @@ impl Calculator {
         for (set, root) in roots.iter() {
             let slots = &root_slots[root.start..][..(1 << set.len()) - 1];
             if set.len() >= 2 && unions[slots[slots.len() - 1] as usize] == 0 {
-                sos_claim(slots, trie, unions, &mut acc);
+                sos_claim(slots, trie, unions, acc);
             }
         }
         // Leftover sweep — counters no local root covers, possible only for
@@ -514,23 +600,45 @@ impl Calculator {
                     slots.clear();
                     let tags = trie.path(slot, &mut path);
                     subset_slots(tags, &mut slots, |parent, tag| trie.find(parent, tag));
-                    sos_claim(&slots, trie, unions, &mut acc);
+                    sos_claim(&slots, trie, unions, acc);
                 }
             }
         }
-        let mut out = Vec::with_capacity(unions.iter().filter(|&&union| union != 0).count());
+        // room for exactly this report; a vector more than twice its size,
+        // left behind by a far larger round, is cut down first
+        let len = out.len() + unions.iter().filter(|&&union| union != 0).count();
+        if out.capacity() > 2 * len {
+            out.shrink_to(len);
+        }
+        out.reserve_exact(len - out.len());
+        spill.tags.clear();
+        spill.sets.clear();
         trie.walk_sorted(walk, |tags, slot| {
             if unions[slot] != 0 {
                 let counter = trie.values[slot];
+                let tags = if tags.len() > INLINE_TAGS {
+                    // a placeholder until the buffer it will view exists
+                    spill.sets.push((out.len(), spill.tags.len()));
+                    spill.tags.extend_from_slice(tags);
+                    TagSet::empty()
+                } else {
+                    TagSet::from_sorted_slice(tags)
+                };
                 out.push(CoefficientReport {
-                    tags: TagSet::from_sorted_slice(tags),
+                    tags,
                     jaccard: counter as f64 / unions[slot] as f64,
                     counter,
                 });
             }
         });
+        if !spill.sets.is_empty() {
+            let buf: Arc<[Tag]> = spill.tags.as_slice().into();
+            let ends = spill.sets[1..].iter().map(|&(_, start)| start);
+            for (&(pos, start), end) in spill.sets.iter().zip(ends.chain([buf.len()])) {
+                out[pos].tags = TagSet::from_shared(&buf, start..end);
+            }
+        }
         self.reset();
-        out
     }
 }
 
@@ -901,6 +1009,55 @@ mod tests {
             .collect();
         assert_eq!(brute.len(), (1 << MAX_TAGS_PER_SET) - 1 - MAX_TAGS_PER_SET);
         assert_eq!(reported, brute);
+    }
+
+    #[test]
+    fn the_child_index_doubles_many_times_and_finds_every_subset() {
+        // ~1 200 distinct sets of 1–7 sparse tags: tens of thousands of
+        // nodes, so the 16-bucket index doubles about a dozen times
+        let mut state = 0x7A1E_u64;
+        let mut rnd = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let docs: Vec<Vec<u32>> = (0..1_200)
+            .map(|_| {
+                let len = 1 + rnd(7) as usize;
+                let mut d: Vec<u32> = (0..len).map(|_| rnd(300) as u32 * 14_327_753).collect();
+                d.sort_unstable();
+                d.dedup();
+                d
+            })
+            .collect();
+        let mut c = Calculator::new();
+        let mut expected: std::collections::BTreeMap<TagSet, u64> = Default::default();
+        for d in &docs {
+            c.observe(&ts(d));
+            for mask in 1..1u32 << d.len() {
+                *expected.entry(ts(d).subset(mask)).or_default() += 1;
+            }
+        }
+        assert_eq!(c.tracked(), expected.len());
+        {
+            let state = c.state.borrow();
+            let (index, nodes) = (&state.trie.index, state.trie.edges.len() - 1);
+            assert!(index.len().is_power_of_two() && 2 * nodes <= index.len());
+            assert!(index.len() >= MIN_BUCKETS << 10, "{} buckets", index.len());
+            assert_eq!(index.iter().filter(|&&slot| slot != 0).count(), nodes);
+        }
+        for (tags, &n) in &expected {
+            assert_eq!(c.counter(tags), n, "{tags:?}");
+            // one tag past the largest is never a node
+            let mut longer: Vec<u32> = tags.iter().map(|t| t.0).collect();
+            longer.push(u32::MAX);
+            assert_eq!(c.counter(&ts(&longer)), 0, "{longer:?}");
+        }
+        let brute: Vec<(TagSet, u64)> = expected.into_iter().collect();
+        assert_eq!(c.export_counters(), brute);
+        c.reset();
+        assert_eq!((c.tracked(), c.counter(&brute[0].0)), (0, 0));
     }
 
     #[test]

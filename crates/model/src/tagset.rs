@@ -20,9 +20,17 @@
 //! spill to a *shared* slice: one allocation where the set is built, none
 //! where it is cloned — at the spout, on the fan-out to Partitioners and
 //! Disseminator, into whole-set notifications, pending keys, the Tracker's
-//! output and readers' answers. The two representations are observably
-//! identical: `Eq`, `Ord`, and `Hash` are implemented over the logical tag
-//! slice, never over the representation.
+//! output and readers' answers.
+//!
+//! A spilled set is a view `buf[start..start + len]` of an `Arc<[Tag]>`,
+//! 24 bytes like the inline form. A set built on its own owns its whole
+//! buffer (`start = 0`, `len = buf.len()`); sets built together can share
+//! one ([`TagSet::from_shared`]): a Calculator writes every spilled
+//! coefficient of one report into one buffer, so a report of thousands of
+//! long sets allocates their tags once, and the Tracker's output and the
+//! recorder keep those sets at 24 bytes each plus their tags. The
+//! representations are observably identical: `Eq`, `Ord`, and `Hash` are
+//! implemented over the logical tag slice, never over the representation.
 
 use crate::fx::{hash_tags, FxHashSet};
 use crate::tag::Tag;
@@ -48,12 +56,37 @@ pub const MAX_TAGS_PER_SET: usize = 16;
 pub const INLINE_TAGS: usize = 5;
 
 /// Small-set-optimised storage: short sets live in a fixed inline array,
-/// long ones in a shared slice (neither clone allocates). Never exposed; all
-/// observable behaviour goes through the logical `tags()` slice.
+/// long ones in a slice of a shared buffer (neither clone allocates). Never
+/// exposed; all observable behaviour goes through the logical `tags()`
+/// slice.
 #[derive(Clone)]
 enum Repr {
-    Inline { len: u8, tags: [Tag; INLINE_TAGS] },
-    Heap(Arc<[Tag]>),
+    Inline {
+        len: u8,
+        tags: [Tag; INLINE_TAGS],
+    },
+    /// `buf[start..start + len]`: the whole of an owned buffer, or one
+    /// set's slice of a buffer several sets share.
+    Heap {
+        buf: Arc<[Tag]>,
+        start: u32,
+        len: u8,
+    },
+}
+
+// Sharing a buffer costs no width: the view's offset and length fit beside
+// the fat pointer, as the inline array does.
+const _: () = assert!(std::mem::size_of::<TagSet>() == 24);
+
+impl Repr {
+    /// The whole of `buf` as a spilled set.
+    fn owned(buf: Arc<[Tag]>) -> Self {
+        Repr::Heap {
+            len: buf.len() as u8,
+            start: 0,
+            buf,
+        }
+    }
 }
 
 /// An immutable, sorted, duplicate-free set of tags.
@@ -93,7 +126,7 @@ impl TagSet {
                 "must be sorted+unique"
             );
             TagSet {
-                repr: Repr::Heap(tags.into()),
+                repr: Repr::owned(tags.into()),
             }
         }
     }
@@ -120,8 +153,33 @@ impl TagSet {
             }
         } else {
             TagSet {
-                repr: Repr::Heap(tags.into()),
+                repr: Repr::owned(tags.into()),
             }
+        }
+    }
+
+    /// The set of the sorted, unique tags `buf[range]`, sharing `buf` when
+    /// it spills: the spilled set is a view that keeps `buf` alive, and
+    /// costs no allocation. A set of up to [`INLINE_TAGS`] tags is copied
+    /// inline as [`TagSet::from_sorted_slice`] would, so the representation
+    /// stays a function of the length. Validated in debug builds.
+    pub fn from_shared(buf: &Arc<[Tag]>, range: std::ops::Range<usize>) -> Self {
+        let tags = &buf[range.clone()];
+        if tags.len() <= INLINE_TAGS {
+            return Self::from_sorted_slice(tags);
+        }
+        debug_assert!(tags.len() <= MAX_TAGS_PER_SET);
+        debug_assert!(
+            tags.windows(2).all(|w| w[0] < w[1]),
+            "must be sorted+unique"
+        );
+        assert!(range.start <= u32::MAX as usize, "views are u32-addressed");
+        TagSet {
+            repr: Repr::Heap {
+                buf: buf.clone(),
+                start: range.start as u32,
+                len: tags.len() as u8,
+            },
         }
     }
 
@@ -147,7 +205,7 @@ impl TagSet {
     #[doc(hidden)]
     pub fn with_forced_heap_repr(&self) -> Self {
         TagSet {
-            repr: Repr::Heap(self.tags().into()),
+            repr: Repr::owned(self.tags().into()),
         }
     }
 
@@ -155,8 +213,7 @@ impl TagSet {
     #[inline]
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Inline { len, .. } => *len as usize,
-            Repr::Heap(tags) => tags.len(),
+            Repr::Inline { len, .. } | Repr::Heap { len, .. } => *len as usize,
         }
     }
 
@@ -171,7 +228,7 @@ impl TagSet {
     pub fn tags(&self) -> &[Tag] {
         match &self.repr {
             Repr::Inline { len, tags } => &tags[..*len as usize],
-            Repr::Heap(tags) => tags,
+            Repr::Heap { buf, start, len } => &buf[*start as usize..][..*len as usize],
         }
     }
 
@@ -504,6 +561,22 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.cmp(&b), Ordering::Equal);
         assert_eq!(crate::fx::hash_one(&a), crate::fx::hash_one(&b));
+    }
+
+    #[test]
+    fn a_view_of_a_shared_buffer_is_the_set_it_names() {
+        let buf: Arc<[Tag]> = (0..20).map(Tag).collect();
+        let view = TagSet::from_shared(&buf, 3..11);
+        let owned = TagSet::from_ids(&(3..11).collect::<Vec<u32>>());
+        assert!(!view.is_inline());
+        assert_eq!(view.tags(), owned.tags());
+        assert_eq!((view.len(), view.cmp(&owned)), (8, Ordering::Equal));
+        assert_eq!(crate::fx::hash_one(&view), crate::fx::hash_one(&owned));
+        assert_eq!(Arc::strong_count(&buf), 2, "the view shares the buffer");
+        let short = TagSet::from_shared(&buf, 18..20);
+        assert!(short.is_inline(), "a short view is copied inline");
+        assert_eq!(short, ts(&[18, 19]));
+        assert!(view < short && TagSet::from_shared(&buf, 3..9) < view);
     }
 
     #[test]

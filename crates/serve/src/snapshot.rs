@@ -59,7 +59,7 @@ impl Snapshot {
             by_jaccard: Vec::new(),
             positions: Vec::new(),
             rows: vec![Row::EMPTY],
-            slots: lookup_table(&[]),
+            slots: vec![0],
         }
     }
 
@@ -73,7 +73,22 @@ impl Snapshot {
     /// in a second that hashes nothing, into rows that never grow; the
     /// lookup table hashes each tagset once. The swap itself is one pointer
     /// store.
+    ///
+    /// This is the publisher's build run over empty [`Buffers`].
     pub fn build(round: u64, seq: u64, coefficients: Arc<Vec<TrackedCoefficient>>) -> Self {
+        Self::build_in(&mut Buffers::default(), round, seq, coefficients)
+    }
+
+    /// [`Snapshot::build`] in `buffers`: the snapshot takes their index
+    /// vectors, and the scratch stays behind for the next build. Every
+    /// vector is cleared and sized once, before it is filled, so buffers
+    /// that served a round as large allocate nothing.
+    pub(crate) fn build_in(
+        buffers: &mut Buffers,
+        round: u64,
+        seq: u64,
+        coefficients: Arc<Vec<TrackedCoefficient>>,
+    ) -> Self {
         debug_assert!(
             coefficients.windows(2).all(|w| w[0].tags < w[1].tags),
             "tracker output must be strictly sorted by tagset"
@@ -84,33 +99,47 @@ impl Snapshot {
                 .all(|c| c.jaccard.is_finite() && c.jaccard.is_sign_positive()),
             "a published Jaccard is finite and not negative: its bits order like its value"
         );
-        let by_jaccard = jaccard_order(&coefficients);
+        let Buffers {
+            by_jaccard,
+            positions,
+            rows,
+            slots,
+            buckets,
+            keys,
+            row_ids,
+            first,
+            tags,
+        } = buffers;
+        jaccard_order(&coefficients, buckets, keys, by_jaccard);
         // Count: each (coefficient, tag) probes the row table once,
         // lengthens its row and notes the row's slot among its
         // coefficient's, `row_ids[first[pos]..first[pos + 1]]`. A round
         // holds about one tag per dozen coefficients, so the table starts
-        // with two slots per eighth of a coefficient and a real round never
-        // grows it; one with more tags doubles it whenever it would pass
-        // half full, and moves the slots noted so far along.
-        let mut rows = vec![Row::EMPTY; (coefficients.len() / 4).next_power_of_two()];
-        let mut tags = 0;
-        let mut row_ids: Vec<u32> = Vec::with_capacity(2 * coefficients.len());
-        let mut first: Vec<u32> = Vec::with_capacity(coefficients.len() + 1);
+        // with two slots per eighth of a coefficient, or two per tag of the
+        // last build if that is more, and a real round never grows it; one
+        // with more tags doubles it whenever it would pass half full, and
+        // moves the slots noted so far along.
+        let table = (coefficients.len() / 4).max(2 * (*tags + 1)).next_power_of_two();
+        clear_for(rows, table);
+        rows.resize(table, Row::EMPTY);
+        *tags = 0;
+        clear_for(row_ids, coefficients.iter().map(|c| c.tags.len()).sum());
+        clear_for(first, coefficients.len() + 1);
         for coefficient in coefficients.iter() {
             first.push(row_ids.len() as u32);
             for tag in coefficient.tags.iter() {
-                let mut at = row_slot(&rows, tag);
+                let mut at = row_slot(rows, tag);
                 if rows[at].len == 0 {
-                    if 2 * (tags + 1) > rows.len() {
-                        let grown = doubled(&rows);
-                        for id in &mut row_ids {
+                    if 2 * (*tags + 1) > rows.len() {
+                        let grown = doubled(rows);
+                        for id in row_ids.iter_mut() {
                             *id = row_slot(&grown, rows[*id as usize].tag) as u32;
                         }
-                        rows = grown;
-                        at = row_slot(&rows, tag);
+                        *rows = grown;
+                        at = row_slot(rows, tag);
                     }
                     rows[at].tag = tag;
-                    tags += 1;
+                    *tags += 1;
                 }
                 rows[at].len += 1;
                 row_ids.push(at as u32);
@@ -123,11 +152,12 @@ impl Snapshot {
         // down through the noted slots, hashing nothing, so that every row
         // fills in descending Jaccard.
         let mut end = 0;
-        for row in &mut rows {
+        for row in rows.iter_mut() {
             end += row.len;
             row.start = end;
         }
-        let mut positions = vec![0u32; row_ids.len()];
+        clear_for(positions, row_ids.len());
+        positions.resize(row_ids.len(), 0);
         for &pos in by_jaccard.iter().rev() {
             let ids = first[pos as usize] as usize..first[pos as usize + 1] as usize;
             for &at in &row_ids[ids] {
@@ -136,16 +166,25 @@ impl Snapshot {
                 positions[row.start as usize] = pos;
             }
         }
-        let slots = lookup_table(&coefficients);
+        lookup_table(&coefficients, slots);
         Snapshot {
             round: Some(round),
             seq,
             coefficients,
-            by_jaccard,
-            positions,
-            rows,
-            slots,
+            by_jaccard: std::mem::take(by_jaccard),
+            positions: std::mem::take(positions),
+            rows: std::mem::take(rows),
+            slots: std::mem::take(slots),
         }
+    }
+
+    /// Hand this snapshot's index vectors back to `buffers` for the next
+    /// build, letting go of its coefficients.
+    pub(crate) fn recycle(self, buffers: &mut Buffers) {
+        buffers.by_jaccard = self.by_jaccard;
+        buffers.positions = self.positions;
+        buffers.rows = self.rows;
+        buffers.slots = self.slots;
     }
 
     /// The report round this snapshot publishes (`None` before the first
@@ -213,6 +252,38 @@ impl Snapshot {
     }
 }
 
+/// Empty `buf` with room for `len` items, so that nothing grows while it
+/// fills. A buffer too small, or more than twice that size (left behind by
+/// a far larger round), is replaced by one of exactly that size.
+fn clear_for<T>(buf: &mut Vec<T>, len: usize) {
+    buf.clear();
+    if buf.capacity() < len || buf.capacity() > 2 * len {
+        *buf = Vec::with_capacity(len);
+    }
+}
+
+/// The vectors a build fills: a snapshot's four indexes, which the
+/// snapshot takes, and the scratch that builds them, which stays. A
+/// publisher keeps one set and hands back the indexes of the snapshot no
+/// reader holds any more, so a warm build allocates none of them.
+#[derive(Debug, Default)]
+pub(crate) struct Buffers {
+    by_jaccard: Vec<u32>,
+    positions: Vec<u32>,
+    rows: Vec<Row>,
+    slots: Vec<u32>,
+    /// Per distinct Jaccard key, its count, then its bucket's cursor.
+    buckets: FxHashMap<u64, u32>,
+    /// The distinct Jaccard keys, ascending.
+    keys: Vec<u64>,
+    /// Per (coefficient, tag), the slot of the tag's row.
+    row_ids: Vec<u32>,
+    /// Per coefficient, where its row slots start in `row_ids`.
+    first: Vec<u32>,
+    /// Distinct tags of the last build, which sizes the next row table.
+    tags: usize,
+}
+
 /// Where one tag's neighbour row lies in `positions`; `len == 0` marks an
 /// empty slot of the row table, since every tag present has a row.
 #[derive(Debug, Clone, Copy)]
@@ -252,8 +323,9 @@ fn doubled(rows: &[Row]) -> Vec<Row> {
     grown
 }
 
-/// Every position of `coefficients`, by descending Jaccard, ties in
-/// ascending position: a counting sort over the round's distinct keys.
+/// Every position of `coefficients` into `order`, by descending Jaccard,
+/// ties in ascending position: a counting sort over the round's distinct
+/// keys, counted in `buckets` and sorted in `keys`.
 ///
 /// For a non-negative float the complemented bit pattern ascends as the
 /// value descends, so the key `!jaccard.to_bits()` orders like the value
@@ -261,41 +333,50 @@ fn doubled(rows: &[Row]) -> Vec<Row> {
 /// are sorted — a round holds far fewer distinct values than coefficients —
 /// and the positions are scattered in ascending order, so each key's bucket
 /// keeps them ascending: ascending position is ascending tagset.
-fn jaccard_order(coefficients: &[TrackedCoefficient]) -> Vec<u32> {
+fn jaccard_order(
+    coefficients: &[TrackedCoefficient],
+    buckets: &mut FxHashMap<u64, u32>,
+    keys: &mut Vec<u64>,
+    order: &mut Vec<u32>,
+) {
     let key = |c: &TrackedCoefficient| !c.jaccard.to_bits();
     // Per distinct key, its count, then where its next position goes. A
     // `steady` round holds about one distinct value per dozen coefficients.
-    let mut buckets: FxHashMap<u64, u32> =
-        FxHashMap::with_capacity_and_hasher(coefficients.len() / 8, Default::default());
+    buckets.clear();
+    buckets.reserve(coefficients.len() / 8);
     for coefficient in coefficients {
         *buckets.entry(key(coefficient)).or_insert(0) += 1;
     }
-    let mut keys: Vec<u64> = buckets.keys().copied().collect();
+    clear_for(keys, buckets.len());
+    keys.extend(buckets.keys());
     keys.sort_unstable();
     let mut start = 0;
-    for bits in &keys {
+    for bits in keys.iter() {
         let cursor = buckets.get_mut(bits).expect("a counted key");
         start += std::mem::replace(cursor, start);
     }
-    let mut order = vec![0u32; coefficients.len()];
+    clear_for(order, coefficients.len());
+    order.resize(coefficients.len(), 0);
     for (coefficient, pos) in coefficients.iter().zip(0u32..) {
         let cursor = buckets.get_mut(&key(coefficient)).expect("a counted key");
         order[*cursor as usize] = pos;
         *cursor += 1;
     }
-    order
 }
 
-/// The lookup table over `coefficients`: `(2n).next_power_of_two()` slots,
-/// so the load stays at most ½ and a probe for an absent tagset ends at an
-/// empty slot after a couple of steps; each coefficient's `pos + 1` sits in
-/// the first empty slot from its tagset's hash on.
-fn lookup_table(coefficients: &[TrackedCoefficient]) -> Vec<u32> {
+/// The lookup table over `coefficients`, into `slots`:
+/// `(2n).next_power_of_two()` slots, so the load stays at most ½ and a
+/// probe for an absent tagset ends at an empty slot after a couple of
+/// steps; each coefficient's `pos + 1` sits in the first empty slot from
+/// its tagset's hash on.
+fn lookup_table(coefficients: &[TrackedCoefficient], slots: &mut Vec<u32>) {
     assert!(
         coefficients.len() < u32::MAX as usize,
         "positions are u32, and slot 0 means empty"
     );
-    let mut slots = vec![0u32; (2 * coefficients.len()).next_power_of_two()];
+    let size = (2 * coefficients.len()).next_power_of_two();
+    clear_for(slots, size);
+    slots.resize(size, 0);
     let mask = slots.len() - 1;
     for (coefficient, pos) in coefficients.iter().zip(1u32..) {
         let mut at = fx::hash_one(&coefficient.tags) as usize & mask;
@@ -304,7 +385,6 @@ fn lookup_table(coefficients: &[TrackedCoefficient]) -> Vec<u32> {
         }
         slots[at] = pos;
     }
-    slots
 }
 
 #[cfg(test)]

@@ -12,9 +12,13 @@
 //! Writes happen once per report round (seconds apart) and hold the lock
 //! for a single pointer store, so readers never block the writer for longer
 //! than one pending `Arc` clone — reads must never stall ingest.
+//!
+//! The writer keeps the snapshot it swapped out. At the next publication,
+//! when no reader still holds it, the new snapshot is built in its index
+//! vectors; else in fresh ones, and the last reader frees the old.
 
-use crate::snapshot::Snapshot;
-use parking_lot::RwLock;
+use crate::snapshot::{Buffers, Snapshot};
+use parking_lot::{Mutex, RwLock};
 use setcorr_core::TrackedCoefficient;
 use setcorr_model::{Tag, TagSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,35 +61,57 @@ pub fn store() -> (Publisher, QueryHandle) {
         build_nanos: AtomicU64::new(0),
         degraded: AtomicU64::new(0),
     });
-    (Publisher(store.clone()), QueryHandle(store))
+    let publisher = Publisher {
+        store: store.clone(),
+        spare: Mutex::default(),
+    };
+    (publisher, QueryHandle(store))
 }
 
 /// The writer half: publishes one immutable snapshot per closed round.
-pub struct Publisher(Arc<Store>);
+pub struct Publisher {
+    store: Arc<Store>,
+    /// What the next build reuses: behind a lock only because `publish`
+    /// takes `&self`; one writer never contends for it.
+    spare: Mutex<Spare>,
+}
+
+/// The snapshot the last publication swapped out, and the build buffers.
+#[derive(Default)]
+struct Spare {
+    kept: Option<Arc<Snapshot>>,
+    buffers: Buffers,
+}
 
 impl Publisher {
     /// Build and publish the snapshot of `round` over its deduplicated
     /// coefficients (sorted by tagset, shared storage — not copied).
     ///
     /// Returns the published snapshot. Index construction happens before
-    /// the lock is taken; the swap is one pointer store.
+    /// the lock is taken, in the index vectors of the snapshot the last
+    /// publication swapped out when no reader still holds it; the swap is
+    /// one pointer store. The snapshot swapped out now is kept for the next
+    /// publication, so nothing is freed between the swap and the
+    /// sequence-number store that announces it.
     pub fn publish(&self, round: u64, coefficients: Arc<Vec<TrackedCoefficient>>) -> Arc<Snapshot> {
         let start = Instant::now();
-        let seq = self.0.latest_seq.load(Ordering::Relaxed) + 1;
-        let next = Arc::new(Snapshot::build(round, seq, coefficients));
-        // the previous snapshot — when no reader still holds it, its order,
-        // its neighbour rows and their map: three blocks, not one per tag —
-        // is freed after the lock is released, not under it
-        let previous = std::mem::replace(&mut *self.0.current.write(), next.clone());
-        drop(previous);
+        let store = &self.store;
+        let seq = store.latest_seq.load(Ordering::Relaxed) + 1;
+        let mut spare = self.spare.lock();
+        let Spare { kept, buffers } = &mut *spare;
+        if let Some(old) = kept.take().and_then(|kept| Arc::try_unwrap(kept).ok()) {
+            old.recycle(buffers);
+        }
+        let next = Arc::new(Snapshot::build_in(buffers, round, seq, coefficients));
+        *kept = Some(std::mem::replace(&mut *store.current.write(), next.clone()));
         // Ordering: the fast-path counters trail the swap, so a reader that
         // observes the new seq is guaranteed to acquire (at least) the new
         // snapshot; a reader racing ahead sees a fresher snapshot than the
         // counter promised, which staleness semantics allow.
-        self.0.latest_seq.store(seq, Ordering::Release);
-        self.0.latest_round.store(round, Ordering::Release);
-        self.0.published.fetch_add(1, Ordering::Relaxed);
-        self.0
+        store.latest_seq.store(seq, Ordering::Release);
+        store.latest_round.store(round, Ordering::Release);
+        store.published.fetch_add(1, Ordering::Relaxed);
+        store
             .build_nanos
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         next
@@ -93,7 +119,7 @@ impl Publisher {
 
     /// A query handle onto the same store.
     pub fn subscribe(&self) -> QueryHandle {
-        QueryHandle(self.0.clone())
+        QueryHandle(self.store.clone())
     }
 
     /// A degradation beacon onto the same store, for the supervised
@@ -101,7 +127,7 @@ impl Publisher {
     /// snapshot published from here on as built from a pipeline that lost
     /// a task. Cheap, clone-freely, callable from any thread.
     pub fn degrade_flag(&self) -> DegradeFlag {
-        DegradeFlag(self.0.clone())
+        DegradeFlag(self.store.clone())
     }
 }
 
@@ -217,7 +243,7 @@ impl std::fmt::Debug for QueryHandle {
 impl std::fmt::Debug for Publisher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Publisher")
-            .field("latest_seq", &self.0.latest_seq.load(Ordering::Relaxed))
+            .field("latest_seq", &self.store.latest_seq.load(Ordering::Relaxed))
             .finish()
     }
 }

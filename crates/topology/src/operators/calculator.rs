@@ -3,7 +3,9 @@
 
 use crate::messages::Msg;
 use crate::recorder::SharedRecorder;
-use setcorr_core::{plan_handoff, CorrelationBackend, MigrationBundle, PartitionSet};
+use setcorr_core::{
+    plan_handoff, CoefficientReport, CorrelationBackend, MigrationBundle, PartitionSet,
+};
 use setcorr_engine::{Bolt, ComponentId, Emitter};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -61,6 +63,10 @@ pub struct CalculatorBolt {
     poisons: Vec<(u64, Arc<AtomicBool>)>,
     /// Notifications observed by *this* incarnation (poison trigger clock).
     notifications_seen: u64,
+    /// The report vector this task last sent. The Tracker drops its clone
+    /// when the round closes, so by the next tick the vector is normally
+    /// this task's alone again and is refilled where it lies.
+    last_report: Option<Arc<Vec<CoefficientReport>>>,
 }
 
 impl CalculatorBolt {
@@ -88,6 +94,7 @@ impl CalculatorBolt {
             recorder,
             poisons: Vec::new(),
             notifications_seen: 0,
+            last_report: None,
         }
     }
 
@@ -120,17 +127,27 @@ impl CalculatorBolt {
         }
     }
 
-    /// Emit this task's coefficients of `round` and reset its counters.
+    /// Emit this task's coefficients of `round` and reset its counters:
+    /// into the vector of the last report when nobody else still holds it,
+    /// so its capacity and its `Arc` serve again, else into a fresh one.
     fn report(&mut self, round: u64, out: &mut dyn Emitter<Msg>) {
-        let reports = self.calc.report_and_reset();
+        let mut reports = self
+            .last_report
+            .take()
+            .filter(|last| Arc::strong_count(last) == 1)
+            .unwrap_or_default();
+        let vec = Arc::get_mut(&mut reports).expect("held by this task alone");
+        vec.clear();
+        self.calc.report_into(vec);
         out.emit(
             "coeffs",
             Msg::CalcReport {
                 round,
                 calc: self.id,
-                reports: Arc::new(reports),
+                reports: reports.clone(),
             },
         );
+        self.last_report = Some(reports);
     }
 
     /// Handle one epoch fence: hand departing state to its new owners,

@@ -1,17 +1,19 @@
 //! The allocation counts the data path is designed around, read from a
 //! counting allocator of this test binary's own: the snapshot index is a
-//! handful of vectors however many tags it serves, the Tracker's merge
-//! allocates its output and its cursor heap and nothing per report, a
-//! tagset too long for the inline representation clones for free, and
-//! routing, windowing and counting a set already seen this period allocate
-//! nothing per tagset once warm.
+//! handful of vectors however many tags it serves, and none once a
+//! publisher builds in the buffers of the snapshot it swapped out; the
+//! Tracker's merge allocates its output and its cursor heap and nothing per
+//! report; a Calculator's report allocates one tag buffer for all its long
+//! sets; a tagset too long for the inline representation clones for free;
+//! and routing, windowing and counting a set already seen this period
+//! allocate nothing per tagset once warm.
 
 use setcorr::core::{
     Calculator, CoefficientReport, Disseminator, DisseminatorConfig, PartitionSet,
     QualityReference, RouteResult, TrackedCoefficient, Tracker,
 };
 use setcorr::model::{Tag, TagSet, TagSetWindow, Timestamp, INLINE_TAGS};
-use setcorr::serve::Snapshot;
+use setcorr::serve::{store, Snapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -185,4 +187,137 @@ fn repeat_sightings_of_a_hash_consed_set_do_not_allocate() {
     });
     assert_eq!(calc.counter(&sets[1]), 1_001);
     assert_eq!(count, 0, "2 000 repeat sightings allocated {count} times");
+}
+
+/// 200 disjoint sets of eight tags, whose 200 · 37 subsets of six tags or
+/// more spill: 7 400 long coefficients in a report of 49 400.
+fn observe_long_sets(calc: &mut Calculator) {
+    for i in 0..200u32 {
+        let ids: Vec<u32> = (8 * i..8 * i + 8).collect();
+        calc.observe(&TagSet::from_ids(&ids));
+    }
+}
+
+/// How many coefficients of `reports` spill, checked against their count.
+fn spilled(reports: &[CoefficientReport]) -> usize {
+    assert_eq!(reports.len(), 200 * (256 - 1 - 8));
+    assert!(reports.windows(2).all(|w| w[0].tags < w[1].tags));
+    let spilled = reports.iter().filter(|r| !r.tags.is_inline()).count();
+    assert_eq!(spilled, 200 * (28 + 8 + 1));
+    spilled
+}
+
+#[test]
+fn a_report_of_thousands_of_long_sets_allocates_its_vector_and_one_tag_buffer() {
+    let mut calc = Calculator::new();
+    // the first report sizes the scratch the next ones reuse
+    observe_long_sets(&mut calc);
+    let first = calc.report_and_reset();
+    observe_long_sets(&mut calc);
+    let (count, reports) = allocations(|| calc.report_and_reset());
+    assert_eq!(reports, first, "the same round reports the same");
+    assert!(spilled(&reports) > 1_000);
+    assert_eq!(
+        count, 2,
+        "a report of 7 400 long sets allocated {count} times"
+    );
+}
+
+#[test]
+fn a_report_into_a_reused_vector_allocates_only_its_tag_buffer() {
+    let mut calc = Calculator::new();
+    let mut reports = Vec::new();
+    observe_long_sets(&mut calc);
+    calc.report_into(&mut reports);
+    let first = reports.clone();
+    observe_long_sets(&mut calc);
+    let (count, ()) = allocations(|| {
+        reports.clear();
+        calc.report_into(&mut reports);
+    });
+    assert_eq!(reports, first);
+    spilled(&reports);
+    assert_eq!(
+        count, 1,
+        "a report into a reused vector allocated {count} times"
+    );
+}
+
+/// Round `round`'s coefficients: the same 3 000 sets of two or three tags
+/// every round, their coefficients moving from round to round.
+fn round_of(round: u64) -> Arc<Vec<TrackedCoefficient>> {
+    let coefficients = (0..3_000u32)
+        .map(|i| TrackedCoefficient {
+            tags: match i % 2 {
+                0 => TagSet::from_ids(&[i, i + 1]),
+                _ => TagSet::from_ids(&[i, i + 1, i + 2]),
+            },
+            jaccard: ((u64::from(i) + round) % 89 + 1) as f64 / 90.0,
+            counter: round + 1,
+            reporters: 1,
+        })
+        .collect();
+    Arc::new(coefficients)
+}
+
+#[test]
+fn a_publish_over_a_released_snapshot_allocates_no_index_vector() {
+    let (publisher, handle) = store();
+    // the third publication is the first to find a kept snapshot it can
+    // build in: rounds 0 and 1 warm the scratch and the kept indexes
+    for round in 0..3 {
+        publisher.publish(round, round_of(round));
+    }
+    let coefficients = round_of(3);
+    let (count, published) = allocations(|| publisher.publish(3, coefficients.clone()));
+    assert_eq!(
+        count, 1,
+        "publish allocated {count} times, not just the Arc"
+    );
+    let fresh = Snapshot::build(3, 4, coefficients);
+    let answers = |snapshot: &Snapshot| -> Vec<TrackedCoefficient> {
+        (snapshot.top_k(50))
+            .chain(snapshot.neighbors(Tag(1_000), 10))
+            .chain(snapshot.coefficient(&TagSet::from_ids(&[7, 8, 9])))
+            .cloned()
+            .collect()
+    };
+    assert_eq!(answers(&published), answers(&fresh));
+    assert!(Arc::ptr_eq(&published, &handle.snapshot()));
+}
+
+#[test]
+fn a_reader_holding_the_kept_snapshot_keeps_its_answers_and_the_build_goes_fresh() {
+    let (publisher, handle) = store();
+    let answers = |snapshot: &Snapshot| -> Vec<TrackedCoefficient> {
+        (snapshot.top_k(usize::MAX))
+            .chain((0..3_003).flat_map(|tag| snapshot.neighbors(Tag(tag), usize::MAX)))
+            .chain((0..3_000).filter_map(|i| snapshot.coefficient(&TagSet::from_ids(&[i, i + 1]))))
+            .cloned()
+            .collect()
+    };
+    publisher.publish(0, round_of(0));
+    publisher.publish(1, round_of(1));
+    let held = handle.snapshot();
+    let before = answers(&held);
+    // round 2 swaps out the held snapshot and keeps it; round 3 finds it
+    // still held, so builds in fresh vectors and leaves it alone
+    publisher.publish(2, round_of(2));
+    let (held_count, _) = allocations(|| publisher.publish(3, round_of(3)));
+    assert!(held_count > 1, "a held snapshot's buffers were taken");
+    assert_eq!(answers(&held), before, "the held snapshot changed");
+    assert_eq!(held.round(), Some(1));
+    assert_eq!(
+        answers(&handle.snapshot()),
+        answers(&Snapshot::build(3, 4, round_of(3)))
+    );
+    // once the reader lets go, building in kept buffers resumes
+    drop(held);
+    publisher.publish(4, round_of(4));
+    let coefficients = round_of(5);
+    let (count, _) = allocations(|| publisher.publish(5, coefficients.clone()));
+    assert_eq!(
+        count, 1,
+        "publish allocated {count} times after the reader left"
+    );
 }

@@ -1011,6 +1011,53 @@ fn tagset_ops_match_btreeset() {
     }
 }
 
+/// `Eq`, `Ord` and `Hash` read only the tags: a set stored inline, spilled
+/// to a buffer of its own, or viewed in a buffer it shares with the sets
+/// around it, compares and hashes as every other form of the same tags,
+/// and against every form of another set as the tag slices do.
+#[test]
+fn tagset_representations_agree_on_eq_ord_and_hash() {
+    let mut rng = StdRng::seed_from_u64(117);
+    for case in 0..300 {
+        // three sorted sets back to back in one buffer, viewed in place
+        let mut buf: Vec<Tag> = Vec::new();
+        let mut ranges = Vec::new();
+        for _ in 0..3 {
+            let len = rng.gen_range(0..=MAX_TAGS_PER_SET);
+            let ids: BTreeSet<u32> = (0..len).map(|_| rng.gen_range(0u32..24)).collect();
+            let start = buf.len();
+            buf.extend(ids.into_iter().map(Tag));
+            ranges.push(start..buf.len());
+        }
+        let buf: Arc<[Tag]> = buf.into();
+        let forms: Vec<Vec<TagSet>> = ranges
+            .iter()
+            .map(|range| {
+                let natural = TagSet::from_sorted_slice(&buf[range.clone()]);
+                let owned = natural.with_forced_heap_repr();
+                let shared = TagSet::from_shared(&buf, range.clone());
+                assert!(!owned.is_inline(), "case {case}");
+                assert_eq!(shared.is_inline(), natural.is_inline(), "case {case}");
+                vec![natural, owned, shared]
+            })
+            .collect();
+        for (a, range_a) in forms.iter().zip(&ranges) {
+            for (b, range_b) in forms.iter().zip(&ranges) {
+                let expected = buf[range_a.clone()].cmp(&buf[range_b.clone()]);
+                for x in a {
+                    for y in b {
+                        assert_eq!(x.cmp(y), expected, "case {case}: {x:?} vs {y:?}");
+                        assert_eq!(x == y, expected.is_eq(), "case {case}");
+                        if expected.is_eq() {
+                            assert_eq!(fx::hash_one(x), fx::hash_one(y), "case {case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Count windows never hold more than their capacity and keep exact
 /// aggregate counts.
 #[test]
