@@ -1,343 +1,343 @@
-//! Deterministic single-threaded runtime.
+//! Deterministic single-threaded runtime: the threaded runtime's task code,
+//! stepped by one executor.
 //!
-//! Executes a topology as a discrete-event simulation: one message at a time
-//! from a global FIFO, spouts pumped round-robin one message each, queue
-//! drained to empty between pumps. Every grouping decision is deterministic
-//! (shuffle = per-edge round-robin), so a run is exactly reproducible —
-//! the mode used by the experiment harness and the integration tests.
+//! The sim builds the tasks [`run_threaded_batched`](crate::run_threaded_batched)
+//! runs — the same `BoltTask`s, emitter and grouping code — but their ports
+//! append to one global FIFO queue of `(task, lane, envelope)`. The
+//! executor pops the head and steps that task; spouts are pumped
+//! round-robin, one message each, and the queue drains to empty between
+//! pumps, so control cycles complete between documents. Shutdown is driven
+//! by `Eos`, as on the threaded runtime. A lane closes once every task
+//! holding a sender to it finished, and a message for a finished task is
+//! dropped. Grouping is deterministic (shuffle = round-robin per producer
+//! task, seeded by its index) and no step reads a clock, so a run is
+//! exactly reproducible — the mode of the experiment harness and the tests.
 //!
-//! On exhaustion of all spouts the engine *flushes*: components are visited
-//! in declaration order, each task's [`Bolt::on_flush`](crate::topology::Bolt::on_flush) runs and the queue is
-//! drained before moving on, so downstream flushes observe upstream finals.
+//! A sim emitter never buffers: every message is its own queue entry.
+//! [`run_sim_batched`] coalesces *consecutive* data entries for one task
+//! into one [`Bolt::on_batch`](crate::Bolt::on_batch) call (up to a barrier
+//! message or `max_batch`), so the oracle runs the vectorized operator path
+//! too. Only adjacent messages group, so delivery order, and with `on_batch`
+//! overrides equivalent to the per-message loop (the trait contract) every
+//! result, is exactly that of [`run_sim`].
 //!
-//! # Batched delivery
-//!
-//! [`run_sim_batched`] coalesces *consecutive* queue entries addressed to
-//! the same task into one [`Bolt::on_batch`](crate::topology::Bolt::on_batch) call (stopping at the policy's
-//! barrier messages and at `max_batch`), so the deterministic oracle
-//! exercises the same vectorized operator path as the threaded runtime.
-//! Because only already-adjacent messages are grouped, delivery order is
-//! exactly that of [`run_sim`] — with semantically equivalent `on_batch`
-//! overrides (the trait contract), results are byte-identical.
+//! [`try_run_sim_batched`] runs the threaded runtime's supervisor and fault
+//! plan. Once the queue is empty and every spout is done, a task still
+//! waiting on [`Bolt::drained`](crate::Bolt::drained) can never be
+//! answered, so it times out at once, with no wall-clock wait; unsupervised,
+//! that state panics, naming the waiting tasks.
 
-use crate::threaded::BatchPolicy;
-use crate::topology::{ComponentId, ComponentKind, Emitter, Grouping, Topology};
+use crate::supervise::SuperviseConfig;
+use crate::threaded::{
+    build_tasks, task_error, BatchPolicy, BoltTask, Envelope, Port, RunError, SpoutTask, Task,
+    ThreadStats,
+};
+use crate::topology::{ComponentId, Topology};
+use crossbeam::channel::{Lane, Received};
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
+use std::time::Duration;
 
-/// Per-run statistics of the simulated execution.
-#[derive(Debug, Clone, Default)]
-pub struct SimStats {
-    /// Messages processed per component (indexed by [`ComponentId`]).
-    pub processed: Vec<u64>,
-    /// Messages emitted per component.
-    pub emitted: Vec<u64>,
+/// The executor's queue: deliveries, each to one task by its index in
+/// (component, task) order.
+type Queue<M> = Rc<RefCell<VecDeque<(usize, Received<Envelope<M>>)>>>;
+
+/// One lane of one task. Every port into the lane shares it, and it closes
+/// the lane when the last of them drops, as a channel lane closes with its
+/// last sender: the closure queues behind everything sent before it.
+struct SimLane<M> {
+    queue: Queue<M>,
+    task: usize,
+    lane: Lane,
 }
 
-struct Routing<M> {
-    /// Edge list per producer component.
-    by_producer: Vec<Vec<EdgeRt<M>>>,
-    parallelism: Vec<usize>,
+impl<M> SimLane<M> {
+    #[inline]
+    fn push(&self, got: Received<Envelope<M>>) {
+        self.queue.borrow_mut().push_back((self.task, got));
+    }
 }
 
-struct EdgeRt<M> {
-    stream: &'static str,
-    to: ComponentId,
-    grouping: Grouping<M>,
+impl<M> Drop for SimLane<M> {
+    fn drop(&mut self) {
+        self.push(Received::Closed(self.lane));
+    }
 }
 
-struct SimEmitter<'a, M> {
-    routing: &'a Routing<M>,
-    queue: &'a mut VecDeque<(ComponentId, usize, M)>,
-    shuffle_counters: &'a mut [usize],
-    /// Offsets of this producer's edges into `shuffle_counters`.
-    edge_base: usize,
-    from: ComponentId,
-    emitted: &'a mut u64,
-}
+/// Where a sim task sends: one lane of one task.
+type SimPort<M> = Rc<SimLane<M>>;
 
-impl<M: Clone> Emitter<M> for SimEmitter<'_, M> {
-    fn emit(&mut self, stream: &'static str, msg: M) {
-        let edges = &self.routing.by_producer[self.from];
-        for (i, e) in edges.iter().enumerate() {
-            if e.stream != stream || matches!(e.grouping, Grouping::Direct) {
-                continue;
-            }
-            let p = self.routing.parallelism[e.to];
-            match &e.grouping {
-                Grouping::Shuffle => {
-                    let ctr = &mut self.shuffle_counters[self.edge_base + i];
-                    let task = *ctr % p;
-                    *ctr += 1;
-                    self.queue.push_back((e.to, task, msg.clone()));
-                    *self.emitted += 1;
-                }
-                Grouping::Global => {
-                    self.queue.push_back((e.to, 0, msg.clone()));
-                    *self.emitted += 1;
-                }
-                Grouping::All => {
-                    for task in 0..p {
-                        self.queue.push_back((e.to, task, msg.clone()));
-                        *self.emitted += 1;
-                    }
-                }
-                Grouping::Fields(f) => {
-                    let task = (f(&msg) % p as u64) as usize;
-                    self.queue.push_back((e.to, task, msg.clone()));
-                    *self.emitted += 1;
-                }
-                Grouping::Direct => unreachable!("filtered above"),
-            }
+impl<M: Clone> Port<M> for SimPort<M> {
+    const THREADED: bool = false;
+
+    /// One entry per message: a batch envelope splits, so batch boundaries
+    /// are the executor's to draw.
+    #[inline]
+    fn send(&self, env: Envelope<M>) {
+        match env {
+            Envelope::Batch(msgs) => msgs
+                .into_iter()
+                .for_each(|m| self.push(Received::Msg(self.lane, Envelope::Data(m)))),
+            env => self.push(Received::Msg(self.lane, env)),
         }
     }
-
-    fn emit_direct(&mut self, stream: &'static str, to: ComponentId, task: usize, msg: M) {
-        let edges = &self.routing.by_producer[self.from];
-        let ok = edges
-            .iter()
-            .any(|e| e.stream == stream && e.to == to && matches!(e.grouping, Grouping::Direct));
-        assert!(
-            ok,
-            "emit_direct on undeclared Direct edge {}:{stream} -> {to}",
-            self.from
-        );
-        assert!(task < self.routing.parallelism[to], "task out of range");
-        self.queue.push_back((to, task, msg));
-        *self.emitted += 1;
-    }
 }
 
-/// Run `topology` to completion in simulation mode (per-tuple delivery).
-pub fn run_sim<M: Clone + 'static>(topology: Topology<M>) -> SimStats {
-    run_sim_inner(topology, None)
+/// Run `topology` to completion in simulation mode with per-tuple delivery:
+/// every message goes to [`Bolt::on_message`](crate::Bolt::on_message).
+pub fn run_sim<M: Clone + 'static>(topology: Topology<M>) -> ThreadStats {
+    // every message a barrier: nothing coalesces
+    run_sim_batched(topology, BatchPolicy::new(1, |_| true))
 }
 
 /// Run `topology` in simulation mode with batched delivery: consecutive
 /// same-destination messages the `policy` marks batchable are handed to the
-/// bolt as one [`Bolt::on_batch`](crate::topology::Bolt::on_batch) call (see the module docs — delivery
-/// order, and therefore every result, is identical to [`run_sim`]).
+/// bolt as one [`Bolt::on_batch`](crate::Bolt::on_batch) call (see the
+/// module docs — delivery order, and therefore every result, is identical
+/// to [`run_sim`]). Panics with the [`RunError`] rendering if a task dies.
 pub fn run_sim_batched<M: Clone + 'static>(
     topology: Topology<M>,
     policy: BatchPolicy<M>,
-) -> SimStats {
-    run_sim_inner(topology, Some(policy))
+) -> ThreadStats {
+    try_run_sim_batched(topology, policy, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
-fn run_sim_inner<M: Clone + 'static>(
-    mut topology: Topology<M>,
-    policy: Option<BatchPolicy<M>>,
-) -> SimStats {
-    let n = topology.components.len();
-    let parallelism: Vec<usize> = topology.components.iter().map(|c| c.parallelism).collect();
+/// Fallible [`run_sim_batched`], optionally supervised: the sim twin of
+/// [`try_run_threaded_batched`](crate::try_run_threaded_batched), whose
+/// stats it returns with the wall-clock and channel fields left zero.
+/// Panics, naming them, if unsupervised tasks wait on control messages
+/// nobody can send any more (the threaded runtime would hang there).
+pub fn try_run_sim_batched<M: Clone + 'static>(
+    topology: Topology<M>,
+    policy: BatchPolicy<M>,
+    supervision: Option<SuperviseConfig>,
+) -> Result<ThreadStats, RunError> {
+    let mut sim = Sim::new(topology, policy, supervision);
+    match catch_unwind(AssertUnwindSafe(|| sim.run())) {
+        Ok(Ok(())) => {
+            sim.stats.degraded_tasks.sort_unstable();
+            Ok(sim.stats)
+        }
+        Ok(Err(waiting)) => panic!("sim stalled: {waiting} wait on control nobody can send"),
+        Err(payload) => {
+            let (c, t, _) = sim.tasks[sim.current];
+            Err(task_error(&*payload, &sim.names, c, t))
+        }
+    }
+}
 
-    // Instantiate tasks.
-    let mut spouts: Vec<Vec<Box<dyn crate::topology::Spout<M>>>> = Vec::with_capacity(n);
-    let mut bolts: Vec<Vec<Option<Box<dyn crate::topology::Bolt<M>>>>> = Vec::with_capacity(n);
-    for spec in &mut topology.components {
-        match &mut spec.kind {
-            ComponentKind::Spout(factory) => {
-                spouts.push((0..spec.parallelism).map(factory).collect());
-                bolts.push(Vec::new());
-            }
-            ComponentKind::Bolt(factory) => {
-                spouts.push(Vec::new());
-                bolts.push((0..spec.parallelism).map(|t| Some(factory(t))).collect());
-            }
+/// One task: its component, its number there, and — until it finishes —
+/// the bolt task (spouts keep `None`).
+type Slot<M> = (ComponentId, usize, Option<BoltTask<M, SimPort<M>>>);
+
+/// The executor: the queue and every task.
+struct Sim<M> {
+    queue: Queue<M>,
+    policy: BatchPolicy<M>,
+    names: Vec<String>,
+    /// Every task by index.
+    tasks: Vec<Slot<M>>,
+    /// Spout tasks still producing, with their indices.
+    spouts: Vec<(usize, SpoutTask<M, SimPort<M>>)>,
+    supervised: bool,
+    stats: ThreadStats,
+    /// The task being stepped: the one a panic names.
+    current: usize,
+}
+
+impl<M: Clone + 'static> Sim<M> {
+    fn new(
+        topology: Topology<M>,
+        policy: BatchPolicy<M>,
+        supervision: Option<SuperviseConfig>,
+    ) -> Self {
+        let names = topology.components.iter().map(|s| s.name.clone()).collect();
+        let (queue, stats) = (Queue::default(), ThreadStats::new(&topology));
+        // Both lanes of every task, held only by the ports once the tasks
+        // are built: a lane nobody sends into closes at once.
+        let lanes: Vec<[SimPort<M>; 2]> = (0..topology.total_tasks())
+            .map(|task| {
+                let queue = &queue;
+                [Lane::Data, Lane::Control].map(|lane| {
+                    let queue = queue.clone();
+                    Rc::new(SimLane { queue, task, lane })
+                })
+            })
+            .collect();
+        let supervised = supervision.is_some();
+        let port = |i: usize, lane| lanes[i][lane as usize].clone();
+        let (mut tasks, mut spouts) = (Vec::new(), Vec::new());
+        for (c, t, task) in build_tasks(topology, &policy, supervision, port) {
+            let bolt = match task {
+                Task::Spout(spout) => {
+                    spouts.push((tasks.len(), spout));
+                    None
+                }
+                Task::Bolt(bolt) => Some(bolt),
+            };
+            tasks.push((c, t, bolt));
+        }
+        drop(lanes);
+        Sim {
+            queue,
+            policy,
+            names,
+            tasks,
+            spouts,
+            supervised,
+            stats,
+            current: 0,
         }
     }
 
-    // Routing table.
-    let mut by_producer: Vec<Vec<EdgeRt<M>>> = (0..n).map(|_| Vec::new()).collect();
-    for e in topology.edges.drain(..) {
-        by_producer[e.from].push(EdgeRt {
-            stream: e.stream,
-            to: e.to,
-            grouping: e.grouping,
-        });
-    }
-    let edge_base: Vec<usize> = {
-        let mut base = Vec::with_capacity(n);
-        let mut acc = 0;
-        for edges in &by_producer {
-            base.push(acc);
-            acc += edges.len();
-        }
-        base
-    };
-    let total_edges: usize = by_producer.iter().map(|v| v.len()).sum();
-    let routing = Routing {
-        by_producer,
-        parallelism,
-    };
-    let mut shuffle_counters = vec![0usize; total_edges];
-
-    let mut queue: VecDeque<(ComponentId, usize, M)> = VecDeque::new();
-    let mut stats = SimStats {
-        processed: vec![0; n],
-        emitted: vec![0; n],
-    };
-
-    // Drains the queue to empty, dispatching to bolts. With a batch policy,
-    // consecutive entries for the same task whose messages are batchable
-    // coalesce into one `on_batch` delivery (order is untouched: only
-    // already-adjacent messages group).
-    macro_rules! drain {
-        () => {
-            while let Some((c, t, msg)) = queue.pop_front() {
-                let Some(bolt) = bolts[c][t].as_mut() else {
-                    continue;
-                };
-                let batchable = policy.as_ref().is_some_and(|p| !(p.barrier)(&msg));
-                if batchable {
-                    let p = policy.as_ref().expect("checked above");
-                    let mut batch = vec![msg];
-                    while batch.len() < p.max_batch {
-                        match queue.front() {
-                            Some((c2, t2, m2)) if *c2 == c && *t2 == t && !(p.barrier)(m2) => {
-                                batch.push(queue.pop_front().expect("front exists").2);
-                            }
-                            _ => break,
-                        }
-                    }
-                    stats.processed[c] += batch.len() as u64;
-                    let mut emitter = SimEmitter {
-                        routing: &routing,
-                        queue: &mut queue,
-                        shuffle_counters: &mut shuffle_counters,
-                        edge_base: edge_base[c],
-                        from: c,
-                        emitted: &mut stats.emitted[c],
-                    };
-                    bolt.on_batch(batch, &mut emitter);
+    /// Pump the spouts dry, draining the queue between pumps, then settle
+    /// the tasks still waiting.
+    fn run(&mut self) -> Result<(), String> {
+        while !self.spouts.is_empty() {
+            let mut i = 0;
+            while i < self.spouts.len() {
+                self.current = self.spouts[i].0;
+                if self.spouts[i].1.pump(SpoutTask::step) {
+                    i += 1;
                 } else {
-                    stats.processed[c] += 1;
-                    let mut emitter = SimEmitter {
-                        routing: &routing,
-                        queue: &mut queue,
-                        shuffle_counters: &mut shuffle_counters,
-                        edge_base: edge_base[c],
-                        from: c,
-                        emitted: &mut stats.emitted[c],
-                    };
-                    bolt.on_message(msg, &mut emitter);
+                    let (index, spout) = self.spouts.remove(i);
+                    let (c, t, _) = self.tasks[index];
+                    self.stats.add(c, t, spout.finish(Duration::ZERO));
                 }
             }
+            self.drain();
+        }
+        self.settle()
+    }
+
+    fn drain(&mut self) {
+        loop {
+            let head = self.coalesce();
+            let Some((task, got)) = head else {
+                return;
+            };
+            self.step(task, got);
+        }
+    }
+
+    /// Pop the head of the queue. A batchable data message absorbs the
+    /// batchable data messages for the same task queued right behind it, up
+    /// to `max_batch`, into one batch.
+    fn coalesce(&self) -> Option<(usize, Received<Envelope<M>>)> {
+        let batchable = |m: &M| !(self.policy.barrier)(m);
+        let mut queue = self.queue.borrow_mut();
+        let (task, msg) = match queue.pop_front()? {
+            (t, Received::Msg(Lane::Data, Envelope::Data(m))) if batchable(&m) => (t, m),
+            head => return Some(head),
         };
-    }
-
-    // Pump spouts round-robin until all are exhausted.
-    let mut live: Vec<(ComponentId, usize)> = (0..n)
-        .flat_map(|c| (0..spouts[c].len()).map(move |t| (c, t)))
-        .collect();
-    while !live.is_empty() {
-        live.retain(|&(c, t)| match spouts[c][t].next() {
-            Some(msg) => {
-                let mut emitter = SimEmitter {
-                    routing: &routing,
-                    queue: &mut queue,
-                    shuffle_counters: &mut shuffle_counters,
-                    edge_base: edge_base[c],
-                    from: c,
-                    emitted: &mut stats.emitted[c],
-                };
-                emitter.emit_spout(msg);
-                true
-            }
-            None => false,
-        });
-        drain!();
-    }
-
-    // Flush in declaration order.
-    for c in 0..n {
-        for t in 0..bolts[c].len() {
-            if let Some(bolt) = bolts[c][t].as_mut() {
-                let mut emitter = SimEmitter {
-                    routing: &routing,
-                    queue: &mut queue,
-                    shuffle_counters: &mut shuffle_counters,
-                    edge_base: edge_base[c],
-                    from: c,
-                    emitted: &mut stats.emitted[c],
-                };
-                bolt.on_flush(&mut emitter);
+        let joins = |head: Option<&(usize, Received<Envelope<M>>)>| {
+            matches!(head, Some((t, Received::Msg(Lane::Data, Envelope::Data(m))))
+                if *t == task && batchable(m))
+        };
+        let mut batch = vec![msg];
+        while batch.len() < self.policy.max_batch && joins(queue.front()) {
+            if let Some((_, Received::Msg(_, Envelope::Data(m)))) = queue.pop_front() {
+                batch.push(m);
             }
         }
-        drain!();
+        Some((task, Received::Msg(Lane::Data, Envelope::Batch(batch))))
     }
 
-    stats
-}
-
-impl<M: Clone> SimEmitter<'_, M> {
-    /// Spouts emit on the conventional stream name `"out"` if they have any
-    /// `"out"` edges, otherwise on every declared stream of the component.
-    /// In practice spout components declare exactly one logical output per
-    /// stream name, so we route over *all* of the spout's edges by stream.
-    fn emit_spout(&mut self, msg: M) {
-        // Emit over each distinct stream name once.
-        let streams: Vec<&'static str> = {
-            let mut s: Vec<&'static str> = self.routing.by_producer[self.from]
-                .iter()
-                .map(|e| e.stream)
-                .collect();
-            s.sort_unstable();
-            s.dedup();
-            s
+    /// Hand `got` to the task at `index` (dropped if the task finished),
+    /// and end the task if that finished it.
+    fn step(&mut self, index: usize, got: Received<Envelope<M>>) {
+        self.current = index;
+        let (c, t, Some(bolt)) = &mut self.tasks[index] else {
+            return;
         };
-        match streams.as_slice() {
-            [] => {}
-            [only] => self.emit(only, msg),
-            _ => panic!(
-                "spout {} has edges on multiple streams; spouts must use a \
-                 single stream (wrap routing logic in a bolt)",
-                self.from
-            ),
+        bolt.step(got);
+        if bolt.finished() {
+            let (c, t) = (*c, *t);
+            let bolt = self.tasks[index].2.take().expect("stepped above");
+            self.stats.add(c, t, bolt.finish());
+        }
+    }
+
+    /// Every spout is done and the queue is empty, so a task still running
+    /// with its data side over waits for a control message nobody can send
+    /// any more. Supervised, the first such task times out and degrades,
+    /// which may answer the others; unsupervised, the run stalls.
+    fn settle(&mut self) -> Result<(), String> {
+        loop {
+            let waiting: Vec<usize> = (0..self.tasks.len())
+                .filter(|&i| self.tasks[i].2.as_ref().is_some_and(BoltTask::data_done))
+                .collect();
+            let Some(&first) = waiting.first() else {
+                return Ok(());
+            };
+            if !self.supervised {
+                let name =
+                    |&i: &usize| format!("{}[{}]", self.names[self.tasks[i].0], self.tasks[i].1);
+                return Err(waiting.iter().map(name).collect::<Vec<_>>().join(", "));
+            }
+            self.step(first, Received::TimedOut);
+            self.drain();
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::threaded::{run_threaded_batched, ThreadedConfig};
     use crate::topology::{Bolt, Emitter, Grouping, TopologyBuilder};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
 
-    /// Bolt that forwards every message, optionally recording what it saw.
-    struct Tap {
-        seen: Arc<Mutex<Vec<(usize, u64)>>>,
+    /// What taps saw: (task, message) in delivery order.
+    pub(crate) type Log = Arc<Mutex<Vec<(usize, u64)>>>;
+
+    /// Bolt that records what it sees.
+    pub(crate) struct Tap {
+        seen: Log,
         task: usize,
-        forward: Option<&'static str>,
     }
 
     impl Bolt<u64> for Tap {
-        fn on_message(&mut self, msg: u64, out: &mut dyn Emitter<u64>) {
+        fn on_message(&mut self, msg: u64, _out: &mut dyn Emitter<u64>) {
             self.seen.lock().unwrap().push((self.task, msg));
-            if let Some(stream) = self.forward {
-                out.emit(stream, msg + 1);
-            }
         }
+    }
+
+    /// Add a `parallelism`-task component of taps recording into `seen`.
+    pub(crate) fn taps(tb: &mut TopologyBuilder<u64>, parallelism: usize, seen: &Log) -> usize {
+        let seen = seen.clone();
+        tb.add_bolt("sink", parallelism, move |task| {
+            let seen = seen.clone();
+            Box::new(Tap { seen, task }) as Box<dyn Bolt<u64>>
+        })
+    }
+
+    /// `spouts` spout tasks, task `t` emitting `msgs` offset by `100 t`,
+    /// over `grouping` onto `sinks` taps (component 1).
+    fn fan_out(
+        spouts: usize,
+        msgs: &'static [u64],
+        grouping: Grouping<u64>,
+        sinks: usize,
+        seen: &Log,
+    ) -> Topology<u64> {
+        let mut tb = TopologyBuilder::new();
+        let src = tb.add_spout("src", spouts, move |t| {
+            Box::new(msgs.iter().map(move |m| m + 100 * t as u64))
+        });
+        let sink = taps(&mut tb, sinks, seen);
+        tb.connect(src, "out", sink, grouping);
+        tb.build()
     }
 
     #[test]
     fn shuffle_round_robins_across_tasks() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 1, |_| Box::new(0u64..6));
-        let sink = {
-            let seen = seen.clone();
-            tb.add_bolt("sink", 3, move |task| {
-                Box::new(Tap {
-                    seen: seen.clone(),
-                    task,
-                    forward: None,
-                }) as Box<dyn Bolt<u64>>
-            })
-        };
-        tb.connect(src, "out", sink, Grouping::Shuffle);
-        let stats = run_sim(tb.build());
-        assert_eq!(stats.processed[sink], 6);
+        let seen = Log::default();
+        let stats = run_sim(fan_out(1, &[0, 1, 2, 3, 4, 5], Grouping::Shuffle, 3, &seen));
+        assert_eq!(stats.processed[1], 6);
         let mut per_task = [0u64; 3];
         for &(t, _) in seen.lock().unwrap().iter() {
             per_task[t] += 1;
@@ -346,48 +346,41 @@ mod tests {
     }
 
     #[test]
-    fn all_grouping_broadcasts() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 1, |_| Box::new(0u64..4));
-        let sink = {
-            let seen = seen.clone();
-            tb.add_bolt("sink", 3, move |task| {
-                Box::new(Tap {
-                    seen: seen.clone(),
-                    task,
-                    forward: None,
-                }) as Box<dyn Bolt<u64>>
-            })
+    fn parallel_spouts_shuffle_alike_on_both_runtimes() {
+        // each spout task keeps its own round-robin, seeded by its task
+        // index, so every sink task receives the same multiset on both
+        const MSGS: &[u64] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
+        let received = |seen: Log| {
+            let mut seen = seen.lock().unwrap().clone();
+            seen.sort_unstable();
+            seen
         };
-        tb.connect(src, "out", sink, Grouping::All);
-        let stats = run_sim(tb.build());
-        assert_eq!(stats.processed[sink], 12);
-        assert_eq!(stats.emitted[src], 12);
+        let sim = Log::default();
+        run_sim(fan_out(2, MSGS, Grouping::Shuffle, 3, &sim));
+        for depth in [1, 8] {
+            let threaded = Log::default();
+            let topology = fan_out(2, MSGS, Grouping::Shuffle, 3, &threaded);
+            let policy = BatchPolicy::new(depth, |_| false);
+            run_threaded_batched(topology, ThreadedConfig::default(), policy);
+            assert_eq!(received(threaded), received(sim.clone()), "depth {depth}");
+        }
+    }
+
+    #[test]
+    fn all_grouping_broadcasts() {
+        let stats = run_sim(fan_out(1, &[0, 1, 2, 3], Grouping::All, 3, &Log::default()));
+        assert_eq!(stats.processed[1], 12);
+        assert_eq!(stats.emitted[0], 12);
     }
 
     #[test]
     fn fields_grouping_is_sticky() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 1, |_| Box::new([3u64, 7, 3, 7, 3, 11].into_iter()));
-        let sink = {
-            let seen = seen.clone();
-            tb.add_bolt("sink", 4, move |task| {
-                Box::new(Tap {
-                    seen: seen.clone(),
-                    task,
-                    forward: None,
-                }) as Box<dyn Bolt<u64>>
-            })
-        };
-        tb.connect(src, "out", sink, Grouping::Fields(Arc::new(|m: &u64| *m)));
-        run_sim(tb.build());
-        let seen = seen.lock().unwrap();
+        let seen = Log::default();
+        let key = Grouping::Fields(Arc::new(|m: &u64| *m));
+        run_sim(fan_out(1, &[3, 7, 3, 7, 3, 11], key, 4, &seen));
         let mut task_of = std::collections::HashMap::new();
-        for &(t, m) in seen.iter() {
-            let prev = task_of.insert(m, t);
-            if let Some(p) = prev {
+        for &(t, m) in seen.lock().unwrap().iter() {
+            if let Some(p) = task_of.insert(m, t) {
                 assert_eq!(p, t, "key {m} moved between tasks");
             }
         }
@@ -395,84 +388,59 @@ mod tests {
 
     #[test]
     fn global_grouping_hits_task_zero() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 1, |_| Box::new(0u64..5));
-        let sink = {
-            let seen = seen.clone();
-            tb.add_bolt("sink", 3, move |task| {
-                Box::new(Tap {
-                    seen: seen.clone(),
-                    task,
-                    forward: None,
-                }) as Box<dyn Bolt<u64>>
-            })
-        };
-        tb.connect(src, "out", sink, Grouping::Global);
-        run_sim(tb.build());
+        let seen = Log::default();
+        run_sim(fan_out(1, &[0, 1, 2, 3, 4], Grouping::Global, 3, &seen));
         assert!(seen.lock().unwrap().iter().all(|&(t, _)| t == 0));
     }
 
-    /// Bolt that direct-emits to task `msg % parallelism` of a target.
-    struct DirectRouter {
-        target: usize,
-        target_parallelism: usize,
-    }
+    /// Bolt that direct-emits each message `m` to task `m % 3` of
+    /// component 2.
+    struct DirectRouter;
 
     impl Bolt<u64> for DirectRouter {
         fn on_message(&mut self, msg: u64, out: &mut dyn Emitter<u64>) {
-            let task = (msg % self.target_parallelism as u64) as usize;
-            out.emit_direct("routed", self.target, task, msg);
+            out.emit_direct("routed", 2, (msg % 3) as usize, msg);
         }
+    }
+
+    /// A spout of `0..n` → a router → three taps (component 2, declared
+    /// after the router that names it) over a Direct edge.
+    pub(crate) fn direct_topology(n: u64, seen: &Log) -> Topology<u64> {
+        let mut tb = TopologyBuilder::new();
+        let src = tb.add_spout("src", 1, move |_| Box::new(0..n));
+        let router = tb.add_bolt("router", 1, |_| {
+            Box::new(DirectRouter) as Box<dyn Bolt<u64>>
+        });
+        let sink = taps(&mut tb, 3, seen);
+        assert_eq!(sink, 2);
+        tb.connect(src, "out", router, Grouping::Shuffle);
+        tb.connect(router, "routed", sink, Grouping::Direct);
+        tb.build()
     }
 
     #[test]
     fn direct_grouping_addresses_tasks() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut tb = TopologyBuilder::new();
-        let src = tb.add_spout("src", 1, |_| Box::new(0u64..6));
-        // declare router first so we can reference the sink id (declared after)
-        let router = tb.add_bolt("router", 1, move |_| {
-            Box::new(DirectRouter {
-                target: 2, // sink will be component 2
-                target_parallelism: 3,
-            }) as Box<dyn Bolt<u64>>
-        });
-        let sink = {
-            let seen = seen.clone();
-            tb.add_bolt("sink", 3, move |task| {
-                Box::new(Tap {
-                    seen: seen.clone(),
-                    task,
-                    forward: None,
-                }) as Box<dyn Bolt<u64>>
-            })
-        };
-        assert_eq!(sink, 2);
-        tb.connect(src, "out", router, Grouping::Shuffle);
-        tb.connect(router, "routed", sink, Grouping::Direct);
-        run_sim(tb.build());
+        let seen = Log::default();
+        run_sim(direct_topology(6, &seen));
         for &(t, m) in seen.lock().unwrap().iter() {
             assert_eq!(t as u64, m % 3);
         }
     }
 
     /// Bolt that counts messages and emits the count on flush.
-    struct CountOnFlush {
-        n: u64,
-    }
+    pub(crate) struct CountOnFlush(pub(crate) u64);
 
     impl Bolt<u64> for CountOnFlush {
         fn on_message(&mut self, _msg: u64, _out: &mut dyn Emitter<u64>) {
-            self.n += 1;
+            self.0 += 1;
         }
         fn on_flush(&mut self, out: &mut dyn Emitter<u64>) {
-            out.emit("count", self.n);
+            out.emit("count", self.0);
         }
     }
 
     #[test]
-    fn flush_cascades_downstream_in_declaration_order() {
+    fn flush_cascades_downstream_after_upstream_eos() {
         static FINAL: AtomicU64 = AtomicU64::new(u64::MAX);
         struct Recorder;
         impl Bolt<u64> for Recorder {
@@ -483,7 +451,7 @@ mod tests {
         let mut tb = TopologyBuilder::new();
         let src = tb.add_spout("src", 1, |_| Box::new(0u64..10));
         let counter = tb.add_bolt("counter", 1, |_| {
-            Box::new(CountOnFlush { n: 0 }) as Box<dyn Bolt<u64>>
+            Box::new(CountOnFlush(0)) as Box<dyn Bolt<u64>>
         });
         let rec = tb.add_bolt("rec", 1, |_| Box::new(Recorder) as Box<dyn Bolt<u64>>);
         tb.connect(src, "out", counter, Grouping::Shuffle);
@@ -494,48 +462,62 @@ mod tests {
 
     #[test]
     fn feedback_edges_deliver_in_sim() {
-        // a → b (forward), b → a (feedback): a echoes one follow-up per even
-        // input; b records everything it sees.
+        // a → b (forward), b → a (feedback): b echoes one follow-up per even
+        // input; a tap beside b records everything b sees.
         struct A;
         impl Bolt<u64> for A {
             fn on_message(&mut self, msg: u64, out: &mut dyn Emitter<u64>) {
                 out.emit("fwd", msg);
             }
         }
-        struct B {
-            seen: Arc<Mutex<Vec<u64>>>,
-        }
+        struct B;
         impl Bolt<u64> for B {
             fn on_message(&mut self, msg: u64, out: &mut dyn Emitter<u64>) {
-                self.seen.lock().unwrap().push(msg);
                 if msg.is_multiple_of(2) && msg < 100 {
                     out.emit("back", msg + 100);
                 }
             }
         }
-        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen = Log::default();
         let mut tb = TopologyBuilder::new();
         let src = tb.add_spout("src", 1, |_| Box::new(0u64..4));
         let a = tb.add_bolt("a", 1, |_| Box::new(A) as Box<dyn Bolt<u64>>);
-        let b = {
-            let seen = seen.clone();
-            tb.add_bolt("b", 1, move |_| {
-                Box::new(B { seen: seen.clone() }) as Box<dyn Bolt<u64>>
-            })
-        };
+        let b = tb.add_bolt("b", 1, |_| Box::new(B) as Box<dyn Bolt<u64>>);
+        let tap = taps(&mut tb, 1, &seen);
         tb.connect(src, "out", a, Grouping::Shuffle);
         tb.connect(a, "fwd", b, Grouping::Shuffle);
+        tb.connect(a, "fwd", tap, Grouping::Shuffle);
         tb.connect_feedback(b, "back", a, Grouping::Shuffle);
         run_sim(tb.build());
-        let seen = seen.lock().unwrap();
+        let seen: Vec<u64> = seen.lock().unwrap().iter().map(|&(_, m)| m).collect();
         // originals 0..4 plus echoes 100,102 re-forwarded through a
         assert_eq!(seen.len(), 6);
         assert!(seen.contains(&100) && seen.contains(&102));
     }
 
     #[test]
+    #[should_panic(expected = "sim stalled: waiter[0]")]
+    fn a_task_waiting_on_control_nobody_can_send_stalls_the_sim_by_name() {
+        // `waiter` owes itself a feedback message it never sends, and its
+        // own feedback sender keeps its control lane open
+        struct Waiter;
+        impl Bolt<u64> for Waiter {
+            fn on_message(&mut self, _msg: u64, _out: &mut dyn Emitter<u64>) {}
+            fn drained(&self) -> bool {
+                false
+            }
+        }
+        let mut tb = TopologyBuilder::new();
+        let src = tb.add_spout("src", 1, |_| Box::new(0u64..3));
+        let waiter = tb.add_bolt("waiter", 1, |_| Box::new(Waiter) as Box<dyn Bolt<u64>>);
+        tb.connect(src, "out", waiter, Grouping::Shuffle);
+        tb.connect_feedback(waiter, "owed", waiter, Grouping::Shuffle);
+        run_sim(tb.build());
+    }
+
+    #[test]
     fn determinism_across_runs() {
-        let build = |sink_log: Arc<Mutex<Vec<(usize, u64)>>>| {
+        let build = |sink_log: &Log| {
             let mut tb = TopologyBuilder::new();
             let src = tb.add_spout("src", 1, |_| Box::new(0u64..50));
             let mid = tb.add_bolt("mid", 2, |_| {
@@ -547,24 +529,14 @@ mod tests {
                 }
                 Box::new(Fwd) as Box<dyn Bolt<u64>>
             });
-            let sink = {
-                let log = sink_log.clone();
-                tb.add_bolt("sink", 3, move |task| {
-                    Box::new(Tap {
-                        seen: log.clone(),
-                        task,
-                        forward: None,
-                    }) as Box<dyn Bolt<u64>>
-                })
-            };
+            let sink = taps(&mut tb, 3, sink_log);
             tb.connect(src, "out", mid, Grouping::Shuffle);
             tb.connect(mid, "x", sink, Grouping::Shuffle);
             tb.build()
         };
-        let log1 = Arc::new(Mutex::new(Vec::new()));
-        run_sim(build(log1.clone()));
-        let log2 = Arc::new(Mutex::new(Vec::new()));
-        run_sim(build(log2.clone()));
+        let (log1, log2) = (Log::default(), Log::default());
+        run_sim(build(&log1));
+        run_sim(build(&log2));
         assert_eq!(*log1.lock().unwrap(), *log2.lock().unwrap());
     }
 }

@@ -1,10 +1,11 @@
-//! Supervision of the threaded runtime: fault injection, checkpointed
-//! recovery, graceful degradation.
+//! Supervision of either runtime: fault injection, checkpointed recovery,
+//! graceful degradation.
 //!
-//! Unsupervised, the runtime treats a panicking task as fatal: the panic
-//! propagates out of the join path and the run is lost. With
-//! [`ThreadedConfig::supervision`](crate::ThreadedConfig::supervision) set,
-//! the task loop routes every envelope through a per-task supervisor, which
+//! Unsupervised, a runtime treats a panicking task as fatal: the run fails
+//! with a [`RunError`](crate::RunError). With a [`SuperviseConfig`] (from
+//! [`ThreadedConfig::supervision`](crate::ThreadedConfig::supervision), or
+//! [`try_run_sim_batched`](crate::try_run_sim_batched)'s argument), the
+//! bolt step routes every envelope through a per-task supervisor, which
 //! wraps the operator callback in `catch_unwind`:
 //!
 //! 1. **Detect** — a panic inside `on_message`/`on_batch` is caught; the
@@ -28,8 +29,8 @@
 //!    operator still terminates.
 //!
 //! Supervision state is task-local: each task counts its own faults,
-//! restarts and replays and hands them back when it finishes, and the join
-//! path sums them into [`ThreadStats`](crate::ThreadStats). The only thing
+//! restarts and replays and hands them back when it finishes, and the run
+//! sums them into [`ThreadStats`](crate::ThreadStats). The only thing
 //! tasks share is the [`SuperviseConfig`], whose
 //! [`on_degrade`](SuperviseConfig::on_degrade) hook fires live, as a task
 //! degrades.
@@ -39,7 +40,8 @@
 //! fault plan dropped the message), the drain would otherwise wait forever.
 //! Supervised, that wait has a deadline: after
 //! [`SuperviseConfig::drain_patience`] of silence the task force-degrades
-//! and the run completes.
+//! and the run completes. The sim needs no clock for it: once nothing is
+//! left to deliver, a starved task degrades at once.
 //!
 //! # Deterministic fault injection
 //!
@@ -51,7 +53,7 @@
 //! [`ThreadStats::faults_injected`](crate::ThreadStats::faults_injected) can
 //! tell them apart from genuine bugs surfacing mid-test.
 
-use crate::threaded::{decode_panic, feed, Envelope, ThreadedEmitter};
+use crate::threaded::{decode_panic, feed, Envelope, Port, TaskEmitter};
 use crate::topology::{Bolt, BoltFactory, ComponentId, Emitter};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -107,7 +109,7 @@ pub struct SuperviseConfig {
     pub faults: Vec<FaultSpec>,
     /// Silence tolerated in the post-Eos drain while the bolt still
     /// reports un-drained, before force-degrading it (the lost control
-    /// message is never coming). Default 3 s.
+    /// message is never coming). Default 3 s; the sim never waits.
     pub drain_patience: Duration,
     /// Invoked (component, task) whenever a task degrades, before the run
     /// finishes — lets the embedding route around the dead operator while
@@ -203,7 +205,7 @@ impl TaskFaults {
 /// Default tombstone: drops every message, emits nothing, always drained.
 struct Blackhole;
 
-impl<M: Send> Bolt<M> for Blackhole {
+impl<M> Bolt<M> for Blackhole {
     fn on_message(&mut self, _msg: M, _out: &mut dyn Emitter<M>) {}
     fn on_batch(&mut self, _msgs: Vec<M>, _out: &mut dyn Emitter<M>) {}
 }
@@ -237,7 +239,7 @@ pub(crate) struct TaskSupervisor<M> {
     pub(crate) faults: TaskFaults,
 }
 
-impl<M: Clone + Send + 'static> TaskSupervisor<M> {
+impl<M: Clone + 'static> TaskSupervisor<M> {
     pub(crate) fn new(
         config: Arc<SuperviseConfig>,
         component: ComponentId,
@@ -342,11 +344,11 @@ impl<M: Clone + Send + 'static> TaskSupervisor<M> {
     /// Process one envelope under supervision. Returns the number of
     /// messages successfully processed (0 if the callback panicked, in
     /// which case any redeliveries were queued onto `pending`).
-    pub(crate) fn process(
+    pub(crate) fn process<P: Port<M>>(
         &mut self,
         bolt: &mut Box<dyn Bolt<M>>,
         env: Envelope<M>,
-        emitter: &mut ThreadedEmitter<M>,
+        emitter: &mut TaskEmitter<M, P>,
         pending: &mut VecDeque<Envelope<M>>,
     ) -> u64 {
         if matches!(env, Envelope::Eos) {
@@ -412,7 +414,7 @@ impl<M: Clone + Send + 'static> TaskSupervisor<M> {
 
     /// The final flush under supervision: a panic here can no longer be
     /// retried, so it is counted and the task disclosed as degraded.
-    pub(crate) fn flush(&mut self, bolt: &mut dyn Bolt<M>, emitter: &mut ThreadedEmitter<M>) {
+    pub(crate) fn flush(&mut self, bolt: &mut dyn Bolt<M>, emitter: &mut dyn Emitter<M>) {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| bolt.on_flush(emitter))) {
             self.faults.note_panic(&*payload);
             self.faults
@@ -424,6 +426,8 @@ impl<M: Clone + Send + 'static> TaskSupervisor<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::tests::{taps, Log};
+    use crate::sim::try_run_sim_batched;
     use crate::threaded::{
         try_run_threaded_batched, BatchPolicy, ThreadStats, ThreadedConfig, DRAIN_BURST,
     };
@@ -469,14 +473,9 @@ mod tests {
         }
     }
 
-    struct Collect {
-        seen: Arc<StdMutex<Vec<u64>>>,
-    }
-
-    impl Bolt<u64> for Collect {
-        fn on_message(&mut self, m: u64, _o: &mut dyn Emitter<u64>) {
-            self.seen.lock().unwrap().push(m);
-        }
+    /// The messages `seen` logged, in order.
+    fn messages(seen: &Log) -> Vec<u64> {
+        seen.lock().unwrap().iter().map(|&(_, m)| m).collect()
     }
 
     /// The barrier-emitting totals an unfaulted run produces for 1..=500.
@@ -496,7 +495,7 @@ mod tests {
     /// src (1..=500) → acc → sink at batch depth `depth`; returns what the
     /// sink saw, in order, and the run's stats.
     fn acc_run(depth: usize, supervision: Option<SuperviseConfig>) -> (Vec<u64>, ThreadStats) {
-        let seen: Arc<StdMutex<Vec<u64>>> = Arc::new(StdMutex::new(Vec::new()));
+        let seen = Log::default();
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let gate: Gate = Arc::new(StdMutex::new(gate_rx));
         let mut tb = TopologyBuilder::new();
@@ -519,12 +518,7 @@ mod tests {
                 gate: Some(gate.clone()),
             }) as Box<dyn Bolt<u64>>
         });
-        let sink = {
-            let seen = seen.clone();
-            tb.add_bolt("sink", 1, move |_| {
-                Box::new(Collect { seen: seen.clone() }) as Box<dyn Bolt<u64>>
-            })
-        };
+        let sink = taps(&mut tb, 1, &seen);
         assert_eq!(acc, 1);
         tb.connect(src, "out", acc, Grouping::Shuffle);
         tb.connect(acc, "totals", sink, Grouping::Global);
@@ -537,7 +531,7 @@ mod tests {
             BatchPolicy::new(depth, |m: &u64| m.is_multiple_of(100)),
         )
         .expect("run");
-        let totals = seen.lock().unwrap().clone();
+        let totals = messages(&seen);
         (totals, stats)
     }
 
@@ -643,6 +637,41 @@ mod tests {
                     oracle_totals(),
                     "depth {depth}, kill after {after}: sink sequence diverged"
                 );
+                assert_eq!((stats.faults_injected, stats.tasks_restarted), (1, 1));
+            }
+        }
+    }
+
+    #[test]
+    fn sim_kill_anywhere_in_a_coalesced_batch_preserves_fifo_order() {
+        // The sim twin: `Burst` turns input n into acc's inputs
+        // 10n+1..=10n+10, queued back to back, so acc takes them as one
+        // coalesced batch per burst (at depth 8, a batch of 8 and one of 2)
+        // and a kill swept over a burst lands inside a batch.
+        struct Burst;
+        impl Bolt<u64> for Burst {
+            fn on_message(&mut self, n: u64, out: &mut dyn Emitter<u64>) {
+                (10 * n + 1..=10 * n + 10).for_each(|m| out.emit("acc", m));
+            }
+        }
+        for depth in [1usize, 8, 32] {
+            for after in 201..=210 {
+                let seen = Log::default();
+                let mut tb = TopologyBuilder::new();
+                let src = tb.add_spout("src", 1, |_| Box::new(0u64..50));
+                let acc = tb.add_bolt("acc", 1, |_| {
+                    Box::new(Acc { sum: 0, gate: None }) as Box<dyn Bolt<u64>>
+                });
+                let burst = tb.add_bolt("burst", 1, |_| Box::new(Burst) as Box<dyn Bolt<u64>>);
+                let sink = taps(&mut tb, 1, &seen);
+                tb.connect(src, "out", burst, Grouping::Shuffle);
+                tb.connect(burst, "acc", acc, Grouping::Shuffle);
+                tb.connect(acc, "totals", sink, Grouping::Global);
+                let policy = BatchPolicy::new(depth, |m: &u64| m.is_multiple_of(100));
+                let stats = try_run_sim_batched(tb.build(), policy, kill_acc_after(after));
+                let stats = stats.expect("supervised run");
+                let label = format!("depth {depth}, kill after {after}");
+                assert_eq!(messages(&seen), oracle_totals(), "{label}");
                 assert_eq!((stats.faults_injected, stats.tasks_restarted), (1, 1));
             }
         }
@@ -763,15 +792,10 @@ mod tests {
     /// the spout marked degraded.
     #[test]
     fn spout_kill_truncates_but_terminates() {
-        let seen: Arc<StdMutex<Vec<u64>>> = Arc::new(StdMutex::new(Vec::new()));
+        let seen = Log::default();
         let mut tb = TopologyBuilder::new();
         let src = tb.add_spout("src", 1, |_| Box::new(1u64..=500));
-        let sink = {
-            let seen = seen.clone();
-            tb.add_bolt("sink", 1, move |_| {
-                Box::new(Collect { seen: seen.clone() }) as Box<dyn Bolt<u64>>
-            })
-        };
+        let sink = taps(&mut tb, 1, &seen);
         tb.connect(src, "out", sink, Grouping::Shuffle);
         let stats = try_run_threaded_batched(
             tb.build(),

@@ -1,14 +1,18 @@
-//! Multi-threaded runtime: one OS thread per task, crossbeam channels.
+//! Multi-threaded runtime: one OS thread per task, crossbeam channels — and
+//! the task code both runtimes run.
 //!
 //! This is the "real" execution mode, demonstrating that the operator state
-//! machines tolerate genuine parallelism. Routing semantics match the sim
-//! runtime; only interleaving differs (and therefore anything
-//! order-sensitive, exactly as on a Storm cluster).
+//! machines tolerate genuine parallelism. The tasks (`SpoutTask`,
+//! `BoltTask`), their emitter and its grouping logic (`route_one`) are
+//! generic over where an envelope goes (`Port`): a channel sender here, the
+//! executor's queue in the [sim](crate::sim), which steps the very same
+//! tasks one delivery at a time. Only the interleaving differs (and
+//! therefore anything order-sensitive, exactly as on a Storm cluster).
 //!
 //! Every bolt task consumes one inbox with two lanes: a bounded data lane
 //! (backpressure) and an unbounded control lane that the feedback edges
 //! send into. The task parks in one place, a receive on both lanes that
-//! serves data first.
+//! serves data first, and hands what it receives to `BoltTask::step`.
 //!
 //! Shutdown protocol: every producer task, once exhausted (spout) or fully
 //! flushed (bolt), broadcasts one `Eos` marker over each *non-feedback*
@@ -40,16 +44,16 @@
 //!
 //! # Supervision
 //!
-//! There is one task loop (`BoltTask::run`). With
+//! There is one bolt step (`BoltTask::step`). With
 //! [`ThreadedConfig::supervision`] unset it calls the operator callbacks
 //! directly and a panic unwinds to the join path, failing the run with a
-//! [`RunError`]. With it set, the same loop routes every envelope through a
+//! [`RunError`]. With it set, the same step routes every envelope through a
 //! per-task supervisor (`catch_unwind`, checkpointed restarts, replay,
 //! degradation — see [`crate::supervise`]).
 
 use crate::supervise::{SuperviseConfig, TaskFaults, TaskSupervisor};
 use crate::topology::{Bolt, ComponentId, ComponentKind, Emitter, Grouping, Spout, Topology};
-use crossbeam::channel::{bounded, inbox, ChannelCounters, Lane, Received, Receiver, Sender};
+use crossbeam::channel::{bounded, inbox, Lane, Received, Receiver, Sender};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -120,7 +124,25 @@ pub(crate) fn decode_panic(payload: &(dyn std::any::Any + Send)) -> (Option<RunE
     (None, "opaque panic payload".to_string())
 }
 
-/// Per-run statistics of a threaded execution.
+/// What task `task` of component `c` (named in `names`) dying with
+/// `payload` fails the run with.
+pub(crate) fn task_error(
+    payload: &(dyn std::any::Any + Send),
+    names: &[String],
+    c: ComponentId,
+    task: usize,
+) -> RunError {
+    let (structured, message) = decode_panic(payload);
+    structured.unwrap_or(RunError::TaskPanicked {
+        component: names[c].clone(),
+        id: c,
+        task,
+        message,
+    })
+}
+
+/// Per-run statistics of an execution, threaded or sim (whose runs leave
+/// the wall-clock and channel fields zero).
 #[derive(Debug, Clone, Default)]
 pub struct ThreadStats {
     /// Data messages processed per component.
@@ -158,6 +180,36 @@ pub struct ThreadStats {
     /// Tasks that exhausted their restart budget (or starved in the drain)
     /// and were tombstoned, in (component, task) order.
     pub degraded_tasks: Vec<(ComponentId, usize)>,
+}
+
+impl ThreadStats {
+    /// Zeroed stats shaped for `topology`.
+    pub(crate) fn new<M>(topology: &Topology<M>) -> Self {
+        let specs = &topology.components;
+        let zeros = vec![0; specs.len()];
+        ThreadStats {
+            processed: zeros.clone(),
+            emitted: zeros.clone(),
+            task_busy_seconds: specs.iter().map(|s| vec![0.0; s.parallelism]).collect(),
+            channel_send_waits: zeros.clone(),
+            channel_recv_waits: zeros,
+            ..ThreadStats::default()
+        }
+    }
+
+    /// Fold in the result of task `t` of component `c`.
+    pub(crate) fn add(&mut self, c: ComponentId, t: usize, result: TaskResult) {
+        self.processed[c] += result.processed;
+        self.emitted[c] += result.emitted;
+        self.task_busy_seconds[c][t] = result.busy.as_secs_f64();
+        let faults = result.faults;
+        self.faults_injected += faults.faults_injected;
+        self.tasks_restarted += faults.tasks_restarted;
+        self.rounds_replayed += faults.rounds_replayed;
+        if faults.degraded {
+            self.degraded_tasks.push((c, t));
+        }
+    }
 }
 
 /// Tunables of the threaded runtime.
@@ -270,37 +322,67 @@ impl<M> BatchPool<M> {
     }
 }
 
-struct EdgeRt<M> {
+/// Where a task's envelopes to one lane of one consumer task go: a channel
+/// sender on the threaded runtime, the executor's queue on the sim.
+pub(crate) trait Port<M>: Clone {
+    /// True for the threaded runtime: destinations batch per consumer task
+    /// and callbacks are timed. The sim port does neither, so a sim emitter
+    /// holds nothing back and no sim step reads a clock.
+    const THREADED: bool;
+
+    /// Deliver one envelope. A send into a consumer that already shut down
+    /// (possible only on feedback paths) is dropped silently, mirroring a
+    /// Storm worker ignoring tuples for a dead executor.
+    fn send(&self, env: Envelope<M>);
+
+    /// Deliver a burst of envelopes, in order.
+    fn send_many(&self, envs: Vec<Envelope<M>>) {
+        envs.into_iter().for_each(|env| self.send(env));
+    }
+}
+
+impl<M> Port<M> for Sender<Envelope<M>> {
+    const THREADED: bool = true;
+
+    fn send(&self, env: Envelope<M>) {
+        let _ = Sender::send(self, env);
+    }
+
+    fn send_many(&self, envs: Vec<Envelope<M>>) {
+        let _ = Sender::send_many(self, envs);
+    }
+}
+
+struct EdgeRt<M, P> {
     stream: &'static str,
     to: ComponentId,
     grouping: Grouping<M>,
     feedback: bool,
-    /// One sender per consumer task.
-    senders: Vec<Sender<Envelope<M>>>,
+    /// One port per consumer task.
+    senders: Vec<P>,
 }
 
 /// One producer component's routing table, shared across its tasks.
-type Routes<M> = Arc<Vec<EdgeRt<M>>>;
+type Routes<M, P> = Arc<Vec<EdgeRt<M, P>>>;
 
 /// One destination's (consumer task's) outgoing batch accumulator.
-struct BatchBuf<M> {
-    sender: Sender<Envelope<M>>,
+struct BatchBuf<M, P> {
+    sender: P,
     buf: Vec<M>,
 }
 
-/// Slot marker for destinations that never batch (feedback edges).
+/// Slot marker for destinations that never batch (feedback edges, and
+/// every destination of a sim task).
 const UNBATCHED: usize = usize::MAX;
 
 /// A task's outgoing side: one batch buffer per *distinct* non-feedback
 /// destination task (shared by every edge pointing at it) and the count of
-/// messages sent. Sends block while the consumer's inbox is full
-/// (backpressure); a send into a consumer that already shut down (possible
-/// only on feedback paths) is dropped silently, mirroring a Storm worker
-/// ignoring tuples for a dead executor.
-struct Outbox<M> {
+/// messages sent. Threaded sends block while the consumer's inbox is full
+/// (backpressure).
+struct Outbox<M, P> {
     max_batch: usize,
     barrier: Arc<dyn Fn(&M) -> bool + Send + Sync>,
-    bufs: Vec<BatchBuf<M>>,
+    bufs: Vec<BatchBuf<M, P>>,
     /// Topology-wide recycler the flush paths draw replacement buffers
     /// from, fed by consumers returning spent batch vectors.
     pool: Arc<BatchPool<M>>,
@@ -308,12 +390,12 @@ struct Outbox<M> {
     emitted: u64,
 }
 
-impl<M> Outbox<M> {
+impl<M, P: Port<M>> Outbox<M, P> {
     /// Send buffer `slot` as one batch envelope.
     fn flush(&mut self, slot: usize) {
         let dest = &mut self.bufs[slot];
         let batch = std::mem::replace(&mut dest.buf, self.pool.get());
-        let _ = dest.sender.send(Envelope::Batch(batch));
+        dest.sender.send(Envelope::Batch(batch));
     }
 
     /// Flush every pending batch buffer (barrier messages and Eos call this).
@@ -327,7 +409,7 @@ impl<M> Outbox<M> {
 
     /// Send `msg` to one destination: buffered when batching applies to this
     /// destination (`slot`), directly otherwise.
-    fn send(&mut self, slot: usize, sender: &Sender<Envelope<M>>, msg: M, batch_this: bool) {
+    fn send(&mut self, slot: usize, sender: &P, msg: M, batch_this: bool) {
         self.emitted += 1;
         if batch_this && slot != UNBATCHED {
             let buf = &mut self.bufs[slot].buf;
@@ -336,7 +418,7 @@ impl<M> Outbox<M> {
                 self.flush(slot);
             }
         } else {
-            let _ = sender.send(Envelope::Data(msg));
+            sender.send(Envelope::Data(msg));
         }
     }
 
@@ -345,10 +427,10 @@ impl<M> Outbox<M> {
     /// per-message dispatch), flushing first if they would overflow it.
     /// Keeps the channel-operation count of the buffered path while
     /// skipping its per-message barrier checks and pushes.
-    fn send_batch(&mut self, slot: usize, sender: &Sender<Envelope<M>>, mut msgs: Vec<M>) {
+    fn send_batch(&mut self, slot: usize, sender: &P, mut msgs: Vec<M>) {
         self.emitted += msgs.len() as u64;
         if slot == UNBATCHED {
-            let _ = sender.send(Envelope::Batch(msgs));
+            sender.send(Envelope::Batch(msgs));
             return;
         }
         let pending = self.bufs[slot].buf.len();
@@ -369,14 +451,14 @@ impl<M> Outbox<M> {
 }
 
 /// Deliver an oversized batch as a burst of `max_batch`-sized envelopes
-/// pushed with a single [`Sender::send_many`] call — one synchronisation
+/// pushed with a single [`Port::send_many`] call — one synchronisation
 /// point for the whole burst — keeping the inbox's capacity denomination
 /// (messages per slot) honest instead of smuggling an arbitrarily large
 /// batch through one queue slot. A disconnect mid-burst means the consumer
 /// shut down: dropped silently, like a single envelope.
-fn deliver_chunked<M>(sender: &Sender<Envelope<M>>, msgs: Vec<M>, max_batch: usize) {
+fn deliver_chunked<M, P: Port<M>>(sender: &P, msgs: Vec<M>, max_batch: usize) {
     if msgs.len() <= max_batch {
-        let _ = sender.send(Envelope::Batch(msgs));
+        sender.send(Envelope::Batch(msgs));
         return;
     }
     let mut iter = msgs.into_iter();
@@ -388,17 +470,18 @@ fn deliver_chunked<M>(sender: &Sender<Envelope<M>>, msgs: Vec<M>, max_batch: usi
         }
         envs.push(Envelope::Batch(chunk));
     }
-    let _ = sender.send_many(envs);
+    sender.send_many(envs);
 }
 
 /// Route one message over one non-direct edge, honouring per-destination
 /// batching — the shared per-message path of [`Emitter::emit`] and the
-/// spread-grouping arm of [`Emitter::emit_batch`].
-fn route_one<M: Clone>(
-    e: &EdgeRt<M>,
+/// spread-grouping arm of [`Emitter::emit_batch`], and the one copy of the
+/// grouping logic both runtimes run.
+fn route_one<M: Clone, P: Port<M>>(
+    e: &EdgeRt<M, P>,
     edge_slots: &[usize],
     counter: &mut usize,
-    outbox: &mut Outbox<M>,
+    outbox: &mut Outbox<M, P>,
     msg: &M,
     barrier: bool,
 ) {
@@ -429,12 +512,13 @@ fn route_one<M: Clone>(
 /// long (the next receive serves it once the data lane is empty).
 pub(crate) const DRAIN_BURST: usize = 32;
 
-pub(crate) struct ThreadedEmitter<M> {
-    edges: Routes<M>,
+/// A task's [`Emitter`], on either runtime.
+pub(crate) struct TaskEmitter<M, P> {
+    edges: Routes<M, P>,
     /// Per-edge, per-consumer-task batch buffer index ([`UNBATCHED`] for
-    /// feedback edges).
+    /// feedback edges and for sim ports).
     slots: Vec<Vec<usize>>,
-    outbox: Outbox<M>,
+    outbox: Outbox<M, P>,
     /// Per-edge round-robin counters (task-local; seeded by task index so
     /// parallel producers interleave over consumers).
     shuffle_counters: Vec<usize>,
@@ -445,22 +529,22 @@ pub(crate) struct ThreadedEmitter<M> {
     pub(crate) barrier_emitted: bool,
 }
 
-impl<M> ThreadedEmitter<M> {
+impl<M, P: Port<M>> TaskEmitter<M, P> {
     fn new(
-        edges: Routes<M>,
+        edges: Routes<M, P>,
         task: usize,
         policy: &BatchPolicy<M>,
         pool: Arc<BatchPool<M>>,
     ) -> Self {
         let n_edges = edges.len();
         let mut slots: Vec<Vec<usize>> = Vec::with_capacity(n_edges);
-        let mut bufs: Vec<BatchBuf<M>> = Vec::new();
+        let mut bufs: Vec<BatchBuf<M, P>> = Vec::new();
         let mut slot_of: std::collections::HashMap<(ComponentId, usize), usize> =
             std::collections::HashMap::new();
         for e in edges.iter() {
             let mut edge_slots = Vec::with_capacity(e.senders.len());
             for (t, s) in e.senders.iter().enumerate() {
-                if e.feedback {
+                if e.feedback || !P::THREADED {
                     edge_slots.push(UNBATCHED);
                     continue;
                 }
@@ -475,7 +559,7 @@ impl<M> ThreadedEmitter<M> {
             }
             slots.push(edge_slots);
         }
-        ThreadedEmitter {
+        TaskEmitter {
             edges,
             slots,
             outbox: Outbox {
@@ -519,21 +603,21 @@ impl<M> ThreadedEmitter<M> {
         self.outbox.flush_all();
         for e in self.edges.iter().filter(|e| !e.feedback) {
             for s in &e.senders {
-                let _ = s.send(Envelope::Eos);
+                s.send(Envelope::Eos);
             }
         }
         self.outbox.emitted
     }
 }
 
-impl<M: Clone> Emitter<M> for ThreadedEmitter<M> {
+impl<M: Clone, P: Port<M>> Emitter<M> for TaskEmitter<M, P> {
     fn recycle(&mut self, spent: Vec<M>) {
         self.outbox.pool.put(spent);
     }
 
     fn emit(&mut self, stream: &'static str, msg: M) {
         let barrier = self.flush_if_barrier(&msg);
-        let ThreadedEmitter {
+        let TaskEmitter {
             edges,
             slots,
             outbox,
@@ -566,7 +650,7 @@ impl<M: Clone> Emitter<M> for ThreadedEmitter<M> {
             }
             return;
         }
-        let ThreadedEmitter {
+        let TaskEmitter {
             edges,
             slots,
             outbox,
@@ -638,6 +722,103 @@ impl<M: Clone> Emitter<M> for ThreadedEmitter<M> {
     }
 }
 
+/// One task of a topology, as [`build_tasks`] builds it.
+pub(crate) enum Task<M, P> {
+    Spout(SpoutTask<M, P>),
+    Bolt(BoltTask<M, P>),
+}
+
+/// Build every task of `topology`, in (component, task) order, each with
+/// its emitter: `port(index, lane)` is where an edge reaches the consumer
+/// task at `index` in that order. Both runtimes start here.
+pub(crate) fn build_tasks<M: Clone + 'static, P: Port<M>>(
+    mut topology: Topology<M>,
+    policy: &BatchPolicy<M>,
+    supervision: Option<SuperviseConfig>,
+    mut port: impl FnMut(usize, Lane) -> P,
+) -> Vec<(ComponentId, usize, Task<M, P>)> {
+    let components = &topology.components;
+    // Expected Eos per bolt task = Σ over non-feedback in-edges of the
+    // producer's parallelism.
+    let mut quota = vec![0usize; components.len()];
+    let mut routes: Vec<Vec<EdgeRt<M, P>>> = components.iter().map(|_| Vec::new()).collect();
+    for e in topology.edges.drain(..) {
+        let lane = if e.feedback {
+            Lane::Control
+        } else {
+            quota[e.to] += components[e.from].parallelism;
+            Lane::Data
+        };
+        // consumer tasks are indexed after every task declared before them
+        let first: usize = components[..e.to].iter().map(|s| s.parallelism).sum();
+        let consumers = first..first + components[e.to].parallelism;
+        routes[e.from].push(EdgeRt {
+            stream: e.stream,
+            to: e.to,
+            senders: consumers.map(|i| port(i, lane)).collect(),
+            grouping: e.grouping,
+            feedback: e.feedback,
+        });
+    }
+    // One topology-wide recycler: spent batch vectors returned by consumers
+    // become the producers' next flush buffers.
+    let pool = BatchPool::new(policy.max_batch);
+    let supervision = supervision.map(Arc::new);
+    let mut tasks = Vec::new();
+    for (c, (spec, routes)) in topology.components.into_iter().zip(routes).enumerate() {
+        let routes = Arc::new(routes);
+        let emitter = |t| TaskEmitter::new(routes.clone(), t, policy, pool.clone());
+        match spec.kind {
+            ComponentKind::Spout(mut factory) => {
+                let stream = routes.first().map(|e| e.stream);
+                assert!(
+                    routes.iter().all(|e| Some(e.stream) == stream),
+                    "spouts must use a single stream (wrap routing logic in a bolt)"
+                );
+                for t in 0..spec.parallelism {
+                    let spout = SpoutTask {
+                        id: (c, t),
+                        spout: factory(t),
+                        emitter: emitter(t),
+                        kill_at: supervision
+                            .as_ref()
+                            .and_then(|s| s.schedule_for(c, t).0.first().copied()),
+                        supervision: supervision.clone(),
+                        produced: 0,
+                        faults: TaskFaults::default(),
+                    };
+                    tasks.push((c, t, Task::Spout(spout)));
+                }
+            }
+            ComponentKind::Bolt(factory) => {
+                // Shared with the task supervisors, which rebuild a failed
+                // task's bolt from it.
+                let factory = Arc::new(Mutex::new(factory));
+                for t in 0..spec.parallelism {
+                    let bolt = (factory.lock().expect("factory lock"))(t);
+                    let supervisor = supervision.as_ref().map(|s| {
+                        let barrier = policy.barrier.clone();
+                        TaskSupervisor::new(s.clone(), c, t, factory.clone(), &*bolt, barrier)
+                    });
+                    let bolt = BoltTask {
+                        bolt,
+                        emitter: emitter(t),
+                        supervisor,
+                        pending: VecDeque::new(),
+                        quota: quota[c],
+                        eos_seen: 0,
+                        open: [true; 2],
+                        processed: 0,
+                        busy: Duration::ZERO,
+                    };
+                    tasks.push((c, t, Task::Bolt(bolt)));
+                }
+            }
+        }
+    }
+    tasks
+}
+
 /// Run `topology` to completion with one thread per task and
 /// per-destination channel batching: data messages accumulate into batch
 /// envelopes, flushed on size (`policy.max_batch`), on every barrier
@@ -665,11 +846,10 @@ pub fn run_threaded_batched<M: Clone + Send + 'static>(
 /// them all, and sum the per-task results (supervision counts included) and
 /// the channel counters into one [`ThreadStats`].
 pub fn try_run_threaded_batched<M: Clone + Send + 'static>(
-    mut topology: Topology<M>,
+    topology: Topology<M>,
     config: ThreadedConfig,
     policy: BatchPolicy<M>,
 ) -> Result<ThreadStats, RunError> {
-    let n = topology.components.len();
     // `inbox_capacity` is denominated in *messages*: each bounded-channel
     // slot can carry up to `max_batch` of them, so the slot count shrinks
     // accordingly. Otherwise batching would multiply the in-flight volume
@@ -677,75 +857,40 @@ pub fn try_run_threaded_batched<M: Clone + Send + 'static>(
     // addition verdicts) would queue behind tens of thousands of buffered
     // tuples instead of ~one inbox's worth.
     let capacity = (config.inbox_capacity / policy.max_batch).max(1);
-    // Expected Eos per bolt task = Σ over non-feedback in-edges of the
-    // producer's parallelism.
-    let mut expected_eos = vec![0usize; n];
-    for e in topology.edges.iter().filter(|e| !e.feedback) {
-        expected_eos[e.to] += topology.components[e.from].parallelism;
-    }
-    let (inboxes, edges_of) = wire(&mut topology, capacity);
-    // One topology-wide recycler: spent batch vectors returned by consumers
-    // become the producers' next flush buffers.
-    let pool = BatchPool::new(policy.max_batch);
-    let supervision = config.supervision.map(Arc::new);
-
-    let mut stats = ThreadStats {
-        processed: vec![0; n],
-        emitted: vec![0; n],
-        task_busy_seconds: topology
-            .components
-            .iter()
-            .map(|s| vec![0.0; s.parallelism])
-            .collect(),
-        channel_send_waits: vec![0; n],
-        channel_recv_waits: vec![0; n],
-        ..ThreadStats::default()
-    };
+    let mut stats = ThreadStats::new(&topology);
     let names: Vec<String> = topology.components.iter().map(|s| s.name.clone()).collect();
+    // One inbox per task (a spout's goes unused): a bounded data lane
+    // (backpressure) and an unbounded control lane, which the feedback
+    // edges send into.
+    let (senders, inboxes): (Vec<_>, Vec<_>) = (0..topology.total_tasks())
+        .map(|_| {
+            let (data, control, rx) = inbox(capacity);
+            ([data, control], rx)
+        })
+        .unzip();
+    let tasks = build_tasks(topology, &policy, config.supervision, |i, lane| {
+        senders[i][lane as usize].clone()
+    });
+    // Only the tasks hold senders now, so after a task dies without sending
+    // Eos its consumers still terminate by observing disconnection.
+    drop(senders);
 
-    // (component, task, thread) per spawned task.
-    let mut handles: Vec<(ComponentId, usize, thread::JoinHandle<TaskResult>)> = Vec::new();
-    // Contention counter handles of every inbox, by component. Arc'd
-    // snapshots of the channels' own counters: they stay readable after
-    // every endpoint is dropped, which is how the run folds transport
-    // contention into the stats post-join.
-    let mut counters: Vec<(ComponentId, ChannelCounters)> = Vec::new();
-    for (c, (spec, task_inboxes)) in topology.components.into_iter().zip(inboxes).enumerate() {
-        let emitter_for =
-            |t: usize| ThreadedEmitter::new(edges_of[c].clone(), t, &policy, pool.clone());
-        match spec.kind {
-            ComponentKind::Spout(mut factory) => {
-                for t in 0..spec.parallelism {
-                    let (spout, emitter) = (factory(t), emitter_for(t));
-                    let supervision = supervision.clone();
-                    let body = move || run_spout_task(c, t, spout, emitter, supervision);
-                    handles.push((c, t, thread::spawn(body)));
-                }
+    // (component, task, thread) per spawned task, and the contention
+    // counters of every inbox by component: Arc'd snapshots of the
+    // channels' own counters, readable after every endpoint is dropped,
+    // which is how the run folds transport contention into the stats.
+    let mut handles = Vec::new();
+    let mut counters = Vec::new();
+    for ((c, t, task), inbox) in tasks.into_iter().zip(inboxes) {
+        let handle = match task {
+            Task::Spout(spout) => thread::spawn(move || spout.run()),
+            Task::Bolt(bolt) => {
+                counters.push((c, inbox.counters()));
+                thread::spawn(move || bolt.run(inbox))
             }
-            ComponentKind::Bolt(factory) => {
-                // Shared with the task supervisors, which rebuild a failed
-                // task's bolt from it.
-                let factory = Arc::new(Mutex::new(factory));
-                for (t, inbox) in task_inboxes.into_iter().enumerate() {
-                    counters.push((c, inbox.counters()));
-                    let bolt = (factory.lock().expect("factory lock"))(t);
-                    let supervisor = supervision.as_ref().map(|s| {
-                        let barrier = policy.barrier.clone();
-                        TaskSupervisor::new(s.clone(), c, t, factory.clone(), &*bolt, barrier)
-                    });
-                    let task = BoltTask::new(bolt, emitter_for(t), supervisor);
-                    let quota = expected_eos[c];
-                    handles.push((c, t, thread::spawn(move || task.run(inbox, quota))));
-                }
-            }
-        }
+        };
+        handles.push((c, t, handle));
     }
-
-    // Release the routing tables (and the senders inside them) held by this
-    // thread: after a task dies without sending Eos, its consumers can only
-    // terminate by observing channel disconnection, which needs every
-    // producer-side sender — including these — gone.
-    drop(edges_of);
 
     // Join every handle (so no thread is leaked) before reporting the first
     // failure, structured with the identity of the operator that died.
@@ -754,28 +899,9 @@ pub fn try_run_threaded_batched<M: Clone + Send + 'static>(
     let mut first_error: Option<RunError> = None;
     for (c, t, handle) in handles {
         match handle.join() {
-            Ok(result) => {
-                stats.processed[c] += result.processed;
-                stats.emitted[c] += result.emitted;
-                stats.task_busy_seconds[c][t] = result.busy.as_secs_f64();
-                let faults = result.faults;
-                stats.faults_injected += faults.faults_injected;
-                stats.tasks_restarted += faults.tasks_restarted;
-                stats.rounds_replayed += faults.rounds_replayed;
-                if faults.degraded {
-                    stats.degraded_tasks.push((c, t));
-                }
-            }
+            Ok(result) => stats.add(c, t, result),
             Err(payload) => {
-                if first_error.is_none() {
-                    let (structured, message) = decode_panic(&*payload);
-                    first_error = Some(structured.unwrap_or(RunError::TaskPanicked {
-                        component: names[c].clone(),
-                        id: c,
-                        task: t,
-                        message,
-                    }));
-                }
+                first_error.get_or_insert_with(|| task_error(&*payload, &names, c, t));
             }
         }
     }
@@ -789,119 +915,85 @@ pub fn try_run_threaded_batched<M: Clone + Send + 'static>(
     Ok(stats)
 }
 
-/// A bolt task's inbox: the receiver of its data and control lanes.
-type Inbox<M> = Receiver<Envelope<M>>;
-
-/// Build channels and routing tables for `topology` (draining its edge
-/// list): one inbox per bolt task, indexed `[component][task]` (empty for
-/// spouts), and each producer's routing table. An inbox has a bounded data
-/// lane (backpressure) and an unbounded control lane: feedback edges send
-/// into the control lane, everything else into the data lane.
-fn wire<M>(topology: &mut Topology<M>, capacity: usize) -> (Vec<Vec<Inbox<M>>>, Vec<Routes<M>>) {
-    let mut inboxes = Vec::new();
-    let mut outboxes = Vec::new();
-    for spec in &topology.components {
-        let tasks = match spec.kind {
-            ComponentKind::Bolt(_) => spec.parallelism,
-            ComponentKind::Spout(_) => 0,
-        };
-        let (tx, rx): (Vec<_>, Vec<_>) = (0..tasks)
-            .map(|_| {
-                let (data, control, rx) = inbox(capacity);
-                ((data, control), rx)
-            })
-            .unzip();
-        outboxes.push(tx);
-        inboxes.push(rx);
-    }
-
-    let mut edges_of: Vec<Vec<EdgeRt<M>>> =
-        topology.components.iter().map(|_| Vec::new()).collect();
-    for e in topology.edges.drain(..) {
-        let senders = outboxes[e.to]
-            .iter()
-            .map(|(data, control)| if e.feedback { control } else { data }.clone())
-            .collect();
-        edges_of[e.from].push(EdgeRt {
-            stream: e.stream,
-            to: e.to,
-            senders,
-            grouping: e.grouping,
-            feedback: e.feedback,
-        });
-    }
-    // `outboxes` drops here, so the channels disconnect once all producer
-    // threads finish.
-    (inboxes, edges_of.into_iter().map(Arc::new).collect())
-}
-
-/// What each task thread reports back.
-struct TaskResult {
+/// What each task reports back when it finishes.
+pub(crate) struct TaskResult {
     processed: u64,
     emitted: u64,
     busy: Duration,
     faults: TaskFaults,
 }
 
-/// The body of one spout task: pull the spout dry into the emitter, then
-/// broadcast `Eos`. A spout has no upstream to replay it, so its
-/// supervision is detect-and-degrade: a panic (or an injected kill)
-/// truncates the stream, Eos still goes out, and the run finishes
-/// partial-but-honest. Unsupervised, the panic unwinds to the join path.
-fn run_spout_task<M: Clone>(
-    c: ComponentId,
-    t: usize,
-    mut spout: Box<dyn Spout<M>>,
-    mut emitter: ThreadedEmitter<M>,
+/// One spout task: the spout, its emitter and its fault schedule. A spout
+/// has no upstream to replay it, so its supervision is detect-and-degrade:
+/// a panic (or an injected kill) truncates the stream, Eos still goes out,
+/// and the run finishes partial-but-honest. Unsupervised, the panic unwinds
+/// out of the runtime.
+pub(crate) struct SpoutTask<M, P> {
+    id: (ComponentId, usize),
+    spout: Box<dyn Spout<M>>,
+    emitter: TaskEmitter<M, P>,
     supervision: Option<Arc<SuperviseConfig>>,
-) -> TaskResult {
-    // spouts use their single declared stream
-    let stream = emitter.edges.first().map(|e| e.stream).unwrap_or("out");
-    debug_assert!(
-        emitter.edges.iter().all(|e| e.stream == stream),
-        "spouts must use a single stream"
-    );
-    // The first kill ends the stream, so later ones never fire.
-    let kill_at = supervision
-        .as_ref()
-        .and_then(|s| s.schedule_for(c, t).0.first().copied());
-    let mut faults = TaskFaults::default();
-    let mut produced = 0u64;
-    let start = Instant::now();
-    let mut pump = || {
-        while let Some(msg) = spout.next() {
-            if kill_at.is_some_and(|at| produced >= at) {
-                std::panic::panic_any("injected fault: kill-task".to_string());
-            }
-            produced += 1;
-            emitter.emit(stream, msg);
+    /// The first scheduled kill: it ends the stream, so later ones never
+    /// fire.
+    kill_at: Option<u64>,
+    produced: u64,
+    faults: TaskFaults,
+}
+
+impl<M: Clone, P: Port<M>> SpoutTask<M, P> {
+    /// Pull one message and emit it on the spout's one stream; false once
+    /// the spout is exhausted.
+    pub(crate) fn step(&mut self) -> bool {
+        let Some(msg) = self.spout.next() else {
+            return false;
+        };
+        if self.kill_at.is_some_and(|at| self.produced >= at) {
+            std::panic::panic_any("injected fault: kill-task".to_string());
         }
-    };
-    match &supervision {
-        None => pump(),
-        Some(config) => {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(pump)) {
-                faults.note_panic(&*payload);
-                faults.note_degraded(config, c, t);
-            }
+        self.produced += 1;
+        let stream = self.emitter.edges.first().map_or("out", |e| e.stream);
+        self.emitter.emit(stream, msg);
+        true
+    }
+
+    /// Run `pump` (some of [`SpoutTask::step`]) bare, or under supervision,
+    /// where a panic ends the stream. Returns whether the stream goes on.
+    pub(crate) fn pump(&mut self, pump: impl FnOnce(&mut Self) -> bool) -> bool {
+        let Some(config) = self.supervision.clone() else {
+            return pump(self);
+        };
+        catch_unwind(AssertUnwindSafe(|| pump(self))).unwrap_or_else(|payload| {
+            self.faults.note_panic(&*payload);
+            self.faults.note_degraded(&config, self.id.0, self.id.1);
+            false
+        })
+    }
+
+    /// Broadcast `Eos`, ending the task.
+    pub(crate) fn finish(self, busy: Duration) -> TaskResult {
+        TaskResult {
+            processed: self.produced,
+            emitted: self.emitter.send_eos(),
+            busy,
+            faults: self.faults,
         }
     }
-    let busy = start.elapsed();
-    TaskResult {
-        processed: produced,
-        emitted: emitter.send_eos(),
-        busy,
-        faults,
+
+    /// The threaded spout: pull the stream dry, then end.
+    fn run(mut self) -> TaskResult {
+        let start = Instant::now();
+        self.pump(|spout| {
+            while spout.step() {}
+            false
+        });
+        let busy = start.elapsed();
+        self.finish(busy)
     }
 }
 
 /// Hand one envelope to the bolt; returns the number of messages it
 /// carried.
-pub(crate) fn feed<M: Clone>(
-    bolt: &mut dyn Bolt<M>,
-    env: Envelope<M>,
-    out: &mut ThreadedEmitter<M>,
-) -> u64 {
+pub(crate) fn feed<M>(bolt: &mut dyn Bolt<M>, env: Envelope<M>, out: &mut dyn Emitter<M>) -> u64 {
     match env {
         Envelope::Data(msg) => {
             bolt.on_message(msg, out);
@@ -917,139 +1009,98 @@ pub(crate) fn feed<M: Clone>(
 }
 
 /// One bolt task: the operator, its emitter, and the message loop state.
-struct BoltTask<M> {
+pub(crate) struct BoltTask<M, P> {
     bolt: Box<dyn Bolt<M>>,
-    emitter: ThreadedEmitter<M>,
+    emitter: TaskEmitter<M, P>,
     /// `None` runs the callbacks bare: no envelope clone, no checkpoint,
-    /// no starvation clock, and a panic unwinds out of [`BoltTask::run`].
+    /// no starvation clock, and a panic unwinds out of the step.
     supervisor: Option<TaskSupervisor<M>>,
-    /// Envelopes awaiting (re)delivery ahead of the inboxes. Only a
-    /// supervisor's recovery ever fills it (the replay after a restart).
+    /// Envelopes awaiting (re)delivery. Only a supervisor's recovery ever
+    /// fills it (the replay after a restart), and every step runs it dry.
     pending: VecDeque<Envelope<M>>,
-    processed: u64,
+    /// `Eos` markers that end the data side: one per upstream producer task
+    /// and non-feedback edge.
+    quota: usize,
     eos_seen: usize,
+    /// Whether each lane (indexed by `Lane`) is still open.
+    open: [bool; 2],
+    processed: u64,
     busy: Duration,
 }
 
-impl<M: Clone + Send + 'static> BoltTask<M> {
-    fn new(
-        bolt: Box<dyn Bolt<M>>,
-        emitter: ThreadedEmitter<M>,
-        supervisor: Option<TaskSupervisor<M>>,
-    ) -> Self {
-        BoltTask {
-            bolt,
-            emitter,
-            supervisor,
-            pending: VecDeque::new(),
-            processed: 0,
-            eos_seen: 0,
-            busy: Duration::ZERO,
-        }
-    }
-
+impl<M: Clone + 'static, P: Port<M>> BoltTask<M, P> {
     /// Run one envelope through the operator — directly, or under the
     /// supervisor when there is one (which may queue redeliveries into
     /// `pending` instead of counting the envelope processed).
     fn handle(&mut self, env: Envelope<M>) {
-        let t0 = Instant::now();
+        let t0 = P::THREADED.then(Instant::now);
         self.processed += match &mut self.supervisor {
             None => feed(&mut *self.bolt, env, &mut self.emitter),
             Some(sup) => sup.process(&mut self.bolt, env, &mut self.emitter, &mut self.pending),
         };
-        self.busy += t0.elapsed();
-    }
-
-    /// One envelope off the data lane.
-    fn on_data(&mut self, env: Envelope<M>) {
-        match env {
-            Envelope::Eos => self.eos_seen += 1,
-            env => self.handle(env),
+        if let Some(t0) = t0 {
+            self.busy += t0.elapsed();
         }
     }
 
-    /// One envelope off the control lane (which never carries `Eos`),
-    /// unless the fault schedule swallows it.
-    fn on_control(&mut self, env: Envelope<M>) {
-        let dropped = self.supervisor.as_mut().is_some_and(|s| s.drops_control());
-        if !dropped {
+    /// Whether the data side is over: every upstream producer sent `Eos`,
+    /// or the data lane closed.
+    pub(crate) fn data_done(&self) -> bool {
+        self.eos_seen >= self.quota || !self.open[Lane::Data as usize]
+    }
+
+    /// Whether the message loop is over. After the data side finishes, the
+    /// task keeps taking feedback messages until the bolt reports
+    /// `drained()` — the migration barrier: a peer bolt that owes us
+    /// control messages cannot itself terminate before sending them (they
+    /// are triggered by data messages preceding its own Eos), so
+    /// unsupervised this wait always ends; supervised, a control message
+    /// can be lost to a fault, so that wait has a deadline and silence past
+    /// it degrades the task instead.
+    pub(crate) fn finished(&self) -> bool {
+        self.data_done() && (!self.open[Lane::Control as usize] || self.bolt.drained())
+    }
+
+    /// Take one delivery: a data envelope (`Eos` counts toward the quota),
+    /// a control envelope (unless the fault plan swallows it), a lane's
+    /// closure, or the drain deadline. Redeliveries a panic queued run
+    /// before the step returns, so they precede everything received after
+    /// them: the task's FIFO order survives a restart mid-burst.
+    pub(crate) fn step(&mut self, got: Received<Envelope<M>>) {
+        match got {
+            Received::Msg(Lane::Data, Envelope::Eos) => self.eos_seen += 1,
+            Received::Msg(Lane::Data, env) => self.handle(env),
+            Received::Msg(Lane::Control, env) => {
+                if !self.supervisor.as_mut().is_some_and(|s| s.drops_control()) {
+                    self.handle(env);
+                }
+            }
+            Received::Closed(lane) => self.open[lane as usize] = false,
+            // Drain starvation: the owed control message was lost (dropped
+            // by the fault plan, or its sender died). Waiting longer cannot
+            // help — degrade so the run ends.
+            Received::TimedOut => self
+                .supervisor
+                .as_mut()
+                .expect("only a supervised drain has a deadline")
+                .degrade(&mut self.bolt),
+        }
+        while let Some(env) = self.pending.pop_front() {
             self.handle(env);
         }
     }
 
-    /// The message loop of one bolt task. Eos travels only on the data
-    /// lane; the control lane carries feedback messages until its senders
-    /// drop. After the data side finishes, the loop keeps draining feedback
-    /// messages until the bolt reports `drained()` — the migration barrier:
-    /// a peer bolt that owes us control messages cannot itself terminate
-    /// before sending them (they are triggered by data messages preceding
-    /// its own Eos), so unsupervised this wait always ends; supervised, a
-    /// control message can be lost to a fault, so that wait has a deadline
-    /// and silence past it degrades the task instead.
-    fn run(mut self, inbox: Inbox<M>, quota: usize) -> TaskResult {
-        // Whether each lane (indexed by `Lane`) is still open.
-        let mut open = [true; 2];
-        // Reused drain buffer: after the receive yields one data envelope,
-        // everything else already queued is pulled with a single
-        // `recv_drain` synchronisation point and processed in the same pass.
-        let mut burst: Vec<Envelope<M>> = Vec::new();
-        loop {
-            let data_done = self.eos_seen >= quota || !open[Lane::Data as usize];
-            let ctl_open = open[Lane::Control as usize];
-            if data_done && (self.bolt.drained() || !ctl_open) && self.pending.is_empty() {
-                break;
-            }
-
-            // Redeliveries (replay after a restart) run ahead of the
-            // inbox, preserving the task's original FIFO order.
-            if let Some(env) = self.pending.pop_front() {
-                self.handle(env);
-                continue;
-            }
-
-            let deadline = match &self.supervisor {
-                Some(sup) if data_done => Some(Instant::now() + sup.config.drain_patience),
-                _ => None,
-            };
-            match inbox.recv_lanes(open, deadline) {
-                Received::Msg(Lane::Data, env) => {
-                    self.on_data(env);
-                    // Pull the rest of the queued burst with one
-                    // synchronisation point.
-                    if inbox.recv_drain(&mut burst, DRAIN_BURST) > 0 {
-                        for env in burst.drain(..) {
-                            if self.pending.is_empty() || matches!(env, Envelope::Eos) {
-                                self.on_data(env);
-                            } else {
-                                // A panic queued redeliveries, and they must
-                                // run before anything received after them:
-                                // park the rest of the burst behind the
-                                // replay queue, preserving FIFO.
-                                self.pending.push_back(env);
-                            }
-                        }
-                    }
-                }
-                Received::Msg(Lane::Control, env) => self.on_control(env),
-                Received::Closed(lane) => open[lane as usize] = false,
-                // Drain starvation: the owed control message was lost
-                // (dropped by the fault plan, or its sender died). Waiting
-                // longer cannot help — degrade so the run ends.
-                Received::TimedOut => self
-                    .supervisor
-                    .as_mut()
-                    .expect("only a supervised drain has a deadline")
-                    .degrade(&mut self.bolt),
-            }
-        }
-
-        drop(inbox);
-        let t0 = Instant::now();
+    /// Flush the bolt (supervised, a panic here degrades the task), then
+    /// broadcast `Eos`, ending the task.
+    pub(crate) fn finish(mut self) -> TaskResult {
+        let t0 = P::THREADED.then(Instant::now);
         match &mut self.supervisor {
             None => self.bolt.on_flush(&mut self.emitter),
             Some(sup) => sup.flush(&mut *self.bolt, &mut self.emitter),
         }
-        self.busy += t0.elapsed();
+        if let Some(t0) = t0 {
+            self.busy += t0.elapsed();
+        }
         TaskResult {
             processed: self.processed,
             emitted: self.emitter.send_eos(),
@@ -1057,11 +1108,37 @@ impl<M: Clone + Send + 'static> BoltTask<M> {
             faults: self.supervisor.map(|s| s.faults).unwrap_or_default(),
         }
     }
+
+    /// The threaded park: one receive on both lanes of the inbox (with the
+    /// starvation deadline once a supervised task's data side is over),
+    /// then the rest of a queued data burst pulled with one synchronisation
+    /// point.
+    fn run(mut self, inbox: Receiver<Envelope<M>>) -> TaskResult {
+        // Reused drain buffer.
+        let mut burst: Vec<Envelope<M>> = Vec::new();
+        while !self.finished() {
+            let deadline = match &self.supervisor {
+                Some(sup) if self.data_done() => Some(Instant::now() + sup.config.drain_patience),
+                _ => None,
+            };
+            let got = inbox.recv_lanes(self.open, deadline);
+            let data = matches!(got, Received::Msg(Lane::Data, _));
+            self.step(got);
+            if data && inbox.recv_drain(&mut burst, DRAIN_BURST) > 0 {
+                for env in burst.drain(..) {
+                    self.step(Received::Msg(Lane::Data, env));
+                }
+            }
+        }
+        drop(inbox);
+        self.finish()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::tests::{direct_topology, taps, CountOnFlush, Log};
     use crate::topology::{Bolt, Emitter, TopologyBuilder};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc as StdArc, Mutex};
@@ -1152,32 +1229,10 @@ mod tests {
     #[test]
     fn fields_grouping_is_sticky_threaded() {
         for depth in DEPTHS {
-            let seen: StdArc<Mutex<Vec<(usize, u64)>>> = StdArc::new(Mutex::new(Vec::new()));
-            struct Rec {
-                task: usize,
-                seen: StdArc<Mutex<Vec<(usize, u64)>>>,
-            }
-            impl Bolt<u64> for Rec {
-                fn on_message(&mut self, msg: u64, _out: &mut dyn Emitter<u64>) {
-                    self.seen.lock().unwrap().push((self.task, msg));
-                }
-            }
+            let seen = Log::default();
             let mut tb = TopologyBuilder::new();
-            let src = tb.add_spout("src", 2, |task| {
-                Box::new((0..100u64).map(move |i| {
-                    let _ = task;
-                    i % 10
-                }))
-            });
-            let sink = {
-                let seen = seen.clone();
-                tb.add_bolt("sink", 3, move |task| {
-                    Box::new(Rec {
-                        task,
-                        seen: seen.clone(),
-                    }) as Box<dyn Bolt<u64>>
-                })
-            };
+            let src = tb.add_spout("src", 2, |_| Box::new((0..100u64).map(|i| i % 10)));
+            let sink = taps(&mut tb, 3, &seen);
             tb.connect(src, "out", sink, Grouping::Fields(Arc::new(|m: &u64| *m)));
             run(tb.build(), ThreadedConfig::default(), depth).unwrap();
             let seen = seen.lock().unwrap();
@@ -1196,21 +1251,10 @@ mod tests {
         for depth in DEPTHS {
             // two-stage pipeline: counter flush-emits its count, recorder sums.
             let total = StdArc::new(AtomicU64::new(0));
-            struct Counter {
-                n: u64,
-            }
-            impl Bolt<u64> for Counter {
-                fn on_message(&mut self, _m: u64, _o: &mut dyn Emitter<u64>) {
-                    self.n += 1;
-                }
-                fn on_flush(&mut self, out: &mut dyn Emitter<u64>) {
-                    out.emit("count", self.n);
-                }
-            }
             let mut tb = TopologyBuilder::new();
             let src = tb.add_spout("src", 3, |_| Box::new(0u64..50));
             let mid = tb.add_bolt("mid", 2, |_| {
-                Box::new(Counter { n: 0 }) as Box<dyn Bolt<u64>>
+                Box::new(CountOnFlush(0)) as Box<dyn Bolt<u64>>
             });
             let sink = {
                 let total = total.clone();
@@ -1387,31 +1431,16 @@ mod tests {
     /// emission order, across batch boundaries, barriers and the mixed
     /// emit/emit_direct paths.
     fn check_fifo_order(from: u64, to: u64, depth: usize, barrier: fn(&u64) -> bool) {
-        struct Rec {
-            seen: StdArc<Mutex<Vec<u64>>>,
-        }
-        impl Bolt<u64> for Rec {
-            fn on_message(&mut self, m: u64, _o: &mut dyn Emitter<u64>) {
-                self.seen.lock().unwrap().push(m);
-            }
-        }
-        let seen: StdArc<Mutex<Vec<u64>>> = StdArc::new(Mutex::new(Vec::new()));
+        let seen = Log::default();
         let mut tb = TopologyBuilder::new();
         let src = tb.add_spout("src", 1, move |_| Box::new(from..to));
-        let sink = {
-            let seen = seen.clone();
-            tb.add_bolt("sink", 1, move |_| {
-                Box::new(Rec { seen: seen.clone() }) as Box<dyn Bolt<u64>>
-            })
-        };
+        let sink = taps(&mut tb, 1, &seen);
         tb.connect(src, "out", sink, Grouping::Shuffle);
-        let stats = run_threaded_batched(
-            tb.build(),
-            ThreadedConfig::default(),
-            BatchPolicy::new(depth, barrier),
-        );
+        let policy = BatchPolicy::new(depth, barrier);
+        let stats = run_threaded_batched(tb.build(), ThreadedConfig::default(), policy);
         assert_eq!(stats.processed[sink], to - from);
-        assert_eq!(*seen.lock().unwrap(), (from..to).collect::<Vec<u64>>());
+        let seen: Vec<u64> = seen.lock().unwrap().iter().map(|&(_, m)| m).collect();
+        assert_eq!(seen, (from..to).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1430,38 +1459,8 @@ mod tests {
     #[test]
     fn direct_emission_reaches_exact_task() {
         for depth in DEPTHS {
-            let seen: StdArc<Mutex<Vec<(usize, u64)>>> = StdArc::new(Mutex::new(Vec::new()));
-            struct Router;
-            impl Bolt<u64> for Router {
-                fn on_message(&mut self, m: u64, out: &mut dyn Emitter<u64>) {
-                    out.emit_direct("d", 2, (m % 3) as usize, m);
-                }
-            }
-            struct Rec {
-                task: usize,
-                seen: StdArc<Mutex<Vec<(usize, u64)>>>,
-            }
-            impl Bolt<u64> for Rec {
-                fn on_message(&mut self, m: u64, _o: &mut dyn Emitter<u64>) {
-                    self.seen.lock().unwrap().push((self.task, m));
-                }
-            }
-            let mut tb = TopologyBuilder::new();
-            let src = tb.add_spout("src", 1, |_| Box::new(0u64..9));
-            let router = tb.add_bolt("router", 1, |_| Box::new(Router) as Box<dyn Bolt<u64>>);
-            let sink = {
-                let seen = seen.clone();
-                tb.add_bolt("sink", 3, move |task| {
-                    Box::new(Rec {
-                        task,
-                        seen: seen.clone(),
-                    }) as Box<dyn Bolt<u64>>
-                })
-            };
-            assert_eq!(sink, 2);
-            tb.connect(src, "out", router, Grouping::Shuffle);
-            tb.connect(router, "d", sink, Grouping::Direct);
-            run(tb.build(), ThreadedConfig::default(), depth).unwrap();
+            let seen = Log::default();
+            run(direct_topology(9, &seen), ThreadedConfig::default(), depth).unwrap();
             for &(t, m) in seen.lock().unwrap().iter() {
                 assert_eq!(t as u64, m % 3);
             }

@@ -70,8 +70,8 @@ pub trait Bolt<M>: Send {
     }
 
     /// True when this bolt is not waiting for any in-flight *feedback*
-    /// message. The threaded runtime keeps draining a task's control lane
-    /// after end-of-stream until `drained()` holds, so peer-to-peer control
+    /// message. Both runtimes keep draining a task's control lane after
+    /// end-of-stream until `drained()` holds, so peer-to-peer control
     /// protocols (e.g. live state migration between Calculators) complete
     /// cleanly even when a repartition lands right at shutdown. Bolts that
     /// track an expectation (messages owed = messages received) override
@@ -81,7 +81,8 @@ pub trait Bolt<M>: Send {
     /// Liveness contract for overriders: every message you are waiting for
     /// must be guaranteed to be sent by a peer *before* that peer's own
     /// shutdown (e.g. triggered by a data-channel message that precedes its
-    /// `Eos`), or the topology will hang at drain time.
+    /// `Eos`), or the threaded runtime hangs at drain time (the sim stops,
+    /// naming the waiting task).
     fn drained(&self) -> bool {
         true
     }

@@ -15,8 +15,8 @@ use setcorr_core::{
     PartitionSet, PartitionerOutput, QualityReference,
 };
 use setcorr_engine::{
-    run_sim_batched, run_threaded_batched, BatchPolicy, Bolt, FaultSpec, Grouping, Spout,
-    SuperviseConfig, ThreadStats, ThreadedConfig, Topology, TopologyBuilder,
+    run_threaded_batched, try_run_sim_batched, BatchPolicy, Bolt, FaultSpec, Grouping, Spout,
+    SuperviseConfig, ThreadedConfig, Topology, TopologyBuilder,
 };
 use setcorr_model::{fx, Document, TagSetWindow, TimeDelta, WindowKind};
 use std::sync::atomic::AtomicBool;
@@ -107,12 +107,14 @@ pub enum Fault {
     },
 }
 
-/// Supervised threaded execution: restart budget, deterministic fault
-/// plan, and liveness knobs. Attach with
-/// [`ExperimentConfig::with_supervision`]; only [`RunMode::Threaded`] reads
-/// it (the sim runtime stays the fault-free oracle — a recovery that stays
-/// within budget is byte-indistinguishable from never having failed, which
-/// is exactly what the fault-recovery suite asserts).
+/// Supervised execution: restart budget, deterministic fault plan, and
+/// liveness knobs. Attach with [`ExperimentConfig::with_supervision`]; both
+/// runtimes read it, and the fault plan fires at the same message counts on
+/// either. A recovery that stays within budget is byte-indistinguishable
+/// from never having failed, which is exactly what the fault-recovery suite
+/// asserts against the unsupervised sim. The sim never waits out
+/// `drain_patience`: once nothing is left to deliver, a starved task
+/// degrades at once.
 #[derive(Debug, Clone)]
 pub struct Supervision {
     /// Restarts allowed per task before it degrades to a tombstone.
@@ -218,7 +220,7 @@ pub struct ExperimentConfig {
     /// making threaded runs with the exact backend byte-comparable to the
     /// sim oracle at the Tracker (see [`bootstrap_partitions`]).
     pub pinned_partitions: Option<Arc<PinnedPartitions>>,
-    /// Supervised execution (threaded mode only): fault injection plan,
+    /// Supervised execution (either runtime): fault injection plan,
     /// restart policy, starvation patience. `None` (the default) runs the
     /// bare runtime with no supervision wrappers at all.
     pub supervision: Option<Supervision>,
@@ -309,8 +311,8 @@ impl ExperimentConfig {
         self
     }
 
-    /// This config under supervised threaded execution (restart policy +
-    /// deterministic fault plan). Sim runs ignore it and stay fault-free.
+    /// This config under supervised execution (restart policy +
+    /// deterministic fault plan), on either runtime.
     pub fn with_supervision(mut self, supervision: Supervision) -> Self {
         self.supervision = Some(supervision);
         self
@@ -597,22 +599,20 @@ fn run_with_publisher(
         .iter()
         .map(|s| s.to_string())
         .collect();
-    // Sim runs fault-free and unattributed: only a threaded run has stats.
-    let threaded: Option<ThreadStats> = match mode {
-        RunMode::Sim => {
-            run_sim_batched(topology, batch_policy());
-            None
-        }
+    let supervision = config
+        .supervision
+        .as_ref()
+        .map(|s| supervise_config(s, &recorder, degrade_flag));
+    let stats = match mode {
+        RunMode::Sim => try_run_sim_batched(topology, batch_policy(), supervision)
+            .unwrap_or_else(|e| panic!("{e}")),
         RunMode::Threaded => {
             let defaults = ThreadedConfig::default();
             let threaded = ThreadedConfig {
                 inbox_capacity: config.inbox_capacity.unwrap_or(defaults.inbox_capacity),
-                supervision: config
-                    .supervision
-                    .as_ref()
-                    .map(|s| supervise_config(s, &recorder, degrade_flag)),
+                supervision,
             };
-            Some(run_threaded_batched(topology, threaded, batch_policy()))
+            run_threaded_batched(topology, threaded, batch_policy())
         }
     };
     let rec = recorder.lock();
@@ -628,7 +628,16 @@ fn run_with_publisher(
     if let Some(scorer) = scorer {
         report.score(&scorer.join().expect("scorer panicked"));
     }
-    if let Some(stats) = threaded {
+    report.faults_injected = stats.faults_injected;
+    report.tasks_restarted = stats.tasks_restarted;
+    report.rounds_replayed = stats.rounds_replayed;
+    // degraded_tasks is in (component, task) order → distinct components
+    let mut components: Vec<usize> = stats.degraded_tasks.iter().map(|&(c, _)| c).collect();
+    components.dedup();
+    report.degraded_components = components.len() as u64;
+    // Wall-clock attribution exists only on the threaded runtime: a sim
+    // report stays a function of the stream and the fault plan.
+    if mode == RunMode::Threaded {
         report.channel_waits = names
             .iter()
             .cloned()
@@ -649,13 +658,6 @@ fn run_with_publisher(
             .map(|tasks| tasks.iter().sum());
         report.operator_seconds = names.iter().cloned().zip(component_seconds).collect();
         report.operator_task_seconds = names.into_iter().zip(stats.task_busy_seconds).collect();
-        report.faults_injected = stats.faults_injected;
-        report.tasks_restarted = stats.tasks_restarted;
-        report.rounds_replayed = stats.rounds_replayed;
-        // degraded_tasks is in (component, task) order → distinct components
-        let mut components: Vec<usize> = stats.degraded_tasks.iter().map(|&(c, _)| c).collect();
-        components.dedup();
-        report.degraded_components = components.len() as u64;
     }
     if let Some(counters) = serve_counters {
         report.snapshots_published = counters.snapshots_published();

@@ -98,7 +98,7 @@ pub struct RunReport {
     /// (on the Tracker's round-close path).
     pub snapshot_build_seconds: f64,
     /// Supervised runtime: deterministic faults the configured fault plan
-    /// actually fired during the run (0 for fault-free and sim runs).
+    /// actually fired during the run (0 for fault-free runs).
     pub faults_injected: u64,
     /// Supervised runtime: task restarts the supervisor performed
     /// (checkpoint-restore recoveries).

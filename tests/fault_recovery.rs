@@ -1,6 +1,8 @@
-//! Fault injection and recovery: the supervised threaded runtime under the
+//! Fault injection and recovery: the supervised runtimes under the
 //! deterministic fault matrix (kill-parser / kill-calculator / drop-adopt /
-//! poison-lock).
+//! poison-lock). Each recovery case runs on the threaded runtime and, as its
+//! byte-exact single-threaded twin, on the sim, which steps the same task
+//! code and supervisor.
 //!
 //! The central claim (ISSUE 8 acceptance): a task killed mid-stream that
 //! recovers *within its restart budget* produces a closed-round Tracker
@@ -84,10 +86,13 @@ fn with_watchdog<T: Send + 'static>(
     }
 }
 
-fn supervised_run(label: String, config: ExperimentConfig, docs: Vec<Document>) -> RunReport {
-    with_watchdog(label, 240, move || {
-        run_docs(&config, docs, RunMode::Threaded)
-    })
+fn supervised_run(
+    label: String,
+    config: ExperimentConfig,
+    docs: Vec<Document>,
+    mode: RunMode,
+) -> RunReport {
+    with_watchdog(label, 240, move || run_docs(&config, docs, mode))
 }
 
 const SEEDS: [u64; 3] = [3, 11, 1999];
@@ -123,6 +128,15 @@ fn assert_byte_identical(oracle: &RunReport, faulted: &RunReport, label: &str) {
 /// must match the fault-free oracle byte for byte, with zero degradations.
 #[test]
 fn killed_calculator_recovers_byte_identically_to_the_oracle() {
+    killed_calculator_recovers(RunMode::Threaded);
+}
+
+#[test]
+fn killed_calculator_recovers_byte_identically_on_the_sim() {
+    killed_calculator_recovers(RunMode::Sim);
+}
+
+fn killed_calculator_recovers(mode: RunMode) {
     for seed in SEEDS {
         let docs = stream(seed, DOCS);
         let config = pinned_config(&docs);
@@ -135,9 +149,10 @@ fn killed_calculator_recovers_byte_identically_to_the_oracle() {
             ..Supervision::default()
         };
         let faulted = supervised_run(
-            format!("kill-calculator-{seed}"),
+            format!("kill-calculator-{seed}-{mode:?}"),
             config.with_supervision(supervision),
             docs,
+            mode,
         );
         assert_eq!(faulted.faults_injected, 1, "seed {seed}: kill must fire");
         assert!(
@@ -152,7 +167,8 @@ fn killed_calculator_recovers_byte_identically_to_the_oracle() {
             faulted.degraded_components, 0,
             "seed {seed}: recovery within budget must not degrade"
         );
-        assert_byte_identical(&oracle, &faulted, &format!("seed {seed} kill-calculator"));
+        let label = format!("seed {seed} kill-calculator {mode:?}");
+        assert_byte_identical(&oracle, &faulted, &label);
     }
 }
 
@@ -161,6 +177,15 @@ fn killed_calculator_recovers_byte_identically_to_the_oracle() {
 /// redelivered — byte-identical output again.
 #[test]
 fn killed_parser_recovers_byte_identically_to_the_oracle() {
+    killed_parser_recovers(RunMode::Threaded);
+}
+
+#[test]
+fn killed_parser_recovers_byte_identically_on_the_sim() {
+    killed_parser_recovers(RunMode::Sim);
+}
+
+fn killed_parser_recovers(mode: RunMode) {
     for seed in SEEDS {
         let docs = stream(seed, DOCS);
         let config = pinned_config(&docs);
@@ -170,9 +195,10 @@ fn killed_parser_recovers_byte_identically_to_the_oracle() {
             ..Supervision::default()
         };
         let faulted = supervised_run(
-            format!("kill-parser-{seed}"),
+            format!("kill-parser-{seed}-{mode:?}"),
             config.with_supervision(supervision),
             docs,
+            mode,
         );
         assert_eq!(faulted.faults_injected, 1, "seed {seed}: kill must fire");
         assert!(
@@ -183,7 +209,8 @@ fn killed_parser_recovers_byte_identically_to_the_oracle() {
             faulted.degraded_components, 0,
             "seed {seed}: no degradation"
         );
-        assert_byte_identical(&oracle, &faulted, &format!("seed {seed} kill-parser"));
+        let label = format!("seed {seed} kill-parser {mode:?}");
+        assert_byte_identical(&oracle, &faulted, &label);
     }
 }
 
@@ -195,6 +222,15 @@ fn killed_parser_recovers_byte_identically_to_the_oracle() {
 /// poisons the lock in both modes.
 #[test]
 fn poisoned_lock_is_absorbed_and_the_run_recovers_byte_identically() {
+    poisoned_lock_is_absorbed(RunMode::Threaded);
+}
+
+#[test]
+fn poisoned_lock_is_absorbed_byte_identically_on_the_sim() {
+    poisoned_lock_is_absorbed(RunMode::Sim);
+}
+
+fn poisoned_lock_is_absorbed(mode: RunMode) {
     let runs = SEEDS.map(|seed| (seed, true)).into_iter();
     for (seed, live) in runs.chain([(SEEDS[0], false)]) {
         let docs = stream(seed, DOCS);
@@ -208,9 +244,10 @@ fn poisoned_lock_is_absorbed_and_the_run_recovers_byte_identically() {
             ..Supervision::default()
         };
         let faulted = supervised_run(
-            format!("poison-lock-{seed}-live-{live}"),
+            format!("poison-lock-{seed}-live-{live}-{mode:?}"),
             config.with_supervision(supervision),
             docs,
+            mode,
         );
         assert_eq!(faulted.faults_injected, 1, "seed {seed}: poison must fire");
         assert!(
@@ -226,7 +263,8 @@ fn poisoned_lock_is_absorbed_and_the_run_recovers_byte_identically() {
             faulted.routed_tagsets > 0,
             "seed {seed}: recorder unusable after poison"
         );
-        assert_byte_identical(&oracle, &faulted, &format!("seed {seed} poison-lock"));
+        let label = format!("seed {seed} poison-lock {mode:?}");
+        assert_byte_identical(&oracle, &faulted, &label);
     }
 }
 
@@ -252,6 +290,7 @@ fn exhausted_retries_degrade_gracefully_and_terminate() {
         "exhausted-retries".to_string(),
         config.with_supervision(supervision),
         docs,
+        RunMode::Threaded,
     );
     assert_eq!(report.faults_injected, 1, "kill must fire");
     assert_eq!(
@@ -275,6 +314,19 @@ fn exhausted_retries_degrade_gracefully_and_terminate() {
 /// terminate with the loss disclosed.
 #[test]
 fn dropped_adopt_starves_then_degrades_instead_of_hanging() {
+    // 100 ms of starvation before degrading
+    dropped_adopt_degrades(RunMode::Threaded, Duration::from_millis(100));
+}
+
+/// The sim twin: once nothing is left to deliver, the wedged Calculator
+/// degrades at once. A patience of a day would trip the watchdog if the
+/// sim waited it out.
+#[test]
+fn dropped_adopt_degrades_on_the_sim_without_a_deadline_wait() {
+    dropped_adopt_degrades(RunMode::Sim, Duration::from_secs(24 * 3600));
+}
+
+fn dropped_adopt_degrades(mode: RunMode, drain_patience: Duration) {
     let seed = SEEDS[1];
     let docs = stream(seed, 20_000);
     // live control plane on purpose: bootstrap install emits a fence, every
@@ -289,7 +341,7 @@ fn dropped_adopt_starves_then_degrades_instead_of_hanging() {
         ..ExperimentConfig::for_algorithm(AlgorithmKind::Ds)
     };
     let supervision = Supervision {
-        drain_patience: Duration::from_millis(100), // of starvation before degrading
+        drain_patience,
         faults: vec![Fault::DropAdopt {
             calculator: 3,
             nth: 1,
@@ -297,9 +349,10 @@ fn dropped_adopt_starves_then_degrades_instead_of_hanging() {
         ..Supervision::default()
     };
     let report = supervised_run(
-        "drop-adopt".to_string(),
+        format!("drop-adopt-{mode:?}"),
         config.with_supervision(supervision),
         docs,
+        mode,
     );
     assert_eq!(report.faults_injected, 1, "exactly one Adopt dropped");
     assert!(
@@ -344,6 +397,7 @@ fn dropped_adopt_with_fences_queued_behind_the_wedge_still_closes_rounds() {
         "drop-adopt-queued-fence".to_string(),
         config.with_supervision(supervision),
         stream(SEEDS[1], 20_000),
+        RunMode::Threaded,
     );
     assert_eq!(report.faults_injected, 1, "exactly one Adopt dropped");
     assert!(
@@ -370,6 +424,7 @@ fn fault_free_supervised_run_is_byte_identical_with_zero_counters() {
         "fault-free".to_string(),
         config.with_supervision(Supervision::default()),
         docs,
+        RunMode::Threaded,
     );
     assert_eq!(
         (
